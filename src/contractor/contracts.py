@@ -15,7 +15,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import cexpr
 from .errors import LoopOrdinalError, QuantifierShapeError, UnknownFunctionError
-from .program_model import C_KEYWORDS, FunctionInfo, ProgramModel, mask_comments_and_strings
+from .program_model import C_KEYWORDS, FunctionInfo, ProgramModel
 
 REQUIRES_KW = "__ESBMC_requires"
 ENSURES_KW = "__ESBMC_ensures"
@@ -69,6 +69,7 @@ class ParseFailureReason(str, Enum):
     UNKNOWN_IDENTIFIER = "unknown_identifier"
     UNBALANCED = "unbalanced"
     QUANTIFIED = "quantified"
+    LOOP_ORDINAL = "loop_ordinal"
 
 
 @dataclass(frozen=True)
@@ -151,48 +152,6 @@ def _contract_lines(c: Contract) -> List[Tuple[str, str, str]]:
     return out
 
 
-def _function_loops(model: ProgramModel, f: FunctionInfo) -> List[Tuple[int, str]]:
-    """Loop keyword offsets (absolute) in textual order."""
-    masked = mask_comments_and_strings(model.source_text)
-    body = masked[f.body_span[0]:f.body_span[1]]
-    hits: List[Tuple[int, str]] = []
-    for m in re.finditer(r"\b(for|while|do)\b", body):
-        kw = m.group(1)
-        if kw == "while":
-            k = m.start() - 1
-            while k >= 0 and body[k].isspace():
-                k -= 1
-            if k >= 0 and body[k] == "}":
-                continue
-        hits.append((f.body_span[0] + m.start(), kw))
-    return hits
-
-
-def _loop_body_open_brace(model: ProgramModel, loop_pos: int, kw: str) -> int:
-    masked = mask_comments_and_strings(model.source_text)
-    if kw == "do":
-        brace = loop_pos + len("do")
-    else:
-        open_paren = masked.find("(", loop_pos)
-        if open_paren < 0:
-            raise LoopOrdinalError("loop header has no parenthesis")
-        depth = 0
-        brace = open_paren
-        for i in range(open_paren, len(masked)):
-            if masked[i] == "(":
-                depth += 1
-            elif masked[i] == ")":
-                depth -= 1
-                if depth == 0:
-                    brace = i + 1
-                    break
-    while brace < len(masked) and masked[brace].isspace():
-        brace += 1
-    if brace >= len(masked) or masked[brace] != "{":
-        raise LoopOrdinalError("loop body is not braced; cannot lead with an invariant")
-    return brace
-
-
 def _apply_injections(original: str, injections: Sequence[Injection]) -> str:
     pieces: List[str] = []
     cursor = 0
@@ -220,19 +179,18 @@ def _injections_for(model: ProgramModel, c: Contract) -> List[Injection]:
             seg = "\n" + anchor_indent + "    " + ln
             injections.append(Injection(offset=offset, text=seg, kind=kind,
                                         function=c.function, clause=clause))
-    if c.loop_invariants:
-        loops = _function_loops(model, f)
-        for ordinal, expr in c.loop_invariants:
-            if ordinal < 0 or ordinal >= len(loops):
-                raise LoopOrdinalError(
-                    f"{c.function}: loop ordinal {ordinal} out of range (have {len(loops)})"
-                )
-            loop_pos, kw = loops[ordinal]
-            brace = _loop_body_open_brace(model, loop_pos, kw)
-            loop_indent = _indent_of_line(src, loop_pos)
-            seg = "\n" + loop_indent + "    " + f"{INVARIANT_KW}({expr});"
-            injections.append(Injection(offset=brace + 1, text=seg, kind="loop_invariant",
-                                        function=c.function, clause=expr))
+    for ordinal, expr in c.loop_invariants:
+        if ordinal < 0 or ordinal >= len(f.loops):
+            raise LoopOrdinalError(
+                f"{c.function}: loop ordinal {ordinal} out of range (have {len(f.loops)})"
+            )
+        site = f.loops[ordinal]
+        if site.body_open is None:
+            raise LoopOrdinalError("loop body is not braced; cannot lead with an invariant")
+        loop_indent = _indent_of_line(src, open_brace + site.offset)
+        seg = "\n" + loop_indent + "    " + f"{INVARIANT_KW}({expr});"
+        injections.append(Injection(offset=open_brace + site.body_open + 1, text=seg,
+                                    kind="loop_invariant", function=c.function, clause=expr))
     return injections
 
 
@@ -436,7 +394,8 @@ def parse_contract_text(
     lines). Returns Contract or ParseFailure; never raises on bad replies.
 
     requires/ensures/assigns may reference parameters, globals, and the return
-    value placeholder; loop invariants may additionally use body locals. The
+    value placeholder; loop invariants may additionally use body locals, and
+    the n-th invariant goes to f's n-th loop, which must exist and be braced. The
     literals true/false are rejected outright: the backend has no stdbool in
     scope and a bare `true` produces a silently wrong check.
     """
@@ -482,6 +441,10 @@ def parse_contract_text(
         bad = _validate_clause(expr, inv_allowed, "loop invariant")
         if bad:
             return ParseFailure(bad.reason, bad.detail, raw_text=raw)
+    for n, expr in enumerate(invariants):
+        if n >= len(f.loops) or f.loops[n].body_open is None:
+            return ParseFailure(ParseFailureReason.LOOP_ORDINAL,
+                                f"no braced loop {n} to lead with: {expr}", raw_text=raw)
     for t in assigns:
         t = t.strip()
         if not t:

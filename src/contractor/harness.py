@@ -5,7 +5,8 @@ Outcome taxonomy for a single run:
   converged    the pipeline proved the property compositionally
   system_only  the final system check passed but at least one function never
                validated its own contract, so the composition is unsound
-  failed       a concrete refutation, or refinement went nowhere
+  failed       a concrete refutation, refinement went nowhere, or an error
+               (unparseable source, a client that cannot answer) ended the run
   timeout      the wall budget expired mid-run
 
 system_only is computed here, at reporting time, from the last verified
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .errors import DeadlineExceededError, EmptySuiteError, SourceParseError
+from .errors import ContractorError, DeadlineExceededError, EmptySuiteError, SourceParseError
 from .program_model import DEFAULT_WEIGHTS, WeightTable, parse_program
 from .refinement import PipelineConfig, Verdict, VerdictOutcome, run_pipeline
 from .runlog import RunLog
@@ -90,6 +91,11 @@ def run_program(
         log.event("timeout", detail=str(exc))
         return RunReport(name=name, outcome=RunOutcome.TIMEOUT, verdict=partial,
                          log=log, error=str(exc))
+    except ContractorError as exc:
+        error = f"{type(exc).__name__}: {exc}"
+        log.event("error", detail=error)
+        return RunReport(name=name, outcome=RunOutcome.FAILED, verdict=None,
+                         log=log, error=error)
     return RunReport(name=name, outcome=classify_outcome(verdict),
                      verdict=verdict, log=log)
 

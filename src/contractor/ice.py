@@ -21,11 +21,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .contracts import Contract, ParseFailure
 from .errors import NoResponsibleFunctionError
-from .program_model import ProgramModel, mask_comments_and_strings
+from .program_model import ProgramModel
 from .verifier import ParsedCounterexample, Status, VerificationResult
 
 DIAGNOSTIC_EXAMPLE_LIMIT = 10
@@ -129,6 +129,20 @@ class IceDatabase:
     def is_empty(self) -> bool:
         return not (self.positives or self.negatives or self.implications)
 
+    def add_implications(self, pairs: Iterable[Tuple[StateExample, StateExample]]) -> int:
+        """Append each (pre, post) pair whose two states are not yet held as a
+        pair, in order; returns how many were appended."""
+        def key(pair: Tuple[StateExample, StateExample]) -> Tuple:
+            return tuple((ex.function, ex.items) for ex in pair)
+
+        held = {key(p) for p in self.implications}
+        before = len(self.implications)
+        for pair in pairs:
+            if key(pair) not in held:
+                held.add(key(pair))
+                self.implications.append(pair)
+        return len(self.implications) - before
+
 
 def classify(result: Union[VerificationResult, ParseFailure]) -> Classification:
     """Total over failures. Passing results are a caller bug, not a category."""
@@ -215,10 +229,11 @@ def extract_implications(
         if prev_snapshot is not None and reassigns:
             pre = StateExample.make(function, prev_snapshot, provenance="implication")
             post = StateExample.make(function, snapshot, provenance="implication")
-            if not any(a.same_state(pre) and b.same_state(post) for a, b in pairs):
-                pairs.append((pre, post))
+            pairs.append((pre, post))
         prev_snapshot = snapshot
-    return pairs
+    found = IceDatabase()
+    found.add_implications(pairs)
+    return found.implications
 
 
 def _clause_mentions(clause: str, name: str) -> bool:
@@ -251,13 +266,13 @@ def weakest_link(
         if base not in key_names:
             key_names.append(base)
 
-    masked = mask_comments_and_strings(model.source_text)
     mapped: Dict[str, set] = {fname: set() for fname in contracts}
     for var in key_names:
         for fname, c in contracts.items():
             if _contract_mentions(c, var):
                 mapped[fname].add(var)
-        for m in re.finditer(r"\b%s\s*=\s*([A-Za-z_]\w*)\s*\(" % re.escape(var), masked):
+        producer_re = r"\b%s\s*=\s*([A-Za-z_]\w*)\s*\(" % re.escape(var)
+        for m in re.finditer(producer_re, model.masked_text):
             producer = m.group(1)
             if producer in contracts:
                 mapped[producer].add(var)

@@ -9,11 +9,9 @@ the tier split needs. Anything deeper belongs to the backend.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import networkx as nx
 
 from .errors import (
     MultiplePropertiesError,
@@ -99,6 +97,13 @@ class Param:
 
 
 @dataclass(frozen=True)
+class LoopSite:
+    keyword: str  # for | while | do; a do-while's tail `while` is not a site
+    offset: int  # of the keyword
+    body_open: Optional[int]  # of the body's '{'; None when the body is braceless
+
+
+@dataclass(frozen=True)
 class FunctionInfo:
     name: str
     signature_text: str
@@ -109,6 +114,7 @@ class FunctionInfo:
     is_static: bool
     is_recursive: bool
     metrics: ComplexityMetrics
+    loops: Tuple[LoopSite, ...]  # in textual order; offsets into body_text
 
 
 @dataclass(frozen=True)
@@ -121,16 +127,19 @@ class SystemProperty:
 @dataclass(frozen=True)
 class ProgramModel:
     source_text: str
+    masked_text: str = field(repr=False)  # source_text through mask_comments_and_strings
     functions: Tuple[FunctionInfo, ...]
     main_span: Tuple[int, int]
     property: SystemProperty
     global_names: Tuple[str, ...] = ()
+    _by_name: Dict[str, FunctionInfo] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # the first definition of a name wins
+        object.__setattr__(self, "_by_name", {f.name: f for f in reversed(self.functions)})
 
     def function(self, name: str) -> Optional[FunctionInfo]:
-        for f in self.functions:
-            if f.name == name:
-                return f
-        return None
+        return self._by_name.get(name)
 
 
 def mask_comments_and_strings(src: str) -> str:
@@ -414,31 +423,27 @@ def _loop_is_unbounded(masked_body: str, pos: int, kw: str) -> bool:
     return not any(v in mutated for v in cond_vars)
 
 
-def _max_loop_nesting(masked_body: str, loop_positions: Sequence[Tuple[int, str]]) -> int:
-    """Depth of the deepest loop keyword, counting enclosing loop bodies."""
-    if not loop_positions:
-        return 0
-    loop_body_spans: List[Tuple[int, int]] = []
-    for pos, kw in loop_positions:
+def _loop_sites(masked_body: str) -> List[LoopSite]:
+    sites: List[LoopSite] = []
+    for pos, kw in _loop_keyword_positions(masked_body):
         if kw == "do":
-            brace = masked_body.find("{", pos)
-        else:
+            brace = pos + len(kw)
+        else:  # a header with no parenthesis counts as braceless
             open_paren = masked_body.find("(", pos)
-            if open_paren < 0:
-                continue
-            after = _match_paren(masked_body, open_paren)
-            brace = after
-            while brace < len(masked_body) and masked_body[brace].isspace():
-                brace += 1
-            if brace >= len(masked_body) or masked_body[brace] != "{":
-                continue  # braceless body: cannot nest further, depth handled below
-        if brace >= 0 and brace < len(masked_body) and masked_body[brace] == "{":
-            loop_body_spans.append((brace, _match_brace(masked_body, brace)))
-    best = 1
-    for pos, _ in loop_positions:
-        depth = 1 + sum(1 for a, b in loop_body_spans if a < pos < b)
-        best = max(best, depth)
-    return best
+            brace = _match_paren(masked_body, open_paren) if open_paren >= 0 else len(masked_body)
+        while brace < len(masked_body) and masked_body[brace].isspace():
+            brace += 1
+        braced = brace < len(masked_body) and masked_body[brace] == "{"
+        sites.append(LoopSite(kw, pos, brace if braced else None))
+    return sites
+
+
+def _max_loop_nesting(masked_body: str, sites: Sequence[LoopSite]) -> int:
+    """Depth of the deepest loop keyword, counting enclosing loop bodies;
+    a braceless body cannot enclose another loop."""
+    spans = [(s.body_open, _match_brace(masked_body, s.body_open))
+             for s in sites if s.body_open is not None]
+    return max((1 + sum(1 for a, b in spans if a < s.offset < b) for s in sites), default=0)
 
 
 def _pointer_op_count(masked_body: str) -> int:
@@ -463,9 +468,8 @@ def _pointer_op_count(masked_body: str) -> int:
     return count
 
 
-def analyze_body(masked_body: str) -> Dict[str, int]:
-    loops = _loop_keyword_positions(masked_body)
-    unbounded = any(_loop_is_unbounded(masked_body, pos, kw) for pos, kw in loops)
+def analyze_body(masked_body: str, loops: Sequence[LoopSite]) -> Dict[str, int]:
+    unbounded = any(_loop_is_unbounded(masked_body, s.offset, s.keyword) for s in loops)
     allocs = sum(
         1 for m in re.finditer(r"\b([A-Za-z_]\w*)\s*\(", masked_body)
         if m.group(1) in ALLOC_FUNCTIONS
@@ -552,6 +556,20 @@ def _extract_property(masked_main: str, src_main: str) -> SystemProperty:
     )
 
 
+def _recursive_functions(calls: Dict[str, set]) -> set:
+    """Functions that can reach themselves through the call graph."""
+    recursive = set()
+    for start in calls:
+        seen, stack = set(), [start]
+        while stack:
+            for callee in calls[stack.pop()] - seen:
+                seen.add(callee)
+                stack.append(callee)
+        if start in seen:
+            recursive.add(start)
+    return recursive
+
+
 def parse_program(source_text: str, weights: WeightTable = DEFAULT_WEIGHTS) -> ProgramModel:
     """Build the model. Raises on missing main, zero or multiple assertions,
     and brace imbalance."""
@@ -575,23 +593,15 @@ def parse_program(source_text: str, weights: WeightTable = DEFAULT_WEIGHTS) -> P
         }
         call_names[r.name] = calls & defined
 
-    graph = nx.DiGraph()
-    graph.add_nodes_from(defined)
-    for caller, callees in call_names.items():
-        for callee in callees:
-            graph.add_edge(caller, callee)
-    recursive = set()
-    for scc in nx.strongly_connected_components(graph):
-        if len(scc) > 1:
-            recursive |= scc
-    recursive |= {n for n in defined if graph.has_edge(n, n)}
+    recursive = _recursive_functions(call_names)
 
     functions: List[FunctionInfo] = []
     for r in raws:
         if r.name == "main":
             continue
         body_masked = masked[r.body_span[0]:r.body_span[1]]
-        counts = analyze_body(body_masked)
+        loops = _loop_sites(body_masked)
+        counts = analyze_body(body_masked, loops)
         is_rec = r.name in recursive
         score = compute_score(counts, is_rec, weights)
         metrics = ComplexityMetrics(
@@ -615,6 +625,7 @@ def parse_program(source_text: str, weights: WeightTable = DEFAULT_WEIGHTS) -> P
             is_static=r.is_static,
             is_recursive=is_rec,
             metrics=metrics,
+            loops=tuple(loops),
         ))
 
     prop = _extract_property(
@@ -624,6 +635,7 @@ def parse_program(source_text: str, weights: WeightTable = DEFAULT_WEIGHTS) -> P
 
     return ProgramModel(
         source_text=source_text,
+        masked_text=masked,
         functions=tuple(functions),
         main_span=main_raw.body_span,
         property=prop,

@@ -281,13 +281,7 @@ def _absorb_failure(ctx: _Ctx, fname: str, result: VerificationResult,
         ctx.last_valuation[fname] = valuation
     _admit_negative(ctx, fname, valuation, cls, provenance)
     if ctx.cfg.strategy is Strategy.SMART_ICE:
-        pairs = extract_implications(parsed, fname)
-        fresh = [
-            (a, b) for a, b in pairs
-            if not any(x.same_state(a) and y.same_state(b) for x, y in ctx.db.implications)
-        ]
-        if fresh:
-            ctx.db.implications.extend(fresh)
+        if ctx.db.add_implications(extract_implications(parsed, fname)):
             ctx.log.event("db", action="implications", function=fname,
                           **_db_sizes(ctx.db))
     return cls
@@ -325,13 +319,7 @@ def _absorb_system_failure(ctx: _Ctx, result: VerificationResult) -> None:
     valuation = valuation_for(parsed, target) or parsed.key_map()
     _admit_negative(ctx, target, valuation, cls, provenance="system")
     for name in sorted(ctx.contracts):
-        pairs = extract_implications(parsed, name)
-        fresh = [
-            (a, b) for a, b in pairs
-            if not any(x.same_state(a) and y.same_state(b) for x, y in ctx.db.implications)
-        ]
-        if fresh:
-            ctx.db.implications.extend(fresh)
+        if ctx.db.add_implications(extract_implications(parsed, name)):
             ctx.log.event("db", action="implications", function=name, **_db_sizes(ctx.db))
 
 

@@ -11,6 +11,7 @@ hands the failure back.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -21,8 +22,6 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
-
-import requests
 
 from . import cexpr
 from .contracts import Contract, ContractOrigin, ParseFailure, parse_contract_text
@@ -65,6 +64,7 @@ _INTENT_ORIGIN: Dict[SynthesisIntent, ContractOrigin] = {
 }
 
 
+@functools.cache
 def load_template(intent: SynthesisIntent) -> str:
     text = resources.files("contractor").joinpath(f"prompts/{intent.value}.txt").read_text("utf-8")
     marker = TEMPLATE_MARKERS[intent]
@@ -148,6 +148,10 @@ class HttpLlmClient(LlmClient):
         self.backend_id = f"http:{self.model or 'unknown'}"
 
     def complete(self, prompt: str, tags: Optional[Mapping[str, str]] = None) -> str:
+        # not at the top: every mock-backend check imports this module
+        import urllib.request
+        from http.client import HTTPException
+
         if not self.url:
             raise ClientUnavailableError(f"no endpoint configured ({LLM_URL_ENV} unset)")
         headers = {"Content-Type": "application/json"}
@@ -158,13 +162,14 @@ class HttpLlmClient(LlmClient):
             "temperature": 0,
             "messages": [{"role": "user", "content": prompt}],
         }
+        request = urllib.request.Request(self.url, data=json.dumps(payload).encode("utf-8"),
+                                         headers=headers, method="POST")
         try:
-            resp = requests.post(self.url, json=payload, headers=headers,
-                                 timeout=self.timeout_s)
-            resp.raise_for_status()
-            data = resp.json()
+            # urlopen raises HTTPError (an OSError) on any status >= 400
+            with urllib.request.urlopen(request, timeout=self.timeout_s) as resp:
+                data = json.loads(resp.read())
             return data["choices"][0]["message"]["content"]
-        except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
+        except (OSError, HTTPException, KeyError, IndexError, TypeError, ValueError) as exc:
             raise ClientUnavailableError(f"live endpoint failed: {exc}") from exc
 
 

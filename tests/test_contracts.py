@@ -19,7 +19,7 @@ from contractor.contracts import (
 )
 from contractor.errors import LoopOrdinalError, UnknownFunctionError
 from contractor.program_model import parse_program
-from conftest import corpus_sources
+from conftest import contract_reply, corpus_sources
 
 
 def mk(function="increment", requires=(), ensures=(), assigns=(), invariants=()):
@@ -82,6 +82,28 @@ def test_braceless_loop_rejected():
     c = mk(function="f", invariants=[(0, "s == 0")])
     with pytest.raises(LoopOrdinalError):
         render_enforce(model, c)
+
+
+def test_while_after_a_block_takes_its_invariant():
+    src = ("int f(int n){int i = 0; if (n < 0) { n = 0; } while (i < n) { i++; } return i;}\n\n"
+           "int main() {\n    int r = f(3);\n    assert(r == 3);\n    return 0;\n}\n")
+    model = parse_program(src)
+    instr = render_enforce(model, mk(function="f", invariants=[(0, "i <= n")]))
+    loop_open = instr.text.index("{", instr.text.index("while (i < n)"))
+    assert instr.text[loop_open + 1:].lstrip().startswith("__ESBMC_loop_invariant(i <= n);")
+    assert strip_annotations(instr) == src
+
+
+@pytest.mark.parametrize("source,function", [
+    (INC, "increment"),  # no loop at all
+    ("int f(int x) {\n    while (x > 0)\n        x--;\n    return x;\n}\n\n"
+     "int main() {\n    int r = f(3);\n    assert(r == 0);\n    return 0;\n}\n", "f"),
+])
+def test_parse_rejects_invariant_without_a_braced_loop(source, function):
+    f = parse_program(source).function(function)
+    result = parse_contract_text(contract_reply(ensures=["1"], invariants=["x >= 0"]), f)
+    assert isinstance(result, ParseFailure)
+    assert result.reason is ParseFailureReason.LOOP_ORDINAL
 
 
 def test_bad_loop_ordinal_rejected():

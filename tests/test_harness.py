@@ -157,6 +157,47 @@ def test_run_suite_totals_and_order():
     assert suite.histogram() == {0: 2}
 
 
+LOOP_FREE_SRC = """\
+int dec(int i) {
+    return i - 1;
+}
+
+int main() {
+    int b = dec(5);
+    assert(b == 4);
+    return 0;
+}
+"""
+
+
+def test_bad_loop_invariant_reply_fails_one_program_not_the_suite():
+    def factory():
+        # dec has no loop, so its reply's invariant has nowhere to go
+        return ScriptedLlmClient({
+            "inc|initial": INC_REPLY,
+            "bump|initial": "not a contract",
+            "dec": contract_reply(ensures=("__ESBMC_return_value == i - 1",),
+                                  invariants=("i >= 0",)),
+        })
+
+    base = run_suite(suite_programs(), CFG, factory, suite_verifier())
+    suite = run_suite(suite_programs() + [("loop_free.c", LOOP_FREE_SRC)], CFG,
+                      factory, suite_verifier())
+    assert [r.name for r in suite.reports] == ["ok_a.c", "ok_b.c", "bad.c", "loop_free.c"]
+    assert {n: o for n, o in suite.outcome_map().items() if n != "loop_free.c"} \
+        == base.outcome_map()
+    reasons = [e["reason"] for e in suite.reports[-1].log.of_kind("synthesis")]
+    assert "loop_ordinal" in reasons
+
+
+def test_run_program_reports_an_exhausted_client_as_failed():
+    report = run_program("inc.c", INC_SRC, CFG, ScriptedLlmClient({}), PassVerifier())
+    assert report.outcome is RunOutcome.FAILED
+    assert report.verdict is None
+    assert report.error.startswith("ClientUnavailableError")
+    assert report.log.of_kind("error")[0]["detail"] == report.error
+
+
 def test_run_suite_worker_invariance():
     maps = []
     for workers in (1, 3):

@@ -44,6 +44,8 @@ def test_corpus_all_parse():
         model = parse_program(text)
         assert model.property.assertion_text, name
         assert any(f.name != "main" for f in model.functions), name
+        for f in model.functions:  # do_while.c's `} while (n > 0);` is no site
+            assert len(f.loops) == f.metrics.loop_count, (name, f.name)
 
 
 def test_function_discovery():

@@ -4,6 +4,8 @@ the example-conditioned variant."""
 from __future__ import annotations
 
 import json
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
@@ -14,6 +16,7 @@ from contractor.program_model import parse_program
 from contractor.runlog import RunLog
 from contractor.synthesis import (
     PARSE_RETRIES,
+    HttpLlmClient,
     ReplayLlmClient,
     RecordingLlmClient,
     ScriptedLlmClient,
@@ -129,6 +132,60 @@ def test_replay_and_recording_round_trip(tmp_path):
     assert replay.complete("some prompt") == reply
     with pytest.raises(ClientUnavailableError):
         replay.complete("a prompt never recorded")
+
+
+class _ChatEndpoint(BaseHTTPRequestHandler):
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.requests.append((dict(self.headers), json.loads(body)))
+        self.send_response(self.server.reply_status)
+        self.end_headers()
+        self.wfile.write(self.server.reply_body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def endpoint(monkeypatch):
+    """A chat endpoint on the loopback interface, reached with no proxy."""
+    monkeypatch.setenv("no_proxy", "*")
+    server = HTTPServer(("127.0.0.1", 0), _ChatEndpoint)
+    server.requests, server.reply_status, server.reply_body = [], 200, b""
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join()
+
+
+def _http_client(server) -> HttpLlmClient:
+    return HttpLlmClient(url=f"http://127.0.0.1:{server.server_port}/v1/chat",
+                         model="m1", token="sekrit", timeout_s=10.0)
+
+
+def test_http_client_returns_the_reply_content(endpoint):
+    endpoint.reply_body = json.dumps(
+        {"choices": [{"message": {"role": "assistant", "content": "the reply"}}]}).encode()
+    assert _http_client(endpoint).complete("the prompt") == "the reply"
+    (headers, payload), = endpoint.requests
+    assert headers["Authorization"] == "Bearer sekrit"
+    assert payload == {"model": "m1", "temperature": 0,
+                       "messages": [{"role": "user", "content": "the prompt"}]}
+
+
+@pytest.mark.parametrize("status,body", [(500, b"{}"), (200, b"<html>not json</html>")])
+def test_http_client_bad_reply_is_unavailable(endpoint, status, body):
+    endpoint.reply_status, endpoint.reply_body = status, body
+    with pytest.raises(ClientUnavailableError):
+        _http_client(endpoint).complete("p")
+
+
+def test_http_client_without_url_is_unavailable(monkeypatch):
+    monkeypatch.delenv("CONTRACTOR_LLM_URL", raising=False)
+    with pytest.raises(ClientUnavailableError, match="unset"):
+        HttpLlmClient().complete("p")
 
 
 def test_make_client_scripted_loads_scripts_json(tmp_path):

@@ -3,6 +3,11 @@ against the bundled transcript-replay backend."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from contractor.contracts import Contract, ContractOrigin, render_enforce, render_replace
@@ -164,3 +169,13 @@ def test_wrong_mode_rejected():
 def test_digest_stability():
     assert source_digest("abc") == source_digest("abc")
     assert source_digest("abc") != source_digest("abd")
+
+
+def test_mock_backend_imports_no_third_party_package():
+    # every mock check starts an interpreter that imports this module
+    code = ("import sys, contractor.mock_backend\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('networkx', 'requests')))")
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
