@@ -54,8 +54,21 @@ def _iter_transcripts(fixtures_dir: str) -> Iterable[str]:
             yield os.path.join(fixtures_dir, name)
 
 
-def lookup(fixtures_dir: str, digest: str, mode: str) -> Optional[Tuple[str, float]]:
-    """(output, sleep_s) of the transcript matching digest and mode, if any."""
+def _read_transcript(path: str, digest: str, mode: str) -> Optional[Tuple[str, float]]:
+    """(output, sleep_s) of the file at path if its header carries exactly
+    this digest and mode."""
+    try:
+        fh = open(path, "r", encoding="utf-8", newline="")
+    except FileNotFoundError:
+        return None
+    with fh:
+        parsed = _parse_header(fh.readline().rstrip("\n"))
+        if parsed is None or parsed[:2] != (digest, mode):
+            return None
+        return fh.read(), parsed[2]
+
+
+def _scan(fixtures_dir: str, digest: str, mode: str) -> Optional[Tuple[str, float]]:
     fallback = None
     for path in _iter_transcripts(fixtures_dir):
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -72,6 +85,17 @@ def lookup(fixtures_dir: str, digest: str, mode: str) -> Optional[Tuple[str, flo
             if t_mode is None and fallback is None:
                 fallback = (body, sleep_s)
     return fallback
+
+
+def lookup(fixtures_dir: str, digest: str, mode: str) -> Optional[Tuple[str, float]]:
+    """(output, sleep_s) of the transcript matching digest and mode, if any.
+
+    The file `transcript_name(digest, mode)` names is read first. Every
+    transcript is scanned only when that file is missing or its header does
+    not carry this digest and mode: a header without mode=, a file named
+    otherwise, or two digests sharing their first 16 hex digits."""
+    named = os.path.join(fixtures_dir, transcript_name(digest, mode))
+    return _read_transcript(named, digest, mode) or _scan(fixtures_dir, digest, mode)
 
 
 def transcript_name(digest: str, mode: str) -> str:

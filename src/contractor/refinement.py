@@ -15,6 +15,7 @@ Everything else, including budget exhaustion, is `inconclusive`.
 
 from __future__ import annotations
 
+import hashlib
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -143,6 +144,9 @@ class _Ctx:
         self.contracts: Dict[str, Contract] = {}
         self.fn_results: Dict[str, Optional[VerificationResult]] = {}
         self.sys_result: Optional[VerificationResult] = None
+        # PASS and FAIL results by (mode, SHA-256 of the instrumented text);
+        # a timeout or tool error is not kept, so that check runs again
+        self.checked: Dict[Tuple[str, str], VerificationResult] = {}
 
     @property
     def targets(self) -> List[FunctionInfo]:
@@ -343,10 +347,23 @@ def _record_pass_snapshots(ctx: _Ctx) -> None:
             ctx.log.event("db", action="blocked_conflict", function=fname, **after)
 
 
+def _check_once(ctx: _Ctx, mode: str, text: str,
+                run: Callable[[], VerificationResult]) -> VerificationResult:
+    """A program's PASS or FAIL for one (mode, text) reaches the backend once."""
+    key = (mode, hashlib.sha256(text.encode("utf-8")).hexdigest())
+    result = ctx.checked.get(key)
+    if result is None:
+        result = run()
+        if result.status in (Status.PASS, Status.FAIL):
+            ctx.checked[key] = result
+    return result
+
+
 def _verify_system_now(ctx: _Ctx, contracts: Dict[str, Contract]) -> VerificationResult:
     ctx.check_deadline()
     instr = render_replace(ctx.model, contracts.values())
-    result = ctx.verifier.system(instr, timeout_s=ctx.remaining())
+    result = _check_once(ctx, "system", instr.text,
+                         lambda: ctx.verifier.system(instr, timeout_s=ctx.remaining()))
     ctx.log.event("verification", mode="system", status=result.status.value,
                   contract_set=sorted(contracts), iteration=ctx.iterations)
     return result
@@ -355,9 +372,12 @@ def _verify_system_now(ctx: _Ctx, contracts: Dict[str, Contract]) -> Verificatio
 def _verify_function_now(ctx: _Ctx, c: Contract) -> VerificationResult:
     ctx.check_deadline()
     instr = render_enforce(ctx.model, c)
-    result = ctx.verifier.function(instr, c.function, timeout_s=ctx.remaining())
-    ctx.log.event("verification", mode=f"function:{c.function}",
-                  status=result.status.value, iteration=ctx.iterations)
+    mode = f"function:{c.function}"
+    result = _check_once(ctx, mode, instr.text,
+                         lambda: ctx.verifier.function(instr, c.function,
+                                                       timeout_s=ctx.remaining()))
+    ctx.log.event("verification", mode=mode, status=result.status.value,
+                  iteration=ctx.iterations)
     return result
 
 
@@ -549,7 +569,9 @@ def _strengthen_target(ctx: _Ctx, contracts: Dict[str, Contract]) -> None:
         _absorb_parse_failure(ctx, target, result)
 
 
-def _delta_debug_stagnating(ctx: _Ctx) -> None:
+def _delta_debug_stagnating(ctx: _Ctx) -> bool:
+    """Reduce the ensures of every failing contract; True if any was reduced."""
+    reduced_any = False
     for fname in sorted(ctx.contracts):
         r = ctx.fn_results.get(fname)
         if r is None or r.status is Status.PASS:
@@ -573,8 +595,10 @@ def _delta_debug_stagnating(ctx: _Ctx) -> None:
                           removed=[], checks=0, irreducible=True)
             continue
         ctx.contracts[fname] = reduced
+        reduced_any = True
         if "result" in last_pass:
             ctx.fn_results[fname] = last_pass["result"]
+    return reduced_any
 
 
 def _run_cegar(ctx: _Ctx) -> Tuple[Optional[Verdict], bool]:
@@ -601,10 +625,15 @@ def _run_cegar(ctx: _Ctx) -> Tuple[Optional[Verdict], bool]:
         if detect_stagnation(history):
             ctx.log.event("stagnation", iteration=k,
                           failing=_failing_functions(ctx))
-            _delta_debug_stagnating(ctx)
+            if _delta_debug_stagnating(ctx):
+                # a weaker ensures may no longer imply the property: the gate
+                # must read a system result under the reduced set
+                ctx.sys_result = _verify_system_now(ctx, ctx.contracts)
+                if ctx.sys_result.status is Status.FAIL:
+                    _absorb_system_failure(ctx, ctx.sys_result)
             if _gate(ctx):
                 # reduction alone may finish the job when the system side
-                # already passed
+                # still passes
                 return _verdict(ctx, VerdictOutcome.VERIFIED), False
             return None, True
     return None, True

@@ -150,11 +150,14 @@ def test_failed_function_contract_is_dropped_then_relaxed():
     assert drops[0]["functions"] == ["shift"]
     assert drops[0]["survivors"] == ["produce"]
     assert verdict.contract_map()["shift"].ensures == ("__ESBMC_return_value == y + 1",)
-    # the dropped-survivor system check ran between the two full rounds
+    # the dropped-survivor system check ran between the two full rounds; the
+    # second round's produce check repeats the first one's text, so it is
+    # answered from the program's check memo
     modes = [mode for mode, _ in verifier.calls]
     assert modes == ["system", "function:produce", "function:shift",
                      "system",
-                     "system", "function:produce", "function:shift"]
+                     "system", "function:shift"]
+    assert len(log.of_kind("verification")) == 7
 
 
 CHAIN_SRC = """\
@@ -498,3 +501,115 @@ def test_verdict_to_dict_shape():
     assert d["contracts"]["inc"]["ensures"] == ["__ESBMC_return_value > x"]
     assert d["per_function_status"] == {"inc": "pass"}
     assert d["system_status"] == "pass"
+
+
+# -- soundness after clause reduction -----------------------------------------
+
+LOOSE_SRC = """\
+int f(int x) {
+    int r = x + 1;
+    return r;
+}
+
+int main() {
+    int b = f(3);
+    assert(b == 4);
+    return 0;
+}
+"""
+
+
+def test_reduced_contract_is_rechecked_against_the_property():
+    # f cannot prove "== 4" on its own, so delta debugging keeps only "> x",
+    # which no longer implies b == 4; the gate must see that system failure
+    reply = contract_reply(ensures=("__ESBMC_return_value > x",
+                                    "__ESBMC_return_value == 4"))
+
+    def rule(src, mode):
+        tight = "__ESBMC_return_value == 4" in src.text
+        if mode == "function:f":
+            if not tight:
+                return success_output()
+            return failure_output(
+                "__ESBMC_return_value == 4",
+                steps=[{"function": "f", "line": 3, "assigns": [("x", "0"), ("r", "1")]}],
+                at_function="f")
+        if tight or "__ESBMC_return_value" not in src.text:
+            return success_output()
+        return failure_output(
+            "b == 4", steps=[{"function": "main", "line": 7, "assigns": [("b", "5")]}])
+
+    verdict, log, _, _ = run(LOOSE_SRC, {"*": reply}, RuleVerifier(rule))
+    assert verdict.outcome is not VerdictOutcome.VERIFIED
+    kinds_seen = kinds(log)
+    dd = kinds_seen.index("delta_debug")
+    assert log.events[dd]["kept"] == ["__ESBMC_return_value > x"]
+    after = [e for e in log.events[dd + 1:] if e["event"] == "verification"]
+    assert after[0]["mode"] == "system" and after[0]["status"] == "fail"
+
+
+# -- one backend check per (mode, text) within a program -----------------------
+
+KEEP_STEP_SRC = """\
+int keep(int a) {
+    return a;
+}
+
+int step(int z) {
+    return z + 1;
+}
+
+int main() {
+    int k = keep(2);
+    int q = step(0);
+    assert(q >= 1 && k == 2);
+    return 0;
+}
+"""
+
+
+def keep_step_run():
+    wrong = lambda n: contract_reply(assigns=("z",),
+                                     ensures=(f"__ESBMC_return_value < -{n}",))
+    script = {
+        "keep": contract_reply(assigns=("a",), ensures=("__ESBMC_return_value == a",)),
+        "step|initial": wrong(5),
+        "step|relax": [wrong(6), wrong(7)],
+        "step|cegis": [wrong(8), wrong(9)],
+    }
+    return run(KEEP_STEP_SRC, script, RuleVerifier(step_rule("< -")),
+               k_cegar=2, k_cegis=2)
+
+
+def test_unchanged_contract_reaches_the_backend_once():
+    verdict, log, _, verifier = keep_step_run()
+    assert verdict.outcome is VerdictOutcome.INCONCLUSIVE
+    assert len(verifier.calls) == len(set(verifier.calls))
+    assert [m for m, _ in verifier.calls].count("function:keep") == 1
+    # keep's pass is still logged in every round
+    logged = [e["mode"] for e in log.of_kind("verification")]
+    assert logged.count("function:keep") == 5
+
+
+def test_memo_keeps_the_verification_events():
+    _, log, _, _ = keep_step_run()
+    events = [(e["mode"], e["status"], e["iteration"], e.get("contract_set"))
+              for e in log.of_kind("verification")]
+    both = ["keep", "step"]
+    expected = [("system", "pass", 0, both), ("function:keep", "pass", 0, None),
+                ("function:step", "fail", 0, None), ("system", "pass", 0, ["keep"])]
+    for i in range(1, 5):
+        expected += [("system", "pass", i, both), ("function:keep", "pass", i, None),
+                     ("function:step", "fail", i, None)]
+    assert events == expected
+
+
+def test_timeout_is_checked_again():
+    def rule(src, mode):
+        return Status.TIMEOUT if mode == "function:inc" else success_output()
+
+    verdict, log, _, verifier = run(INC_SRC, {"inc": INC_REPLY}, RuleVerifier(rule))
+    assert verdict.outcome is not VerdictOutcome.VERIFIED
+    full = [text for mode, text in verifier.calls
+            if mode == "function:inc" and "__ESBMC_return_value > x" in text]
+    assert len(full) >= 2 and len(set(full)) == 1

@@ -12,7 +12,7 @@ import pytest
 
 from contractor.contracts import Contract, ContractOrigin, render_enforce, render_replace
 from contractor.errors import BackendNotFoundError
-from contractor.mock_backend import source_digest, write_transcript
+from contractor.mock_backend import lookup, source_digest, transcript_name, write_transcript
 from contractor.program_model import parse_program
 from contractor.verifier import (
     Status,
@@ -171,11 +171,63 @@ def test_digest_stability():
     assert source_digest("abc") != source_digest("abd")
 
 
-def test_mock_backend_imports_no_third_party_package():
+def _modules_loaded_by_mock_backend():
     # every mock check starts an interpreter that imports this module
-    code = ("import sys, contractor.mock_backend\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('networkx', 'requests')))")
+    code = "import sys, contractor.mock_backend\nprint('\\n'.join(sorted(sys.modules)))"
     src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.split()
+
+
+def test_mock_backend_imports_no_third_party_package():
+    loaded = _modules_loaded_by_mock_backend()
+    assert [m for m in loaded if m.split(".")[0] in ("networkx", "requests")] == []
+
+
+def test_mock_backend_imports_no_other_contractor_module():
+    # the package resolves its public names lazily, so a check loads none of
+    # the pipeline
+    loaded = _modules_loaded_by_mock_backend()
+    assert [m for m in loaded if m.startswith("contractor.")] == ["contractor.mock_backend"]
+
+
+def test_package_names_resolve_lazily():
+    import contractor
+
+    for name in contractor.__all__:
+        assert getattr(contractor, name) is not None
+    assert contractor.run_suite is contractor.harness.run_suite
+    with pytest.raises(AttributeError):
+        contractor.nope
+
+
+def _legacy_transcript(fixtures_dir: Path, file_name: str, digest: str, output: str) -> None:
+    (fixtures_dir / file_name).write_text(f"# digest={digest}\n{output}", encoding="utf-8")
+
+
+def test_lookup_finds_a_legacy_header_without_mode(tmp_path):
+    digest = source_digest("int main() { return 0; }")
+    _legacy_transcript(tmp_path, "legacy.txt", digest, "LEGACY\n")
+    assert lookup(str(tmp_path), digest, "system") == ("LEGACY\n", 0.0)
+    assert lookup(str(tmp_path), digest, "function:f") == ("LEGACY\n", 0.0)
+
+
+def test_lookup_prefers_the_exact_mode_over_a_legacy_header(tmp_path):
+    text = "int main() { return 0; }"
+    digest = source_digest(text)
+    _legacy_transcript(tmp_path, "0000-legacy.txt", digest, "LEGACY\n")  # scanned first
+    write_transcript(str(tmp_path), text, "system", "EXACT\n")
+    assert lookup(str(tmp_path), digest, "system") == ("EXACT\n", 0.0)
+    assert lookup(str(tmp_path), digest, "function:f") == ("LEGACY\n", 0.0)
+
+
+def test_lookup_scans_when_the_named_file_holds_another_digest(tmp_path):
+    digest = source_digest("int main() { return 0; }")
+    other = digest[:16] + ("0" if digest[16] != "0" else "1") + digest[17:]
+    named = tmp_path / transcript_name(digest, "system")
+    named.write_text(f"# digest={other} mode=system\nOTHER\n", encoding="utf-8")
+    (tmp_path / "renamed.txt").write_text(f"# digest={digest} mode=system\nMINE\n",
+                                          encoding="utf-8")
+    assert lookup(str(tmp_path), digest, "system") == ("MINE\n", 0.0)
+    assert lookup(str(tmp_path), other, "system") == ("OTHER\n", 0.0)
