@@ -12,13 +12,13 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import ContractorError
 from .harness import (
     RunReport,
-    SuiteReport,
     canonical_run_bytes,
     run_program,
     run_suite,
@@ -149,7 +149,9 @@ def _collect_programs(paths: Sequence[str]) -> List[Tuple[str, str]]:
 
 def _cmd_suite(args: argparse.Namespace) -> int:
     programs = _collect_programs(args.paths)
-    cfg = _pipeline_config(args)
+    # --workers spreads the programs; each one synthesizes serially, so a
+    # suite holds N threads, not N * N
+    cfg = replace(_pipeline_config(args), workers=1)
     verifier = _verifier(args)
     factory = lambda: make_client(args.llm, args.transcripts)  # noqa: E731
     suite = run_suite(programs, cfg, factory, verifier, workers=args.workers,

@@ -110,7 +110,6 @@ class InstrumentedSource:
     mode: Mode
     functions: Tuple[str, ...]  # functions carrying annotations
     injections: Tuple[Injection, ...] = ()
-    original_text: str = ""
 
     @property
     def provenance(self) -> Tuple[Tuple[str, str], ...]:
@@ -204,7 +203,6 @@ def render_enforce(model: ProgramModel, c: Contract) -> InstrumentedSource:
         mode=Mode.enforce(c.function),
         functions=(c.function,),
         injections=tuple(injections),
-        original_text=model.source_text,
     )
 
 
@@ -221,7 +219,6 @@ def render_replace(model: ProgramModel, contracts: Iterable[Contract]) -> Instru
         mode=Mode.replace(),
         functions=tuple(c.function for c in ordered),
         injections=tuple(injections),
-        original_text=model.source_text,
     )
 
 

@@ -19,7 +19,7 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .errors import ContractorError, DeadlineExceededError, EmptySuiteError, SourceParseError
 from .program_model import DEFAULT_WEIGHTS, WeightTable, parse_program
@@ -152,12 +152,8 @@ def run_suite(
         return run_program(name, source, cfg, client_factory(), verifier,
                            weights=weights)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(one, programs))
-    else:
-        reports = [one(item) for item in programs]
-    return SuiteReport(reports=tuple(reports))
+    with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
+        return SuiteReport(reports=tuple(pool.map(one, programs)))
 
 
 def canonical_run_bytes(verdict: Optional[Verdict], log: RunLog) -> bytes:

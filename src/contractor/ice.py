@@ -121,14 +121,6 @@ class IceDatabase:
     def negative_for(self, function: str) -> List[StateExample]:
         return [e for e in self.negatives if e.function == function]
 
-    def functions(self) -> List[str]:
-        names = {e.function for e in self.positives} | {e.function for e in self.negatives}
-        names |= {a.function for a, _ in self.implications}
-        return sorted(names)
-
-    def is_empty(self) -> bool:
-        return not (self.positives or self.negatives or self.implications)
-
     def add_implications(self, pairs: Iterable[Tuple[StateExample, StateExample]]) -> int:
         """Append each (pre, post) pair whose two states are not yet held as a
         pair, in order; returns how many were appended."""
@@ -175,29 +167,35 @@ def _has_unconstrained_nondet(parsed: ParsedCounterexample) -> bool:
     return False
 
 
-def admit(db: IceDatabase, classification: Classification, example: StateExample) -> IceDatabase:
-    """Negative-side gate. Returns the same database object for chaining."""
+def admit(db: IceDatabase, classification: Classification, example: StateExample) -> str:
+    """Negative-side gate. Returns what it did: "admitted_negative",
+    "blocked_conflict" (the state is a known positive; logged as a conflict),
+    or "rejected_or_duplicate" (tool-level, inadmissible, or already held)."""
     if classification.level is Level.TOOL:
-        return db
+        return "rejected_or_duplicate"
     if classification.category not in ADMISSIBLE_CATEGORIES:
-        return db
+        return "rejected_or_duplicate"
     clash = db._find(db.positives, example)
     if clash is not None:
         db.conflicts.append(ConflictRecord("negative", example, clash))
-        return db
-    if db._find(db.negatives, example) is None:
-        db.negatives.append(example)
-    return db
+        return "blocked_conflict"
+    if db._find(db.negatives, example) is not None:
+        return "rejected_or_duplicate"
+    db.negatives.append(example)
+    return "admitted_negative"
 
 
-def record_positive(db: IceDatabase, example: StateExample) -> IceDatabase:
+def record_positive(db: IceDatabase, example: StateExample) -> str:
+    """Positive-side gate. Returns what it did: "recorded_positive",
+    "blocked_conflict" (the state is a known negative), or "duplicate"."""
     clash = db._find(db.negatives, example)
     if clash is not None:
         db.conflicts.append(ConflictRecord("positive", example, clash))
-        return db
-    if db._find(db.positives, example) is None:
-        db.positives.append(example)
-    return db
+        return "blocked_conflict"
+    if db._find(db.positives, example) is not None:
+        return "duplicate"
+    db.positives.append(example)
+    return "recorded_positive"
 
 
 def valuation_for(parsed: ParsedCounterexample, function: str) -> Dict[str, str]:

@@ -392,7 +392,8 @@ def _mutated_names(masked_body: str) -> set:
     return names
 
 
-def _loop_is_unbounded(masked_body: str, pos: int, kw: str) -> bool:
+def _loop_is_unbounded(masked_body: str, site: LoopSite) -> bool:
+    pos, kw = site.offset, site.keyword
     cond = _loop_condition(masked_body, pos, kw)
     if kw == "do":
         # pair the do with its trailing while condition if one is in the body slice
@@ -410,14 +411,14 @@ def _loop_is_unbounded(masked_body: str, pos: int, kw: str) -> bool:
     cond_vars = [w for w in _WORD_RE.findall(cond) if w not in C_KEYWORDS]
     if not cond_vars:
         return True  # constant condition
-    # bounded iff the condition mentions something the loop itself changes
-    open_paren = masked_body.find("(", pos) if kw != "do" else -1
-    scan_from = _match_paren(masked_body, open_paren) if open_paren >= 0 else pos
-    brace = masked_body.find("{", scan_from)
-    if brace >= 0:
-        loop_slice = masked_body[pos:_match_brace(masked_body, brace)]
+    # bounded iff the condition mentions something the loop itself changes;
+    # the slice is the header plus the body (one statement when braceless)
+    if site.body_open is not None:
+        loop_slice = masked_body[pos:_match_brace(masked_body, site.body_open)]
     else:
-        semi = masked_body.find(";", scan_from)
+        open_paren = masked_body.find("(", pos) if kw != "do" else -1
+        header_end = _match_paren(masked_body, open_paren) if open_paren >= 0 else pos
+        semi = masked_body.find(";", header_end)
         loop_slice = masked_body[pos:semi + 1 if semi >= 0 else len(masked_body)]
     mutated = _mutated_names(loop_slice)
     return not any(v in mutated for v in cond_vars)
@@ -469,7 +470,7 @@ def _pointer_op_count(masked_body: str) -> int:
 
 
 def analyze_body(masked_body: str, loops: Sequence[LoopSite]) -> Dict[str, int]:
-    unbounded = any(_loop_is_unbounded(masked_body, s.offset, s.keyword) for s in loops)
+    unbounded = any(_loop_is_unbounded(masked_body, s) for s in loops)
     allocs = sum(
         1 for m in re.finditer(r"\b([A-Za-z_]\w*)\s*\(", masked_body)
         if m.group(1) in ALLOC_FUNCTIONS

@@ -7,15 +7,17 @@ system-level failures strengthen the weakest responsible one. Two identical
 iterations in a row count as stagnation, which triggers ensures-clause
 reduction and an escalation to example-guided synthesis.
 
-The verdict is `verified` only when one single contract set passes the system
-check and every function's own check at once. `falsified` needs a system
-counterexample against fully concrete code (no stubs left to blame).
-Everything else, including budget exhaustion, is `inconclusive`.
+After every round `_conclude` decides: `verified` only when one single
+contract set passes the system check and every function's own check at once,
+`falsified` only on a system counterexample against fully concrete code (no
+stubs left to blame). Everything else, including budget exhaustion, is
+`inconclusive`.
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -30,7 +32,6 @@ from .contracts import (
     sanitize_assigns,
 )
 from .errors import (
-    ClientUnavailableError,
     DeadlineExceededError,
     IrreducibleFailureError,
     NoResponsibleFunctionError,
@@ -60,8 +61,6 @@ from .synthesis import (
     synthesize,
 )
 from .verifier import Status, VerificationResult
-
-STAGNATION_WINDOW = 2
 
 
 class Strategy(str, Enum):
@@ -253,33 +252,36 @@ def _admit_negative(ctx: _Ctx, fname: str, valuation: Dict[str, str],
     if not valuation or ctx.cfg.strategy is not Strategy.SMART_ICE:
         return
     ex = StateExample.make(fname, valuation, provenance=provenance)
-    before = _db_sizes(ctx.db)
-    admit(ctx.db, cls, ex)
-    after = _db_sizes(ctx.db)
-    if after["conflicts"] > before["conflicts"]:
-        action = "blocked_conflict"
-    elif after["negatives"] > before["negatives"]:
-        action = "admitted_negative"
-    else:
-        action = "rejected_or_duplicate"
-    ctx.log.event("db", action=action, function=fname, **after)
+    action = admit(ctx.db, cls, ex)
+    ctx.log.event("db", action=action, function=fname, **_db_sizes(ctx.db))
+
+
+def _classified(ctx: _Ctx, key: str, result: VerificationResult) -> Optional[Classification]:
+    """Classify a non-passing check and remember it under key ("__system__"
+    for the system check). None when there is nothing to learn from: a
+    tool-level failure (quarantined) or no counterexample."""
+    cls = classify(result)
+    ctx.last_cls[key] = cls
+    ctx.log.event("classification", function=key, mode=result.mode,
+                  level=cls.level.value, category=cls.category.value)
+    if cls.level is Level.TOOL:
+        ctx.log.event("tool_quarantine", function=key, mode=result.mode,
+                      status=result.status.value)
+        return None
+    if result.parsed is None:
+        return None
+    ctx.last_parsed[key] = result.parsed
+    return cls
 
 
 def _absorb_failure(ctx: _Ctx, fname: str, result: VerificationResult,
-                    provenance: str) -> Classification:
-    """Classify a failing result, remember its trace, and feed the database."""
-    cls = classify(result)
-    ctx.last_cls[fname] = cls
-    ctx.log.event("classification", function=fname, mode=result.mode,
-                  level=cls.level.value, category=cls.category.value)
-    if cls.level is Level.TOOL:
-        ctx.log.event("tool_quarantine", function=fname, mode=result.mode,
-                      status=result.status.value)
-        return cls
+                    provenance: str) -> None:
+    """Classify a failing function check, remember its trace, and feed the
+    database."""
+    cls = _classified(ctx, fname, result)
+    if cls is None:
+        return
     parsed = result.parsed
-    if parsed is None:
-        return cls
-    ctx.last_parsed[fname] = parsed
     valuation = valuation_for(parsed, fname) or parsed.key_map()
     if valuation:
         ctx.last_valuation[fname] = valuation
@@ -288,22 +290,13 @@ def _absorb_failure(ctx: _Ctx, fname: str, result: VerificationResult,
         if ctx.db.add_implications(extract_implications(parsed, fname)):
             ctx.log.event("db", action="implications", function=fname,
                           **_db_sizes(ctx.db))
-    return cls
 
 
 def _absorb_system_failure(ctx: _Ctx, result: VerificationResult) -> None:
-    cls = classify(result)
-    ctx.last_cls["__system__"] = cls
-    ctx.log.event("classification", function="__system__", mode="system",
-                  level=cls.level.value, category=cls.category.value)
-    if cls.level is Level.TOOL:
-        ctx.log.event("tool_quarantine", function="__system__", mode="system",
-                      status=result.status.value)
+    cls = _classified(ctx, "__system__", result)
+    if cls is None:
         return
     parsed = result.parsed
-    if parsed is None:
-        return
-    ctx.last_parsed["__system__"] = parsed
     # stash per-function valuations for later positive snapshots
     for name in sorted(ctx.contracts):
         vals = valuation_for(parsed, name)
@@ -338,13 +331,9 @@ def _record_pass_snapshots(ctx: _Ctx) -> None:
         if not valuation:
             continue
         ex = StateExample.make(fname, valuation, provenance="passing_check")
-        before = _db_sizes(ctx.db)
-        record_positive(ctx.db, ex)
-        after = _db_sizes(ctx.db)
-        if after["positives"] > before["positives"]:
-            ctx.log.event("db", action="recorded_positive", function=fname, **after)
-        elif after["conflicts"] > before["conflicts"]:
-            ctx.log.event("db", action="blocked_conflict", function=fname, **after)
+        action = record_positive(ctx.db, ex)
+        if action != "duplicate":
+            ctx.log.event("db", action=action, function=fname, **_db_sizes(ctx.db))
 
 
 def _check_once(ctx: _Ctx, mode: str, text: str,
@@ -391,33 +380,9 @@ def _verify_round(ctx: _Ctx, contracts: Dict[str, Contract]) -> None:
     for name in sorted(contracts):
         result = _verify_function_now(ctx, contracts[name])
         ctx.fn_results[name] = result
-        if result.status is Status.FAIL:
-            _absorb_failure(ctx, name, result, provenance="function")
-        elif result.status in (Status.TIMEOUT, Status.TOOL_ERROR):
+        if result.status is not Status.PASS:
             _absorb_failure(ctx, name, result, provenance="function")
     _record_pass_snapshots(ctx)
-
-
-def _gate(ctx: _Ctx) -> bool:
-    """Soundness gate: system pass plus a passing check for every target
-    function, all under the contract set just verified."""
-    if ctx.sys_result is None or ctx.sys_result.status is not Status.PASS:
-        return False
-    for f in ctx.targets:
-        if f.name not in ctx.contracts:
-            return False
-        r = ctx.fn_results.get(f.name)
-        if r is None or r.status is not Status.PASS:
-            return False
-    return True
-
-
-def _concrete_refutation(ctx: _Ctx) -> bool:
-    return (
-        ctx.sys_result is not None
-        and ctx.sys_result.status is Status.FAIL
-        and not ctx.contracts
-    )
 
 
 def _falsified(ctx: _Ctx) -> Verdict:
@@ -439,20 +404,28 @@ def _failing_functions(ctx: _Ctx) -> List[str]:
     return out
 
 
+def _conclude(ctx: _Ctx) -> Optional[Verdict]:
+    """The verdict the round just verified supports, or None to go on.
+
+    `verified` needs a system pass plus a passing check for every target
+    function, all under that one contract set; `falsified` needs a system
+    failure with no contract stub left to blame."""
+    if ctx.sys_result.status is Status.PASS and not _failing_functions(ctx):
+        return _verdict(ctx, VerdictOutcome.VERIFIED)
+    if ctx.sys_result.status is Status.FAIL and not ctx.contracts:
+        return _falsified(ctx)
+    return None
+
+
 def _iteration_snapshot(ctx: _Ctx) -> Tuple:
+    """Failing set and their contract texts; equal snapshots in consecutive
+    rounds mean stagnation."""
     failing = _failing_functions(ctx)
     texts = tuple(
         (name, ctx.contracts[name].text_key() if name in ctx.contracts else "<none>")
         for name in failing
     )
     return (frozenset(failing), texts)
-
-
-def detect_stagnation(history: List[Tuple]) -> bool:
-    """Same failing set and same contract texts across the last two rounds."""
-    if len(history) < STAGNATION_WINDOW:
-        return False
-    return history[-1] == history[-2]
 
 
 def delta_debug(
@@ -557,12 +530,8 @@ def _strengthen_target(ctx: _Ctx, contracts: Dict[str, Contract]) -> None:
     f = ctx.model.function(target)
     if f is None:
         return
-    cls = ctx.last_cls.get("__system__")
-    if ctx.cfg.strategy is Strategy.SMART_ICE and cls is not None:
-        diagnostics = render_diagnostics(ctx.db, parsed, cls)
-    else:
-        diagnostics = render_trace(parsed)
-    result = _synth(ctx, f, SynthesisIntent.STRENGTHEN, contracts.get(target), diagnostics)
+    result = _synth(ctx, f, SynthesisIntent.STRENGTHEN, contracts.get(target),
+                    _diagnostics_for(ctx, "__system__"))
     if isinstance(result, Contract):
         contracts[target] = result
     else:
@@ -601,10 +570,11 @@ def _delta_debug_stagnating(ctx: _Ctx) -> bool:
     return reduced_any
 
 
-def _run_cegar(ctx: _Ctx) -> Tuple[Optional[Verdict], bool]:
-    """(verdict, escalate): verdict set on convergence or falsification."""
+def _run_cegar(ctx: _Ctx) -> Optional[Verdict]:
+    """Relax failing contracts and strengthen the weakest link until a round
+    concludes, the budget runs out, or a round repeats the one before."""
     ctx.set_stage("cegar")
-    history: List[Tuple] = [_iteration_snapshot(ctx)]
+    previous = _iteration_snapshot(ctx)
     k = 0
     while k < ctx.cfg.k_cegar and ctx.iterations < ctx.cfg.total_budget:
         ctx.check_deadline()
@@ -617,44 +587,30 @@ def _run_cegar(ctx: _Ctx) -> Tuple[Optional[Verdict], bool]:
         ctx.log.event("iteration", loop="cegar", index=k,
                       failing=_failing_functions(ctx))
         _verify_round(ctx, contracts)
-        if _gate(ctx):
-            return _verdict(ctx, VerdictOutcome.VERIFIED), False
-        if _concrete_refutation(ctx):
-            return _falsified(ctx), False
-        history.append(_iteration_snapshot(ctx))
-        if detect_stagnation(history):
+        verdict = _conclude(ctx)
+        if verdict is not None:
+            return verdict
+        snapshot = _iteration_snapshot(ctx)
+        if snapshot == previous:
             ctx.log.event("stagnation", iteration=k,
                           failing=_failing_functions(ctx))
             if _delta_debug_stagnating(ctx):
-                # a weaker ensures may no longer imply the property: the gate
-                # must read a system result under the reduced set
+                # a weaker ensures may no longer imply the property: the
+                # verdict must read a system result under the reduced set
                 ctx.sys_result = _verify_system_now(ctx, ctx.contracts)
                 if ctx.sys_result.status is Status.FAIL:
                     _absorb_system_failure(ctx, ctx.sys_result)
-            if _gate(ctx):
-                # reduction alone may finish the job when the system side
-                # still passes
-                return _verdict(ctx, VerdictOutcome.VERIFIED), False
-            return None, True
-    return None, True
-
-
-def _migrate_db(ctx: _Ctx) -> IceDatabase:
-    source = ctx.db
-    migrated = IceDatabase(
-        positives=list(source.positives),
-        negatives=list(source.negatives),
-        implications=list(source.implications),
-        conflicts=list(source.conflicts),
-    )
-    ctx.log.event("cegis_migrate", **_db_sizes(migrated))
-    return migrated
+            # reduction alone may finish the job when the system side passes
+            return _conclude(ctx)
+        previous = snapshot
+    return None
 
 
 def _run_cegis(ctx: _Ctx) -> Optional[Verdict]:
+    """Example-guided synthesis for every failing function, on the database
+    CEGAR built."""
     ctx.set_stage("cegis")
-    db = _migrate_db(ctx)
-    ctx.db = db
+    ctx.log.event("cegis_migrate", **_db_sizes(ctx.db))
     k = 0
     while k < ctx.cfg.k_cegis and ctx.iterations < ctx.cfg.total_budget:
         ctx.check_deadline()
@@ -667,7 +623,7 @@ def _run_cegis(ctx: _Ctx) -> Optional[Verdict]:
             req = _request(ctx, f, SynthesisIntent.CEGIS, contracts.get(fname),
                            _diagnostics_for(ctx, fname))
             if ctx.cfg.strategy is Strategy.SMART_ICE:
-                result = cegis_synthesize(req, ctx.client, db,
+                result = cegis_synthesize(req, ctx.client, ctx.db,
                                           retries=ctx.cfg.retries, log=ctx.log)
             else:
                 result = synthesize(req, ctx.client, retries=ctx.cfg.retries,
@@ -680,11 +636,19 @@ def _run_cegis(ctx: _Ctx) -> Optional[Verdict]:
         ctx.log.event("iteration", loop="cegis", index=k,
                       failing=_failing_functions(ctx))
         _verify_round(ctx, contracts)
-        if _gate(ctx):
-            return _verdict(ctx, VerdictOutcome.VERIFIED)
-        if _concrete_refutation(ctx):
-            return _falsified(ctx)
+        verdict = _conclude(ctx)
+        if verdict is not None:
+            return verdict
     return None
+
+
+def _refine(ctx: _Ctx) -> Verdict:
+    """CEGAR, then CEGIS; inconclusive once both have spent their budget."""
+    verdict = _run_cegar(ctx) or _run_cegis(ctx)
+    if verdict is None:
+        ctx.log.event("budget_exhausted", iterations=ctx.iterations)
+        verdict = _verdict(ctx, VerdictOutcome.INCONCLUSIVE)
+    return verdict
 
 
 def _initial_contracts(ctx: _Ctx) -> Dict[str, Contract]:
@@ -716,59 +680,41 @@ def run_pipeline(
     if cfg.strategy is Strategy.PRE_ABSTRACTION:
         return _run_pre_abstraction(ctx)
 
-    contracts = _initial_contracts(ctx)
-    _verify_round(ctx, contracts)
-    if _gate(ctx):
-        return _verdict(ctx, VerdictOutcome.VERIFIED)
-    if _concrete_refutation(ctx):
-        return _falsified(ctx)
+    _verify_round(ctx, _initial_contracts(ctx))
+    verdict = _conclude(ctx)
+    if verdict is not None:
+        return verdict
 
     # drop contracts that failed their own check, re-verify the system with
     # the survivors (dropped functions stay concrete); this seeds refinement
     failed = [name for name, r in ctx.fn_results.items()
               if r is not None and r.status is not Status.PASS]
     if failed:
-        survivors = {n: c for n, c in contracts.items() if n not in failed}
+        survivors = {n: c for n, c in ctx.contracts.items() if n not in failed}
         ctx.log.event("drop", functions=sorted(failed),
                       survivors=sorted(survivors))
-        fn_results = ctx.fn_results
-        sys_res = _verify_system_now(ctx, survivors)
-        if sys_res.status is Status.FAIL:
+        # only the system check sees the survivors: refinement starts from
+        # the full set, and the failed contracts are what the relax side
+        # works on
+        ctx.sys_result = _verify_system_now(ctx, survivors)
+        if ctx.sys_result.status is Status.FAIL:
             if not survivors:
                 ctx.contracts = survivors
-                ctx.sys_result = sys_res
-                ctx.fn_results = fn_results
                 return _falsified(ctx)
-            _absorb_system_failure(ctx, sys_res)
-        # refinement starts from the full set; the failed contracts are what
-        # the relax side works on
-        ctx.contracts = contracts
-        ctx.fn_results = fn_results
-        ctx.sys_result = sys_res
-
-    verdict, escalate = _run_cegar(ctx)
-    if verdict is not None:
-        return verdict
-    if escalate:
-        verdict = _run_cegis(ctx)
-        if verdict is not None:
-            return verdict
-    ctx.log.event("budget_exhausted", iterations=ctx.iterations)
-    return _verdict(ctx, VerdictOutcome.INCONCLUSIVE)
+            _absorb_system_failure(ctx, ctx.sys_result)
+    return _refine(ctx)
 
 
 def _coverage_names(ctx: _Ctx, f: FunctionInfo) -> set:
-    import re as _re
-    prop_idents = set(_re.findall(r"[A-Za-z_]\w*", ctx.model.property.assertion_text))
+    prop_idents = set(re.findall(r"[A-Za-z_]\w*", ctx.model.property.assertion_text))
     names = {p.name for p in f.params} | {"__ESBMC_return_value"}
     names |= prop_idents & set(ctx.model.global_names)
     return names
 
 
 def _covers(c: Contract, names: set) -> bool:
-    import re as _re
     for clause in c.ensures:
-        for ident in _re.findall(r"[A-Za-z_]\w*", clause):
+        for ident in re.findall(r"[A-Za-z_]\w*", clause):
             if ident in names:
                 return True
     return False
@@ -813,33 +759,25 @@ def _run_pre_abstraction(ctx: _Ctx) -> Verdict:
 
     ctx.set_stage("pre_abstraction:1b")
     side_logs = {f.name: RunLog() for f in low}
-    if low:
-        if ctx.cfg.workers > 1:
-            with ThreadPoolExecutor(max_workers=ctx.cfg.workers) as pool:
-                futures = {
-                    f.name: pool.submit(_synthesize_low_one, ctx, f, side_logs[f.name])
-                    for f in low
-                }
-                results = {name: fut.result() for name, fut in futures.items()}
+    with ThreadPoolExecutor(max_workers=max(ctx.cfg.workers, 1)) as pool:
+        futures = {f.name: pool.submit(_synthesize_low_one, ctx, f, side_logs[f.name])
+                   for f in low}
+        results = {name: fut.result() for name, fut in futures.items()}
+    for f in low:  # merge worker logs in model order, not completion order
+        ctx.log.events.extend(side_logs[f.name].events)
+        result = results[f.name]
+        if isinstance(result, Contract):
+            contracts[f.name] = _sanitized(ctx, result)
         else:
-            results = {f.name: _synthesize_low_one(ctx, f, side_logs[f.name])
-                       for f in low}
-        for f in low:  # merge worker logs in model order, not completion order
-            ctx.log.events.extend(side_logs[f.name].events)
-            result = results[f.name]
-            if isinstance(result, Contract):
-                contracts[f.name] = _sanitized(ctx, result)
-            else:
-                _absorb_parse_failure(ctx, f.name, result)
+            _absorb_parse_failure(ctx, f.name, result)
 
     ctx.set_stage("pre_abstraction:2")
     _verify_round(ctx, contracts)
 
     ctx.set_stage("pre_abstraction:3")
-    if _gate(ctx):
-        return _verdict(ctx, VerdictOutcome.VERIFIED)
-    if _concrete_refutation(ctx):
-        return _falsified(ctx)
+    verdict = _conclude(ctx)
+    if verdict is not None:
+        return verdict
 
     ctx.set_stage("pre_abstraction:4")
     for f in high:
@@ -861,17 +799,4 @@ def _run_pre_abstraction(ctx: _Ctx) -> Verdict:
 
     ctx.set_stage("pre_abstraction:5")
     _verify_round(ctx, dict(ctx.contracts))
-    if _gate(ctx):
-        return _verdict(ctx, VerdictOutcome.VERIFIED)
-    if _concrete_refutation(ctx):
-        return _falsified(ctx)
-
-    verdict, escalate = _run_cegar(ctx)
-    if verdict is not None:
-        return verdict
-    if escalate:
-        verdict = _run_cegis(ctx)
-        if verdict is not None:
-            return verdict
-    ctx.log.event("budget_exhausted", iterations=ctx.iterations)
-    return _verdict(ctx, VerdictOutcome.INCONCLUSIVE)
+    return _conclude(ctx) or _refine(ctx)

@@ -20,16 +20,17 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .contracts import InstrumentedSource
 from .errors import BackendNotFoundError
+from .mock_backend import FIXTURES_ENV as MOCK_FIXTURES_ENV
 
-DEFAULT_SUCCESS_MARKERS = ("VERIFICATION SUCCESSFUL",)
-DEFAULT_FAILURE_MARKERS = ("VERIFICATION FAILED",)
-DEFAULT_NOT_FOUND_MARKERS = (
+ENFORCE_FLAG = "--enforce-contract"
+REPLACE_FLAG = "--replace-call-with-contract"
+SUCCESS_MARKERS = ("VERIFICATION SUCCESSFUL",)
+FAILURE_MARKERS = ("VERIFICATION FAILED",)
+NOT_FOUND_MARKERS = (
     "could not find function",
     "no contract for function",
     "function not found",
 )
-
-MOCK_FIXTURES_ENV = "CONTRACTOR_MOCK_FIXTURES"
 
 
 class Status(str, Enum):
@@ -44,11 +45,6 @@ class VerifierConfig:
     backend_path: str = "esbmc"
     extra_flags: Tuple[str, ...] = ()
     timeout_s: float = 600.0
-    enforce_flag: str = "--enforce-contract"
-    replace_flag: str = "--replace-call-with-contract"
-    success_markers: Tuple[str, ...] = DEFAULT_SUCCESS_MARKERS
-    failure_markers: Tuple[str, ...] = DEFAULT_FAILURE_MARKERS
-    not_found_markers: Tuple[str, ...] = DEFAULT_NOT_FOUND_MARKERS
     fixtures_dir: Optional[str] = None  # forwarded to the mock backend
 
 
@@ -59,9 +55,6 @@ class TraceStep:
     assignments: Tuple[Tuple[str, str], ...]  # (name, value text) pairs
     kind: str = "assign"  # assign | assume | call | return
     note: str = ""
-
-    def assignment_map(self) -> Dict[str, str]:
-        return dict(self.assignments)
 
 
 @dataclass(frozen=True)
@@ -146,16 +139,12 @@ def _parse_violated(lines: Sequence[str]) -> str:
     return expr
 
 
-def parse_verifier_output(
-    raw: str,
-    success_markers: Sequence[str] = DEFAULT_SUCCESS_MARKERS,
-    failure_markers: Sequence[str] = DEFAULT_FAILURE_MARKERS,
-) -> Tuple[Status, Optional[ParsedCounterexample]]:
+def parse_verifier_output(raw: str) -> Tuple[Status, Optional[ParsedCounterexample]]:
     """Map backend text to a status; on failure, pull out the counterexample.
     Unknown or empty output is a tool error, never a pass."""
-    if any(m in raw for m in success_markers):
+    if any(m in raw for m in SUCCESS_MARKERS):
         return Status.PASS, None
-    if not any(m in raw for m in failure_markers):
+    if not any(m in raw for m in FAILURE_MARKERS):
         return Status.TOOL_ERROR, None
 
     lines = raw.splitlines()
@@ -239,12 +228,12 @@ def _run_backend(
                 command=tuple(cmd),
             )
         elapsed = time.monotonic() - started
-    if any(marker in raw for marker in cfg.not_found_markers):
+    if any(marker in raw for marker in NOT_FOUND_MARKERS):
         return VerificationResult(
             status=Status.TOOL_ERROR, raw_output=raw, parsed=None,
             wall_time_s=elapsed, mode=mode, command=tuple(cmd),
         )
-    status, parsed = parse_verifier_output(raw, cfg.success_markers, cfg.failure_markers)
+    status, parsed = parse_verifier_output(raw)
     return VerificationResult(
         status=status, raw_output=raw, parsed=parsed,
         wall_time_s=elapsed, mode=mode, command=tuple(cmd),
@@ -262,7 +251,7 @@ def verify_system(
         raise ValueError("verify_system needs a replace-mode instrumentation")
     flags: List[str] = []
     for name in src.functions:
-        flags += [cfg.replace_flag, name]
+        flags += [REPLACE_FLAG, name]
     return _run_backend(src, flags, cfg, "system", timeout_s)
 
 
@@ -275,7 +264,7 @@ def verify_function(
     """Enforce-mode check of one function body against its own contract."""
     if src.mode.kind != "enforce" or src.mode.function != function:
         raise ValueError(f"instrumentation does not enforce {function!r}")
-    flags = [cfg.enforce_flag, function]
+    flags = [ENFORCE_FLAG, function]
     return _run_backend(src, flags, cfg, f"function:{function}", timeout_s)
 
 

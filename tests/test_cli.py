@@ -102,6 +102,37 @@ def test_max_iterations_sets_both_loop_caps():
     assert cfg.total_budget == 6
 
 
+def test_suite_workers_size_the_suite_pool_only(world, capsys, monkeypatch):
+    # N suite threads, each synthesizing serially: never N * N threads
+    seen = []
+    real = cli.run_suite
+
+    def spy(programs, cfg, client_factory, verifier, workers=1, **kw):
+        seen.append((cfg.workers, workers))
+        return real(programs, cfg, client_factory, verifier, workers=workers, **kw)
+
+    monkeypatch.setattr(cli, "run_suite", spy)
+    code = cli.main(["suite", str(world / "programs" / "ok.c"),
+                     *mock_flags(world), "--workers", "3"])
+    assert code == 0
+    assert seen == [(1, 3)]
+
+
+def test_verify_workers_size_phase_1b(world, capsys, monkeypatch):
+    seen = []
+    real = cli.run_program
+
+    def spy(name, source, cfg, *args, **kw):
+        seen.append(cfg.workers)
+        return real(name, source, cfg, *args, **kw)
+
+    monkeypatch.setattr(cli, "run_program", spy)
+    code = cli.main(["verify", str(world / "programs" / "ok.c"),
+                     *mock_flags(world), "--workers", "3"])
+    assert code == 0
+    assert seen == [3]
+
+
 def test_verify_converged_exits_zero(world, capsys, tmp_path):
     runlog = tmp_path / "run.jsonl"
     report = tmp_path / "report.json"

@@ -98,30 +98,32 @@ def sem() -> Classification:
 def test_admit_and_dedup():
     db = IceDatabase()
     ex = StateExample.make("f", {"x": "1"})
-    admit(db, sem(), ex)
-    admit(db, sem(), StateExample.make("f", {"x": "1"}))
+    assert admit(db, sem(), ex) == "admitted_negative"
+    assert admit(db, sem(), StateExample.make("f", {"x": "1"})) == "rejected_or_duplicate"
     assert len(db.negatives) == 1
 
 
 def test_tool_level_never_admitted():
     db = IceDatabase()
-    admit(db, Classification(Level.TOOL, Category.TOOL_ERROR),
-          StateExample.make("f", {"x": "1"}))
+    action = admit(db, Classification(Level.TOOL, Category.TOOL_ERROR),
+                   StateExample.make("f", {"x": "1"}))
+    assert action == "rejected_or_duplicate"
     assert db.negatives == [] and db.conflicts == []
 
 
 def test_syntax_and_unparsed_not_admitted():
     db = IceDatabase()
     for cat in (Category.SYNTAX_ERROR, Category.UNPARSED):
-        admit(db, Classification(Level.SEMANTIC, cat), StateExample.make("f", {"x": "1"}))
+        action = admit(db, Classification(Level.SEMANTIC, cat), StateExample.make("f", {"x": "1"}))
+        assert action == "rejected_or_duplicate"
     assert db.negatives == []
 
 
 def test_conflicting_negative_goes_to_log():
     db = IceDatabase()
     ex = StateExample.make("f", {"x": "1"})
-    record_positive(db, ex)
-    admit(db, sem(), StateExample.make("f", {"x": "1"}))
+    assert record_positive(db, ex) == "recorded_positive"
+    assert admit(db, sem(), StateExample.make("f", {"x": "1"})) == "blocked_conflict"
     assert len(db.negatives) == 0
     assert len(db.conflicts) == 1
     assert db.conflicts[0].polarity == "negative"
@@ -132,9 +134,16 @@ def test_conflicting_positive_goes_to_log():
     db = IceDatabase()
     ex = StateExample.make("f", {"x": "1"})
     admit(db, sem(), ex)
-    record_positive(db, StateExample.make("f", {"x": "1"}))
+    assert record_positive(db, StateExample.make("f", {"x": "1"})) == "blocked_conflict"
     assert len(db.positives) == 0
     assert db.conflicts[0].polarity == "positive"
+
+
+def test_record_positive_and_dedup():
+    db = IceDatabase()
+    assert record_positive(db, StateExample.make("f", {"x": "1"})) == "recorded_positive"
+    assert record_positive(db, StateExample.make("f", {"x": "1"})) == "duplicate"
+    assert len(db.positives) == 1 and db.conflicts == []
 
 
 def test_same_values_different_function_no_conflict():

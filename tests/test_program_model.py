@@ -153,6 +153,21 @@ def test_bounded_loop_not_flagged_unbounded():
     assert not model.function("parity").metrics.has_unbounded_loop
 
 
+@pytest.mark.parametrize("later_block", ["{ i = i + 1; }", "{ g(1); }"])
+def test_braceless_loop_does_not_borrow_a_later_block(later_block):
+    # the braceless body is `g(n);` alone, which never changes i, so the loop
+    # is unbounded whatever the unrelated block after it does
+    fns = (
+        "int g(int n) {\n    return n;\n}\n\n"
+        "int f(int n) {\n    int i = 0;\n    while (i < n)\n        g(n);\n"
+        f"    if (n > 3) {later_block}\n    return i;\n}}"
+    )
+    model = parse_program(wrap(fns, "f(2)"))
+    f = model.function("f")
+    assert f.loops[0].body_open is None
+    assert f.metrics.has_unbounded_loop
+
+
 def test_nested_loops_counted():
     model = parse_program(corpus_text("nested_loops.c"))
     f = model.function("grid_count")
