@@ -15,7 +15,7 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _SOURCES = {
-    "contracts": ("Contract", "ContractOrigin", "Mode", "ParseFailure"),
+    "contracts": ("Contract", "ContractOrigin", "ParseFailure"),
     "errors": ("ContractorError",),
     "harness": ("RunOutcome", "RunReport", "SuiteReport", "run_program", "run_suite"),
     "program_model": ("ProgramModel", "Tier", "parse_program"),
@@ -29,7 +29,6 @@ __all__ = [
     "Contract",
     "ContractOrigin",
     "ContractorError",
-    "Mode",
     "ParseFailure",
     "PipelineConfig",
     "ProgramModel",

@@ -14,8 +14,13 @@ from enum import Enum
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import cexpr
-from .errors import LoopOrdinalError, QuantifierShapeError, UnknownFunctionError
-from .program_model import C_KEYWORDS, FunctionInfo, ProgramModel
+from .errors import (
+    LoopOrdinalError,
+    QuantifierShapeError,
+    UnbalancedSourceError,
+    UnknownFunctionError,
+)
+from .program_model import C_KEYWORDS, FunctionInfo, ProgramModel, match_close
 
 REQUIRES_KW = "__ESBMC_requires"
 ENSURES_KW = "__ESBMC_ensures"
@@ -82,20 +87,6 @@ class ParseFailure:
 
 
 @dataclass(frozen=True)
-class Mode:
-    kind: str  # "replace" | "enforce"
-    function: Optional[str] = None
-
-    @staticmethod
-    def replace() -> "Mode":
-        return Mode(kind="replace")
-
-    @staticmethod
-    def enforce(function: str) -> "Mode":
-        return Mode(kind="enforce", function=function)
-
-
-@dataclass(frozen=True)
 class Injection:
     offset: int  # insertion offset into the ORIGINAL source
     text: str
@@ -107,7 +98,7 @@ class Injection:
 @dataclass(frozen=True)
 class InstrumentedSource:
     text: str
-    mode: Mode
+    mode: str  # "system" | "function:<name>", the check's one name
     functions: Tuple[str, ...]  # functions carrying annotations
     injections: Tuple[Injection, ...] = ()
 
@@ -200,7 +191,7 @@ def render_enforce(model: ProgramModel, c: Contract) -> InstrumentedSource:
     text = _apply_injections(model.source_text, injections)
     return InstrumentedSource(
         text=text,
-        mode=Mode.enforce(c.function),
+        mode=f"function:{c.function}",
         functions=(c.function,),
         injections=tuple(injections),
     )
@@ -216,7 +207,7 @@ def render_replace(model: ProgramModel, contracts: Iterable[Contract]) -> Instru
     text = _apply_injections(model.source_text, injections)
     return InstrumentedSource(
         text=text,
-        mode=Mode.replace(),
+        mode="system",
         functions=tuple(c.function for c in ordered),
         injections=tuple(injections),
     )
@@ -338,16 +329,10 @@ _QUANT_RE = re.compile(r"\\forall|\\exists|∀|∃")
 
 
 def _balanced_argument(text: str, open_paren: int) -> Optional[str]:
-    depth = 0
-    for i in range(open_paren, len(text)):
-        c = text[i]
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-            if depth == 0:
-                return text[open_paren + 1:i]
-    return None
+    try:
+        return text[open_paren + 1:match_close(text, open_paren) - 1]
+    except UnbalancedSourceError:
+        return None
 
 
 def _validate_clause(

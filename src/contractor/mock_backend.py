@@ -8,9 +8,10 @@ plain text: a one-line header, then the backend output verbatim.
 
 The mode field exists because enforce- and replace-mode instrumentations of a
 one-function program can be byte-identical; the digest alone cannot key them.
-A header without mode= matches any mode. Output bytes are replayed exactly, so
-repeated runs are bit-identical. Unknown inputs produce a loud non-verdict
-line, which the driver maps to a tool error.
+A check reads exactly one file, `transcript_name(digest, mode)`, and replays
+it only if its header carries that digest and that mode. Output bytes are
+replayed exactly, so repeated runs are bit-identical. Anything else is a miss:
+a loud non-verdict line, which the driver maps to a tool error.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import hashlib
 import os
 import sys
 import time
-from typing import Iterable, Optional, Tuple
+from typing import Optional, Tuple
 
 HEADER_PREFIX = "# digest="
 FIXTURES_ENV = "CONTRACTOR_MOCK_FIXTURES"
@@ -30,72 +31,21 @@ def source_digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _parse_header(line: str) -> Optional[Tuple[str, Optional[str], float]]:
-    if not line.startswith(HEADER_PREFIX):
-        return None
-    digest = None
-    mode = None
-    sleep_s = 0.0
-    for part in line[2:].split():
-        if part.startswith("digest="):
-            digest = part[len("digest="):]
-        elif part.startswith("mode="):
-            mode = part[len("mode="):]
-        elif part.startswith("sleep="):
-            sleep_s = float(part[len("sleep="):])
-    if digest is None:
-        return None
-    return digest, mode, sleep_s
-
-
-def _iter_transcripts(fixtures_dir: str) -> Iterable[str]:
-    for name in sorted(os.listdir(fixtures_dir)):
-        if name.endswith(".txt"):
-            yield os.path.join(fixtures_dir, name)
-
-
-def _read_transcript(path: str, digest: str, mode: str) -> Optional[Tuple[str, float]]:
-    """(output, sleep_s) of the file at path if its header carries exactly
-    this digest and mode."""
+def lookup(fixtures_dir: str, digest: str, mode: str) -> Optional[Tuple[str, float]]:
+    """(output, sleep_s) of the file `transcript_name(digest, mode)` names, if
+    its header carries exactly this digest and mode; None otherwise."""
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(os.path.join(fixtures_dir, transcript_name(digest, mode)),
+                  "r", encoding="utf-8", newline="")
     except FileNotFoundError:
         return None
     with fh:
-        parsed = _parse_header(fh.readline().rstrip("\n"))
-        if parsed is None or parsed[:2] != (digest, mode):
+        header = fh.readline().rstrip("\n")
+        fields = dict(part.partition("=")[::2] for part in header[2:].split())
+        if not header.startswith(HEADER_PREFIX) or \
+                (fields.get("digest"), fields.get("mode")) != (digest, mode):
             return None
-        return fh.read(), parsed[2]
-
-
-def _scan(fixtures_dir: str, digest: str, mode: str) -> Optional[Tuple[str, float]]:
-    fallback = None
-    for path in _iter_transcripts(fixtures_dir):
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            header = fh.readline().rstrip("\n")
-            parsed = _parse_header(header)
-            if not parsed:
-                continue
-            t_digest, t_mode, sleep_s = parsed
-            if t_digest != digest:
-                continue
-            body = fh.read()
-            if t_mode == mode:
-                return body, sleep_s
-            if t_mode is None and fallback is None:
-                fallback = (body, sleep_s)
-    return fallback
-
-
-def lookup(fixtures_dir: str, digest: str, mode: str) -> Optional[Tuple[str, float]]:
-    """(output, sleep_s) of the transcript matching digest and mode, if any.
-
-    The file `transcript_name(digest, mode)` names is read first. Every
-    transcript is scanned only when that file is missing or its header does
-    not carry this digest and mode: a header without mode=, a file named
-    otherwise, or two digests sharing their first 16 hex digits."""
-    named = os.path.join(fixtures_dir, transcript_name(digest, mode))
-    return _read_transcript(named, digest, mode) or _scan(fixtures_dir, digest, mode)
+        return fh.read(), float(fields.get("sleep", 0.0))
 
 
 def transcript_name(digest: str, mode: str) -> str:
@@ -124,10 +74,6 @@ def write_transcript(
     return path
 
 
-def _mode_from_args(enforce: Optional[str]) -> str:
-    return f"function:{enforce}" if enforce else "system"
-
-
 def main(argv: Optional[list] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="contractor-mock-bmc",
@@ -147,7 +93,7 @@ def main(argv: Optional[list] = None) -> int:
 
     with open(args.source[0], "r", encoding="utf-8", newline="") as fh:
         digest = source_digest(fh.read())
-    mode = _mode_from_args(args.enforce)
+    mode = f"function:{args.enforce}" if args.enforce else "system"
 
     hit = lookup(args.fixtures, digest, mode)
     if hit is None:

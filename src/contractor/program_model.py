@@ -181,31 +181,23 @@ def mask_comments_and_strings(src: str) -> str:
     return "".join(out)
 
 
-def _match_brace(masked: str, open_pos: int) -> int:
-    """Index just past the brace matching masked[open_pos] == '{'."""
+_CLOSERS = {"{": "}", "(": ")"}
+
+
+def match_close(text: str, open_pos: int) -> int:
+    """Index just past the bracket matching the '{' or '(' at text[open_pos]."""
+    opener = text[open_pos]
+    closer = _CLOSERS[opener]
     depth = 0
-    for i in range(open_pos, len(masked)):
-        c = masked[i]
-        if c == "{":
+    for i in range(open_pos, len(text)):
+        c = text[i]
+        if c == opener:
             depth += 1
-        elif c == "}":
+        elif c == closer:
             depth -= 1
             if depth == 0:
                 return i + 1
-    raise UnbalancedSourceError("unmatched '{' at offset %d" % open_pos)
-
-
-def _match_paren(masked: str, open_pos: int) -> int:
-    depth = 0
-    for i in range(open_pos, len(masked)):
-        c = masked[i]
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-            if depth == 0:
-                return i + 1
-    raise UnbalancedSourceError("unmatched '(' at offset %d" % open_pos)
+    raise UnbalancedSourceError("unmatched '%s' at offset %d" % (opener, open_pos))
 
 
 def _parse_params(param_text: str) -> Tuple[Param, ...]:
@@ -277,7 +269,7 @@ def _scan_functions(src: str, masked: str) -> List[_RawFunction]:
                 continue
             m = _FUNC_HEAD_RE.match(masked, i)
             if m and m.group(1) not in C_KEYWORDS:
-                close = _match_paren(masked, m.end() - 1)
+                close = match_close(masked, m.end() - 1)
                 j = close
                 while j < n and masked[j].isspace():
                     j += 1
@@ -285,7 +277,7 @@ def _scan_functions(src: str, masked: str) -> List[_RawFunction]:
                     sig_start = last_boundary
                     while sig_start < i and masked[sig_start].isspace():
                         sig_start += 1
-                    body_end = _match_brace(masked, j)
+                    body_end = match_close(masked, j)
                     sig_text = " ".join(src[sig_start:close].split())
                     head_words = _WORD_RE.findall(masked[sig_start:i + len(m.group(1))])
                     raws.append(_RawFunction(
@@ -357,7 +349,7 @@ def _is_do_while_tail(masked_body: str, start: int, end: int) -> bool:
     open_paren = masked_body.find("(", end)
     if open_paren < 0:
         return True
-    close = _match_paren(masked_body, open_paren)
+    close = match_close(masked_body, open_paren)
     j = close
     while j < len(masked_body) and masked_body[j].isspace():
         j += 1
@@ -372,7 +364,7 @@ def _loop_condition(masked_body: str, pos: int, kw: str) -> str:
     open_paren = masked_body.find("(", pos)
     if open_paren < 0:
         return ""
-    close = _match_paren(masked_body, open_paren)
+    close = match_close(masked_body, open_paren)
     inner = masked_body[open_paren + 1:close - 1]
     if kw == "for":
         parts = inner.split(";")
@@ -400,7 +392,7 @@ def _loop_is_unbounded(masked_body: str, site: LoopSite) -> bool:
         m = re.search(r"\}\s*while\s*\(", masked_body[pos:])
         if m:
             open_paren = pos + m.end() - 1
-            cond = masked_body[open_paren + 1:_match_paren(masked_body, open_paren) - 1]
+            cond = masked_body[open_paren + 1:match_close(masked_body, open_paren) - 1]
         else:
             cond = "1"
     cond = cond.strip()
@@ -414,10 +406,10 @@ def _loop_is_unbounded(masked_body: str, site: LoopSite) -> bool:
     # bounded iff the condition mentions something the loop itself changes;
     # the slice is the header plus the body (one statement when braceless)
     if site.body_open is not None:
-        loop_slice = masked_body[pos:_match_brace(masked_body, site.body_open)]
+        loop_slice = masked_body[pos:match_close(masked_body, site.body_open)]
     else:
         open_paren = masked_body.find("(", pos) if kw != "do" else -1
-        header_end = _match_paren(masked_body, open_paren) if open_paren >= 0 else pos
+        header_end = match_close(masked_body, open_paren) if open_paren >= 0 else pos
         semi = masked_body.find(";", header_end)
         loop_slice = masked_body[pos:semi + 1 if semi >= 0 else len(masked_body)]
     mutated = _mutated_names(loop_slice)
@@ -431,7 +423,7 @@ def _loop_sites(masked_body: str) -> List[LoopSite]:
             brace = pos + len(kw)
         else:  # a header with no parenthesis counts as braceless
             open_paren = masked_body.find("(", pos)
-            brace = _match_paren(masked_body, open_paren) if open_paren >= 0 else len(masked_body)
+            brace = match_close(masked_body, open_paren) if open_paren >= 0 else len(masked_body)
         while brace < len(masked_body) and masked_body[brace].isspace():
             brace += 1
         braced = brace < len(masked_body) and masked_body[brace] == "{"
@@ -442,7 +434,7 @@ def _loop_sites(masked_body: str) -> List[LoopSite]:
 def _max_loop_nesting(masked_body: str, sites: Sequence[LoopSite]) -> int:
     """Depth of the deepest loop keyword, counting enclosing loop bodies;
     a braceless body cannot enclose another loop."""
-    spans = [(s.body_open, _match_brace(masked_body, s.body_open))
+    spans = [(s.body_open, match_close(masked_body, s.body_open))
              for s in sites if s.body_open is not None]
     return max((1 + sum(1 for a, b in spans if a < s.offset < b) for s in sites), default=0)
 
@@ -533,7 +525,7 @@ def _extract_property(masked_main: str, src_main: str) -> SystemProperty:
         raise MultiplePropertiesError("main() asserts %d properties, want exactly 1" % len(hits))
     m = hits[0]
     open_paren = m.end() - 1
-    close = _match_paren(masked_main, open_paren)
+    close = match_close(masked_main, open_paren)
     inner_masked = masked_main[open_paren + 1:close - 1]
     inner_src = src_main[open_paren + 1:close - 1]
     kind = PropertyKind.ESBMC_ASSERT if m.group(1) == "__ESBMC_assert" else PropertyKind.ASSERT_CALL

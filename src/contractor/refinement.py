@@ -26,6 +26,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 from .contracts import (
     Contract,
     ContractOrigin,
+    InstrumentedSource,
     ParseFailure,
     render_enforce,
     render_replace,
@@ -336,10 +337,10 @@ def _record_pass_snapshots(ctx: _Ctx) -> None:
             ctx.log.event("db", action=action, function=fname, **_db_sizes(ctx.db))
 
 
-def _check_once(ctx: _Ctx, mode: str, text: str,
+def _check_once(ctx: _Ctx, instr: InstrumentedSource,
                 run: Callable[[], VerificationResult]) -> VerificationResult:
     """A program's PASS or FAIL for one (mode, text) reaches the backend once."""
-    key = (mode, hashlib.sha256(text.encode("utf-8")).hexdigest())
+    key = (instr.mode, hashlib.sha256(instr.text.encode("utf-8")).hexdigest())
     result = ctx.checked.get(key)
     if result is None:
         result = run()
@@ -351,9 +352,9 @@ def _check_once(ctx: _Ctx, mode: str, text: str,
 def _verify_system_now(ctx: _Ctx, contracts: Dict[str, Contract]) -> VerificationResult:
     ctx.check_deadline()
     instr = render_replace(ctx.model, contracts.values())
-    result = _check_once(ctx, "system", instr.text,
+    result = _check_once(ctx, instr,
                          lambda: ctx.verifier.system(instr, timeout_s=ctx.remaining()))
-    ctx.log.event("verification", mode="system", status=result.status.value,
+    ctx.log.event("verification", mode=instr.mode, status=result.status.value,
                   contract_set=sorted(contracts), iteration=ctx.iterations)
     return result
 
@@ -361,11 +362,10 @@ def _verify_system_now(ctx: _Ctx, contracts: Dict[str, Contract]) -> Verificatio
 def _verify_function_now(ctx: _Ctx, c: Contract) -> VerificationResult:
     ctx.check_deadline()
     instr = render_enforce(ctx.model, c)
-    mode = f"function:{c.function}"
-    result = _check_once(ctx, mode, instr.text,
+    result = _check_once(ctx, instr,
                          lambda: ctx.verifier.function(instr, c.function,
                                                        timeout_s=ctx.remaining()))
-    ctx.log.event("verification", mode=mode, status=result.status.value,
+    ctx.log.event("verification", mode=instr.mode, status=result.status.value,
                   iteration=ctx.iterations)
     return result
 
@@ -438,12 +438,11 @@ def delta_debug(
     Clauses are removed from the tail one by one; once the check passes, each
     removed clause is offered back and kept only if the check still passes.
     Requires, assigns, and invariants are never touched. Worst case this
-    spends 2n+2 check calls. Raises IrreducibleFailureError when even the
+    spends 2n check calls. Raises IrreducibleFailureError when even the
     empty ensures list fails, which means the problem is not in the
     postcondition at all.
     """
     ensures = list(c.ensures)
-    budget = 2 * len(ensures) + 2
     calls = 0
 
     def attempt(indices: List[int]) -> bool:
@@ -456,27 +455,18 @@ def delta_debug(
         )
         return bool(check(trial))
 
-    if not ensures:
-        raise IrreducibleFailureError(
-            f"{c.function}: check fails with no ensures clauses left"
-        )
-
     kept = list(range(len(ensures)))
     removed: List[int] = []
-    passed = False
-    while kept and calls < budget:
+    while kept:
         removed.append(kept.pop())
         if attempt(kept):
-            passed = True
             break
-    if not passed:
+    else:
         raise IrreducibleFailureError(
             f"{c.function}: check fails with no ensures clauses left"
         )
 
     for i in sorted(removed):
-        if calls >= budget:
-            break
         trial = sorted(kept + [i])
         if attempt(trial):
             kept = trial
@@ -514,12 +504,14 @@ def _relax_or_reseed(ctx: _Ctx, contracts: Dict[str, Contract], fname: str) -> N
         _absorb_parse_failure(ctx, fname, result)
 
 
-def _strengthen_target(ctx: _Ctx, contracts: Dict[str, Contract]) -> None:
+def _system_target(ctx: _Ctx, contracts: Dict[str, Contract]) -> Optional[str]:
+    """The contracted function the system counterexample blames, or the first
+    one when none is responsible; None without a system counterexample."""
     if ctx.sys_result is None or ctx.sys_result.status is not Status.FAIL:
-        return
+        return None
     parsed = ctx.sys_result.parsed
     if parsed is None or not contracts:
-        return
+        return None
     try:
         target = weakest_link(parsed, contracts, ctx.model)
         fallback = False
@@ -527,6 +519,13 @@ def _strengthen_target(ctx: _Ctx, contracts: Dict[str, Contract]) -> None:
         target = min(contracts)
         fallback = True
     ctx.log.event("strengthen_target", function=target, fallback=fallback)
+    return target
+
+
+def _strengthen_target(ctx: _Ctx, contracts: Dict[str, Contract]) -> None:
+    target = _system_target(ctx, contracts)
+    if target is None:
+        return
     f = ctx.model.function(target)
     if f is None:
         return
@@ -606,9 +605,19 @@ def _run_cegar(ctx: _Ctx) -> Optional[Verdict]:
     return None
 
 
+def _cegis_targets(ctx: _Ctx, contracts: Dict[str, Contract]) -> List[Tuple[str, str]]:
+    """(function, diagnostics key) pairs a CEGIS round asks for: every failing
+    function, or the weakest link when only the system check fails."""
+    failing = _failing_functions(ctx)
+    if failing:
+        return [(fname, fname) for fname in failing]
+    target = _system_target(ctx, contracts)
+    return [] if target is None else [(target, "__system__")]
+
+
 def _run_cegis(ctx: _Ctx) -> Optional[Verdict]:
-    """Example-guided synthesis for every failing function, on the database
-    CEGAR built."""
+    """Example-guided synthesis on the database CEGAR built, for every failing
+    function or, when only the system check fails, for its weakest link."""
     ctx.set_stage("cegis")
     ctx.log.event("cegis_migrate", **_db_sizes(ctx.db))
     k = 0
@@ -616,12 +625,12 @@ def _run_cegis(ctx: _Ctx) -> Optional[Verdict]:
         ctx.check_deadline()
         k += 1
         contracts = dict(ctx.contracts)
-        for fname in _failing_functions(ctx):
+        for fname, diagnostics_key in _cegis_targets(ctx, contracts):
             f = ctx.model.function(fname)
             if f is None:
                 continue
             req = _request(ctx, f, SynthesisIntent.CEGIS, contracts.get(fname),
-                           _diagnostics_for(ctx, fname))
+                           _diagnostics_for(ctx, diagnostics_key))
             if ctx.cfg.strategy is Strategy.SMART_ICE:
                 result = cegis_synthesize(req, ctx.client, ctx.db,
                                           retries=ctx.cfg.retries, log=ctx.log)

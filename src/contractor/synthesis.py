@@ -233,22 +233,19 @@ class RecordingLlmClient(LlmClient):
 class ScriptedLlmClient(LlmClient):
     """Canned replies for tests and offline CLI runs.
 
-    Accepts either a sequence (global reply queue, last one repeats) or a
-    mapping keyed by "function|intent", "function", "intent", or "*"; mapping
-    values may be a string or a list consumed call by call.
+    Takes a mapping keyed by "function|intent", "function", "intent", or "*";
+    a value is a string or a list consumed call by call, whose last reply
+    repeats. A bare sequence of replies is read as {"*": sequence}.
     """
 
     backend_id = "scripted"
 
     def __init__(self, script: Union[Sequence[str], Mapping[str, object]]):
         self._lock = threading.Lock()
-        if isinstance(script, Mapping):
-            self._map: Optional[Dict[str, object]] = {k: (list(v) if isinstance(v, (list, tuple)) else v)
-                                                      for k, v in script.items()}
-            self._queue: Optional[List[str]] = None
-        else:
-            self._map = None
-            self._queue = list(script)
+        if not isinstance(script, Mapping):
+            script = {"*": list(script)}
+        self._map: Dict[str, object] = {k: (list(v) if isinstance(v, (list, tuple)) else v)
+                                        for k, v in script.items()}
         self.calls: List[Dict[str, str]] = []
 
     def _next_from(self, value: object) -> str:
@@ -263,10 +260,6 @@ class ScriptedLlmClient(LlmClient):
         with self._lock:
             self.calls.append({"function": tags.get("function", ""),
                                "intent": tags.get("intent", "")})
-            if self._queue is not None:
-                if not self._queue:
-                    raise ClientUnavailableError("scripted reply queue exhausted")
-                return self._queue.pop(0) if len(self._queue) > 1 else self._queue[0]
             for key in (
                 f"{tags.get('function', '')}|{tags.get('intent', '')}",
                 tags.get("function", ""),

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .contracts import InstrumentedSource
 from .errors import BackendNotFoundError
-from .mock_backend import FIXTURES_ENV as MOCK_FIXTURES_ENV
+from .mock_backend import FIXTURES_ENV
 
 ENFORCE_FLAG = "--enforce-contract"
 REPLACE_FLAG = "--replace-call-with-contract"
@@ -45,7 +45,7 @@ class VerifierConfig:
     backend_path: str = "esbmc"
     extra_flags: Tuple[str, ...] = ()
     timeout_s: float = 600.0
-    fixtures_dir: Optional[str] = None  # forwarded to the mock backend
+    fixtures_dir: Optional[str] = None  # the backend's CONTRACTOR_MOCK_FIXTURES
 
 
 @dataclass(frozen=True)
@@ -171,112 +171,69 @@ def parse_verifier_output(raw: str) -> Tuple[Status, Optional[ParsedCounterexamp
     return Status.FAIL, parsed
 
 
-def _backend_command(cfg: VerifierConfig) -> List[str]:
-    if cfg.backend_path == "mock":
-        cmd = [sys.executable, "-m", "contractor.mock_backend"]
-        if cfg.fixtures_dir:
-            cmd += ["--fixtures", cfg.fixtures_dir]
-        return cmd
-    return [cfg.backend_path]
-
-
-def mode_key(src: InstrumentedSource) -> str:
-    if src.mode.kind == "enforce":
-        return f"function:{src.mode.function}"
-    return "system"
-
-
-def _run_backend(
-    src: InstrumentedSource,
-    mode_flags: Sequence[str],
-    cfg: VerifierConfig,
-    mode: str,
-    timeout_s: Optional[float],
-) -> VerificationResult:
-    budget = cfg.timeout_s if timeout_s is None else min(cfg.timeout_s, timeout_s)
-    budget = max(budget, 0.05)
-    with tempfile.TemporaryDirectory(prefix="contractor-") as tmp:
-        src_path = os.path.join(tmp, "program.c")
-        with open(src_path, "w", encoding="utf-8") as fh:
-            fh.write(src.text)
-        cmd = _backend_command(cfg) + list(mode_flags) + list(cfg.extra_flags) + [src_path]
-        env = dict(os.environ)
-        if cfg.fixtures_dir:
-            env[MOCK_FIXTURES_ENV] = cfg.fixtures_dir
-        started = time.monotonic()
-        try:
-            proc = subprocess.run(
-                cmd,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.STDOUT,
-                timeout=budget,
-                env=env,
-            )
-            raw = proc.stdout.decode("utf-8", errors="replace")
-        except FileNotFoundError as exc:
-            raise BackendNotFoundError(f"backend executable not found: {cmd[0]}") from exc
-        except subprocess.TimeoutExpired as exc:
-            elapsed = time.monotonic() - started
-            partial = (exc.stdout or b"").decode("utf-8", errors="replace") \
-                if isinstance(exc.stdout, bytes) else (exc.stdout or "")
-            return VerificationResult(
-                status=Status.TIMEOUT,
-                raw_output=partial,
-                parsed=None,
-                wall_time_s=elapsed,
-                mode=mode,
-                command=tuple(cmd),
-            )
-        elapsed = time.monotonic() - started
-    if any(marker in raw for marker in NOT_FOUND_MARKERS):
-        return VerificationResult(
-            status=Status.TOOL_ERROR, raw_output=raw, parsed=None,
-            wall_time_s=elapsed, mode=mode, command=tuple(cmd),
-        )
-    status, parsed = parse_verifier_output(raw)
-    return VerificationResult(
-        status=status, raw_output=raw, parsed=parsed,
-        wall_time_s=elapsed, mode=mode, command=tuple(cmd),
-    )
-
-
-def verify_system(
-    src: InstrumentedSource,
-    cfg: VerifierConfig,
-    timeout_s: Optional[float] = None,
-) -> VerificationResult:
-    """Replace-mode check of the whole program: every annotated function's call
-    sites use the contract stub instead of the body."""
-    if src.mode.kind != "replace":
-        raise ValueError("verify_system needs a replace-mode instrumentation")
-    flags: List[str] = []
-    for name in src.functions:
-        flags += [REPLACE_FLAG, name]
-    return _run_backend(src, flags, cfg, "system", timeout_s)
-
-
-def verify_function(
-    src: InstrumentedSource,
-    function: str,
-    cfg: VerifierConfig,
-    timeout_s: Optional[float] = None,
-) -> VerificationResult:
-    """Enforce-mode check of one function body against its own contract."""
-    if src.mode.kind != "enforce" or src.mode.function != function:
-        raise ValueError(f"instrumentation does not enforce {function!r}")
-    flags = [ENFORCE_FLAG, function]
-    return _run_backend(src, flags, cfg, f"function:{function}", timeout_s)
-
-
 class SubprocessVerifier:
-    """The protocol object the refinement loop drives."""
+    """The protocol object the refinement loop drives: one child process per
+    check, named by the instrumentation's mode."""
 
     def __init__(self, cfg: VerifierConfig):
         self.cfg = cfg
 
     def system(self, src: InstrumentedSource, timeout_s: Optional[float] = None) -> VerificationResult:
-        return verify_system(src, self.cfg, timeout_s)
+        """Replace-mode check of the whole program: every annotated function's
+        call sites use the contract stub instead of the body."""
+        if src.mode != "system":
+            raise ValueError("a system check needs a replace-mode instrumentation")
+        flags: List[str] = []
+        for name in src.functions:
+            flags += [REPLACE_FLAG, name]
+        return self._run(src, flags, timeout_s)
 
     def function(self, src: InstrumentedSource, name: str,
                  timeout_s: Optional[float] = None) -> VerificationResult:
-        return verify_function(src, name, self.cfg, timeout_s)
+        """Enforce-mode check of one function body against its own contract."""
+        if src.mode != f"function:{name}":
+            raise ValueError(f"instrumentation does not enforce {name!r}")
+        return self._run(src, [ENFORCE_FLAG, name], timeout_s)
+
+    def _run(self, src: InstrumentedSource, flags: Sequence[str],
+             timeout_s: Optional[float]) -> VerificationResult:
+        cfg = self.cfg
+        budget = cfg.timeout_s if timeout_s is None else min(cfg.timeout_s, timeout_s)
+        budget = max(budget, 0.05)
+        with tempfile.TemporaryDirectory(prefix="contractor-") as tmp:
+            src_path = os.path.join(tmp, "program.c")
+            with open(src_path, "w", encoding="utf-8") as fh:
+                fh.write(src.text)
+            backend = [cfg.backend_path]
+            if cfg.backend_path == "mock":
+                backend = [sys.executable, "-m", "contractor.mock_backend"]
+            cmd = backend + list(flags) + list(cfg.extra_flags) + [src_path]
+            env = dict(os.environ)
+            if cfg.fixtures_dir:
+                env[FIXTURES_ENV] = cfg.fixtures_dir
+            started = time.monotonic()
+            try:
+                out = subprocess.run(
+                    cmd,
+                    stdout=subprocess.PIPE,
+                    stderr=subprocess.STDOUT,
+                    timeout=budget,
+                    env=env,
+                ).stdout
+                timed_out = False
+            except FileNotFoundError as exc:
+                raise BackendNotFoundError(f"backend executable not found: {cmd[0]}") from exc
+            except subprocess.TimeoutExpired as exc:
+                out, timed_out = exc.stdout or b"", True
+            elapsed = time.monotonic() - started
+        raw = out.decode("utf-8", errors="replace")
+        if timed_out:
+            status, parsed = Status.TIMEOUT, None
+        elif any(marker in raw for marker in NOT_FOUND_MARKERS):
+            status, parsed = Status.TOOL_ERROR, None
+        else:
+            status, parsed = parse_verifier_output(raw)
+        return VerificationResult(
+            status=status, raw_output=raw, parsed=parsed,
+            wall_time_s=elapsed, mode=src.mode, command=tuple(cmd),
+        )

@@ -15,7 +15,6 @@ from contractor.verifier import (
     ParsedCounterexample,
     Status,
     VerificationResult,
-    mode_key,
     parse_verifier_output,
 )
 
@@ -142,9 +141,8 @@ class RecordingVerifier:
         self.seen: List[Tuple[str, str, str]] = []  # (source, mode, output)
 
     def _record(self, src: InstrumentedSource, result: VerificationResult) -> None:
-        key = mode_key(src)
-        write_transcript(self.fixtures_dir, src.text, key, result.raw_output)
-        self.seen.append((src.text, key, result.raw_output))
+        write_transcript(self.fixtures_dir, src.text, src.mode, result.raw_output)
+        self.seen.append((src.text, src.mode, result.raw_output))
 
     def system(self, src: InstrumentedSource,
                timeout_s: Optional[float] = None) -> VerificationResult:

@@ -4,8 +4,8 @@ Clause removal only ever weakens a contract, so the pass predicate over kept
 clause sets is downward closed (any subset of a passing set passes). The sweep
 enumerates every such predicate for up to four clauses and checks the
 reducer's result on each: passes, is a subsequence of the original, becomes
-failing again if any single removed clause comes back, and stays within the
-2n+2 check budget.
+failing again if any single removed clause comes back, and makes at most 2n
+check calls.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ def run_oracle_sweep(max_n: int = 4) -> Tuple[int, int]:
             for i in range(n):
                 if not (mask >> i) & 1:
                     assert (mask | (1 << i)) not in passing, (n, passing, mask, i)
-            assert calls <= 2 * n + 2, (n, passing, calls)
+            assert calls <= 2 * n, (n, passing, calls)
             assert reduced.origin is ContractOrigin.DELTA_REDUCED
             assert reduced.requires == original.requires
             assert reduced.assigns == original.assigns

@@ -519,9 +519,9 @@ int main() {
 """
 
 
-def test_reduced_contract_is_rechecked_against_the_property():
+def loose_run():
     # f cannot prove "== 4" on its own, so delta debugging keeps only "> x",
-    # which no longer implies b == 4; the gate must see that system failure
+    # which no longer implies b == 4
     reply = contract_reply(ensures=("__ESBMC_return_value > x",
                                     "__ESBMC_return_value == 4"))
 
@@ -539,13 +539,34 @@ def test_reduced_contract_is_rechecked_against_the_property():
         return failure_output(
             "b == 4", steps=[{"function": "main", "line": 7, "assigns": [("b", "5")]}])
 
-    verdict, log, _, _ = run(LOOSE_SRC, {"*": reply}, RuleVerifier(rule))
+    return run(LOOSE_SRC, {"*": reply}, RuleVerifier(rule))
+
+
+def test_reduced_contract_is_rechecked_against_the_property():
+    # the gate must see the system failure under the reduced contract
+    verdict, log, _, _ = loose_run()
     assert verdict.outcome is not VerdictOutcome.VERIFIED
     kinds_seen = kinds(log)
     dd = kinds_seen.index("delta_debug")
     assert log.events[dd]["kept"] == ["__ESBMC_return_value > x"]
     after = [e for e in log.events[dd + 1:] if e["event"] == "verification"]
     assert after[0]["mode"] == "system" and after[0]["status"] == "fail"
+
+
+def test_system_only_failure_asks_cegis_for_the_weakest_link():
+    # after the reduction only the system check fails; CEGIS must still ask
+    verdict, log, _, _ = loose_run()
+    cegis = log.events[kinds(log).index("cegis_migrate"):]
+    assert [e["event"] for e in cegis[1:3]] == ["strengthen_target", "synthesis"]
+    assert cegis[1]["function"] == "f" and cegis[2]["intent"] == "cegis"
+    asked, iterations = False, 0
+    for e in cegis:
+        if e["event"] == "synthesis" and e["intent"] == "cegis":
+            asked = True
+        elif e["event"] == "iteration":
+            assert e["loop"] == "cegis" and asked, e
+            asked, iterations = False, iterations + 1
+    assert iterations == 5
 
 
 # -- one backend check per (mode, text) within a program -----------------------

@@ -18,10 +18,7 @@ from contractor.verifier import (
     Status,
     SubprocessVerifier,
     VerifierConfig,
-    mode_key,
     parse_verifier_output,
-    verify_function,
-    verify_system,
 )
 from conftest import corpus_sources, failure_output, success_output
 
@@ -92,8 +89,8 @@ def test_empty_output_is_tool_error():
 def test_mode_key():
     model = parse_program(INC)
     c = inc_contract()
-    assert mode_key(render_enforce(model, c)) == "function:increment"
-    assert mode_key(render_replace(model, [c])) == "system"
+    assert render_enforce(model, c).mode == "function:increment"
+    assert render_replace(model, [c]).mode == "system"
 
 
 def test_mock_backend_round_trip(tmp_path):
@@ -107,10 +104,10 @@ def test_mock_backend_round_trip(tmp_path):
                          {"function": "main", "line": 8, "assigns": [("r", "5"), ("n", "5")]}]))
 
     cfg = VerifierConfig(backend_path="mock", fixtures_dir=str(tmp_path), timeout_s=30.0)
-    fn_result = verify_function(enf, "increment", cfg)
+    fn_result = SubprocessVerifier(cfg).function(enf, "increment")
     assert fn_result.status is Status.PASS
 
-    sys_result = verify_system(rep, cfg)
+    sys_result = SubprocessVerifier(cfg).system(rep)
     assert sys_result.status is Status.FAIL
     assert sys_result.parsed.violated_property == "r > n"
     assert sys_result.parsed.key_map() == {"r": "5", "n": "5"}
@@ -120,7 +117,7 @@ def test_mock_backend_miss_is_tool_error(tmp_path):
     model = parse_program(INC)
     enf = render_enforce(model, inc_contract())
     cfg = VerifierConfig(backend_path="mock", fixtures_dir=str(tmp_path), timeout_s=30.0)
-    result = verify_function(enf, "increment", cfg)
+    result = SubprocessVerifier(cfg).function(enf, "increment")
     assert result.status is Status.TOOL_ERROR
     assert "no transcript" in result.raw_output
 
@@ -131,7 +128,7 @@ def test_mock_backend_sleep_triggers_timeout(tmp_path):
     write_transcript(str(tmp_path), enf.text, "function:increment",
                      success_output(), sleep_s=5.0)
     cfg = VerifierConfig(backend_path="mock", fixtures_dir=str(tmp_path), timeout_s=0.8)
-    result = verify_function(enf, "increment", cfg)
+    result = SubprocessVerifier(cfg).function(enf, "increment")
     assert result.status is Status.TIMEOUT
 
 
@@ -140,7 +137,7 @@ def test_missing_backend_raises(tmp_path):
     enf = render_enforce(model, inc_contract())
     cfg = VerifierConfig(backend_path="/nonexistent/esbmc-bin", timeout_s=5.0)
     with pytest.raises(BackendNotFoundError):
-        verify_function(enf, "increment", cfg)
+        SubprocessVerifier(cfg).function(enf, "increment")
 
 
 def test_subprocess_verifier_protocol(tmp_path):
@@ -161,9 +158,9 @@ def test_wrong_mode_rejected():
     c = inc_contract()
     cfg = VerifierConfig()
     with pytest.raises(ValueError):
-        verify_system(render_enforce(model, c), cfg)
+        SubprocessVerifier(cfg).system(render_enforce(model, c))
     with pytest.raises(ValueError):
-        verify_function(render_replace(model, [c]), "increment", cfg)
+        SubprocessVerifier(cfg).function(render_replace(model, [c]), "increment")
 
 
 def test_digest_stability():
@@ -202,32 +199,56 @@ def test_package_names_resolve_lazily():
         contractor.nope
 
 
-def _legacy_transcript(fixtures_dir: Path, file_name: str, digest: str, output: str) -> None:
-    (fixtures_dir / file_name).write_text(f"# digest={digest}\n{output}", encoding="utf-8")
+def _named_transcript(fixtures_dir: Path, digest: str, mode: str, header: str,
+                      output: str) -> None:
+    (fixtures_dir / transcript_name(digest, mode)).write_text(f"{header}\n{output}",
+                                                              encoding="utf-8")
 
 
-def test_lookup_finds_a_legacy_header_without_mode(tmp_path):
-    digest = source_digest("int main() { return 0; }")
-    _legacy_transcript(tmp_path, "legacy.txt", digest, "LEGACY\n")
-    assert lookup(str(tmp_path), digest, "system") == ("LEGACY\n", 0.0)
-    assert lookup(str(tmp_path), digest, "function:f") == ("LEGACY\n", 0.0)
-
-
-def test_lookup_prefers_the_exact_mode_over_a_legacy_header(tmp_path):
+def test_lookup_reads_the_named_file(tmp_path):
     text = "int main() { return 0; }"
     digest = source_digest(text)
-    _legacy_transcript(tmp_path, "0000-legacy.txt", digest, "LEGACY\n")  # scanned first
     write_transcript(str(tmp_path), text, "system", "EXACT\n")
+    (tmp_path / "renamed.txt").write_text(f"# digest={digest} mode=function:f\nOTHER\n",
+                                          encoding="utf-8")
     assert lookup(str(tmp_path), digest, "system") == ("EXACT\n", 0.0)
-    assert lookup(str(tmp_path), digest, "function:f") == ("LEGACY\n", 0.0)
+    assert lookup(str(tmp_path), digest, "function:f") is None
 
 
-def test_lookup_scans_when_the_named_file_holds_another_digest(tmp_path):
+def test_lookup_misses_a_named_file_without_mode(tmp_path):
+    digest = source_digest("int main() { return 0; }")
+    _named_transcript(tmp_path, digest, "system", f"# digest={digest}", "LEGACY\n")
+    assert lookup(str(tmp_path), digest, "system") is None
+
+
+def test_lookup_misses_a_named_file_with_another_digest(tmp_path):
     digest = source_digest("int main() { return 0; }")
     other = digest[:16] + ("0" if digest[16] != "0" else "1") + digest[17:]
-    named = tmp_path / transcript_name(digest, "system")
-    named.write_text(f"# digest={other} mode=system\nOTHER\n", encoding="utf-8")
-    (tmp_path / "renamed.txt").write_text(f"# digest={digest} mode=system\nMINE\n",
-                                          encoding="utf-8")
-    assert lookup(str(tmp_path), digest, "system") == ("MINE\n", 0.0)
+    _named_transcript(tmp_path, digest, "system", f"# digest={other} mode=system", "OTHER\n")
+    assert lookup(str(tmp_path), digest, "system") is None
     assert lookup(str(tmp_path), other, "system") == ("OTHER\n", 0.0)
+
+
+def test_lookup_miss_is_a_tool_error(tmp_path):
+    model = parse_program(INC)
+    rep = render_replace(model, [inc_contract()])
+    digest = source_digest(rep.text)
+    _named_transcript(tmp_path, digest, "system", f"# digest={digest}", success_output())
+    cfg = VerifierConfig(backend_path="mock", fixtures_dir=str(tmp_path), timeout_s=30.0)
+    result = SubprocessVerifier(cfg).system(rep)
+    assert result.status is Status.TOOL_ERROR
+    assert "no transcript" in result.raw_output
+
+
+def test_backend_script_finds_fixtures_in_the_environment(tmp_path):
+    # fixtures_dir reaches a backend named by path through the environment alone
+    model = parse_program(INC)
+    enf = render_enforce(model, inc_contract())
+    fixtures = tmp_path / "fixtures"
+    write_transcript(str(fixtures), enf.text, enf.mode, success_output())
+    script = tmp_path / "mock-bmc"
+    script.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m contractor.mock_backend "$@"\n',
+                      encoding="utf-8")
+    script.chmod(0o755)
+    cfg = VerifierConfig(backend_path=str(script), fixtures_dir=str(fixtures), timeout_s=30.0)
+    assert SubprocessVerifier(cfg).function(enf, "increment").status is Status.PASS
