@@ -297,28 +297,21 @@ class _Parser:
         raise EvalError(f"unexpected token {tok!r}")
 
 
-def _truthy(v: Value) -> bool:
-    return _int(v) != 0
-
-
-def _int(v: Value) -> int:
-    if isinstance(v, bool):
-        return int(v)
-    if not isinstance(v, int):
-        raise EvalError("array used where an integer is needed")
-    return v
+def _parser(text: str, valuation: Dict[str, Value]) -> _Parser:
+    tokens = tokenize(text)
+    if not tokens:
+        raise EvalError("empty expression")
+    return _Parser(tokens, valuation)
 
 
 def evaluate(text: str, valuation: Dict[str, Value]) -> Value:
     """Evaluate *text* over *valuation*. Raises EvalError on anything dubious."""
-    tokens = tokenize(text)
-    if not tokens:
-        raise EvalError("empty expression")
-    return _Parser(tokens, valuation).parse()
+    return _parser(text, valuation).parse()
 
 
 def evaluate_bool(text: str, valuation: Dict[str, Value]) -> bool:
-    return _truthy(evaluate(text, valuation))
+    parser = _parser(text, valuation)
+    return parser._truthy(parser.parse())
 
 
 def try_evaluate_bool(text: str, valuation: Dict[str, Value]) -> Optional[bool]:

@@ -300,7 +300,7 @@ def _scan_functions(src: str, masked: str) -> List[_RawFunction]:
     return raws
 
 
-def _scan_globals(masked: str, src: str, raws: Sequence[_RawFunction]) -> Tuple[str, ...]:
+def _scan_globals(masked: str, raws: Sequence[_RawFunction]) -> Tuple[str, ...]:
     """Names declared at file scope outside any function definition."""
     spans = [(r.sig_start, r.body_span[1]) for r in raws]
 
@@ -573,7 +573,7 @@ def parse_program(source_text: str, weights: WeightTable = DEFAULT_WEIGHTS) -> P
     if main_raw is None:
         raise NoMainError("no main() definition found")
 
-    global_names = _scan_globals(masked, source_text, raws)
+    global_names = _scan_globals(masked, raws)
 
     call_names: Dict[str, set] = {}
     defined = {r.name for r in raws}

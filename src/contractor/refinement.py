@@ -61,7 +61,7 @@ from .synthesis import (
     overapproximate,
     synthesize,
 )
-from .verifier import Status, VerificationResult
+from .verifier import ParsedCounterexample, Status, VerificationResult
 
 
 class Strategy(str, Enum):
@@ -193,15 +193,8 @@ def _verdict(ctx: _Ctx, outcome: VerdictOutcome,
     )
 
 
-def _sanitized(ctx: _Ctx, c: Contract) -> Contract:
-    kept, stripped = sanitize_assigns(c.assigns)
-    if stripped:
-        ctx.log.event("assigns_stripped", function=c.function, stripped=list(stripped))
-    return replace(c, assigns=kept) if stripped else c
-
-
 def _request(ctx: _Ctx, f: FunctionInfo, intent: SynthesisIntent,
-             current: Optional[Contract], diagnostics: str) -> SynthesisRequest:
+             current: Optional[Contract] = None, diagnostics: str = "") -> SynthesisRequest:
     return SynthesisRequest(
         function=f,
         property_text=ctx.model.property.assertion_text,
@@ -210,6 +203,38 @@ def _request(ctx: _Ctx, f: FunctionInfo, intent: SynthesisIntent,
         diagnostics=diagnostics,
         known_globals=ctx.model.global_names,
     )
+
+
+def _keep(ctx: _Ctx, contracts: Dict[str, Contract], fname: str,
+          result: Union[Contract, ParseFailure]) -> None:
+    """Store a reply's contract with its assigns sanitized, or classify why
+    the reply could not be used."""
+    if isinstance(result, Contract):
+        kept, stripped = sanitize_assigns(result.assigns)
+        if stripped:
+            ctx.log.event("assigns_stripped", function=result.function,
+                          stripped=list(stripped))
+            result = replace(result, assigns=kept)
+        contracts[fname] = result
+        return
+    cls = classify(result)
+    ctx.last_cls[fname] = cls
+    ctx.log.event("classification", function=fname,
+                  level=cls.level.value, category=cls.category.value)
+
+
+def _ask(ctx: _Ctx, contracts: Dict[str, Contract], f: FunctionInfo,
+         intent: SynthesisIntent, diagnostics: str = "") -> None:
+    """Ask the client for f's contract under intent, revising the one in
+    contracts, and keep the reply there. CEGIS under SMART ICE shows the
+    model the example database."""
+    req = _request(ctx, f, intent, contracts.get(f.name), diagnostics)
+    if intent is SynthesisIntent.CEGIS and ctx.cfg.strategy is Strategy.SMART_ICE:
+        result = cegis_synthesize(req, ctx.client, ctx.db, retries=ctx.cfg.retries,
+                                  log=ctx.log)
+    else:
+        result = synthesize(req, ctx.client, retries=ctx.cfg.retries, log=ctx.log)
+    _keep(ctx, contracts, f.name, result)
 
 
 def _diagnostics_for(ctx: _Ctx, fname: str) -> str:
@@ -222,23 +247,6 @@ def _diagnostics_for(ctx: _Ctx, fname: str) -> str:
     return ""
 
 
-def _synth(ctx: _Ctx, f: FunctionInfo, intent: SynthesisIntent,
-           current: Optional[Contract] = None,
-           diagnostics: str = "") -> Union[Contract, ParseFailure]:
-    req = _request(ctx, f, intent, current, diagnostics)
-    result = synthesize(req, ctx.client, retries=ctx.cfg.retries, log=ctx.log)
-    if isinstance(result, Contract):
-        return _sanitized(ctx, result)
-    return result
-
-
-def _absorb_parse_failure(ctx: _Ctx, fname: str, failure: ParseFailure) -> None:
-    cls = classify(failure)
-    ctx.last_cls[fname] = cls
-    ctx.log.event("classification", function=fname,
-                  level=cls.level.value, category=cls.category.value)
-
-
 def _db_sizes(db: IceDatabase) -> Dict[str, int]:
     return {
         "positives": len(db.positives),
@@ -246,15 +254,6 @@ def _db_sizes(db: IceDatabase) -> Dict[str, int]:
         "implications": len(db.implications),
         "conflicts": len(db.conflicts),
     }
-
-
-def _admit_negative(ctx: _Ctx, fname: str, valuation: Dict[str, str],
-                    cls: Classification, provenance: str) -> None:
-    if not valuation or ctx.cfg.strategy is not Strategy.SMART_ICE:
-        return
-    ex = StateExample.make(fname, valuation, provenance=provenance)
-    action = admit(ctx.db, cls, ex)
-    ctx.log.event("db", action=action, function=fname, **_db_sizes(ctx.db))
 
 
 def _classified(ctx: _Ctx, key: str, result: VerificationResult) -> Optional[Classification]:
@@ -275,6 +274,34 @@ def _classified(ctx: _Ctx, key: str, result: VerificationResult) -> Optional[Cla
     return cls
 
 
+def _blame(ctx: _Ctx, parsed: ParsedCounterexample,
+           contracts: Dict[str, Contract]) -> Tuple[Optional[str], bool]:
+    """The contracted function a system counterexample blames, and whether
+    none was responsible so that the first one (None without any) stands in."""
+    try:
+        return weakest_link(parsed, contracts, ctx.model), False
+    except NoResponsibleFunctionError:
+        return (min(contracts) if contracts else None), True
+
+
+def _learn(ctx: _Ctx, parsed: ParsedCounterexample, cls: Classification, target: str,
+           provenance: str, names: List[str]) -> Dict[str, str]:
+    """Under SMART ICE, admit target's state in the counterexample as a
+    negative example and the loop-iteration implication pairs of every
+    function in names. Returns target's state."""
+    valuation = valuation_for(parsed, target) or parsed.key_map()
+    if ctx.cfg.strategy is not Strategy.SMART_ICE:
+        return valuation
+    if valuation:
+        ex = StateExample.make(target, valuation, provenance=provenance)
+        action = admit(ctx.db, cls, ex)
+        ctx.log.event("db", action=action, function=target, **_db_sizes(ctx.db))
+    for name in names:
+        if ctx.db.add_implications(extract_implications(parsed, name)):
+            ctx.log.event("db", action="implications", function=name, **_db_sizes(ctx.db))
+    return valuation
+
+
 def _absorb_failure(ctx: _Ctx, fname: str, result: VerificationResult,
                     provenance: str) -> None:
     """Classify a failing function check, remember its trace, and feed the
@@ -282,15 +309,9 @@ def _absorb_failure(ctx: _Ctx, fname: str, result: VerificationResult,
     cls = _classified(ctx, fname, result)
     if cls is None:
         return
-    parsed = result.parsed
-    valuation = valuation_for(parsed, fname) or parsed.key_map()
+    valuation = _learn(ctx, result.parsed, cls, fname, provenance, [fname])
     if valuation:
         ctx.last_valuation[fname] = valuation
-    _admit_negative(ctx, fname, valuation, cls, provenance)
-    if ctx.cfg.strategy is Strategy.SMART_ICE:
-        if ctx.db.add_implications(extract_implications(parsed, fname)):
-            ctx.log.event("db", action="implications", function=fname,
-                          **_db_sizes(ctx.db))
 
 
 def _absorb_system_failure(ctx: _Ctx, result: VerificationResult) -> None:
@@ -305,20 +326,10 @@ def _absorb_system_failure(ctx: _Ctx, result: VerificationResult) -> None:
             ctx.last_valuation[name] = vals
     if ctx.cfg.strategy is not Strategy.SMART_ICE:
         return
-    try:
-        target = weakest_link(parsed, ctx.contracts, ctx.model)
-    except NoResponsibleFunctionError:
-        target = min(ctx.contracts) if ctx.contracts else None
-        ctx.log.event("weakest_link", chosen=target, fallback=True)
-    else:
-        ctx.log.event("weakest_link", chosen=target, fallback=False)
-    if target is None:
-        return
-    valuation = valuation_for(parsed, target) or parsed.key_map()
-    _admit_negative(ctx, target, valuation, cls, provenance="system")
-    for name in sorted(ctx.contracts):
-        if ctx.db.add_implications(extract_implications(parsed, name)):
-            ctx.log.event("db", action="implications", function=name, **_db_sizes(ctx.db))
+    target, fallback = _blame(ctx, parsed, ctx.contracts)
+    ctx.log.event("weakest_link", chosen=target, fallback=fallback)
+    if target is not None:
+        _learn(ctx, parsed, cls, target, "system", sorted(ctx.contracts))
 
 
 def _record_pass_snapshots(ctx: _Ctx) -> None:
@@ -488,22 +499,6 @@ def delta_debug(
     return reduced
 
 
-def _relax_or_reseed(ctx: _Ctx, contracts: Dict[str, Contract], fname: str) -> None:
-    f = ctx.model.function(fname)
-    if f is None:
-        return
-    current = contracts.get(fname)
-    if current is None:
-        result = _synth(ctx, f, SynthesisIntent.INITIAL)
-    else:
-        result = _synth(ctx, f, SynthesisIntent.RELAX, current,
-                        _diagnostics_for(ctx, fname))
-    if isinstance(result, Contract):
-        contracts[fname] = result
-    else:
-        _absorb_parse_failure(ctx, fname, result)
-
-
 def _system_target(ctx: _Ctx, contracts: Dict[str, Contract]) -> Optional[str]:
     """The contracted function the system counterexample blames, or the first
     one when none is responsible; None without a system counterexample."""
@@ -512,29 +507,9 @@ def _system_target(ctx: _Ctx, contracts: Dict[str, Contract]) -> Optional[str]:
     parsed = ctx.sys_result.parsed
     if parsed is None or not contracts:
         return None
-    try:
-        target = weakest_link(parsed, contracts, ctx.model)
-        fallback = False
-    except NoResponsibleFunctionError:
-        target = min(contracts)
-        fallback = True
+    target, fallback = _blame(ctx, parsed, contracts)
     ctx.log.event("strengthen_target", function=target, fallback=fallback)
     return target
-
-
-def _strengthen_target(ctx: _Ctx, contracts: Dict[str, Contract]) -> None:
-    target = _system_target(ctx, contracts)
-    if target is None:
-        return
-    f = ctx.model.function(target)
-    if f is None:
-        return
-    result = _synth(ctx, f, SynthesisIntent.STRENGTHEN, contracts.get(target),
-                    _diagnostics_for(ctx, "__system__"))
-    if isinstance(result, Contract):
-        contracts[target] = result
-    else:
-        _absorb_parse_failure(ctx, target, result)
 
 
 def _delta_debug_stagnating(ctx: _Ctx) -> bool:
@@ -580,8 +555,15 @@ def _run_cegar(ctx: _Ctx) -> Optional[Verdict]:
         k += 1
         contracts = dict(ctx.contracts)
         for fname in _failing_functions(ctx):
-            _relax_or_reseed(ctx, contracts, fname)
-        _strengthen_target(ctx, contracts)
+            f = ctx.model.function(fname)
+            if fname in contracts:
+                _ask(ctx, contracts, f, SynthesisIntent.RELAX, _diagnostics_for(ctx, fname))
+            else:
+                _ask(ctx, contracts, f, SynthesisIntent.INITIAL)
+        target = _system_target(ctx, contracts)
+        if target is not None:
+            _ask(ctx, contracts, ctx.model.function(target), SynthesisIntent.STRENGTHEN,
+                 _diagnostics_for(ctx, "__system__"))
         ctx.iterations += 1
         ctx.log.event("iteration", loop="cegar", index=k,
                       failing=_failing_functions(ctx))
@@ -605,14 +587,14 @@ def _run_cegar(ctx: _Ctx) -> Optional[Verdict]:
     return None
 
 
-def _cegis_targets(ctx: _Ctx, contracts: Dict[str, Contract]) -> List[Tuple[str, str]]:
-    """(function, diagnostics key) pairs a CEGIS round asks for: every failing
-    function, or the weakest link when only the system check fails."""
+def _cegis_targets(ctx: _Ctx, contracts: Dict[str, Contract]) -> List[str]:
+    """The functions a CEGIS round asks for: every failing function, or the
+    weakest link when only the system check fails."""
     failing = _failing_functions(ctx)
     if failing:
-        return [(fname, fname) for fname in failing]
+        return failing
     target = _system_target(ctx, contracts)
-    return [] if target is None else [(target, "__system__")]
+    return [] if target is None else [target]
 
 
 def _run_cegis(ctx: _Ctx) -> Optional[Verdict]:
@@ -625,25 +607,11 @@ def _run_cegis(ctx: _Ctx) -> Optional[Verdict]:
         ctx.check_deadline()
         k += 1
         contracts = dict(ctx.contracts)
-        for fname, diagnostics_key in _cegis_targets(ctx, contracts):
-            f = ctx.model.function(fname)
-            if f is None:
-                continue
-            req = _request(ctx, f, SynthesisIntent.CEGIS, contracts.get(fname),
-                           _diagnostics_for(ctx, diagnostics_key))
-            if ctx.cfg.strategy is Strategy.SMART_ICE:
-                result = cegis_synthesize(req, ctx.client, ctx.db,
-                                          retries=ctx.cfg.retries, log=ctx.log)
-            else:
-                result = synthesize(req, ctx.client, retries=ctx.cfg.retries,
-                                    log=ctx.log)
-            if isinstance(result, Contract):
-                contracts[fname] = _sanitized(ctx, result)
-            else:
-                _absorb_parse_failure(ctx, fname, result)
+        asked = _cegis_targets(ctx, contracts)
+        for fname in asked:
+            _ask(ctx, contracts, ctx.model.function(fname), SynthesisIntent.CEGIS)
         ctx.iterations += 1
-        ctx.log.event("iteration", loop="cegis", index=k,
-                      failing=_failing_functions(ctx))
+        ctx.log.event("iteration", loop="cegis", index=k, failing=asked)
         _verify_round(ctx, contracts)
         verdict = _conclude(ctx)
         if verdict is not None:
@@ -658,17 +626,6 @@ def _refine(ctx: _Ctx) -> Verdict:
         ctx.log.event("budget_exhausted", iterations=ctx.iterations)
         verdict = _verdict(ctx, VerdictOutcome.INCONCLUSIVE)
     return verdict
-
-
-def _initial_contracts(ctx: _Ctx) -> Dict[str, Contract]:
-    contracts: Dict[str, Contract] = {}
-    for f in ctx.targets:
-        result = _synth(ctx, f, SynthesisIntent.INITIAL)
-        if isinstance(result, Contract):
-            contracts[f.name] = result
-        else:
-            _absorb_parse_failure(ctx, f.name, result)
-    return contracts
 
 
 def run_pipeline(
@@ -689,7 +646,10 @@ def run_pipeline(
     if cfg.strategy is Strategy.PRE_ABSTRACTION:
         return _run_pre_abstraction(ctx)
 
-    _verify_round(ctx, _initial_contracts(ctx))
+    contracts: Dict[str, Contract] = {}
+    for f in ctx.targets:
+        _ask(ctx, contracts, f, SynthesisIntent.INITIAL)
+    _verify_round(ctx, contracts)
     verdict = _conclude(ctx)
     if verdict is not None:
         return verdict
@@ -734,7 +694,7 @@ def _synthesize_low_one(
 ) -> Union[Contract, ParseFailure]:
     """Phase 1b worker: precise synthesis with coverage validation. Logs into
     a private RunLog so concurrent workers stay deterministic after merge."""
-    req = _request(ctx, f, SynthesisIntent.INITIAL, None, "")
+    req = _request(ctx, f, SynthesisIntent.INITIAL)
     result = synthesize(req, ctx.client, retries=ctx.cfg.retries, log=log)
     if not isinstance(result, Contract):
         return result
@@ -761,10 +721,10 @@ def _run_pre_abstraction(ctx: _Ctx) -> Verdict:
 
     ctx.set_stage("pre_abstraction:1a")
     for f in high:
-        c = overapproximate(f, ctx.model.property.assertion_text, ctx.client,
-                            ctx.model.global_names, retries=ctx.cfg.retries,
-                            log=ctx.log)
-        contracts[f.name] = _sanitized(ctx, c)
+        _keep(ctx, contracts, f.name,
+              overapproximate(f, ctx.model.property.assertion_text, ctx.client,
+                              ctx.model.global_names, retries=ctx.cfg.retries,
+                              log=ctx.log))
 
     ctx.set_stage("pre_abstraction:1b")
     side_logs = {f.name: RunLog() for f in low}
@@ -774,11 +734,7 @@ def _run_pre_abstraction(ctx: _Ctx) -> Verdict:
         results = {name: fut.result() for name, fut in futures.items()}
     for f in low:  # merge worker logs in model order, not completion order
         ctx.log.events.extend(side_logs[f.name].events)
-        result = results[f.name]
-        if isinstance(result, Contract):
-            contracts[f.name] = _sanitized(ctx, result)
-        else:
-            _absorb_parse_failure(ctx, f.name, result)
+        _keep(ctx, contracts, f.name, results[f.name])
 
     ctx.set_stage("pre_abstraction:2")
     _verify_round(ctx, contracts)
@@ -793,8 +749,10 @@ def _run_pre_abstraction(ctx: _Ctx) -> Verdict:
         r = ctx.fn_results.get(f.name)
         if r is None or r.status is not Status.PASS:
             continue  # unverified abstraction stays in place for refinement
-        precise = _synth(ctx, f, SynthesisIntent.INITIAL)
-        if not isinstance(precise, Contract):
+        asked: Dict[str, Contract] = {}
+        _ask(ctx, asked, f, SynthesisIntent.INITIAL)
+        precise = asked.get(f.name)
+        if precise is None:
             continue
         check = _verify_function_now(ctx, precise)
         if check.status is Status.PASS:

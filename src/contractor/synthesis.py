@@ -18,7 +18,7 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from importlib import resources
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
@@ -294,11 +294,6 @@ def make_client(kind: str, transcripts_dir: Optional[str] = None) -> LlmClient:
     raise ValueError(f"unknown client kind {kind!r}")
 
 
-def _with_origin(c: Contract, intent: SynthesisIntent) -> Contract:
-    from dataclasses import replace
-    return replace(c, origin=_INTENT_ORIGIN[intent])
-
-
 def synthesize(
     req: SynthesisRequest,
     client: LlmClient,
@@ -327,7 +322,7 @@ def synthesize(
                 reason=None if isinstance(result, Contract) else result.reason.value,
             )
         if isinstance(result, Contract):
-            return _with_origin(result, req.intent)
+            return replace(result, origin=_INTENT_ORIGIN[req.intent])
         last_failure = result
         failure_note = f"{result.reason.value}: {result.detail}"
     return last_failure  # type: ignore[return-value]
@@ -478,9 +473,8 @@ def cegis_synthesize(
 ) -> Union[Contract, ParseFailure]:
     """Example-conditioned synthesis. Example-inconsistent replies are accepted
     but flagged in the log; the verifier has the final word anyway."""
-    from dataclasses import replace as dc_replace
-    full_req = dc_replace(req, intent=SynthesisIntent.CEGIS,
-                          examples=render_examples(db, req.function.name))
+    full_req = replace(req, intent=SynthesisIntent.CEGIS,
+                       examples=render_examples(db, req.function.name))
     result = synthesize(full_req, client, retries=retries, log=log)
     if isinstance(result, Contract) and log is not None:
         for warning in check_example_consistency(result, db):

@@ -5,6 +5,11 @@ wall clock, and the layered abstraction strategy."""
 
 from __future__ import annotations
 
+import ast
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
 from typing import Dict
 
 import pytest
@@ -442,6 +447,39 @@ def test_pre_abstraction_substitutes_verified_precise_contracts():
     assert verdict.contract_map()["deep"].ensures == ("__ESBMC_return_value >= 5",)
 
 
+def test_pre_abstraction_classifies_an_unusable_precise_reply():
+    script = {
+        "deep|overapproximate": contract_reply(
+            assigns=("n",), ensures=("__ESBMC_return_value >= 0",)),
+        "deep|initial": "I cannot produce a contract for this.",
+        "strengthen": contract_reply(
+            assigns=("n",), ensures=("__ESBMC_return_value >= 5",)),
+        "lift|initial": contract_reply(
+            assigns=("k",), ensures=("__ESBMC_return_value == k + 10",)),
+    }
+
+    def rule(src, mode):
+        if mode == "system" and "__ESBMC_return_value >= 5" not in src.text:
+            return failure_output(
+                "y >= 15",
+                steps=[{"function": "main", "line": 14, "assigns": [("x", "0")]},
+                       {"function": "main", "line": 15, "assigns": [("y", "10")]}])
+        return success_output()
+
+    verdict, log, _, _ = run(SUBST_SRC, script, RuleVerifier(rule),
+                             strategy=Strategy.PRE_ABSTRACTION)
+    assert verdict.outcome is VerdictOutcome.VERIFIED
+    assert verdict.stage == "cegar"
+    stages = [e.get("stage") for e in log.events]
+    start = stages.index("pre_abstraction:4")
+    end = stages.index("pre_abstraction:5")
+    phase4 = log.events[start + 1:end]
+    assert [e["event"] for e in phase4] == ["synthesis"] * 3 + ["classification"]
+    assert phase4[-1]["function"] == "deep"
+    assert phase4[-1]["category"] == "syntax_error"
+    assert "substitute" not in kinds(log)
+
+
 MULTI_LOW_SRC = """\
 int gain(int a) {
     return a + 2;
@@ -564,7 +602,8 @@ def test_system_only_failure_asks_cegis_for_the_weakest_link():
         if e["event"] == "synthesis" and e["intent"] == "cegis":
             asked = True
         elif e["event"] == "iteration":
-            assert e["loop"] == "cegis" and asked, e
+            # the event names what the round asked for, not the empty failing set
+            assert e["loop"] == "cegis" and asked and e["failing"] == ["f"], e
             asked, iterations = False, iterations + 1
     assert iterations == 5
 
@@ -634,3 +673,26 @@ def test_timeout_is_checked_again():
     full = [text for mode, text in verifier.calls
             if mode == "function:inc" and "__ESBMC_return_value > x" in text]
     assert len(full) >= 2 and len(set(full)) == 1
+
+
+# -- the entry points the benchmark's tracer rebinds ---------------------------
+
+TRACING_PY = Path(__file__).resolve().parents[1] / "oraclebench" / "tracing.py"
+
+
+def test_tracer_rebinds_only_names_refinement_calls(monkeypatch):
+    # loaded by file path so sys.path stays as it is; a dataclass module must
+    # be in sys.modules while it executes
+    spec = importlib.util.spec_from_file_location("_oraclebench_tracing", TRACING_PY)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    from contractor import refinement
+
+    before = dict(vars(refinement))
+    with tracing.rebound(tracing.Tracer()):
+        rebound = sorted(n for n, v in vars(refinement).items() if before.get(n) is not v)
+    assert all(getattr(refinement, n) is before[n] for n in rebound)
+    called = {node.func.id for node in ast.walk(ast.parse(inspect.getsource(refinement)))
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert rebound and set(rebound) <= called, sorted(set(rebound) - called)

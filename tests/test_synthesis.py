@@ -4,6 +4,7 @@ the example-conditioned variant."""
 from __future__ import annotations
 
 import json
+import re
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -56,6 +57,23 @@ def test_relax_and_strengthen_do_not_cross():
     strengthen = load_template(SynthesisIntent.STRENGTHEN)
     assert TEMPLATE_MARKERS[SynthesisIntent.STRENGTHEN] not in relax
     assert TEMPLATE_MARKERS[SynthesisIntent.RELAX] not in strengthen
+
+
+PLACEHOLDER_RE = re.compile(r"\{([a-z_]+)\}")
+
+
+def test_each_template_reads_the_request_fields_its_intent_needs():
+    reads = {intent: set(PLACEHOLDER_RE.findall(load_template(intent)))
+             for intent in SynthesisIntent}
+    # example-guided repair shows the example sets, not a failure report
+    assert "examples" in reads[SynthesisIntent.CEGIS]
+    assert "diagnostics" not in reads[SynthesisIntent.CEGIS]
+    for intent in (SynthesisIntent.RELAX, SynthesisIntent.STRENGTHEN):
+        assert "diagnostics" in reads[intent]
+        assert "examples" not in reads[intent]
+    for intent in SynthesisIntent:
+        prompt = render_prompt(inc_request(intent=intent, diagnostics="d", examples="e"))
+        assert PLACEHOLDER_RE.findall(prompt) == [], intent
 
 
 def test_render_prompt_replaces_placeholders():
