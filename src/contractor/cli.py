@@ -45,7 +45,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iterations", type=int, default=None, metavar="N",
                    help="cap each refinement loop at N (total budget 2N)")
     p.add_argument("--timeout-s", type=float, default=600.0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="verify: threads for pre-abstraction synthesis and for each "
+                        "round's backend checks; suite: programs run at once, "
+                        "each with one thread")
     p.add_argument("--tau", type=float, default=10.0,
                    help="complexity threshold for the pre-abstraction split")
     p.add_argument("--weights", default=None,
@@ -149,8 +152,8 @@ def _collect_programs(paths: Sequence[str]) -> List[Tuple[str, str]]:
 
 def _cmd_suite(args: argparse.Namespace) -> int:
     programs = _collect_programs(args.paths)
-    # --workers spreads the programs; each one synthesizes serially, so a
-    # suite holds N threads, not N * N
+    # --workers spreads the programs; each one synthesizes and checks
+    # serially, so a suite holds N checks in flight, not N * N
     cfg = replace(_pipeline_config(args), workers=1)
     verifier = _verifier(args)
     factory = lambda: make_client(args.llm, args.transcripts)  # noqa: E731

@@ -9,6 +9,7 @@ the tier split needs. Anything deeper belongs to the backend.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -302,12 +303,13 @@ def _scan_functions(src: str, masked: str) -> List[_RawFunction]:
 
 def _scan_globals(masked: str, raws: Sequence[_RawFunction]) -> Tuple[str, ...]:
     """Names declared at file scope outside any function definition."""
-    spans = [(r.sig_start, r.body_span[1]) for r in raws]
+    starts = [r.sig_start for r in raws]  # in source order, no two overlap
 
     def inside_function(pos: int) -> bool:
-        return any(a <= pos < b for a, b in spans)
+        i = bisect_right(starts, pos) - 1
+        return i >= 0 and pos < raws[i].body_span[1]
 
-    names: List[str] = []
+    names: Dict[str, None] = {}
     for m in re.finditer(r"[^;{}#\n][^;{}#]*;", masked):
         seg_start, seg = m.start(), m.group(0)
         if inside_function(seg_start):
@@ -321,8 +323,8 @@ def _scan_globals(masked: str, raws: Sequence[_RawFunction]) -> Tuple[str, ...]:
             continue
         head = seg.split("=", 1)[0]
         cand = [w for w in _WORD_RE.findall(head) if w not in TYPE_KEYWORDS and w not in C_KEYWORDS]
-        if cand and cand[-1] not in names:
-            names.append(cand[-1])
+        if cand:
+            names.setdefault(cand[-1])
     return tuple(names)
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import re
 import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Tuple, Union
@@ -84,7 +85,9 @@ class PipelineConfig:
     tau: float = 10.0
     strategy: Strategy = Strategy.SMART_ICE
     timeout_s: float = 600.0  # wall budget for the whole program
-    workers: int = 1  # concurrency for phase-1b synthesis
+    # threads for phase-1b synthesis, and for each round's backend checks
+    # when the verifier sets concurrent_checks
+    workers: int = 1
     retries: int = 2
 
 
@@ -348,51 +351,95 @@ def _record_pass_snapshots(ctx: _Ctx) -> None:
             ctx.log.event("db", action=action, function=fname, **_db_sizes(ctx.db))
 
 
-def _check_once(ctx: _Ctx, instr: InstrumentedSource,
-                run: Callable[[], VerificationResult]) -> VerificationResult:
-    """A program's PASS or FAIL for one (mode, text) reaches the backend once."""
-    key = (instr.mode, hashlib.sha256(instr.text.encode("utf-8")).hexdigest())
-    result = ctx.checked.get(key)
+def _key(instr: InstrumentedSource) -> Tuple[str, str]:
+    return (instr.mode, hashlib.sha256(instr.text.encode("utf-8")).hexdigest())
+
+
+def _backend(ctx: _Ctx, instr: InstrumentedSource) -> Callable[[float], VerificationResult]:
+    """The backend call that checks instr, given its timeout."""
+    if instr.mode == "system":
+        return lambda left: ctx.verifier.system(instr, timeout_s=left)
+    name = instr.mode[len("function:"):]
+    return lambda left: ctx.verifier.function(instr, name, timeout_s=left)
+
+
+def _when_due(ctx: _Ctx, check: Callable[[float], VerificationResult]
+              ) -> Optional[VerificationResult]:
+    """check, given the budget left when its turn comes; None when none is."""
+    left = ctx.remaining()
+    return check(left) if left > 0 else None
+
+
+def _settle(ctx: _Ctx, instr: InstrumentedSource, result: Optional[VerificationResult],
+            **fields) -> VerificationResult:
+    """Memoise a check's PASS or FAIL and log it. A check whose turn came
+    after the wall budget was spent ends the run here."""
     if result is None:
-        result = run()
-        if result.status in (Status.PASS, Status.FAIL):
-            ctx.checked[key] = result
+        raise _deadline_error(ctx)
+    if result.status in (Status.PASS, Status.FAIL):
+        ctx.checked[_key(instr)] = result
+    ctx.log.event("verification", mode=instr.mode, status=result.status.value,
+                  **fields, iteration=ctx.iterations)
     return result
+
+
+def _check_now(ctx: _Ctx, instr: InstrumentedSource, **fields) -> VerificationResult:
+    """A program's PASS or FAIL for one (mode, text) reaches the backend once."""
+    hit = ctx.checked.get(_key(instr))
+    check = _backend(ctx, instr) if hit is None else (lambda left: hit)
+    return _settle(ctx, instr, _when_due(ctx, check), **fields)
 
 
 def _verify_system_now(ctx: _Ctx, contracts: Dict[str, Contract]) -> VerificationResult:
-    ctx.check_deadline()
-    instr = render_replace(ctx.model, contracts.values())
-    result = _check_once(ctx, instr,
-                         lambda: ctx.verifier.system(instr, timeout_s=ctx.remaining()))
-    ctx.log.event("verification", mode=instr.mode, status=result.status.value,
-                  contract_set=sorted(contracts), iteration=ctx.iterations)
-    return result
+    return _check_now(ctx, render_replace(ctx.model, contracts.values()),
+                      contract_set=sorted(contracts))
 
 
 def _verify_function_now(ctx: _Ctx, c: Contract) -> VerificationResult:
-    ctx.check_deadline()
-    instr = render_enforce(ctx.model, c)
-    result = _check_once(ctx, instr,
-                         lambda: ctx.verifier.function(instr, c.function,
-                                                       timeout_s=ctx.remaining()))
-    ctx.log.event("verification", mode=instr.mode, status=result.status.value,
-                  iteration=ctx.iterations)
-    return result
+    return _check_now(ctx, render_enforce(ctx.model, c))
+
+
+def _take(ctx: _Ctx, instr: InstrumentedSource, queued: Optional[Future],
+          **fields) -> VerificationResult:
+    """instr's result in a round: from its queued check, else checked here."""
+    if queued is None:
+        return _check_now(ctx, instr, **fields)
+    return _settle(ctx, instr, queued.result(), **fields)
 
 
 def _verify_round(ctx: _Ctx, contracts: Dict[str, Contract]) -> None:
-    """System check plus every function check, under one contract set."""
+    """System check plus every function check, under one contract set.
+
+    With cfg.workers above 1 and a verifier whose concurrent_checks is set,
+    the checks not memoised yet run in a pool of that many threads, each
+    given the budget left when it starts. Results are memoised, logged and
+    absorbed on this thread in the serial order: system first, then the
+    functions by name."""
     ctx.contracts = contracts
-    ctx.sys_result = _verify_system_now(ctx, contracts)
-    if ctx.sys_result.status is Status.FAIL:
-        _absorb_system_failure(ctx, ctx.sys_result)
-    ctx.fn_results = {}
-    for name in sorted(contracts):
-        result = _verify_function_now(ctx, contracts[name])
-        ctx.fn_results[name] = result
-        if result.status is not Status.PASS:
-            _absorb_failure(ctx, name, result, provenance="function")
+    names = sorted(contracts)
+    instrs = [render_replace(ctx.model, contracts.values())]
+    instrs += [render_enforce(ctx.model, contracts[name]) for name in names]
+    # checks overlap only outside this interpreter: an in-process verifier
+    # holds the GIL while it checks, and may keep state from call to call
+    overlap = ctx.cfg.workers > 1 and getattr(ctx.verifier, "concurrent_checks", False)
+    pool = ThreadPoolExecutor(max_workers=ctx.cfg.workers) if overlap else None
+    try:
+        queued = [None if pool is None or _key(instr) in ctx.checked
+                  else pool.submit(_when_due, ctx, _backend(ctx, instr)) for instr in instrs]
+        ctx.sys_result = _take(ctx, instrs[0], queued[0], contract_set=names)
+        if ctx.sys_result.status is Status.FAIL:
+            _absorb_system_failure(ctx, ctx.sys_result)
+        ctx.fn_results = {}
+        for name, instr, fut in zip(names, instrs[1:], queued[1:]):
+            result = _take(ctx, instr, fut)
+            ctx.fn_results[name] = result
+            if result.status is not Status.PASS:
+                _absorb_failure(ctx, name, result, provenance="function")
+    finally:
+        if pool is not None:
+            # a running check was given no more than the budget left, so this
+            # waits no longer than the budget; a queued one never starts
+            pool.shutdown(wait=True, cancel_futures=True)
     _record_pass_snapshots(ctx)
 
 
@@ -712,8 +759,6 @@ def _synthesize_low_one(
 
 
 def _run_pre_abstraction(ctx: _Ctx) -> Verdict:
-    from concurrent.futures import ThreadPoolExecutor
-
     low, high = partition_functions(ctx.model, ctx.cfg.tau)
     low = [f for f in low if not f.is_static]
     high = [f for f in high if not f.is_static]

@@ -175,6 +175,10 @@ class SubprocessVerifier:
     """The protocol object the refinement loop drives: one child process per
     check, named by the instrumentation's mode."""
 
+    # each check is its own child process, so checks may run on several
+    # threads at once and overlap in time
+    concurrent_checks = True
+
     def __init__(self, cfg: VerifierConfig):
         self.cfg = cfg
 

@@ -102,6 +102,8 @@ class RuleVerifier:
     returns raw backend output (parsed like real output) or a bare Status
     for timeout/tool-error shortcuts."""
 
+    concurrent_checks = True  # the rule reads nothing but its arguments
+
     def __init__(self, rule: Rule):
         self.rule = rule
         self.calls: List[Tuple[str, str]] = []

@@ -229,6 +229,31 @@ def test_tier_boundaries_are_half_open():
     assert tier_for(20.0) is Tier.HIGH
 
 
+def many_functions(n: int):
+    """A program of n functions with a file-scope declaration, a prototype
+    or nothing between them; returns it with its globals in declaration
+    order."""
+    parts, globals_ = [], []
+    for k in range(n):
+        if k % 3 == 0:
+            parts.append(f"unsigned long g{k} = {k};" if k % 2 else f"int g{k};")
+            globals_.append(f"g{k}")
+        elif k % 3 == 1:
+            parts.append(f"int f{k}(int a);")
+        parts.append(f"int f{k}(int a) {{\n    int t{k} = a + {k};\n"
+                     f"    static int s{k} = 0;\n    return t{k} + s{k};\n}}")
+    parts.append("int main() {\n    int r = f0(1);\n    assert(r >= 0);\n    return 0;\n}")
+    return "\n".join(parts) + "\n", globals_
+
+
+def test_globals_scan_matches_the_construction_at_scale():
+    # locals and static locals sit inside a body; prototypes are not variables
+    src, expected = many_functions(240)
+    model = parse_program(src)
+    assert len(model.functions) == 240
+    assert model.global_names == tuple(expected)
+
+
 def test_partition_by_tau():
     model = parse_program(corpus_text("gcd_rec.c"))
     low, high = partition_functions(model, tau=10.0)

@@ -9,6 +9,8 @@ import ast
 import importlib.util
 import inspect
 import sys
+import threading
+import time
 from pathlib import Path
 from typing import Dict
 
@@ -32,7 +34,7 @@ from contractor.refinement import (
 )
 from contractor.runlog import RunLog
 from contractor.synthesis import ScriptedLlmClient
-from contractor.verifier import Status
+from contractor.verifier import Status, VerificationResult
 
 INC_SRC = """\
 int inc(int x) {
@@ -673,6 +675,170 @@ def test_timeout_is_checked_again():
     full = [text for mode, text in verifier.calls
             if mode == "function:inc" and "__ESBMC_return_value > x" in text]
     assert len(full) >= 2 and len(set(full)) == 1
+
+
+# -- one round's checks in one pool -------------------------------------------
+
+class SleepyVerifier:
+    """Passes a check after delay seconds, or times out when the budget it is
+    given is shorter; records each check's mode, start and timeout."""
+
+    concurrent_checks = True
+
+    def __init__(self, delay: float):
+        self.delay = delay
+        self.calls = []
+
+    def _run(self, mode, timeout_s):
+        self.calls.append((mode, time.monotonic(), timeout_s))
+        time.sleep(min(self.delay, timeout_s))
+        passed = timeout_s >= self.delay
+        return VerificationResult(status=Status.PASS if passed else Status.TIMEOUT,
+                                  raw_output=success_output() if passed else "",
+                                  parsed=None, wall_time_s=0.0, mode=mode)
+
+    def system(self, src, timeout_s=None):
+        return self._run("system", timeout_s)
+
+    def function(self, src, name, timeout_s=None):
+        return self._run(f"function:{name}", timeout_s)
+
+
+@pytest.mark.parametrize("workers, checked, statuses", [
+    # serially the system check passes at 0.6 s, deep starts with 0.4 s left
+    # and times out at the deadline, so gain's turn comes after the budget
+    (1, ["function:deep", "system"],
+     {"deep": "timeout", "gain": "unchecked", "trim": "unchecked"}),
+    # two at a time, gain and trim wait in the queue until 0.6 s and time
+    # out with the 0.4 s left; the check of the survivors never starts
+    (2, ["function:deep", "function:gain", "function:trim", "system"],
+     {"deep": "pass", "gain": "timeout", "trim": "timeout"}),
+], ids=["serial", "two-workers"])
+def test_a_check_gets_the_budget_left_when_it_starts(workers, checked, statuses):
+    verifier = SleepyVerifier(0.6)
+    reply = contract_reply(ensures=("__ESBMC_return_value >= 0",))
+    with pytest.raises(DeadlineExceededError) as exc:
+        run(MULTI_LOW_SRC, {"*": reply}, verifier, timeout_s=1.0, workers=workers)
+    assert sorted(mode for mode, _, _ in verifier.calls) == checked
+    deadline = verifier.calls[0][1] + verifier.calls[0][2]
+    for mode, start, timeout_s in verifier.calls:
+        assert start < deadline
+        assert start + timeout_s <= deadline + 0.05, mode
+    partial = exc.value.partial
+    assert partial.outcome is VerdictOutcome.INCONCLUSIVE
+    assert (partial.stage, partial.iterations_used) == ("initial", 0)
+    assert partial.system_status == "pass"
+    assert partial.status_map() == statuses
+
+
+class BarrierVerifier(RuleVerifier):
+    """Every check waits until a second one is in flight."""
+
+    def __init__(self):
+        super().__init__(lambda src, mode: success_output())
+        self.barrier = threading.Barrier(2, timeout=5)
+
+    def _run(self, src, mode):
+        self.barrier.wait()
+        return super()._run(src, mode)
+
+
+def test_a_round_keeps_two_checks_in_flight():
+    verdict, _, _, verifier = run(INC_SRC, {"inc|initial": INC_REPLY}, BarrierVerifier(),
+                                  workers=2)
+    assert verdict.outcome is VerdictOutcome.VERIFIED
+    assert sorted(mode for mode, _ in verifier.calls) == ["function:inc", "system"]
+
+
+class ThreadVerifier:
+    """Passes every check; records the thread each one ran on. Like any
+    verifier that does not set concurrent_checks, it may keep state."""
+
+    def __init__(self):
+        self.threads = []
+
+    def system(self, src, timeout_s=None):
+        self.threads.append(threading.current_thread())
+        return PassVerifier().system(src, timeout_s)
+
+    def function(self, src, name, timeout_s=None):
+        self.threads.append(threading.current_thread())
+        return PassVerifier().function(src, name, timeout_s)
+
+
+def test_an_in_process_verifier_is_checked_on_the_pipeline_thread():
+    verifier = ThreadVerifier()
+    verdict, _, _, _ = run(MULTI_LOW_SRC, dict(MULTI_LOW_SCRIPT), verifier,
+                           strategy=Strategy.PRE_ABSTRACTION, workers=3)
+    assert verdict.outcome is VerdictOutcome.VERIFIED
+    assert verifier.threads and set(verifier.threads) == {threading.current_thread()}
+
+
+def route_rule(src, mode):
+    # the system fails until gain is exact, route's own check fails on "t + 2"
+    if mode == "function:route" and "t + 2" in src.text:
+        return failure_output(
+            "(t + 2) == __ESBMC_return_value",
+            steps=[{"function": "route", "line": 6,
+                    "assigns": [("t", "3"), ("__ESBMC_return_value", "4")]}],
+            at_function="route")
+    return chain_rule(src, mode)
+
+
+ROUTE_SCRIPT = dict(
+    CHAIN_SCRIPT,
+    **{"route|initial": contract_reply(assigns=("t",),
+                                       ensures=("__ESBMC_return_value == t + 2",)),
+       "route|relax": contract_reply(assigns=("t",),
+                                     ensures=("__ESBMC_return_value == t + 1",))})
+
+
+def lift_rule(src, mode):
+    # the system fails until deep's precise contract is in, lift's own check
+    # fails on "k + 11"
+    if mode == "function:lift" and "k + 11" in src.text:
+        return failure_output(
+            "(k + 11) == __ESBMC_return_value",
+            steps=[{"function": "lift", "line": 9,
+                    "assigns": [("k", "0"), ("__ESBMC_return_value", "10")]}],
+            at_function="lift")
+    if mode == "system" and "__ESBMC_return_value >= 5" not in src.text:
+        return failure_output(
+            "y >= 15",
+            steps=[{"function": "main", "line": 14, "assigns": [("x", "0")]},
+                   {"function": "main", "line": 15, "assigns": [("y", "10")]}])
+    return success_output()
+
+
+LIFT_SCRIPT = {
+    "deep|overapproximate": contract_reply(assigns=("n",),
+                                           ensures=("__ESBMC_return_value >= 0",)),
+    "deep|initial": contract_reply(assigns=("n",), ensures=("__ESBMC_return_value >= 5",)),
+    "lift|initial": contract_reply(assigns=("k",), ensures=("__ESBMC_return_value == k + 11",)),
+    "lift|relax": contract_reply(assigns=("k",), ensures=("__ESBMC_return_value == k + 10",)),
+}
+
+
+@pytest.mark.parametrize("src, script, rule, strategy", [
+    (CHAIN_SRC, ROUTE_SCRIPT, route_rule, Strategy.SMART_ICE),
+    (SUBST_SRC, LIFT_SCRIPT, lift_rule, Strategy.PRE_ABSTRACTION),
+], ids=["smart-ice", "pre-abstraction"])
+def test_worker_count_keeps_the_log_of_failing_rounds(src, script, rule, strategy):
+    from contractor.harness import canonical_run_bytes
+
+    runs = {}
+    for workers in (1, 3):
+        verdict, log, _, verifier = run(src, dict(script), RuleVerifier(rule),
+                                        strategy=strategy, workers=workers)
+        assert verdict.outcome is VerdictOutcome.VERIFIED
+        checks = [(e["mode"], e["status"], e["iteration"])
+                  for e in log.of_kind("verification")]
+        runs[workers] = (canonical_run_bytes(verdict, log), checks, sorted(verifier.calls))
+    assert runs[1] == runs[3]
+    # the first round failed on the system side and on a function's own check
+    first = [(mode, status) for mode, status, i in runs[1][1][:3]]
+    assert ("system", "fail") in first
+    assert any(m.startswith("function:") and s == "fail" for m, s in first)
 
 
 # -- the entry points the benchmark's tracer rebinds ---------------------------
