@@ -9,11 +9,24 @@ Failures are classified before anything touches the database:
                     violation driven by a nondet input nothing assumed over
     semantic        a real behavioural mismatch
 
-Only the last two may enter the negative set. Tool-level noise is recorded by
-the run log and never mutates the database; the reason: one bad backend run
-polluting E- poisons every later synthesis prompt. Admissions that
-clash with the opposite polarity go to the conflict log instead, keeping
-E+ and E- disjoint at all times.
+Only the last two may teach a state. Tool-level noise is recorded by the run
+log and never mutates the database; the reason: one bad backend run
+polluting the examples poisons every later synthesis prompt.
+
+Examples are labelled as in ICE (Garg, Löding, Madhusudan and Neider, CAV
+2014), once each, by the check that produced them. A function check's
+semantic counterexample is a state the implementation really reaches: it
+enters E+ for that function. An unconstrained_init function failure was
+driven by an input nothing assumed over, so it teaches no state. A system
+counterexample breaks the property: the blamed function's state enters E-.
+Loop iterations give implication pairs either way. Admissions that clash
+with the opposite polarity go to the conflict log instead, keeping E+ and
+E- disjoint at all times.
+
+Every prompt reads the database through `render_examples`. It shows one
+function's own sections only, since a sample constrains only the predicate
+being learned, and keeps the most recent DIAGNOSTIC_EXAMPLE_LIMIT entries of
+each.
 """
 
 from __future__ import annotations
@@ -21,7 +34,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from .contracts import Contract, ParseFailure
 from .errors import NoResponsibleFunctionError
@@ -309,116 +322,41 @@ def render_trace(parsed: ParsedCounterexample) -> str:
     return "\n".join(lines)
 
 
-def _render_example_pool(
-    pool: Sequence[StateExample],
-    limit: int = DIAGNOSTIC_EXAMPLE_LIMIT,
-) -> List[str]:
+def render_examples(db: IceDatabase, function: str) -> str:
+    """function's own E+, E-, implication pairs and refused admissions, the
+    most recent DIAGNOSTIC_EXAMPLE_LIMIT of each: same inputs, same bytes."""
+    sections = (
+        (POSITIVE_SECTION, [ex.render() for ex in db.positive_for(function)]),
+        (NEGATIVE_SECTION, [ex.render() for ex in db.negative_for(function)]),
+        (IMPLICATION_SECTION, [f"{{{pre.render()}}} -> {{{post.render()}}}"
+                               for pre, post in db.implications if pre.function == function]),
+        (CONFLICT_SECTION, [f"refused {rec.polarity}: {rec.candidate.render()}"
+                            for rec in db.conflicts if rec.candidate.function == function]),
+    )
     lines: List[str] = []
-    by_fn: Dict[str, List[StateExample]] = {}
-    for ex in pool:
-        by_fn.setdefault(ex.function, []).append(ex)
-    for fn in sorted(by_fn):
-        examples = by_fn[fn]
-        omitted = len(examples) - limit
+    for title, items in sections:
+        lines.append(title)
+        omitted = len(items) - DIAGNOSTIC_EXAMPLE_LIMIT
         if omitted > 0:
-            lines.append(f"  {fn}: ({omitted} earlier omitted)")
-        for ex in examples[-limit:]:
-            lines.append(f"  {fn}: {ex.render()}")
-    if not lines:
-        lines.append("  (none)")
-    return lines
+            lines.append(f"  {function}: ({omitted} earlier omitted)")
+        lines += [f"  {function}: {item}" for item in items[-DIAGNOSTIC_EXAMPLE_LIMIT:]]
+        if not items:
+            lines.append("  (none)")
+    return "\n".join(lines)
 
 
 def render_diagnostics(
     db: IceDatabase,
     parsed: Optional[ParsedCounterexample],
     classification: Classification,
+    function: str,
 ) -> str:
-    """Deterministic diagnostics block for synthesis prompts: same inputs,
-    same bytes. Most recent examples win when a pool overflows the cap."""
+    """Diagnostics block for a relax or strengthen prompt on function: the
+    failure category, the counterexample, then function's examples."""
     lines = [f"Failure category: {classification.category.value}"]
     if parsed is not None:
         lines.append(render_trace(parsed))
     else:
         lines.append("Violated property: (no counterexample available)")
-    lines.append(POSITIVE_SECTION)
-    lines += _render_example_pool(db.positives)
-    lines.append(NEGATIVE_SECTION)
-    lines += _render_example_pool(db.negatives)
-    lines.append(IMPLICATION_SECTION)
-    if db.implications:
-        for pre, post in db.implications[-DIAGNOSTIC_EXAMPLE_LIMIT:]:
-            lines.append(f"  {pre.function}: {{{pre.render()}}} -> {{{post.render()}}}")
-    else:
-        lines.append("  (none)")
-    lines.append(CONFLICT_SECTION)
-    if db.conflicts:
-        for rec in db.conflicts[-DIAGNOSTIC_EXAMPLE_LIMIT:]:
-            lines.append(
-                f"  refused {rec.polarity} for {rec.candidate.function}: {rec.candidate.render()}"
-            )
-    else:
-        lines.append("  (none)")
+    lines.append(render_examples(db, function))
     return "\n".join(lines)
-
-
-def to_text(db: IceDatabase) -> str:
-    """Line format: one record per line.
-       + fn a=1;b=2        positive
-       - fn a=0            negative
-       > fn {a=0} => {a=1} implication
-       ! negative fn a=1   refused admission (conflict log)
-    """
-    def pairs(ex: StateExample) -> str:
-        return ";".join(f"{k}={v}" for k, v in ex.items)
-
-    lines: List[str] = []
-    for ex in db.positives:
-        lines.append(f"+ {ex.function} {pairs(ex)}")
-    for ex in db.negatives:
-        lines.append(f"- {ex.function} {pairs(ex)}")
-    for pre, post in db.implications:
-        lines.append(f"> {pre.function} {{{pairs(pre)}}} => {{{pairs(post)}}}")
-    for rec in db.conflicts:
-        lines.append(f"! {rec.polarity} {rec.candidate.function} {pairs(rec.candidate)}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _parse_pairs(text: str) -> Dict[str, str]:
-    out: Dict[str, str] = {}
-    for part in text.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        name, _, value = part.partition("=")
-        out[name.strip()] = value.strip()
-    return out
-
-
-def from_text(text: str) -> IceDatabase:
-    db = IceDatabase()
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        tag, _, rest = line.partition(" ")
-        if tag == "+":
-            fn, _, pairs = rest.partition(" ")
-            db.positives.append(StateExample.make(fn, _parse_pairs(pairs), "loaded"))
-        elif tag == "-":
-            fn, _, pairs = rest.partition(" ")
-            db.negatives.append(StateExample.make(fn, _parse_pairs(pairs), "loaded"))
-        elif tag == ">":
-            fn, _, pairs = rest.partition(" ")
-            m = re.match(r"\{(.*)\}\s*=>\s*\{(.*)\}", pairs)
-            if m:
-                db.implications.append((
-                    StateExample.make(fn, _parse_pairs(m.group(1)), "loaded"),
-                    StateExample.make(fn, _parse_pairs(m.group(2)), "loaded"),
-                ))
-        elif tag == "!":
-            polarity, _, tail = rest.partition(" ")
-            fn, _, pairs = tail.partition(" ")
-            ex = StateExample.make(fn, _parse_pairs(pairs), "loaded")
-            db.conflicts.append(ConflictRecord(polarity, ex, ex))
-    return db

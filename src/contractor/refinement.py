@@ -39,6 +39,7 @@ from .errors import (
     NoResponsibleFunctionError,
 )
 from .ice import (
+    Category,
     Classification,
     IceDatabase,
     Level,
@@ -140,8 +141,6 @@ class _Ctx:
         self.deadline = time.monotonic() + cfg.timeout_s
         self.stage = "initial"
         self.iterations = 0
-        # last counterexample valuation seen per function, for positive snapshots
-        self.last_valuation: Dict[str, Dict[str, str]] = {}
         self.last_parsed: Dict[str, object] = {}
         self.last_cls: Dict[str, Classification] = {}
         self.contracts: Dict[str, Contract] = {}
@@ -227,11 +226,11 @@ def _keep(ctx: _Ctx, contracts: Dict[str, Contract], fname: str,
 
 
 def _ask(ctx: _Ctx, contracts: Dict[str, Contract], f: FunctionInfo,
-         intent: SynthesisIntent, diagnostics: str = "") -> None:
+         intent: SynthesisIntent) -> None:
     """Ask the client for f's contract under intent, revising the one in
     contracts, and keep the reply there. CEGIS under SMART ICE shows the
-    model the example database."""
-    req = _request(ctx, f, intent, contracts.get(f.name), diagnostics)
+    model f's examples."""
+    req = _request(ctx, f, intent, contracts.get(f.name), _diagnostics_for(ctx, f.name, intent))
     if intent is SynthesisIntent.CEGIS and ctx.cfg.strategy is Strategy.SMART_ICE:
         result = cegis_synthesize(req, ctx.client, ctx.db, retries=ctx.cfg.retries,
                                   log=ctx.log)
@@ -240,11 +239,15 @@ def _ask(ctx: _Ctx, contracts: Dict[str, Contract], f: FunctionInfo,
     _keep(ctx, contracts, f.name, result)
 
 
-def _diagnostics_for(ctx: _Ctx, fname: str) -> str:
-    parsed = ctx.last_parsed.get(fname)
-    cls = ctx.last_cls.get(fname)
+def _diagnostics_for(ctx: _Ctx, fname: str, intent: SynthesisIntent) -> str:
+    """What the checker reported, for a relax prompt (fname's own last
+    failure) or a strengthen prompt (the system counterexample); under SMART
+    ICE with fname's examples. Other intents get none."""
+    key = {SynthesisIntent.RELAX: fname, SynthesisIntent.STRENGTHEN: "__system__"}.get(intent)
+    parsed = ctx.last_parsed.get(key)
+    cls = ctx.last_cls.get(key)
     if ctx.cfg.strategy is Strategy.SMART_ICE and cls is not None:
-        return render_diagnostics(ctx.db, parsed, cls)
+        return render_diagnostics(ctx.db, parsed, cls, fname)
     if parsed is not None:
         return render_trace(parsed)
     return ""
@@ -288,67 +291,33 @@ def _blame(ctx: _Ctx, parsed: ParsedCounterexample,
 
 
 def _learn(ctx: _Ctx, parsed: ParsedCounterexample, cls: Classification, target: str,
-           provenance: str, names: List[str]) -> Dict[str, str]:
-    """Under SMART ICE, admit target's state in the counterexample as a
-    negative example and the loop-iteration implication pairs of every
-    function in names. Returns target's state."""
-    valuation = valuation_for(parsed, target) or parsed.key_map()
+           provenance: str, names: List[str]) -> None:
+    """Under SMART ICE, label target's state in the counterexample once, by
+    the check it came from: a system counterexample's state is a negative
+    example, a function check's semantic one a positive (the implementation
+    reaches it), an unconstrained_init one none. Then add the loop-iteration
+    implication pairs of every function in names."""
     if ctx.cfg.strategy is not Strategy.SMART_ICE:
-        return valuation
-    if valuation:
+        return
+    valuation = valuation_for(parsed, target) or parsed.key_map()
+    system = provenance == "system"
+    if valuation and (system or cls.category is Category.SEMANTIC):
         ex = StateExample.make(target, valuation, provenance=provenance)
-        action = admit(ctx.db, cls, ex)
+        action = admit(ctx.db, cls, ex) if system else record_positive(ctx.db, ex)
         ctx.log.event("db", action=action, function=target, **_db_sizes(ctx.db))
     for name in names:
         if ctx.db.add_implications(extract_implications(parsed, name)):
             ctx.log.event("db", action="implications", function=name, **_db_sizes(ctx.db))
-    return valuation
-
-
-def _absorb_failure(ctx: _Ctx, fname: str, result: VerificationResult,
-                    provenance: str) -> None:
-    """Classify a failing function check, remember its trace, and feed the
-    database."""
-    cls = _classified(ctx, fname, result)
-    if cls is None:
-        return
-    valuation = _learn(ctx, result.parsed, cls, fname, provenance, [fname])
-    if valuation:
-        ctx.last_valuation[fname] = valuation
 
 
 def _absorb_system_failure(ctx: _Ctx, result: VerificationResult) -> None:
     cls = _classified(ctx, "__system__", result)
-    if cls is None:
+    if cls is None or ctx.cfg.strategy is not Strategy.SMART_ICE:
         return
-    parsed = result.parsed
-    # stash per-function valuations for later positive snapshots
-    for name in sorted(ctx.contracts):
-        vals = valuation_for(parsed, name)
-        if vals:
-            ctx.last_valuation[name] = vals
-    if ctx.cfg.strategy is not Strategy.SMART_ICE:
-        return
-    target, fallback = _blame(ctx, parsed, ctx.contracts)
+    target, fallback = _blame(ctx, result.parsed, ctx.contracts)
     ctx.log.event("weakest_link", chosen=target, fallback=fallback)
     if target is not None:
-        _learn(ctx, parsed, cls, target, "system", sorted(ctx.contracts))
-
-
-def _record_pass_snapshots(ctx: _Ctx) -> None:
-    if ctx.cfg.strategy is not Strategy.SMART_ICE:
-        return
-    for fname in sorted(ctx.contracts):
-        r = ctx.fn_results.get(fname)
-        if r is None or r.status is not Status.PASS:
-            continue
-        valuation = ctx.last_valuation.get(fname)
-        if not valuation:
-            continue
-        ex = StateExample.make(fname, valuation, provenance="passing_check")
-        action = record_positive(ctx.db, ex)
-        if action != "duplicate":
-            ctx.log.event("db", action=action, function=fname, **_db_sizes(ctx.db))
+        _learn(ctx, result.parsed, cls, target, "system", sorted(ctx.contracts))
 
 
 def _key(instr: InstrumentedSource) -> Tuple[str, str]:
@@ -433,14 +402,14 @@ def _verify_round(ctx: _Ctx, contracts: Dict[str, Contract]) -> None:
         for name, instr, fut in zip(names, instrs[1:], queued[1:]):
             result = _take(ctx, instr, fut)
             ctx.fn_results[name] = result
-            if result.status is not Status.PASS:
-                _absorb_failure(ctx, name, result, provenance="function")
+            cls = None if result.status is Status.PASS else _classified(ctx, name, result)
+            if cls is not None:
+                _learn(ctx, result.parsed, cls, name, "function", [name])
     finally:
         if pool is not None:
             # a running check was given no more than the budget left, so this
             # waits no longer than the budget; a queued one never starts
             pool.shutdown(wait=True, cancel_futures=True)
-    _record_pass_snapshots(ctx)
 
 
 def _falsified(ctx: _Ctx) -> Verdict:
@@ -604,13 +573,12 @@ def _run_cegar(ctx: _Ctx) -> Optional[Verdict]:
         for fname in _failing_functions(ctx):
             f = ctx.model.function(fname)
             if fname in contracts:
-                _ask(ctx, contracts, f, SynthesisIntent.RELAX, _diagnostics_for(ctx, fname))
+                _ask(ctx, contracts, f, SynthesisIntent.RELAX)
             else:
                 _ask(ctx, contracts, f, SynthesisIntent.INITIAL)
         target = _system_target(ctx, contracts)
         if target is not None:
-            _ask(ctx, contracts, ctx.model.function(target), SynthesisIntent.STRENGTHEN,
-                 _diagnostics_for(ctx, "__system__"))
+            _ask(ctx, contracts, ctx.model.function(target), SynthesisIntent.STRENGTHEN)
         ctx.iterations += 1
         ctx.log.event("iteration", loop="cegar", index=k,
                       failing=_failing_functions(ctx))
@@ -806,8 +774,9 @@ def _run_pre_abstraction(ctx: _Ctx) -> Verdict:
             ctx.log.event("substitute", function=f.name, kept="precise")
         else:
             ctx.log.event("substitute", function=f.name, kept="abstraction")
-            if check.status is Status.FAIL:
-                _absorb_failure(ctx, f.name, check, provenance="phase4")
+            cls = _classified(ctx, f.name, check) if check.status is Status.FAIL else None
+            if cls is not None:
+                _learn(ctx, check.parsed, cls, f.name, "phase4", [f.name])
 
     ctx.set_stage("pre_abstraction:5")
     _verify_round(ctx, dict(ctx.contracts))

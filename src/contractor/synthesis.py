@@ -26,7 +26,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 from . import cexpr
 from .contracts import Contract, ContractOrigin, ParseFailure, parse_contract_text
 from .errors import ClientUnavailableError
-from .ice import IceDatabase, StateExample
+from .ice import IceDatabase, StateExample, render_examples
 from .program_model import FunctionInfo
 from .runlog import RunLog
 
@@ -403,31 +403,6 @@ def overapproximate(
         log.event("synthesis", function=f.name, intent=SynthesisIntent.OVERAPPROXIMATE.value,
                   attempt=-1, prompt="", outcome="fallback", reason=None)
     return fallback
-
-
-def render_examples(db: IceDatabase, function: str) -> str:
-    """Full example sets for a cegis prompt. All functions' examples are shown;
-    the target function's own come first."""
-    lines: List[str] = []
-
-    def pool(title: str, pool_list: List[StateExample]) -> None:
-        lines.append(title)
-        ordered = [e for e in pool_list if e.function == function]
-        ordered += [e for e in pool_list if e.function != function]
-        if not ordered:
-            lines.append("  (none)")
-        for ex in ordered:
-            lines.append(f"  {ex.function}: {ex.render()}")
-
-    pool("Known-good states (E+):", db.positives)
-    pool("Known-bad states (E-):", db.negatives)
-    lines.append("Implication pairs:")
-    if db.implications:
-        for pre, post in db.implications:
-            lines.append(f"  {pre.function}: {{{pre.render()}}} -> {{{post.render()}}}")
-    else:
-        lines.append("  (none)")
-    return "\n".join(lines)
 
 
 def _example_env(ex: StateExample) -> Dict[str, int]:

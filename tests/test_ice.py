@@ -19,11 +19,10 @@ from contractor.ice import (
     admit,
     classify,
     extract_implications,
-    from_text,
     normalize_value,
     record_positive,
     render_diagnostics,
-    to_text,
+    render_examples,
     valuation_for,
     weakest_link,
 )
@@ -279,7 +278,7 @@ def test_weakest_link_no_candidate_raises():
 
 def test_diagnostics_sections_always_present():
     db = IceDatabase()
-    text = render_diagnostics(db, None, sem())
+    text = render_diagnostics(db, None, sem(), "f")
     for section in ("Known-good states (E+):", "Known-bad states (E-):",
                     "Implication pairs:", "Conflicts:"):
         assert section in text
@@ -290,7 +289,7 @@ def test_diagnostics_truncation_keeps_most_recent():
     db = IceDatabase()
     for i in range(14):
         admit(db, sem(), StateExample.make("f", {"x": str(i)}))
-    text = render_diagnostics(db, None, sem())
+    text = render_diagnostics(db, None, sem(), "f")
     assert "(4 earlier omitted)" in text
     assert "x=13" in text
     assert "x=3" not in text  # dropped: only the 10 most recent render
@@ -300,28 +299,21 @@ def test_diagnostics_deterministic():
     db = IceDatabase()
     admit(db, sem(), StateExample.make("f", {"x": "1"}))
     record_positive(db, StateExample.make("g", {"y": "2"}))
-    a = render_diagnostics(db, None, sem())
-    b = render_diagnostics(db, None, sem())
+    a = render_diagnostics(db, None, sem(), "f")
+    b = render_diagnostics(db, None, sem(), "f")
     assert a == b
 
 
-def test_db_text_round_trip():
+def test_render_examples_shows_only_the_target_function():
     db = IceDatabase()
-    record_positive(db, StateExample.make("f", {"x": "1", "y": "2"}))
-    admit(db, sem(), StateExample.make("g", {"n": "0"}))
-    out = failure_output("s == 1", steps=[
-        {"function": "f", "line": 1, "assigns": [("s", "0")]},
-        {"function": "f", "line": 2, "assigns": [("s", "1")]},
-    ])
-    db.implications.extend(extract_implications(parsed_from(out), "f"))
-    record_positive(db, StateExample.make("g", {"n": "0"}))  # conflict entry
-
-    text = to_text(db)
-    back = from_text(text)
-    assert [e.items for e in back.positives] == [e.items for e in db.positives]
-    assert [e.items for e in back.negatives] == [e.items for e in db.negatives]
-    assert len(back.implications) == len(db.implications)
-    assert [c.polarity for c in back.conflicts] == [c.polarity for c in db.conflicts]
+    admit(db, sem(), StateExample.make("other", {"y": "9"}))
+    admit(db, sem(), StateExample.make("inc", {"x": "1"}))
+    record_positive(db, StateExample.make("inc", {"x": "5"}))
+    text = render_examples(db, "inc")
+    neg = text.index("Known-bad states (E-):")
+    assert text.index("inc: x=1") > neg
+    assert text.index("Known-good states (E+):") < text.index("inc: x=5") < neg
+    assert "other" not in text and "y=9" not in text
 
 
 @st.composite

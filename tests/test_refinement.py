@@ -25,6 +25,12 @@ from conftest import (
 )
 from contractor.contracts import ContractOrigin
 from contractor.errors import DeadlineExceededError
+from contractor.ice import (
+    DIAGNOSTIC_EXAMPLE_LIMIT,
+    IMPLICATION_SECTION,
+    POSITIVE_SECTION,
+    IceDatabase,
+)
 from contractor.program_model import parse_program
 from contractor.refinement import (
     PipelineConfig,
@@ -839,6 +845,100 @@ def test_worker_count_keeps_the_log_of_failing_rounds(src, script, rule, strateg
     first = [(mode, status) for mode, status, i in runs[1][1][:3]]
     assert ("system", "fail") in first
     assert any(m.startswith("function:") and s == "fail" for m, s in first)
+
+
+# -- each state labelled once, each prompt shown its own function's examples ---
+
+def examples_rule(keep_a: str):
+    """keep's check fails on "a + 1" with a = keep_a; step's always fails on
+    "< -", through a loop that reassigns i twelve times."""
+    def rule(src, mode):
+        if mode == "function:keep" and "a + 1" in src.text:
+            return failure_output(
+                "(a + 1) == __ESBMC_return_value",
+                steps=[{"function": "keep", "line": 2,
+                        "assigns": [("a", keep_a), ("__ESBMC_return_value", "2")]}],
+                at_function="keep")
+        if mode == "function:step" and "< -" in src.text:
+            loop = [{"function": "step", "line": 6, "assigns": [("i", str(k))]}
+                    for k in range(13)]
+            return failure_output(
+                "contract postcondition",
+                steps=[{"function": "step", "line": 5, "assigns": [("z", "0")]}] + loop
+                + [{"function": "step", "line": 7,
+                    "assigns": [("__ESBMC_return_value", "-7")]}],
+                at_function="step")
+        return success_output()
+    return rule
+
+
+def examples_run(monkeypatch, keep_a: str = "2"):
+    """keep fails its first check and passes once relaxed; step fails every
+    check through CEGIS. Returns run()'s tuple plus the example database."""
+    from contractor import refinement
+
+    made = []
+
+    class Kept(IceDatabase):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(refinement, "IceDatabase", Kept)
+    wrong = lambda n: contract_reply(assigns=("z",),
+                                     ensures=(f"__ESBMC_return_value < -{n}",))
+    script = {
+        "keep|initial": contract_reply(assigns=("a",),
+                                       ensures=("__ESBMC_return_value == a + 1",)),
+        "keep|relax": contract_reply(assigns=("a",), ensures=("__ESBMC_return_value == a",)),
+        "step|initial": wrong(5),
+        "step|relax": wrong(6),
+        "step|cegis": wrong(7),
+    }
+    out = run(KEEP_STEP_SRC, script, RuleVerifier(examples_rule(keep_a)),
+              k_cegar=1, k_cegis=1)
+    return out + (made[-1],)
+
+
+def test_a_function_counterexample_is_a_positive_example(monkeypatch):
+    verdict, log, _, _, db = examples_run(monkeypatch)
+    assert verdict.outcome is VerdictOutcome.INCONCLUSIVE
+    assert verdict.status_map()["keep"] == "pass"
+    state = (("__ESBMC_return_value", "2"), ("a", "2"))
+    assert [(e.items, e.provenance) for e in db.positive_for("keep")] == [(state, "function")]
+    assert db.negatives == [] and db.conflicts == []
+    actions = [(e["action"], e["function"]) for e in log.of_kind("db")]
+    assert ("recorded_positive", "keep") in actions
+    assert all(action != "blocked_conflict" for action, _ in actions)
+
+
+def test_an_unconstrained_function_failure_teaches_no_state(monkeypatch):
+    verdict, log, _, _, db = examples_run(monkeypatch, keep_a="nondet_symbol!0")
+    assert verdict.outcome is VerdictOutcome.INCONCLUSIVE
+    assert [e["category"] for e in log.of_kind("classification")
+            if e["function"] == "keep"] == ["unconstrained_init"]
+    assert db.positive_for("keep") == [] and db.negative_for("keep") == []
+    assert [e["action"] for e in log.of_kind("db") if e["function"] == "keep"] == []
+
+
+def test_a_cegis_prompt_shows_only_its_function_capped(monkeypatch):
+    _, log, _, _, db = examples_run(monkeypatch)
+    assert any(e.function == "keep" for e in db.positives + db.negatives)
+    assert len(db.implications) > DIAGNOSTIC_EXAMPLE_LIMIT
+    (prompt,) = prompts(log, "cegis")
+    block = prompt[prompt.index(POSITIVE_SECTION):prompt.index("\n\nCurrent contract:")]
+    sections: Dict[str, list] = {}
+    for line in block.splitlines():
+        if line.startswith("  "):
+            sections[title].append(line)
+        else:
+            title = line
+            sections[title] = []
+    for title, lines in sections.items():
+        shown = [ln for ln in lines if ln != "  (none)" and "earlier omitted" not in ln]
+        assert len(shown) <= DIAGNOSTIC_EXAMPLE_LIMIT, title
+        assert all(ln.startswith("  step: ") for ln in shown), (title, shown)
+    assert "  step: (2 earlier omitted)" in sections[IMPLICATION_SECTION]
 
 
 # -- the entry points the benchmark's tracer rebinds ---------------------------

@@ -31,7 +31,6 @@ from contractor.synthesis import (
     make_client,
     overapproximate,
     prompt_digest,
-    render_examples,
     render_prompt,
     synthesize,
 )
@@ -286,19 +285,6 @@ def test_overapproximate_falls_back_on_persistent_parse_failure():
     model = parse_program(INC)
     c = overapproximate(model.function("increment"), "r > n", client, retries=1)
     assert c.origin is ContractOrigin.HEURISTIC_FALLBACK
-
-
-def test_render_examples_target_function_first():
-    db = IceDatabase()
-    sem = Classification(Level.SEMANTIC, Category.SEMANTIC)
-    admit(db, sem, StateExample.make("other", {"y": "9"}))
-    admit(db, sem, StateExample.make("inc", {"x": "1"}))
-    record_positive(db, StateExample.make("inc", {"x": "5"}))
-    text = render_examples(db, "inc")
-    neg = text.index("Known-bad states (E-):")
-    assert text.index("inc: x=1") > neg
-    assert text.index("inc: x=1") < text.index("other: y=9")
-    assert "Known-good states (E+):" in text
 
 
 def test_cegis_synthesize_flags_inconsistency():
