@@ -9,7 +9,6 @@ table. Exit code for `verify` is 0/1/2 for verified/falsified/inconclusive;
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from dataclasses import replace
@@ -24,6 +23,7 @@ from .harness import (
     run_suite,
     write_report,
 )
+from .mock_backend import source_digest
 from .program_model import DEFAULT_WEIGHTS, load_weight_table
 from .refinement import PipelineConfig, Strategy, VerdictOutcome
 from .synthesis import make_client
@@ -126,8 +126,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         Path(args.runlog).write_text(report.log.to_jsonl(), encoding="utf-8")
     if args.report:
         payload = report.to_dict()
-        payload["canonical_sha256"] = hashlib.sha256(
-            canonical_run_bytes(report.verdict, report.log)).hexdigest()
+        payload["canonical_sha256"] = source_digest(
+            canonical_run_bytes(report.verdict, report.log))
         Path(args.report).write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     v = report.verdict

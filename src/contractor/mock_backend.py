@@ -9,29 +9,49 @@ plain text: a one-line header, then the backend output verbatim.
 The mode field exists because enforce- and replace-mode instrumentations of a
 one-function program can be byte-identical; the digest alone cannot key them.
 A check reads exactly one file, `transcript_name(digest, mode)`, and replays
-it only if its header carries that digest and that mode. Output bytes are
-replayed exactly, so repeated runs are bit-identical. Anything else is a miss:
-a loud non-verdict line, which the driver maps to a tool error.
+it only if its header carries that digest and that mode. The output is
+written to stdout as its UTF-8 bytes, whatever the stdout encoding, so
+repeated runs are bit-identical. Anything else is a miss: a loud non-verdict
+line, which the driver maps to a tool error.
+
+The driver starts this file as a script, `python -I -S mock_backend.py ...`,
+so a check pays for a bare interpreter start and nothing more: the module
+imports only `os`, `sys`, `time` and CPython's built-in SHA-256, never
+`site`, `argparse`, `typing` or the rest of `contractor`. Arguments are read
+by hand: the last one is the source file, `--enforce-contract NAME` makes the
+mode `function:NAME` (else `system`), `--fixtures DIR` overrides
+CONTRACTOR_MOCK_FIXTURES, and every other argument is ignored.
+
+`source_digest` is the package's one SHA-256. It lives here so that neither a
+check nor the pipeline process loads OpenSSL's `_hashlib` for it.
 """
 
-from __future__ import annotations
-
-import argparse
-import hashlib
 import os
 import sys
 import time
-from typing import Optional, Tuple
+
+try:
+    from _sha2 import sha256 as _sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # CPython 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 HEADER_PREFIX = "# digest="
 FIXTURES_ENV = "CONTRACTOR_MOCK_FIXTURES"
+ENFORCE_FLAG = "--enforce-contract"
+FIXTURES_FLAG = "--fixtures"
 
 
-def source_digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def source_digest(data: str | bytes) -> str:
+    """SHA-256 hex digest of bytes, or of a str's UTF-8 encoding."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return _sha256(data).hexdigest()
 
 
-def lookup(fixtures_dir: str, digest: str, mode: str) -> Optional[Tuple[str, float]]:
+def lookup(fixtures_dir: str, digest: str, mode: str) -> tuple[str, float] | None:
     """(output, sleep_s) of the file `transcript_name(digest, mode)` names, if
     its header carries exactly this digest and mode; None otherwise."""
     try:
@@ -58,7 +78,7 @@ def write_transcript(
     source_text: str,
     mode: str,
     output: str,
-    sleep_s: Optional[float] = None,
+    sleep_s: float | None = None,
 ) -> str:
     """Record one fixture; overwrites any previous recording for the same key.
     Returns the file path."""
@@ -74,36 +94,37 @@ def write_transcript(
     return path
 
 
-def main(argv: Optional[list] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="contractor-mock-bmc",
-        description="replay recorded backend transcripts by source digest",
-    )
-    parser.add_argument("--fixtures", default=os.environ.get(FIXTURES_ENV),
-                        help="transcript directory (or set %s)" % FIXTURES_ENV)
-    parser.add_argument("--enforce-contract", dest="enforce", default=None)
-    parser.add_argument("--replace-call-with-contract", dest="replace",
-                        action="append", default=[])
-    parser.add_argument("source", nargs=1)
-    args, _unknown = parser.parse_known_args(argv)
+def main(argv: list[str] | None = None) -> int:
+    args = sys.argv[1:] if argv is None else list(argv)
+    if not args:
+        print("usage: contractor-mock-bmc [--fixtures DIR] [--enforce-contract NAME] "
+              "[other flags, ignored] SOURCE", file=sys.stderr)
+        return 2
+    read = {FIXTURES_FLAG: os.environ.get(FIXTURES_ENV), ENFORCE_FLAG: None}
+    options = iter(args[:-1])
+    for arg in options:
+        if arg in read:
+            read[arg] = next(options, None)
+    fixtures, enforce = read[FIXTURES_FLAG], read[ENFORCE_FLAG]
 
-    if not args.fixtures or not os.path.isdir(args.fixtures):
+    if not fixtures or not os.path.isdir(fixtures):
         print("MOCK: no fixtures directory configured")
         return 0
 
-    with open(args.source[0], "r", encoding="utf-8", newline="") as fh:
+    with open(args[-1], "rb") as fh:
         digest = source_digest(fh.read())
-    mode = f"function:{args.enforce}" if args.enforce else "system"
+    mode = f"function:{enforce}" if enforce else "system"
 
-    hit = lookup(args.fixtures, digest, mode)
+    hit = lookup(fixtures, digest, mode)
     if hit is None:
         print(f"MOCK: no transcript for digest={digest} mode={mode}")
         return 0
     output, sleep_s = hit
     if sleep_s:
         time.sleep(sleep_s)
-    sys.stdout.write(output)
-    sys.stdout.flush()
+    out = sys.stdout.buffer
+    out.write(output.encode("utf-8"))
+    out.flush()
     return 0
 
 

@@ -16,7 +16,6 @@ stubs left to blame). Everything else, including budget exhaustion, is
 
 from __future__ import annotations
 
-import hashlib
 import re
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -53,6 +52,7 @@ from .ice import (
     valuation_for,
     weakest_link,
 )
+from .mock_backend import source_digest
 from .program_model import FunctionInfo, ProgramModel, partition_functions
 from .runlog import RunLog
 from .synthesis import (
@@ -321,7 +321,7 @@ def _absorb_system_failure(ctx: _Ctx, result: VerificationResult) -> None:
 
 
 def _key(instr: InstrumentedSource) -> Tuple[str, str]:
-    return (instr.mode, hashlib.sha256(instr.text.encode("utf-8")).hexdigest())
+    return (instr.mode, source_digest(instr.text))
 
 
 def _backend(ctx: _Ctx, instr: InstrumentedSource) -> Callable[[float], VerificationResult]:

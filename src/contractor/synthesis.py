@@ -12,7 +12,6 @@ hands the failure back.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import os
 import re
@@ -27,6 +26,7 @@ from . import cexpr
 from .contracts import Contract, ContractOrigin, ParseFailure, parse_contract_text
 from .errors import ClientUnavailableError
 from .ice import IceDatabase, StateExample, render_examples
+from .mock_backend import source_digest as prompt_digest
 from .program_model import FunctionInfo
 from .runlog import RunLog
 
@@ -171,10 +171,6 @@ class HttpLlmClient(LlmClient):
             return data["choices"][0]["message"]["content"]
         except (OSError, HTTPException, KeyError, IndexError, TypeError, ValueError) as exc:
             raise ClientUnavailableError(f"live endpoint failed: {exc}") from exc
-
-
-def prompt_digest(prompt: str) -> str:
-    return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)

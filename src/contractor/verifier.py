@@ -3,7 +3,10 @@
 One child process per check. The backend is anything that takes an annotated
 C file plus mode flags and prints a verdict marker; the bundled mock
 (`contractor.mock_backend`) replays recorded transcripts and is a first-class
-backend choice, not a test shim, so whole runs work offline.
+backend choice, not a test shim, so whole runs work offline. The mock is
+started as `python -I -S <path of mock_backend.py> <flags> <source>`: a
+stdlib-only script outside `site`, so a check costs about a bare interpreter
+start. Every other backend is started by its own name.
 """
 
 from __future__ import annotations
@@ -18,11 +21,12 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import mock_backend
 from .contracts import InstrumentedSource
 from .errors import BackendNotFoundError
-from .mock_backend import FIXTURES_ENV
+from .mock_backend import ENFORCE_FLAG, FIXTURES_ENV
 
-ENFORCE_FLAG = "--enforce-contract"
+MOCK_COMMAND = (sys.executable, "-I", "-S", mock_backend.__file__)
 REPLACE_FLAG = "--replace-call-with-contract"
 SUCCESS_MARKERS = ("VERIFICATION SUCCESSFUL",)
 FAILURE_MARKERS = ("VERIFICATION FAILED",)
@@ -208,10 +212,8 @@ class SubprocessVerifier:
             src_path = os.path.join(tmp, "program.c")
             with open(src_path, "w", encoding="utf-8") as fh:
                 fh.write(src.text)
-            backend = [cfg.backend_path]
-            if cfg.backend_path == "mock":
-                backend = [sys.executable, "-m", "contractor.mock_backend"]
-            cmd = backend + list(flags) + list(cfg.extra_flags) + [src_path]
+            backend = MOCK_COMMAND if cfg.backend_path == "mock" else (cfg.backend_path,)
+            cmd = [*backend, *flags, *cfg.extra_flags, src_path]
             env = dict(os.environ)
             if cfg.fixtures_dir:
                 env[FIXTURES_ENV] = cfg.fixtures_dir

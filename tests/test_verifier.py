@@ -3,6 +3,7 @@ against the bundled transcript-replay backend."""
 
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 
 from contractor.contracts import Contract, ContractOrigin, render_enforce, render_replace
 from contractor.errors import BackendNotFoundError
+from contractor import mock_backend
 from contractor.mock_backend import lookup, source_digest, transcript_name, write_transcript
 from contractor.program_model import parse_program
 from contractor.verifier import (
@@ -168,6 +170,24 @@ def test_digest_stability():
     assert source_digest("abc") != source_digest("abd")
 
 
+@pytest.mark.parametrize("text", ["", "int main() { return 0; }", "assert(r \u2265 n); // \u00e9\n"],
+                         ids=["empty", "ascii", "non-ascii"])
+def test_digest_equals_hashlib_sha256(text):
+    expected = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert source_digest(text) == expected
+    assert source_digest(text.encode("utf-8")) == expected
+
+
+def test_pipeline_imports_no_openssl_hashlib():
+    # the package's one digest uses CPython's built-in SHA-256
+    code = "import sys, contractor.harness, contractor.cli\nprint('_hashlib' in sys.modules)"
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-S", "-c", code],
+                         env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def _modules_loaded_by_mock_backend():
     # every mock check starts an interpreter that imports this module
     code = "import sys, contractor.mock_backend\nprint('\\n'.join(sorted(sys.modules)))"
@@ -252,3 +272,59 @@ def test_backend_script_finds_fixtures_in_the_environment(tmp_path):
     script.chmod(0o755)
     cfg = VerifierConfig(backend_path=str(script), fixtures_dir=str(fixtures), timeout_s=30.0)
     assert SubprocessVerifier(cfg).function(enf, "increment").status is Status.PASS
+
+
+def test_mock_ignores_valued_backend_args(tmp_path):
+    # a flag with a value ahead of the source must not be taken for the source
+    model = parse_program(INC)
+    enf = render_enforce(model, inc_contract())
+    write_transcript(str(tmp_path), enf.text, enf.mode, success_output())
+    cfg = VerifierConfig(backend_path="mock", fixtures_dir=str(tmp_path), timeout_s=30.0,
+                         extra_flags=("--unwind", "5"))
+    result = SubprocessVerifier(cfg).function(enf, "increment")
+    assert result.status is Status.PASS
+    assert result.command[-3:-1] == ("--unwind", "5")
+
+
+def test_mock_replays_utf8_bytes_whatever_the_stdout_encoding(tmp_path, monkeypatch):
+    # the wrapper runs `-m contractor.mock_backend` with site, so the
+    # interpreter honours PYTHONIOENCODING
+    model = parse_program(INC)
+    enf = render_enforce(model, inc_contract())
+    fixtures = tmp_path / "fixtures"
+    output = success_output().replace("Symex completed", "Symex completed: r \u2265 n")
+    write_transcript(str(fixtures), enf.text, enf.mode, output)
+    script = tmp_path / "mock-bmc"
+    script.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m contractor.mock_backend "$@"\n',
+                      encoding="utf-8")
+    script.chmod(0o755)
+    monkeypatch.setenv("PYTHONIOENCODING", "ascii")
+    cfg = VerifierConfig(backend_path=str(script), fixtures_dir=str(fixtures), timeout_s=30.0)
+    result = SubprocessVerifier(cfg).function(enf, "increment")
+    assert result.status is Status.PASS
+    assert result.raw_output == output
+
+
+def test_mock_check_command_loads_only_the_stdlib(tmp_path):
+    # re-run the exact command of a mock check under -X importtime
+    model = parse_program(INC)
+    enf = render_enforce(model, inc_contract())
+    write_transcript(str(tmp_path), enf.text, enf.mode, success_output())
+    cfg = VerifierConfig(backend_path="mock", fixtures_dir=str(tmp_path), timeout_s=30.0)
+    result = SubprocessVerifier(cfg).function(enf, "increment")
+    assert result.status is Status.PASS
+    cmd = list(result.command)
+    assert cmd[:4] == [sys.executable, "-I", "-S", mock_backend.__file__]
+    source = tmp_path / "program.c"  # the check's own temporary copy is gone
+    source.write_text(enf.text, encoding="utf-8")
+    rerun = subprocess.run([cmd[0], "-X", "importtime", *cmd[1:-1], str(source)],
+                           env=dict(os.environ, CONTRACTOR_MOCK_FIXTURES=str(tmp_path)),
+                           capture_output=True, text=True, timeout=30)
+    assert rerun.stdout == success_output()
+    loaded = [line.rsplit("|", 1)[1].strip() for line in rerun.stderr.splitlines()
+              if line.startswith("import time:") and line.count("|") == 2]
+    assert "os" in loaded
+    forbidden = [m for m in loaded
+                 if m in ("argparse", "typing", "_hashlib", "hashlib", "site")
+                 or m.split(".")[0] == "contractor"]
+    assert forbidden == []
