@@ -7,6 +7,14 @@ system-level failures strengthen the weakest responsible one. Two identical
 iterations in a row count as stagnation, which triggers ensures-clause
 reduction and an escalation to example-guided synthesis.
 
+The last round's results are the one record later steps read. The weakest
+link is chosen once per system counterexample, by `_hold_system`, on the
+contract set that produced it (after a drop, the full set whose survivors
+were checked). Its E- label under SMART ICE, the CEGAR strengthen ask and
+CEGIS's ask when only the system check fails all use that choice. Relax and
+strengthen diagnostics show the last round's own check: the function's, or
+the system's.
+
 After every round `_conclude` decides: `verified` only when one single
 contract set passes the system check and every function's own check at once,
 `falsified` only on a system counterexample against fully concrete code (no
@@ -141,11 +149,11 @@ class _Ctx:
         self.deadline = time.monotonic() + cfg.timeout_s
         self.stage = "initial"
         self.iterations = 0
-        self.last_parsed: Dict[str, object] = {}
-        self.last_cls: Dict[str, Classification] = {}
         self.contracts: Dict[str, Contract] = {}
         self.fn_results: Dict[str, Optional[VerificationResult]] = {}
         self.sys_result: Optional[VerificationResult] = None
+        # the contracted function sys_result's counterexample blames
+        self.blamed: Optional[str] = None
         # PASS and FAIL results by (mode, SHA-256 of the instrumented text);
         # a timeout or tool error is not kept, so that check runs again
         self.checked: Dict[Tuple[str, str], VerificationResult] = {}
@@ -173,8 +181,8 @@ def _deadline_error(ctx: _Ctx) -> DeadlineExceededError:
     return exc
 
 
-def _verdict(ctx: _Ctx, outcome: VerdictOutcome,
-             falsified_property: Optional[str] = None) -> Verdict:
+def _statuses(ctx: _Ctx) -> List[Tuple[str, str]]:
+    """Each target's status under the current set, in model order."""
     statuses: List[Tuple[str, str]] = []
     for f in ctx.targets:
         r = ctx.fn_results.get(f.name)
@@ -184,12 +192,17 @@ def _verdict(ctx: _Ctx, outcome: VerdictOutcome,
             statuses.append((f.name, "unchecked"))
         else:
             statuses.append((f.name, r.status.value))
+    return statuses
+
+
+def _verdict(ctx: _Ctx, outcome: VerdictOutcome,
+             falsified_property: Optional[str] = None) -> Verdict:
     return Verdict(
         outcome=outcome,
         stage=ctx.stage,
         iterations_used=ctx.iterations,
         contracts=tuple(sorted(ctx.contracts.items())),
-        per_function_status=tuple(statuses),
+        per_function_status=tuple(_statuses(ctx)),
         system_status=ctx.sys_result.status.value if ctx.sys_result else None,
         falsified_property=falsified_property,
     )
@@ -220,7 +233,6 @@ def _keep(ctx: _Ctx, contracts: Dict[str, Contract], fname: str,
         contracts[fname] = result
         return
     cls = classify(result)
-    ctx.last_cls[fname] = cls
     ctx.log.event("classification", function=fname,
                   level=cls.level.value, category=cls.category.value)
 
@@ -240,17 +252,16 @@ def _ask(ctx: _Ctx, contracts: Dict[str, Contract], f: FunctionInfo,
 
 
 def _diagnostics_for(ctx: _Ctx, fname: str, intent: SynthesisIntent) -> str:
-    """What the checker reported, for a relax prompt (fname's own last
-    failure) or a strengthen prompt (the system counterexample); under SMART
-    ICE with fname's examples. Other intents get none."""
-    key = {SynthesisIntent.RELAX: fname, SynthesisIntent.STRENGTHEN: "__system__"}.get(intent)
-    parsed = ctx.last_parsed.get(key)
-    cls = ctx.last_cls.get(key)
-    if ctx.cfg.strategy is Strategy.SMART_ICE and cls is not None:
-        return render_diagnostics(ctx.db, parsed, cls, fname)
-    if parsed is not None:
-        return render_trace(parsed)
-    return ""
+    """What the last round's check reported, for a relax prompt (fname's own
+    check) or a strengthen prompt (the system check); under SMART ICE with
+    fname's examples. Other intents, and a passing check, get none."""
+    result = {SynthesisIntent.RELAX: ctx.fn_results.get(fname),
+              SynthesisIntent.STRENGTHEN: ctx.sys_result}.get(intent)
+    if result is None or result.status is Status.PASS:
+        return ""
+    if ctx.cfg.strategy is Strategy.SMART_ICE:
+        return render_diagnostics(ctx.db, result.parsed, classify(result), fname)
+    return "" if result.parsed is None else render_trace(result.parsed)
 
 
 def _db_sizes(db: IceDatabase) -> Dict[str, int]:
@@ -263,21 +274,17 @@ def _db_sizes(db: IceDatabase) -> Dict[str, int]:
 
 
 def _classified(ctx: _Ctx, key: str, result: VerificationResult) -> Optional[Classification]:
-    """Classify a non-passing check and remember it under key ("__system__"
-    for the system check). None when there is nothing to learn from: a
+    """Classify a non-passing check and log it under key ("__system__" for
+    the system check). None when there is nothing to learn from: a
     tool-level failure (quarantined) or no counterexample."""
     cls = classify(result)
-    ctx.last_cls[key] = cls
     ctx.log.event("classification", function=key, mode=result.mode,
                   level=cls.level.value, category=cls.category.value)
     if cls.level is Level.TOOL:
         ctx.log.event("tool_quarantine", function=key, mode=result.mode,
                       status=result.status.value)
         return None
-    if result.parsed is None:
-        return None
-    ctx.last_parsed[key] = result.parsed
-    return cls
+    return None if result.parsed is None else cls
 
 
 def _blame(ctx: _Ctx, parsed: ParsedCounterexample,
@@ -310,14 +317,18 @@ def _learn(ctx: _Ctx, parsed: ParsedCounterexample, cls: Classification, target:
             ctx.log.event("db", action="implications", function=name, **_db_sizes(ctx.db))
 
 
-def _absorb_system_failure(ctx: _Ctx, result: VerificationResult) -> None:
-    cls = _classified(ctx, "__system__", result)
-    if cls is None or ctx.cfg.strategy is not Strategy.SMART_ICE:
+def _hold_system(ctx: _Ctx, result: VerificationResult) -> None:
+    """Keep the system check's result as the round's. A counterexample is
+    blamed here, once, on ctx.contracts; under SMART ICE the blamed
+    function's state becomes a negative example."""
+    ctx.sys_result, ctx.blamed = result, None
+    cls = _classified(ctx, "__system__", result) if result.status is Status.FAIL else None
+    if cls is None:
         return
-    target, fallback = _blame(ctx, result.parsed, ctx.contracts)
-    ctx.log.event("weakest_link", chosen=target, fallback=fallback)
-    if target is not None:
-        _learn(ctx, result.parsed, cls, target, "system", sorted(ctx.contracts))
+    ctx.blamed, fallback = _blame(ctx, result.parsed, ctx.contracts)
+    ctx.log.event("weakest_link", chosen=ctx.blamed, fallback=fallback)
+    if ctx.blamed is not None:
+        _learn(ctx, result.parsed, cls, ctx.blamed, "system", sorted(ctx.contracts))
 
 
 def _key(instr: InstrumentedSource) -> Tuple[str, str]:
@@ -339,41 +350,25 @@ def _when_due(ctx: _Ctx, check: Callable[[float], VerificationResult]
     return check(left) if left > 0 else None
 
 
-def _settle(ctx: _Ctx, instr: InstrumentedSource, result: Optional[VerificationResult],
-            **fields) -> VerificationResult:
-    """Memoise a check's PASS or FAIL and log it. A check whose turn came
-    after the wall budget was spent ends the run here."""
+def _check(ctx: _Ctx, instr: InstrumentedSource, queued: Optional[Future] = None,
+           **fields) -> VerificationResult:
+    """instr's result, from its queued check, else checked here: a program's
+    PASS or FAIL for one (mode, text) reaches the backend once. The result is
+    memoised and logged; a check whose turn came after the wall budget was
+    spent ends the run here."""
+    key = _key(instr)
+    if queued is not None:
+        result = queued.result()
+    else:
+        hit = ctx.checked.get(key)
+        result = _when_due(ctx, _backend(ctx, instr) if hit is None else lambda left: hit)
     if result is None:
         raise _deadline_error(ctx)
     if result.status in (Status.PASS, Status.FAIL):
-        ctx.checked[_key(instr)] = result
+        ctx.checked[key] = result
     ctx.log.event("verification", mode=instr.mode, status=result.status.value,
                   **fields, iteration=ctx.iterations)
     return result
-
-
-def _check_now(ctx: _Ctx, instr: InstrumentedSource, **fields) -> VerificationResult:
-    """A program's PASS or FAIL for one (mode, text) reaches the backend once."""
-    hit = ctx.checked.get(_key(instr))
-    check = _backend(ctx, instr) if hit is None else (lambda left: hit)
-    return _settle(ctx, instr, _when_due(ctx, check), **fields)
-
-
-def _verify_system_now(ctx: _Ctx, contracts: Dict[str, Contract]) -> VerificationResult:
-    return _check_now(ctx, render_replace(ctx.model, contracts.values()),
-                      contract_set=sorted(contracts))
-
-
-def _verify_function_now(ctx: _Ctx, c: Contract) -> VerificationResult:
-    return _check_now(ctx, render_enforce(ctx.model, c))
-
-
-def _take(ctx: _Ctx, instr: InstrumentedSource, queued: Optional[Future],
-          **fields) -> VerificationResult:
-    """instr's result in a round: from its queued check, else checked here."""
-    if queued is None:
-        return _check_now(ctx, instr, **fields)
-    return _settle(ctx, instr, queued.result(), **fields)
 
 
 def _verify_round(ctx: _Ctx, contracts: Dict[str, Contract]) -> None:
@@ -382,7 +377,7 @@ def _verify_round(ctx: _Ctx, contracts: Dict[str, Contract]) -> None:
     With cfg.workers above 1 and a verifier whose concurrent_checks is set,
     the checks not memoised yet run in a pool of that many threads, each
     given the budget left when it starts. Results are memoised, logged and
-    absorbed on this thread in the serial order: system first, then the
+    held on this thread in the serial order: system first, then the
     functions by name."""
     ctx.contracts = contracts
     names = sorted(contracts)
@@ -395,12 +390,10 @@ def _verify_round(ctx: _Ctx, contracts: Dict[str, Contract]) -> None:
     try:
         queued = [None if pool is None or _key(instr) in ctx.checked
                   else pool.submit(_when_due, ctx, _backend(ctx, instr)) for instr in instrs]
-        ctx.sys_result = _take(ctx, instrs[0], queued[0], contract_set=names)
-        if ctx.sys_result.status is Status.FAIL:
-            _absorb_system_failure(ctx, ctx.sys_result)
+        _hold_system(ctx, _check(ctx, instrs[0], queued[0], contract_set=names))
         ctx.fn_results = {}
         for name, instr, fut in zip(names, instrs[1:], queued[1:]):
-            result = _take(ctx, instr, fut)
+            result = _check(ctx, instr, fut)
             ctx.fn_results[name] = result
             cls = None if result.status is Status.PASS else _classified(ctx, name, result)
             if cls is not None:
@@ -420,15 +413,7 @@ def _falsified(ctx: _Ctx) -> Verdict:
 
 def _failing_functions(ctx: _Ctx) -> List[str]:
     """Targets whose check is not a pass under the current set, in model order."""
-    out: List[str] = []
-    for f in ctx.targets:
-        if f.name not in ctx.contracts:
-            out.append(f.name)
-            continue
-        r = ctx.fn_results.get(f.name)
-        if r is None or r.status is not Status.PASS:
-            out.append(f.name)
-    return out
+    return [name for name, status in _statuses(ctx) if status != Status.PASS.value]
 
 
 def _conclude(ctx: _Ctx) -> Optional[Verdict]:
@@ -515,19 +500,6 @@ def delta_debug(
     return reduced
 
 
-def _system_target(ctx: _Ctx, contracts: Dict[str, Contract]) -> Optional[str]:
-    """The contracted function the system counterexample blames, or the first
-    one when none is responsible; None without a system counterexample."""
-    if ctx.sys_result is None or ctx.sys_result.status is not Status.FAIL:
-        return None
-    parsed = ctx.sys_result.parsed
-    if parsed is None or not contracts:
-        return None
-    target, fallback = _blame(ctx, parsed, contracts)
-    ctx.log.event("strengthen_target", function=target, fallback=fallback)
-    return target
-
-
 def _delta_debug_stagnating(ctx: _Ctx) -> bool:
     """Reduce the ensures of every failing contract; True if any was reduced."""
     reduced_any = False
@@ -539,12 +511,12 @@ def _delta_debug_stagnating(ctx: _Ctx) -> bool:
         if not c.ensures:
             continue
 
-        last_pass: Dict[str, VerificationResult] = {}
+        passed: List[VerificationResult] = []
 
         def check(trial: Contract) -> bool:
-            result = _verify_function_now(ctx, trial)
+            result = _check(ctx, render_enforce(ctx.model, trial))
             if result.status is Status.PASS:
-                last_pass["result"] = result
+                passed.append(result)
             return result.status is Status.PASS
 
         try:
@@ -553,10 +525,9 @@ def _delta_debug_stagnating(ctx: _Ctx) -> bool:
             ctx.log.event("delta_debug", function=fname, kept=list(c.ensures),
                           removed=[], checks=0, irreducible=True)
             continue
-        ctx.contracts[fname] = reduced
+        # the last passing trial is the reduced contract
+        ctx.contracts[fname], ctx.fn_results[fname] = reduced, passed[-1]
         reduced_any = True
-        if "result" in last_pass:
-            ctx.fn_results[fname] = last_pass["result"]
     return reduced_any
 
 
@@ -576,9 +547,8 @@ def _run_cegar(ctx: _Ctx) -> Optional[Verdict]:
                 _ask(ctx, contracts, f, SynthesisIntent.RELAX)
             else:
                 _ask(ctx, contracts, f, SynthesisIntent.INITIAL)
-        target = _system_target(ctx, contracts)
-        if target is not None:
-            _ask(ctx, contracts, ctx.model.function(target), SynthesisIntent.STRENGTHEN)
+        if ctx.blamed is not None:
+            _ask(ctx, contracts, ctx.model.function(ctx.blamed), SynthesisIntent.STRENGTHEN)
         ctx.iterations += 1
         ctx.log.event("iteration", loop="cegar", index=k,
                       failing=_failing_functions(ctx))
@@ -593,23 +563,21 @@ def _run_cegar(ctx: _Ctx) -> Optional[Verdict]:
             if _delta_debug_stagnating(ctx):
                 # a weaker ensures may no longer imply the property: the
                 # verdict must read a system result under the reduced set
-                ctx.sys_result = _verify_system_now(ctx, ctx.contracts)
-                if ctx.sys_result.status is Status.FAIL:
-                    _absorb_system_failure(ctx, ctx.sys_result)
+                _hold_system(ctx, _check(ctx, render_replace(ctx.model, ctx.contracts.values()),
+                                         contract_set=sorted(ctx.contracts)))
             # reduction alone may finish the job when the system side passes
             return _conclude(ctx)
         previous = snapshot
     return None
 
 
-def _cegis_targets(ctx: _Ctx, contracts: Dict[str, Contract]) -> List[str]:
+def _cegis_targets(ctx: _Ctx) -> List[str]:
     """The functions a CEGIS round asks for: every failing function, or the
     weakest link when only the system check fails."""
     failing = _failing_functions(ctx)
-    if failing:
+    if failing or ctx.blamed is None:
         return failing
-    target = _system_target(ctx, contracts)
-    return [] if target is None else [target]
+    return [ctx.blamed]
 
 
 def _run_cegis(ctx: _Ctx) -> Optional[Verdict]:
@@ -622,7 +590,7 @@ def _run_cegis(ctx: _Ctx) -> Optional[Verdict]:
         ctx.check_deadline()
         k += 1
         contracts = dict(ctx.contracts)
-        asked = _cegis_targets(ctx, contracts)
+        asked = _cegis_targets(ctx)
         for fname in asked:
             _ask(ctx, contracts, ctx.model.function(fname), SynthesisIntent.CEGIS)
         ctx.iterations += 1
@@ -680,12 +648,12 @@ def run_pipeline(
         # only the system check sees the survivors: refinement starts from
         # the full set, and the failed contracts are what the relax side
         # works on
-        ctx.sys_result = _verify_system_now(ctx, survivors)
-        if ctx.sys_result.status is Status.FAIL:
-            if not survivors:
-                ctx.contracts = survivors
-                return _falsified(ctx)
-            _absorb_system_failure(ctx, ctx.sys_result)
+        result = _check(ctx, render_replace(ctx.model, survivors.values()),
+                        contract_set=sorted(survivors))
+        if result.status is Status.FAIL and not survivors:
+            ctx.contracts, ctx.sys_result = survivors, result
+            return _falsified(ctx)
+        _hold_system(ctx, result)
     return _refine(ctx)
 
 
@@ -767,7 +735,7 @@ def _run_pre_abstraction(ctx: _Ctx) -> Verdict:
         precise = asked.get(f.name)
         if precise is None:
             continue
-        check = _verify_function_now(ctx, precise)
+        check = _check(ctx, render_enforce(ctx.model, precise))
         if check.status is Status.PASS:
             ctx.contracts[f.name] = precise
             ctx.fn_results[f.name] = check

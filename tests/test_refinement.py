@@ -28,6 +28,7 @@ from contractor.errors import DeadlineExceededError
 from contractor.ice import (
     DIAGNOSTIC_EXAMPLE_LIMIT,
     IMPLICATION_SECTION,
+    NEGATIVE_SECTION,
     POSITIVE_SECTION,
     IceDatabase,
 )
@@ -216,11 +217,11 @@ def test_system_counterexample_strengthens_the_weakest_contract():
     assert verdict.iterations_used == 1
     assert verdict.contract_map()["gain"].ensures == ("__ESBMC_return_value == s + 4",)
 
-    targets = log.of_kind("strengthen_target")
-    assert targets and targets[0]["function"] == "gain"
-    assert targets[0]["fallback"] is False
     links = log.of_kind("weakest_link")
     assert links and links[0]["chosen"] == "gain"
+    assert links[0]["fallback"] is False
+    asks = [e["function"] for e in log.of_kind("synthesis") if e["intent"] == "strengthen"]
+    assert asks and set(asks) == {"gain"}
     assert any(e["action"] == "admitted_negative" for e in log.of_kind("db"))
 
     strengthen_prompts = prompts(log, "strengthen")
@@ -603,8 +604,8 @@ def test_system_only_failure_asks_cegis_for_the_weakest_link():
     # after the reduction only the system check fails; CEGIS must still ask
     verdict, log, _, _ = loose_run()
     cegis = log.events[kinds(log).index("cegis_migrate"):]
-    assert [e["event"] for e in cegis[1:3]] == ["strengthen_target", "synthesis"]
-    assert cegis[1]["function"] == "f" and cegis[2]["intent"] == "cegis"
+    assert cegis[1]["event"] == "synthesis"
+    assert cegis[1]["function"] == "f" and cegis[1]["intent"] == "cegis"
     asked, iterations = False, 0
     for e in cegis:
         if e["event"] == "synthesis" and e["intent"] == "cegis":
@@ -939,6 +940,124 @@ def test_a_cegis_prompt_shows_only_its_function_capped(monkeypatch):
         assert len(shown) <= DIAGNOSTIC_EXAMPLE_LIMIT, title
         assert all(ln.startswith("  step: ") for ln in shown), (title, shown)
     assert "  step: (2 earlier omitted)" in sections[IMPLICATION_SECTION]
+
+
+# -- the last round's results are the one record later steps read -------------
+
+INC_R_SRC = """\
+int inc(int x) {
+    int r = x + 1;
+    return r;
+}
+
+int main() {
+    int a = 5;
+    int b = inc(a);
+    assert(b > 5);
+    return 0;
+}
+"""
+
+
+def test_a_relax_prompt_shows_the_last_check_not_an_earlier_trace():
+    # inc's first contract fails with r = 31337 in its trace; the first relax
+    # reply's check ends in a tool error, which has no trace to show
+    first = contract_reply(assigns=("x",), ensures=("__ESBMC_return_value == x + 2",))
+    script = {
+        "inc|initial": first,
+        "inc|relax": [
+            contract_reply(assigns=("x",), ensures=("__ESBMC_return_value == x + 3",)),
+            contract_reply(assigns=("x",), ensures=("__ESBMC_return_value == x + 1",)),
+        ],
+    }
+
+    def rule(src, mode):
+        if mode == "function:inc" and "x + 2" in src.text:
+            return failure_output(
+                "__ESBMC_return_value == x + 2",
+                steps=[{"function": "inc", "line": 2, "assigns": [("x", "5"), ("r", "31337")]}],
+                at_function="inc")
+        if mode == "function:inc" and "x + 3" in src.text:
+            return Status.TOOL_ERROR
+        return success_output()
+
+    verdict, log, _, _ = run(INC_R_SRC, script, RuleVerifier(rule))
+    assert verdict.outcome is VerdictOutcome.VERIFIED
+    relax = prompts(log, "relax")
+    assert len(relax) == 2
+    assert "Failure category: semantic" in relax[0] and "r = 31337" in relax[0]
+    assert ("Failure category: tool_error\n"
+            "Violated property: (no counterexample available)") in relax[1]
+    # the earlier trace is gone; its state stays in E+ as a positive example
+    assert "r = 31337" not in relax[1] and "inc: r=31337, x=5" in relax[1]
+
+
+GH_SRC = """\
+int g;
+int h;
+
+void f1(int k) {
+    g = k;
+}
+
+void f2(int k) {
+    h = k;
+}
+
+int main() {
+    f1(1);
+    f2(2);
+    assert(g + h > 5);
+    return 0;
+}
+"""
+
+GH_SCRIPT = {
+    "f1|initial": contract_reply(assigns=("g",), ensures=("g == k",)),
+    "f1|strengthen": contract_reply(assigns=("g",), ensures=("g == k + 4",)),
+    # f2's first contract fails its own check; the relax reply drops the h clause
+    "f2|initial": contract_reply(assigns=("h",), ensures=("h == k + 1",)),
+    "f2|relax": contract_reply(assigns=("h",), ensures=("k == k",)),
+    "f2|strengthen": contract_reply(assigns=("h",), ensures=("h == k + 4",)),
+}
+
+
+def gh_rule(src, mode):
+    if mode == "function:f2" and "h == k + 1" in src.text:
+        return failure_output(
+            "h == k + 1",
+            steps=[{"function": "f2", "line": 9, "assigns": [("k", "2"), ("h", "2")]}],
+            at_function="f2")
+    if mode == "system" and "k + 4" not in src.text:
+        return failure_output(
+            "g + h > 5",
+            steps=[{"function": "main", "line": 13, "assigns": [("g", "1")]},
+                   {"function": "main", "line": 14, "assigns": [("h", "2")]}],
+            at_line=15)
+    return success_output()
+
+
+def test_a_system_counterexample_is_blamed_once():
+    verdict, log, _, _ = run(GH_SRC, dict(GH_SCRIPT), RuleVerifier(gh_rule))
+    assert verdict.outcome is VerdictOutcome.VERIFIED
+    # the initial round's counterexample and the one with f2 concrete after the drop
+    assert [e["chosen"] for e in log.of_kind("weakest_link")] == ["f1", "f1"]
+    negatives = {e["function"] for e in log.of_kind("db") if e["action"] == "admitted_negative"}
+    assert negatives == {"f1"}
+    (ask,) = [e for e in log.of_kind("synthesis") if e["intent"] == "strengthen"]
+    assert ask["function"] == "f1"
+    block = ask["prompt"][ask["prompt"].index(NEGATIVE_SECTION):]
+    assert block.splitlines()[1] == "  f1: g=1, h=2"
+    assert verdict.contract_map()["f1"].ensures == ("g == k + 4",)
+
+
+def test_no_ice_strengthens_the_function_the_round_blamed():
+    verdict, log, _, _ = run(GH_SRC, dict(GH_SCRIPT), RuleVerifier(gh_rule),
+                             strategy=Strategy.NO_ICE)
+    assert verdict.outcome is VerdictOutcome.VERIFIED
+    assert log.of_kind("db") == []
+    asks = [e["function"] for e in log.of_kind("synthesis") if e["intent"] == "strengthen"]
+    assert asks == ["f1"]
 
 
 # -- the entry points the benchmark's tracer rebinds ---------------------------

@@ -1,0 +1,62 @@
+"""The benchmark's construction, checked in-process: every `oraclebench`
+workload program at seed 1, run against the oracle's own verifier, ends with
+the outcome, verdict, stage and iteration count its construction fixes. A
+refinement change the benchmark would call `incorrect` fails here first."""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from contractor.harness import run_program
+from contractor.refinement import PipelineConfig, Strategy
+from contractor.synthesis import ScriptedLlmClient
+from contractor.verifier import VerificationResult, parse_verifier_output
+
+ORACLEBENCH = Path(__file__).resolve().parents[1] / "oraclebench"
+BENCH_MODULES = ("model", "oracle", "workloads")
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    """The oracle and workload modules, imported from the benchmark's
+    directory without writing bytecode there, and dropped from sys.modules
+    afterwards."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(ORACLEBENCH))
+    loaded = [name for name in BENCH_MODULES if name in sys.modules]
+    import oracle
+    import workloads
+
+    yield oracle, workloads
+    for name in BENCH_MODULES:
+        if name not in loaded:
+            sys.modules.pop(name, None)
+
+
+def parse(out: str, mode: str) -> VerificationResult:
+    status, parsed = parse_verifier_output(out)
+    return VerificationResult(status=status, raw_output=out, parsed=parsed,
+                              wall_time_s=0.0, mode=mode)
+
+
+@pytest.mark.parametrize("workload", ["frama-small", "refine-deep", "preabs-large"])
+def test_every_workload_program_ends_as_constructed(bench, workload):
+    oracle, workloads = bench
+    programs = workloads.GENERATORS[workload](1)
+    assert programs
+    for p in programs:
+        prog = oracle.Program(p["model"])
+        cfg = PipelineConfig(**dict(p["config"], strategy=Strategy(p["config"]["strategy"])))
+        report = run_program(p["name"], prog.text, cfg, ScriptedLlmClient(p["script"]),
+                             oracle.OracleVerifier(prog, parse))
+        got = {"outcome": report.outcome.value,
+               "verdict": report.verdict.outcome.value if report.verdict else None,
+               "stage": report.verdict.stage if report.verdict else None,
+               "iterations": report.iterations}
+        assert got == {k: p["expect"][k] for k in got}, p["name"]
+        stalled = [e["mode"] for e in report.log.of_kind("verification")
+                   if e["status"] in ("tool_error", "timeout")]
+        assert stalled == [], p["name"]
