@@ -266,9 +266,10 @@ def weakest_link(
     """The contracted function most suspect for a system-level failure.
 
     Each key variable maps to the functions whose contracts mention it, plus
-    the function that produced it at a call site (`v = f(...)`). Gap score per
-    function: mapped variables over (1 + ensures clauses touching any key
-    variable); the highest gap is the least-constrained responsible function.
+    the function that produced it at a call site (`v = f(...)`, as recorded in
+    `model.assigned_calls`). Gap score per function: mapped variables over
+    (1 + ensures clauses touching any key variable); the highest gap is the
+    least-constrained responsible function.
     Ties break lexicographically so reruns pick the same target.
     """
     key_names: List[str] = []
@@ -282,9 +283,12 @@ def weakest_link(
         for fname, c in contracts.items():
             if _contract_mentions(c, var):
                 mapped[fname].add(var)
-        producer_re = r"\b%s\s*=\s*([A-Za-z_]\w*)\s*\(" % re.escape(var)
-        for m in re.finditer(producer_re, model.masked_text):
-            producer = m.group(1)
+        if re.fullmatch(r"[A-Za-z_]\w*", var):
+            var_producers = [callee for lvalue, callee in model.assigned_calls if lvalue == var]
+        else:  # s.x, *p: not an lvalue the model records
+            producer_re = r"\b%s\s*=\s*([A-Za-z_]\w*)\s*\(" % re.escape(var)
+            var_producers = [m.group(1) for m in re.finditer(producer_re, model.masked_text)]
+        for producer in var_producers:
             if producer in contracts:
                 mapped[producer].add(var)
 

@@ -4,6 +4,15 @@ No real C grammar here, deliberately: a masked-text scan (comments and string
 bodies blanked, offsets preserved) is enough to find top-level function
 definitions, the single system assertion in main, and the complexity signals
 the tier split needs. Anything deeper belongs to the backend.
+
+Every file-scope scan is linear in the source, since the paper's hardest
+inputs are large C files. `_scan_functions` jumps from one brace, `;`, `#` or
+call head to the next, and `_scan_globals` lets a `;`-terminated segment
+start only at offset 0 or just after a separator. An unanchored segment
+regex such as `[^;{}#\n][^;{}#]*;` is not linear: in a run with no `;` that
+ends at `{`, `}`, `#` or the end of the text, it starts again at every
+position and rescans to the run's end, so the run costs the square of its
+length. Every masked doc comment before a function is such a run.
 """
 
 from __future__ import annotations
@@ -44,6 +53,13 @@ ALLOC_FUNCTIONS = {"malloc", "calloc", "realloc", "aligned_alloc", "alloca"}
 _WORD_RE = re.compile(r"[A-Za-z_]\w*")
 _ASSERT_RE = re.compile(r"\b(__ESBMC_assert|assert)\s*\(")
 _FUNC_HEAD_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\(")
+# at file scope the next brace, `;`, `#` or call head, whichever comes first
+_FILE_SCOPE_STOP_RE = re.compile(r"[{};#]|" + _FUNC_HEAD_RE.pattern)
+_BRACE_RE = re.compile(r"[{}]")
+_BODY_OPEN_RE = re.compile(r"\s*\{")
+# a `;`-terminated segment starts at offset 0 or just after a separator
+_SEGMENT_RE = re.compile(r"(?:^|(?<=[;{}#]))\n*([^;{}#\n][^;{}#]*;)")
+_ASSIGNED_CALL_RE = re.compile(r"\b([A-Za-z_]\w*)\s*=\s*([A-Za-z_]\w*)\s*\(")
 
 
 class Tier(str, Enum):
@@ -133,6 +149,8 @@ class ProgramModel:
     main_span: Tuple[int, int]
     property: SystemProperty
     global_names: Tuple[str, ...] = ()
+    # (lvalue, callee) of each `lvalue = callee(` in masked_text, in text order
+    assigned_calls: Tuple[Tuple[str, str], ...] = ()
     _by_name: Dict[str, FunctionInfo] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -241,9 +259,12 @@ def _scan_functions(src: str, masked: str) -> List[_RawFunction]:
     raws: List[_RawFunction] = []
     depth = 0
     i = 0
-    n = len(masked)
     last_boundary = 0  # start of the current top-level chunk
-    while i < n:
+    while True:
+        m = (_BRACE_RE if depth else _FILE_SCOPE_STOP_RE).search(masked, i)
+        if m is None:
+            break
+        i = m.start()
         c = masked[i]
         if c == "{":
             depth += 1
@@ -257,45 +278,38 @@ def _scan_functions(src: str, masked: str) -> List[_RawFunction]:
                 last_boundary = i + 1
             i += 1
             continue
-        if depth == 0:
-            if c == ";":
-                last_boundary = i + 1
-                i += 1
-                continue
-            if c == "#":  # preprocessor line
-                while i < n and masked[i] != "\n":
-                    i += 1
-                last_boundary = i + 1
-                i += 1
-                continue
-            m = _FUNC_HEAD_RE.match(masked, i)
-            if m and m.group(1) not in C_KEYWORDS:
-                close = match_close(masked, m.end() - 1)
-                j = close
-                while j < n and masked[j].isspace():
-                    j += 1
-                if j < n and masked[j] == "{":
-                    sig_start = last_boundary
-                    while sig_start < i and masked[sig_start].isspace():
-                        sig_start += 1
-                    body_end = match_close(masked, j)
-                    sig_text = " ".join(src[sig_start:close].split())
-                    head_words = _WORD_RE.findall(masked[sig_start:i + len(m.group(1))])
-                    raws.append(_RawFunction(
-                        name=m.group(1),
-                        signature_text=sig_text,
-                        sig_start=sig_start,
-                        body_span=(j, body_end),
-                        params=_parse_params(src[m.end():close - 1]),
-                        is_static="static" in head_words,
-                    ))
-                    i = body_end
-                    depth = 0
-                    last_boundary = body_end
-                    continue
-            i = m.end() if m else i + 1
+        if c == ";":
+            last_boundary = i + 1
+            i += 1
             continue
-        i += 1
+        if c == "#":  # preprocessor line
+            i = masked.find("\n", i)
+            if i < 0:
+                break
+            last_boundary = i + 1
+            i += 1
+            continue
+        if m.group(1) not in C_KEYWORDS:
+            close = match_close(masked, m.end() - 1)
+            body = _BODY_OPEN_RE.match(masked, close)
+            if body:
+                j = body.end() - 1
+                sig_start = i - len(masked[last_boundary:i].lstrip())
+                body_end = match_close(masked, j)
+                sig_text = " ".join(src[sig_start:close].split())
+                head_words = _WORD_RE.findall(masked[sig_start:i + len(m.group(1))])
+                raws.append(_RawFunction(
+                    name=m.group(1),
+                    signature_text=sig_text,
+                    sig_start=sig_start,
+                    body_span=(j, body_end),
+                    params=_parse_params(src[m.end():close - 1]),
+                    is_static="static" in head_words,
+                ))
+                i = body_end
+                last_boundary = body_end
+                continue
+        i = m.end()
     if depth != 0:
         raise UnbalancedSourceError("source has %d unclosed brace(s)" % depth)
     return raws
@@ -310,8 +324,8 @@ def _scan_globals(masked: str, raws: Sequence[_RawFunction]) -> Tuple[str, ...]:
         return i >= 0 and pos < raws[i].body_span[1]
 
     names: Dict[str, None] = {}
-    for m in re.finditer(r"[^;{}#\n][^;{}#]*;", masked):
-        seg_start, seg = m.start(), m.group(0)
+    for m in _SEGMENT_RE.finditer(masked):
+        seg_start, seg = m.start(1), m.group(1)
         if inside_function(seg_start):
             continue
         if "(" in seg:  # prototype or call, not a variable
@@ -442,33 +456,24 @@ def _max_loop_nesting(masked_body: str, sites: Sequence[LoopSite]) -> int:
 
 
 def _pointer_op_count(masked_body: str) -> int:
-    tokens: List[Tuple[str, int]] = []
-    for m in re.finditer(r"->|\+\+|--|&&|\|\||<<|>>|[A-Za-z_]\w*|\d[\w.]*|[^\s]", masked_body):
-        tokens.append((m.group(0), m.start()))
+    tokens = re.findall(r"->|\+\+|--|&&|\|\||<<|>>|[A-Za-z_]\w*|\d[\w.]*|[^\s]", masked_body)
     count = 0
-    for idx, (tok, _) in enumerate(tokens):
+    for idx, tok in enumerate(tokens):
         if tok == "->":
             count += 1
             continue
         if tok not in ("*", "&"):
             continue
-        prev = tokens[idx - 1][0] if idx > 0 else None
+        prev = tokens[idx - 1] if idx > 0 else None
         if prev is not None and (_WORD_RE.fullmatch(prev) or prev[0].isdigit() or prev in (")", "]")):
-            if prev in TYPE_KEYWORDS:
-                continue  # declarator star: int *p
-            continue  # binary context: multiplication / bitwise and
-        if prev in TYPE_KEYWORDS:
-            continue
+            continue  # declarator star (int *p), multiplication or bitwise and
         count += 1
     return count
 
 
 def analyze_body(masked_body: str, loops: Sequence[LoopSite]) -> Dict[str, int]:
     unbounded = any(_loop_is_unbounded(masked_body, s) for s in loops)
-    allocs = sum(
-        1 for m in re.finditer(r"\b([A-Za-z_]\w*)\s*\(", masked_body)
-        if m.group(1) in ALLOC_FUNCTIONS
-    )
+    allocs = sum(1 for m in _FUNC_HEAD_RE.finditer(masked_body) if m.group(1) in ALLOC_FUNCTIONS)
     branches = len(re.findall(r"\bif\b", masked_body))
     branches += len(re.findall(r"\bcase\b", masked_body))
     branches += masked_body.count("?")
@@ -581,11 +586,8 @@ def parse_program(source_text: str, weights: WeightTable = DEFAULT_WEIGHTS) -> P
     defined = {r.name for r in raws}
     for r in raws:
         body_masked = masked[r.body_span[0]:r.body_span[1]]
-        calls = {
-            m.group(1)
-            for m in re.finditer(r"\b([A-Za-z_]\w*)\s*\(", body_masked)
-            if m.group(1) not in C_KEYWORDS
-        }
+        calls = {m.group(1) for m in _FUNC_HEAD_RE.finditer(body_masked)
+                 if m.group(1) not in C_KEYWORDS}
         call_names[r.name] = calls & defined
 
     recursive = _recursive_functions(call_names)
@@ -635,6 +637,7 @@ def parse_program(source_text: str, weights: WeightTable = DEFAULT_WEIGHTS) -> P
         main_span=main_raw.body_span,
         property=prop,
         global_names=global_names,
+        assigned_calls=tuple(m.groups() for m in _ASSIGNED_CALL_RE.finditer(masked)),
     )
 
 

@@ -265,6 +265,122 @@ def test_weakest_link_tie_breaks_lexicographically():
     assert weakest_link(parsed, contracts, model) == "sink"
 
 
+CHAIN_SRC = """\
+int deep(int n) {
+    if (n <= 0) {
+        return 0;
+    }
+    return deep(n - 1) + 1;
+}
+
+int lift(int k) {
+    return k + 10;
+}
+
+int main() {
+    int x = deep(3);
+    int y = lift(x);
+    assert(y >= 15);
+    return 0;
+}
+"""
+
+
+def chain_failure(prop):
+    return parsed_from(failure_output(prop, steps=[
+        {"function": "main", "line": 13, "assigns": [("x", "3")]},
+        {"function": "main", "line": 14, "assigns": [("y", "13")]},
+    ]))
+
+
+def test_weakest_link_chain_yields_both_producers():
+    model = parse_program(CHAIN_SRC)
+    assert model.assigned_calls == (("x", "deep"), ("y", "lift"))
+    contracts = {"deep": contract("deep"), "lift": contract("lift")}
+    # the key variables are the property's: y alone is one assignment deep
+    assert weakest_link(chain_failure("y >= 15"), contracts, model) == "lift"
+    # x = deep(3) and y = lift(x): gap 1.0 on both, "deep" < "lift"
+    assert weakest_link(chain_failure("x + y >= 15"), contracts, model) == "deep"
+    # an ensures clause on x halves deep's gap, so lift is mapped too
+    contracts["deep"] = contract("deep", ensures=["x >= 0"])
+    assert weakest_link(chain_failure("x + y >= 15"), contracts, model) == "lift"
+
+
+TWO_PRODUCERS_SRC = """\
+int first(int a) {
+    return a + 1;
+}
+
+int second(int b) {
+    return b * 2;
+}
+
+int main() {
+    int v = first(1);
+    v = second(v);
+    assert(v > 8);
+    return 0;
+}
+"""
+
+
+def test_weakest_link_variable_assigned_from_two_callees_maps_to_both():
+    model = parse_program(TWO_PRODUCERS_SRC)
+    parsed = parsed_from(failure_output("v > 8", steps=[
+        {"function": "main", "line": 11, "assigns": [("v", "4")]},
+    ]))
+    contracts = {"first": contract("first"), "second": contract("second")}
+    assert weakest_link(parsed, contracts, model) == "first"  # tie on v
+    contracts["first"] = contract("first", ensures=["v >= 2"])
+    assert weakest_link(parsed, contracts, model) == "second"
+    contracts = {"first": contract("first", ensures=["v >= 2"]),
+                 "second": contract("second", ensures=["v >= 4", "v > 0"])}
+    assert weakest_link(parsed, contracts, model) == "first"
+
+
+NOT_PRODUCERS_SRC = """\
+int f(int a) {
+    return a;
+}
+
+int main() {
+    int x = 0;
+    int ax = 0;
+    if (x == f(1)) {
+        x = 1;
+    }
+    if (x <= f(2)) {
+        x = 2;
+    }
+    ax = f(3);
+    assert(x > 5);
+    return 0;
+}
+"""
+
+
+def test_weakest_link_comparisons_and_longer_names_produce_nothing():
+    model = parse_program(NOT_PRODUCERS_SRC)
+    assert model.assigned_calls == (("ax", "f"),)
+    parsed = parsed_from(failure_output("x > 5", steps=[
+        {"function": "main", "line": 6, "assigns": [("x", "0")]},
+    ]))
+    with pytest.raises(NoResponsibleFunctionError):
+        weakest_link(parsed, {"f": contract("f")}, model)
+
+
+def test_weakest_link_member_key_reads_the_source_text():
+    src = ("struct pt { int x; };\n\nint f(int a) {\n    return a;\n}\n\n"
+           "int main() {\n    struct pt s;\n    s.x = f(1);\n    assert(s.x > 5);\n"
+           "    return 0;\n}\n")
+    model = parse_program(src)
+    parsed = parsed_from(failure_output("s.x > 5", steps=[
+        {"function": "main", "line": 9, "assigns": [("s.x", "1")]},
+    ]))
+    assert [name for name, _ in parsed.key_variables] == ["s.x"]
+    assert weakest_link(parsed, {"f": contract("f")}, model) == "f"
+
+
 def test_weakest_link_no_candidate_raises():
     model = parse_program(WEAKEST_SRC)
     out = failure_output("z > 0", steps=[

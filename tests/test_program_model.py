@@ -229,10 +229,13 @@ def test_tier_boundaries_are_half_open():
     assert tier_for(20.0) is Tier.HIGH
 
 
-def many_functions(n: int):
+def many_functions(n: int, doc_lines: int = 0):
     """A program of n functions with a file-scope declaration, a prototype
     or nothing between them; returns it with its globals in declaration
-    order."""
+    order. With doc_lines, each function also gets a `/* */` doc comment of
+    that many lines and a `//` line, both holding `;`, `{`, `}` and `#`, and
+    the gaps get `#define` and `#include` lines, each with a declaration on
+    the line after it."""
     parts, globals_ = [], []
     for k in range(n):
         if k % 3 == 0:
@@ -240,6 +243,16 @@ def many_functions(n: int):
             globals_.append(f"g{k}")
         elif k % 3 == 1:
             parts.append(f"int f{k}(int a);")
+            if doc_lines:
+                parts.append(f"#define K{k} {k}\nstatic int d{k} = K{k};")
+                globals_.append(f"d{k}")
+        elif doc_lines:
+            parts.append(f"#include <lib{k}.h>\nunsigned h{k} /* ; */ = {k};")
+            globals_.append(f"h{k}")
+        if doc_lines:
+            lines = [f" * step {j}: x = f{k}(x); if (x) {{ y--; }} # {j};" for j in range(doc_lines)]
+            parts.append("/**\n" + "\n".join(lines) + "\n */")
+            parts.append(f"// f{k}: int w{k}; {{ # }} returns a + {k};")
         parts.append(f"int f{k}(int a) {{\n    int t{k} = a + {k};\n"
                      f"    static int s{k} = 0;\n    return t{k} + s{k};\n}}")
     parts.append("int main() {\n    int r = f0(1);\n    assert(r >= 0);\n    return 0;\n}")
@@ -252,6 +265,36 @@ def test_globals_scan_matches_the_construction_at_scale():
     model = parse_program(src)
     assert len(model.functions) == 240
     assert model.global_names == tuple(expected)
+
+
+@pytest.mark.parametrize("doc_lines", [1, 16])
+def test_globals_scan_matches_the_construction_with_long_comments(doc_lines):
+    # the masked comments are long runs with no `;` ending at a brace; the
+    # names in them are neither globals nor call results
+    src, expected = many_functions(120, doc_lines)
+    assert src.startswith("int g0;")  # a global at offset 0
+    model = parse_program(src)
+    assert [f.name for f in model.functions] == [f"f{k}" for k in range(120)]
+    assert model.global_names == tuple(expected)
+    assert model.assigned_calls == (("r", "f0"),)
+
+
+def test_file_scope_edge_cases():
+    src = (
+        "int first;\n"
+        "#include <stdint.h>\n"
+        "uint8_t after_include;\n"
+        "/* int hidden; { # */ int after_comment;\n"
+        "int /* ; */ split = 1;\n"
+        "// long lost;\n"
+        "#define LIMIT 3\n"
+        "static int bump(int a) {\n    return a + LIMIT;\n}\n"
+        "int main() {\n    int r = bump(first);\n    assert(r >= 0);\n    return 0;\n}\n"
+    )
+    model = parse_program(src)
+    assert model.global_names == ("first", "after_include", "after_comment", "split")
+    # a preprocessor line ends the chunk before the signature
+    assert model.function("bump").signature_text == "static int bump(int a)"
 
 
 def test_partition_by_tau():
