@@ -60,13 +60,6 @@ class Contract:
         object.__setattr__(self, "assigns", tuple(self.assigns))
         object.__setattr__(self, "loop_invariants", tuple(self.loop_invariants))
 
-    def text_key(self) -> str:
-        """Canonical text form, used for stagnation comparison."""
-        parts = ["R:" + ";".join(self.requires), "E:" + ";".join(self.ensures),
-                 "A:" + ";".join(self.assigns)]
-        parts += [f"I{n}:{e}" for n, e in self.loop_invariants]
-        return "|".join(parts)
-
 
 class ParseFailureReason(str, Enum):
     NO_CLAUSES = "no_clauses"
@@ -83,7 +76,6 @@ class ParseFailure:
     exception: the refinement loop classifies and routes these."""
     reason: ParseFailureReason
     detail: str = ""
-    raw_text: str = ""
 
 
 @dataclass(frozen=True)
@@ -395,7 +387,7 @@ def parse_contract_text(
     for m in _ANNOT_RE.finditer(search_space):
         arg = _balanced_argument(search_space, m.end() - 1)
         if arg is None:
-            return ParseFailure(ParseFailureReason.UNBALANCED, m.group(1), raw_text=raw)
+            return ParseFailure(ParseFailureReason.UNBALANCED, m.group(1))
         arg = " ".join(arg.split())
         kw = m.group(1)
         if kw == REQUIRES_KW:
@@ -408,30 +400,28 @@ def parse_contract_text(
             invariants.append(arg)
 
     if not (requires or ensures or assigns or invariants):
-        return ParseFailure(ParseFailureReason.NO_CLAUSES, "no annotation clauses found",
-                            raw_text=raw)
+        return ParseFailure(ParseFailureReason.NO_CLAUSES, "no annotation clauses found")
 
     for expr in requires:
         bad = _validate_clause(expr, base_allowed, "requires")
         if bad:
-            return ParseFailure(bad.reason, bad.detail, raw_text=raw)
+            return ParseFailure(bad.reason, bad.detail)
     for expr in ensures:
         bad = _validate_clause(expr, base_allowed, "ensures")
         if bad:
-            return ParseFailure(bad.reason, bad.detail, raw_text=raw)
+            return ParseFailure(bad.reason, bad.detail)
     for expr in invariants:
         bad = _validate_clause(expr, inv_allowed, "loop invariant")
         if bad:
-            return ParseFailure(bad.reason, bad.detail, raw_text=raw)
+            return ParseFailure(bad.reason, bad.detail)
     for n, expr in enumerate(invariants):
         if n >= len(f.loops) or f.loops[n].body_open is None:
             return ParseFailure(ParseFailureReason.LOOP_ORDINAL,
-                                f"no braced loop {n} to lead with: {expr}", raw_text=raw)
+                                f"no braced loop {n} to lead with: {expr}")
     for t in assigns:
         t = t.strip()
         if not t:
-            return ParseFailure(ParseFailureReason.NO_CLAUSES, "empty assigns target",
-                                raw_text=raw)
+            return ParseFailure(ParseFailureReason.NO_CLAUSES, "empty assigns target")
 
     return Contract(
         function=f.name,

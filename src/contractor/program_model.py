@@ -5,6 +5,11 @@ bodies blanked, offsets preserved) is enough to find top-level function
 definitions, the single system assertion in main, and the complexity signals
 the tier split needs. Anything deeper belongs to the backend.
 
+`LoopSite` is the only place a loop is read. `_loop_sites` finds each loop's
+keyword, header condition and extent in one pass over a function body, and
+the complexity metrics, the tier split and the invariant injection in
+`contracts` all read those records instead of the text.
+
 Every file-scope scan is linear in the source, since the paper's hardest
 inputs are large C files. `_scan_functions` jumps from one brace, `;`, `#` or
 call head to the next, and `_scan_globals` lets a `;`-terminated segment
@@ -60,6 +65,9 @@ _BODY_OPEN_RE = re.compile(r"\s*\{")
 # a `;`-terminated segment starts at offset 0 or just after a separator
 _SEGMENT_RE = re.compile(r"(?:^|(?<=[;{}#]))\n*([^;{}#\n][^;{}#]*;)")
 _ASSIGNED_CALL_RE = re.compile(r"\b([A-Za-z_]\w*)\s*=\s*([A-Za-z_]\w*)\s*\(")
+_ARRAY_BOUND_RE = re.compile(r"\[[^\]]*\]")
+_LOOP_KEYWORD_RE = re.compile(r"\b(for|while|do)\b")
+_DO_TAIL_RE = re.compile(r"\s*while\b")
 
 
 class Tier(str, Enum):
@@ -67,11 +75,6 @@ class Tier(str, Enum):
     LOW = "low"
     MEDIUM = "medium"
     HIGH = "high"
-
-
-class PropertyKind(str, Enum):
-    ASSERT_CALL = "assert_call"
-    ESBMC_ASSERT = "esbmc_assert"
 
 
 @dataclass(frozen=True)
@@ -118,6 +121,8 @@ class LoopSite:
     keyword: str  # for | while | do; a do-while's tail `while` is not a site
     offset: int  # of the keyword
     body_open: Optional[int]  # of the body's '{'; None when the body is braceless
+    end: int  # just past the body's '}', or past a braceless body's ';'
+    condition: str  # masked; "" for `for (;;)`; a do's is its tail `while`'s
 
 
 @dataclass(frozen=True)
@@ -129,7 +134,6 @@ class FunctionInfo:
     params: Tuple[Param, ...]
     calls: Tuple[str, ...]
     is_static: bool
-    is_recursive: bool
     metrics: ComplexityMetrics
     loops: Tuple[LoopSite, ...]  # in textual order; offsets into body_text
 
@@ -137,8 +141,6 @@ class FunctionInfo:
 @dataclass(frozen=True)
 class SystemProperty:
     assertion_text: str
-    location: int  # byte offset of the assert keyword, relative to main_span start
-    kind: PropertyKind
 
 
 @dataclass(frozen=True)
@@ -146,7 +148,6 @@ class ProgramModel:
     source_text: str
     masked_text: str = field(repr=False)  # source_text through mask_comments_and_strings
     functions: Tuple[FunctionInfo, ...]
-    main_span: Tuple[int, int]
     property: SystemProperty
     global_names: Tuple[str, ...] = ()
     # (lvalue, callee) of each `lvalue = callee(` in masked_text, in text order
@@ -219,24 +220,29 @@ def match_close(text: str, open_pos: int) -> int:
     raise UnbalancedSourceError("unmatched '%s' at offset %d" % (opener, open_pos))
 
 
-def _parse_params(param_text: str) -> Tuple[Param, ...]:
-    inner = param_text.strip()
-    if inner in ("", "void"):
-        return ()
+def _split_top_level(text: str) -> List[str]:
+    """text cut at each comma outside parentheses and brackets."""
     parts: List[str] = []
     depth = 0
     start = 0
-    for i, c in enumerate(inner):
+    for i, c in enumerate(text):
         if c in "([":
             depth += 1
         elif c in ")]":
             depth -= 1
         elif c == "," and depth == 0:
-            parts.append(inner[start:i])
+            parts.append(text[start:i])
             start = i + 1
-    parts.append(inner[start:])
+    parts.append(text[start:])
+    return parts
+
+
+def _parse_params(param_text: str) -> Tuple[Param, ...]:
+    inner = param_text.strip()
+    if inner in ("", "void"):
+        return ()
     params: List[Param] = []
-    for part in parts:
+    for part in _split_top_level(inner):
         words = _WORD_RE.findall(part)
         names = [w for w in words if w not in TYPE_KEYWORDS and w not in C_KEYWORDS]
         if not names:
@@ -328,6 +334,8 @@ def _scan_globals(masked: str, raws: Sequence[_RawFunction]) -> Tuple[str, ...]:
         seg_start, seg = m.start(1), m.group(1)
         if inside_function(seg_start):
             continue
+        if masked[seg_start - 1:seg_start] == "#":  # a directive's own line declares nothing
+            seg = seg.partition("\n")[2]
         if "(" in seg:  # prototype or call, not a variable
             continue
         words = _WORD_RE.findall(seg)
@@ -335,57 +343,55 @@ def _scan_globals(masked: str, raws: Sequence[_RawFunction]) -> Tuple[str, ...]:
             continue
         if not any(w in TYPE_KEYWORDS for w in words):
             continue
-        head = seg.split("=", 1)[0]
-        cand = [w for w in _WORD_RE.findall(head) if w not in TYPE_KEYWORDS and w not in C_KEYWORDS]
-        if cand:
-            names.setdefault(cand[-1])
+        for part in _split_top_level(seg):  # one declarator each
+            head = _ARRAY_BOUND_RE.sub(" ", part).split("=", 1)[0]
+            cand = [w for w in _WORD_RE.findall(head)
+                    if w not in TYPE_KEYWORDS and w not in C_KEYWORDS]
+            if cand:
+                names.setdefault(cand[-1])
     return tuple(names)
 
 
-def _loop_keyword_positions(masked_body: str) -> List[Tuple[int, str]]:
-    """(offset, keyword) for each loop keyword; do-while tails excluded."""
-    hits: List[Tuple[int, str]] = []
-    for m in re.finditer(r"\b(for|while|do)\b", masked_body):
-        kw = m.group(1)
-        if kw == "while" and _is_do_while_tail(masked_body, m.start(), m.end()):
-            continue
-        hits.append((m.start(), kw))
-    return hits
-
-
-def _is_do_while_tail(masked_body: str, start: int, end: int) -> bool:
-    """`} while (cond);` closes a do-while; a new while loop can also open
-    right after a block, so the deciding mark is the semicolon after the
-    condition, not the brace before the keyword."""
-    k = start - 1
-    while k >= 0 and masked_body[k].isspace():
-        k -= 1
-    if k < 0 or masked_body[k] != "}":
-        return False
-    open_paren = masked_body.find("(", end)
-    if open_paren < 0:
-        return True
-    close = match_close(masked_body, open_paren)
-    j = close
-    while j < len(masked_body) and masked_body[j].isspace():
-        j += 1
-    return j < len(masked_body) and masked_body[j] == ";"
-
-
-def _loop_condition(masked_body: str, pos: int, kw: str) -> str:
-    """Raw condition text of the loop starting at pos (empty for do, for(;;))."""
-    if kw == "do":
-        return "1"  # treated as bounded only if the trailing while references a counter;
-        # the trailing while is scanned as part of the body text below
+def _header(masked_body: str, pos: int) -> Tuple[str, int]:
+    """Text inside the first `(...)` at or after pos and the offset just past
+    its `)`; ("", pos) when there is none."""
     open_paren = masked_body.find("(", pos)
     if open_paren < 0:
-        return ""
+        return "", pos
     close = match_close(masked_body, open_paren)
-    inner = masked_body[open_paren + 1:close - 1]
-    if kw == "for":
-        parts = inner.split(";")
-        return parts[1].strip() if len(parts) >= 2 else ""
-    return inner.strip()
+    return masked_body[open_paren + 1:close - 1], close
+
+
+def _loop_sites(masked_body: str) -> List[LoopSite]:
+    """Every loop of a masked body in textual order. A do's tail `while` is
+    the one starting right at the do's end; it gives the do its condition and
+    is no site itself, while a `while` after any other block opens a loop."""
+    sites: List[LoopSite] = []
+    tails = set()
+    for m in _LOOP_KEYWORD_RE.finditer(masked_body):
+        pos, kw = m.start(), m.group(1)
+        if pos in tails:
+            continue
+        condition, header_end = ("", m.end()) if kw == "do" else _header(masked_body, m.end())
+        brace = header_end
+        while brace < len(masked_body) and masked_body[brace].isspace():
+            brace += 1
+        if brace < len(masked_body) and masked_body[brace] == "{":
+            body_open, end = brace, match_close(masked_body, brace)
+        else:  # one statement, or a header with no parenthesis
+            body_open = None
+            semi = masked_body.find(";", header_end)
+            end = semi + 1 if semi >= 0 else len(masked_body)
+        if kw == "do":
+            tail = _DO_TAIL_RE.match(masked_body, end)
+            if tail:
+                tails.add(tail.end() - len("while"))
+                condition = _header(masked_body, tail.end())[0]
+        elif kw == "for":
+            parts = condition.split(";")
+            condition = parts[1] if len(parts) >= 2 else ""
+        sites.append(LoopSite(kw, pos, body_open, end, condition.strip()))
+    return sites
 
 
 _MUTATION_RE = re.compile(
@@ -401,57 +407,21 @@ def _mutated_names(masked_body: str) -> set:
 
 
 def _loop_is_unbounded(masked_body: str, site: LoopSite) -> bool:
-    pos, kw = site.offset, site.keyword
-    cond = _loop_condition(masked_body, pos, kw)
-    if kw == "do":
-        # pair the do with its trailing while condition if one is in the body slice
-        m = re.search(r"\}\s*while\s*\(", masked_body[pos:])
-        if m:
-            open_paren = pos + m.end() - 1
-            cond = masked_body[open_paren + 1:match_close(masked_body, open_paren) - 1]
-        else:
-            cond = "1"
-    cond = cond.strip()
-    if cond == "":
-        return True  # for (;;)
-    if re.fullmatch(r"\(*\s*(1|true)\s*\)*", cond):
-        return True
+    cond = site.condition
+    if cond == "" or re.fullmatch(r"\(*\s*(1|true)\s*\)*", cond):
+        return True  # for (;;), while (1)
     cond_vars = [w for w in _WORD_RE.findall(cond) if w not in C_KEYWORDS]
     if not cond_vars:
         return True  # constant condition
-    # bounded iff the condition mentions something the loop itself changes;
-    # the slice is the header plus the body (one statement when braceless)
-    if site.body_open is not None:
-        loop_slice = masked_body[pos:match_close(masked_body, site.body_open)]
-    else:
-        open_paren = masked_body.find("(", pos) if kw != "do" else -1
-        header_end = match_close(masked_body, open_paren) if open_paren >= 0 else pos
-        semi = masked_body.find(";", header_end)
-        loop_slice = masked_body[pos:semi + 1 if semi >= 0 else len(masked_body)]
-    mutated = _mutated_names(loop_slice)
+    # bounded iff the condition mentions something the loop itself changes
+    mutated = _mutated_names(masked_body[site.offset:site.end])
     return not any(v in mutated for v in cond_vars)
 
 
-def _loop_sites(masked_body: str) -> List[LoopSite]:
-    sites: List[LoopSite] = []
-    for pos, kw in _loop_keyword_positions(masked_body):
-        if kw == "do":
-            brace = pos + len(kw)
-        else:  # a header with no parenthesis counts as braceless
-            open_paren = masked_body.find("(", pos)
-            brace = match_close(masked_body, open_paren) if open_paren >= 0 else len(masked_body)
-        while brace < len(masked_body) and masked_body[brace].isspace():
-            brace += 1
-        braced = brace < len(masked_body) and masked_body[brace] == "{"
-        sites.append(LoopSite(kw, pos, brace if braced else None))
-    return sites
-
-
-def _max_loop_nesting(masked_body: str, sites: Sequence[LoopSite]) -> int:
+def _max_loop_nesting(sites: Sequence[LoopSite]) -> int:
     """Depth of the deepest loop keyword, counting enclosing loop bodies;
     a braceless body cannot enclose another loop."""
-    spans = [(s.body_open, match_close(masked_body, s.body_open))
-             for s in sites if s.body_open is not None]
+    spans = [(s.body_open, s.end) for s in sites if s.body_open is not None]
     return max((1 + sum(1 for a, b in spans if a < s.offset < b) for s in sites), default=0)
 
 
@@ -471,32 +441,36 @@ def _pointer_op_count(masked_body: str) -> int:
     return count
 
 
-def analyze_body(masked_body: str, loops: Sequence[LoopSite]) -> Dict[str, int]:
-    unbounded = any(_loop_is_unbounded(masked_body, s) for s in loops)
-    allocs = sum(1 for m in _FUNC_HEAD_RE.finditer(masked_body) if m.group(1) in ALLOC_FUNCTIONS)
+def _metrics(masked_body: str, loops: Sequence[LoopSite], has_recursion: bool,
+             weights: WeightTable) -> ComplexityMetrics:
     branches = len(re.findall(r"\bif\b", masked_body))
     branches += len(re.findall(r"\bcase\b", masked_body))
     branches += masked_body.count("?")
-    return {
-        "loop_count": len(loops),
-        "max_nesting_depth": _max_loop_nesting(masked_body, loops),
-        "has_unbounded_loop": int(unbounded),
-        "dynamic_alloc_count": allocs,
-        "branch_count": branches,
-        "pointer_op_count": _pointer_op_count(masked_body),
-    }
+    return _scored(ComplexityMetrics(
+        loop_count=len(loops),
+        max_nesting_depth=_max_loop_nesting(loops),
+        has_recursion=has_recursion,
+        has_unbounded_loop=any(_loop_is_unbounded(masked_body, s) for s in loops),
+        dynamic_alloc_count=sum(1 for m in _FUNC_HEAD_RE.finditer(masked_body)
+                                if m.group(1) in ALLOC_FUNCTIONS),
+        branch_count=branches,
+        pointer_op_count=_pointer_op_count(masked_body),
+        score=0.0,
+        tier=Tier.MINIMAL,
+    ), weights)
 
 
-def compute_score(counts: Dict[str, int], has_recursion: bool, weights: WeightTable) -> float:
-    return (
-        weights.loop * counts["loop_count"]
-        + weights.nesting * counts["max_nesting_depth"]
-        + weights.recursion * (1 if has_recursion else 0)
-        + weights.unbounded * (1 if counts["has_unbounded_loop"] else 0)
-        + weights.alloc * counts["dynamic_alloc_count"]
-        + weights.branch * counts["branch_count"]
-        + weights.pointer * counts["pointer_op_count"]
+def _scored(m: ComplexityMetrics, weights: WeightTable) -> ComplexityMetrics:
+    score = (
+        weights.loop * m.loop_count
+        + weights.nesting * m.max_nesting_depth
+        + weights.recursion * (1 if m.has_recursion else 0)
+        + weights.unbounded * (1 if m.has_unbounded_loop else 0)
+        + weights.alloc * m.dynamic_alloc_count
+        + weights.branch * m.branch_count
+        + weights.pointer * m.pointer_op_count
     )
+    return replace(m, score=score, tier=tier_for(score))
 
 
 def tier_for(score: float) -> Tier:
@@ -511,17 +485,7 @@ def tier_for(score: float) -> Tier:
 
 def score_complexity(f: FunctionInfo, weights: WeightTable = DEFAULT_WEIGHTS) -> ComplexityMetrics:
     """Re-score f's raw counts under a different weight table."""
-    m = f.metrics
-    counts = {
-        "loop_count": m.loop_count,
-        "max_nesting_depth": m.max_nesting_depth,
-        "has_unbounded_loop": int(m.has_unbounded_loop),
-        "dynamic_alloc_count": m.dynamic_alloc_count,
-        "branch_count": m.branch_count,
-        "pointer_op_count": m.pointer_op_count,
-    }
-    score = compute_score(counts, m.has_recursion, weights)
-    return replace(m, score=score, tier=tier_for(score))
+    return _scored(f.metrics, weights)
 
 
 def _extract_property(masked_main: str, src_main: str) -> SystemProperty:
@@ -535,25 +499,10 @@ def _extract_property(masked_main: str, src_main: str) -> SystemProperty:
     close = match_close(masked_main, open_paren)
     inner_masked = masked_main[open_paren + 1:close - 1]
     inner_src = src_main[open_paren + 1:close - 1]
-    kind = PropertyKind.ESBMC_ASSERT if m.group(1) == "__ESBMC_assert" else PropertyKind.ASSERT_CALL
-    if kind is PropertyKind.ESBMC_ASSERT:
+    if m.group(1) == "__ESBMC_assert":
         # first top-level argument only; the second is a message string
-        depth = 0
-        cut = len(inner_masked)
-        for i, c in enumerate(inner_masked):
-            if c in "([":
-                depth += 1
-            elif c in ")]":
-                depth -= 1
-            elif c == "," and depth == 0:
-                cut = i
-                break
-        inner_src = inner_src[:cut]
-    return SystemProperty(
-        assertion_text=inner_src.strip(),
-        location=m.start(),
-        kind=kind,
-    )
+        inner_src = inner_src[:len(_split_top_level(inner_masked)[0])]
+    return SystemProperty(assertion_text=inner_src.strip())
 
 
 def _recursive_functions(calls: Dict[str, set]) -> set:
@@ -598,20 +547,6 @@ def parse_program(source_text: str, weights: WeightTable = DEFAULT_WEIGHTS) -> P
             continue
         body_masked = masked[r.body_span[0]:r.body_span[1]]
         loops = _loop_sites(body_masked)
-        counts = analyze_body(body_masked, loops)
-        is_rec = r.name in recursive
-        score = compute_score(counts, is_rec, weights)
-        metrics = ComplexityMetrics(
-            loop_count=counts["loop_count"],
-            max_nesting_depth=counts["max_nesting_depth"],
-            has_recursion=is_rec,
-            has_unbounded_loop=bool(counts["has_unbounded_loop"]),
-            dynamic_alloc_count=counts["dynamic_alloc_count"],
-            branch_count=counts["branch_count"],
-            pointer_op_count=counts["pointer_op_count"],
-            score=score,
-            tier=tier_for(score),
-        )
         functions.append(FunctionInfo(
             name=r.name,
             signature_text=r.signature_text,
@@ -620,8 +555,7 @@ def parse_program(source_text: str, weights: WeightTable = DEFAULT_WEIGHTS) -> P
             params=r.params,
             calls=tuple(sorted(call_names[r.name])),
             is_static=r.is_static,
-            is_recursive=is_rec,
-            metrics=metrics,
+            metrics=_metrics(body_masked, loops, r.name in recursive, weights),
             loops=tuple(loops),
         ))
 
@@ -634,7 +568,6 @@ def parse_program(source_text: str, weights: WeightTable = DEFAULT_WEIGHTS) -> P
         source_text=source_text,
         masked_text=masked,
         functions=tuple(functions),
-        main_span=main_raw.body_span,
         property=prop,
         global_names=global_names,
         assigned_calls=tuple(m.groups() for m in _ASSIGNED_CALL_RE.finditer(masked)),

@@ -430,14 +430,14 @@ def _conclude(ctx: _Ctx) -> Optional[Verdict]:
 
 
 def _iteration_snapshot(ctx: _Ctx) -> Tuple:
-    """Failing set and their contract texts; equal snapshots in consecutive
-    rounds mean stagnation."""
+    """Failing set and their contracts' clauses; equal snapshots in
+    consecutive rounds mean stagnation."""
     failing = _failing_functions(ctx)
-    texts = tuple(
-        (name, ctx.contracts[name].text_key() if name in ctx.contracts else "<none>")
-        for name in failing
+    clauses = tuple(
+        (name, (c.requires, c.ensures, c.assigns, c.loop_invariants) if c else None)
+        for name, c in zip(failing, map(ctx.contracts.get, failing))
     )
-    return (frozenset(failing), texts)
+    return (frozenset(failing), clauses)
 
 
 def delta_debug(

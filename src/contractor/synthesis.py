@@ -23,7 +23,14 @@ from importlib import resources
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from . import cexpr
-from .contracts import Contract, ContractOrigin, ParseFailure, parse_contract_text
+from .contracts import (
+    INVARIANT_KW,
+    Contract,
+    ContractOrigin,
+    ParseFailure,
+    _contract_lines,
+    parse_contract_text,
+)
 from .errors import ClientUnavailableError
 from .ice import IceDatabase, StateExample, render_examples
 from .mock_backend import source_digest as prompt_digest
@@ -87,10 +94,8 @@ class SynthesisRequest:
 def _contract_as_text(c: Optional[Contract]) -> str:
     if c is None:
         return "(none yet)"
-    lines = [f"__ESBMC_requires({e});" for e in c.requires]
-    lines += [f"__ESBMC_assigns({t});" for t in c.assigns]
-    lines += [f"__ESBMC_ensures({e});" for e in c.ensures]
-    lines += [f"__ESBMC_loop_invariant({e});  /* loop {n} */" for n, e in c.loop_invariants]
+    lines = [line for line, _, _ in _contract_lines(c)]
+    lines += [f"{INVARIANT_KW}({e});  /* loop {n} */" for n, e in c.loop_invariants]
     return "\n".join(lines) if lines else "(empty contract)"
 
 

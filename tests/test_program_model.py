@@ -3,6 +3,8 @@ scoring, and the tier split."""
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from contractor.errors import (
@@ -22,7 +24,7 @@ from contractor.program_model import (
     score_complexity,
     tier_for,
 )
-from conftest import corpus_sources
+from conftest import CORPUS_DIR, corpus_sources
 
 
 def wrap(fn_body: str, call: str, prop: str = "r >= 0") -> str:
@@ -48,6 +50,24 @@ def test_corpus_all_parse():
             assert len(f.loops) == f.metrics.loop_count, (name, f.name)
 
 
+def test_corpus_parse_matches_the_pinned_table():
+    # tests/corpus/parse_table.json pins what the parser reads from each
+    # corpus function; a refactor of this layer keeps every entry
+    table = json.loads((CORPUS_DIR / "parse_table.json").read_text(encoding="utf-8"))
+    got = {}
+    for name, text in corpus_sources():
+        got[name] = {
+            f.name: {
+                "metrics": {k: (v.value if k == "tier" else v) for k, v in vars(f.metrics).items()},
+                "params": [[q.name, q.type_text] for q in f.params],
+                "calls": list(f.calls),
+                "loops": [[s.keyword, s.offset, s.body_open] for s in f.loops],
+            }
+            for f in parse_program(text).functions
+        }
+    assert got == table
+
+
 def test_function_discovery():
     model = parse_program(corpus_text("multi_fn.c"))
     assert [f.name for f in model.functions] == ["scale", "offset", "pipeline"]
@@ -67,9 +87,9 @@ def test_static_detection():
 
 def test_recursion_detection():
     model = parse_program(corpus_text("gcd_rec.c"))
-    assert model.function("gcd").is_recursive
+    assert model.function("gcd").metrics.has_recursion
     model2 = parse_program(corpus_text("multi_fn.c"))
-    assert not any(f.is_recursive for f in model2.functions)
+    assert not any(f.metrics.has_recursion for f in model2.functions)
 
 
 def test_mutual_recursion_via_scc():
@@ -86,8 +106,8 @@ def test_mutual_recursion_via_scc():
         "r == 1",
     )
     model = parse_program(src)
-    assert model.function("is_even").is_recursive
-    assert model.function("is_odd").is_recursive
+    assert model.function("is_even").metrics.has_recursion
+    assert model.function("is_odd").metrics.has_recursion
 
 
 def test_property_extraction():
@@ -208,6 +228,55 @@ int main() {
     assert f.metrics.max_nesting_depth == 1
 
 
+def loops_of(body: str):
+    """f(int n) with the given body, parsed, and its masked body."""
+    model = parse_program(wrap("int f(int n) {\n    int i = 0;\n" + body + "    return i;\n}",
+                               "f(2)"))
+    f = model.function("f")
+    return f, model.masked_text[f.body_span[0]:f.body_span[1]]
+
+
+@pytest.mark.parametrize("body, expected", [
+    ("    for (;;) {\n        i++;\n    }\n",
+     [("for", "", "for (;;) {\n        i++;\n    }")]),
+    ("    while (i < n)\n        i++;\n",
+     [("while", "i < n", "while (i < n)\n        i++;")]),
+    ("    do {\n        i++;\n    } while (i < n);\n",
+     [("do", "i < n", "do {\n        i++;\n    }")]),
+    ("    do i++; while (i < n);\n",
+     [("do", "i < n", "do i++;")]),
+    ("    do {\n        do {\n            i++;\n        } while (i < n);\n    } while (1);\n",
+     [("do", "1", "do {\n        do {\n            i++;\n        } while (i < n);\n    }"),
+      ("do", "i < n", "do {\n            i++;\n        }")]),
+    ("    if (n < 0) {\n        n = 0;\n    } while (i < n) {\n        i++;\n    }\n",
+     [("while", "i < n", "while (i < n) {\n        i++;\n    }")]),
+], ids=["for_ever", "braceless_while", "do_while", "braceless_do_while", "nested_do",
+        "while_after_if_block"])
+def test_loop_site_records_condition_and_extent(body, expected):
+    # a do's condition is its own tail's, and the tail is no site; a while
+    # after any other block opens a loop
+    f, masked = loops_of(body)
+    got = [(s.keyword, s.condition, masked[s.offset:s.end]) for s in f.loops]
+    assert got == expected
+    assert f.metrics.loop_count == len(expected)
+
+
+def test_outer_do_reads_its_own_tail():
+    # the inner tail's `i < n` is not the outer loop's condition
+    f, _ = loops_of(
+        "    do {\n        do {\n            i++;\n        } while (i < n);\n    } while (1);\n")
+    assert f.metrics.has_unbounded_loop
+    assert f.metrics.max_nesting_depth == 2
+    assert f.metrics.score == pytest.approx(32.0)
+
+
+def test_braceless_do_while_is_one_bounded_loop():
+    f, _ = loops_of("    do i++; while (i < n);\n")
+    assert not f.metrics.has_unbounded_loop
+    assert f.metrics.score == pytest.approx(6.0)
+    assert f.metrics.tier is Tier.LOW
+
+
 def test_alloc_counted():
     model = parse_program(corpus_text("alloc_buf.c"))
     f = model.function("make_buffer")
@@ -295,6 +364,16 @@ def test_file_scope_edge_cases():
     assert model.global_names == ("first", "after_include", "after_comment", "split")
     # a preprocessor line ends the chunk before the signature
     assert model.function("bump").signature_text == "static int bump(int a)"
+
+
+@pytest.mark.parametrize("file_scope, expected", [
+    ("int a, b;\nunsigned *p, q = 3;\n", ("a", "b", "p", "q")),
+    ("#define MAX(a, b) ((a) > (b) ? (a) : (b))\nint limit;\n", ("limit",)),
+    ("#define N 4\nint buf[N];\nchar grid[N][N + 1], row[2 * N];\n", ("buf", "grid", "row")),
+], ids=["multi_declarator", "after_function_like_define", "array_bound"])
+def test_globals_take_every_declarator(file_scope, expected):
+    src = file_scope + "int main() {\n    int r = 0;\n    assert(r >= 0);\n    return 0;\n}\n"
+    assert parse_program(src).global_names == expected
 
 
 def test_partition_by_tau():
