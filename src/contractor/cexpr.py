@@ -1,12 +1,22 @@
-"""Tiny evaluator for the C expression subset that shows up in contract clauses.
+"""Tiny evaluator for the C expression subset that shows up in contract clauses,
+and the one definition of the names an expression mentions (`identifiers`).
 
 Integer-only, C semantics where they differ from Python: division and modulo
-truncate toward zero, relational and logical operators yield 0/1. Arrays are
-plain Python sequences in the valuation. No casts, no calls, no assignment.
+truncate toward zero, relational and logical operators yield 0/1, and a shift
+amount must lie in 0..256. Arrays are plain Python sequences in the
+valuation. No casts, no calls, no assignment.
+
+Binary operators come from one precedence table, `_LEVELS`, loosest level
+first, and `_apply` holds their C rules. `&&`, `||` and `?:` short-circuit the
+way C does. The untaken side is still parsed, as a dead branch where an
+evaluation error gives 0: division by zero, a shift out of range, an array
+used as an integer, an unbound name or a bad index. So `d != 0 && n / d > 1`
+is fine at d == 0, while malformed text raises everywhere.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -29,8 +39,21 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
+_NAME_RE = re.compile(r"[A-Za-z_]\w*")
 
-_INT_SUFFIX_RE = re.compile(r"[uUlL]+$")
+# binary operators by precedence, loosest first; each level is left-associative
+_LEVELS = (
+    ("||",), ("&&",), ("|",), ("^",), ("&",), ("==", "!="),
+    ("<", "<=", ">", ">="), ("<<", ">>"), ("+", "-"), ("*", "/", "%"),
+)
+_OPERATORS = {
+    "||": lambda a, b: a != 0 or b != 0, "&&": lambda a, b: a != 0 and b != 0,
+    "|": operator.or_, "^": operator.xor, "&": operator.and_,
+    "==": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
+    ">": operator.gt, ">=": operator.ge, "<<": operator.lshift, ">>": operator.rshift,
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+}
+_UNARY = {"!": operator.not_, "-": operator.neg, "+": operator.pos, "~": operator.invert}
 
 
 def tokenize(text: str) -> List[str]:
@@ -48,37 +71,32 @@ def tokenize(text: str) -> List[str]:
 
 
 def identifiers(text: str) -> Tuple[str, ...]:
-    """All identifier tokens in order of first appearance, deduplicated."""
-    seen: Dict[str, None] = {}
+    """All identifier tokens in order of first appearance, deduplicated.
+    A literal such as `0x7f` or `10u` names nothing. Text outside the
+    evaluator's dialect falls back to every identifier-shaped word."""
     try:
         tokens = tokenize(text)
     except EvalError:
-        tokens = re.findall(r"[A-Za-z_]\w*", text)
-    for tok in tokens:
-        if re.match(r"[A-Za-z_]\w*$", tok) and not tok[0].isdigit():
-            seen.setdefault(tok)
-    return tuple(seen)
+        tokens = _NAME_RE.findall(text)
+    return tuple(dict.fromkeys(t for t in tokens if _NAME_RE.fullmatch(t)))
 
 
-def _c_div(a: int, b: int) -> int:
-    if b == 0:
-        raise EvalError("division by zero")
-    q = abs(a) // abs(b)
-    return q if (a >= 0) == (b >= 0) else -q
-
-
-def _c_mod(a: int, b: int) -> int:
-    return a - _c_div(a, b) * b
+def _apply(op: str, a: int, b: int) -> int:
+    """One binary operator under C's rules; EvalError where C gives no value."""
+    if op in ("/", "%"):
+        if b == 0:
+            raise EvalError("division by zero")
+        q = abs(a) // abs(b) * (1 if (a >= 0) == (b >= 0) else -1)
+        return q if op == "/" else a - q * b
+    if op in ("<<", ">>") and not 0 <= b <= 256:
+        raise EvalError(f"shift amount {b} out of range")
+    return int(_OPERATORS[op](a, b))
 
 
 class _Parser:
-    """Recursive descent over the token list; evaluates as it parses.
-
-    `&&`, `||` and `?:` short-circuit the way C does. The untaken side still
-    has to be parsed (the token stream moves forward), so it runs with
-    `self.dead` set, which turns evaluation errors into zeros: structural
-    errors still raise, but `d != 0 && n / d > 1` is fine at d == 0.
-    """
+    """Recursive descent over the token list; evaluates as it parses. While
+    `self.dead` is set, the parser is in an untaken branch (see the module
+    docstring)."""
 
     def __init__(self, tokens: List[str], valuation: Dict[str, Value]):
         self.toks = tokens
@@ -98,10 +116,10 @@ class _Parser:
         self.i += 1
         return tok
 
-    def _skip(self, production) -> None:
+    def _skip(self, production, *args) -> None:
         self.dead += 1
         try:
-            production()
+            production(*args)
         finally:
             self.dead -= 1
 
@@ -124,7 +142,7 @@ class _Parser:
         return val
 
     def ternary(self) -> Value:
-        cond = self.logic_or()
+        cond = self.binary(0)
         if self.peek() == "?":
             self.take()
             taken = self._truthy(cond)
@@ -139,125 +157,32 @@ class _Parser:
             return val
         return cond
 
-    def logic_or(self) -> Value:
-        left = self.logic_and()
-        while self.peek() == "||":
-            self.take()
-            if self._truthy(left):
-                self._skip(self.logic_and)
-                left = 1
-            else:
-                left = 1 if self._truthy(self.logic_and()) else 0
-        return left
-
-    def logic_and(self) -> Value:
-        left = self.bit_or()
-        while self.peek() == "&&":
-            self.take()
-            if not self._truthy(left):
-                self._skip(self.bit_or)
+    def binary(self, level: int) -> Value:
+        """The operators of `_LEVELS[level]` over operands of the next level."""
+        if level == len(_LEVELS):
+            return self.unary()
+        left = self.binary(level + 1)
+        while self.peek() in _LEVELS[level]:
+            op = self.take()
+            if op in ("&&", "||") and self._truthy(left) == (op == "||"):
+                self._skip(self.binary, level + 1)
+                left = int(op == "||")
+                continue
+            a, b = self._as_int(left), self._as_int(self.binary(level + 1))
+            try:
+                left = _apply(op, a, b)
+            except EvalError:
+                if not self.dead:
+                    raise
                 left = 0
-            else:
-                left = 1 if self._truthy(self.bit_or()) else 0
-        return left
-
-    def bit_or(self) -> Value:
-        left = self.bit_xor()
-        while self.peek() == "|":
-            self.take()
-            left = self._as_int(left) | self._as_int(self.bit_xor())
-        return left
-
-    def bit_xor(self) -> Value:
-        left = self.bit_and()
-        while self.peek() == "^":
-            self.take()
-            left = self._as_int(left) ^ self._as_int(self.bit_and())
-        return left
-
-    def bit_and(self) -> Value:
-        left = self.equality()
-        while self.peek() == "&":
-            self.take()
-            left = self._as_int(left) & self._as_int(self.equality())
-        return left
-
-    def equality(self) -> Value:
-        left = self.relational()
-        while self.peek() in ("==", "!="):
-            op = self.take()
-            right = self.relational()
-            hit = self._as_int(left) == self._as_int(right)
-            left = int(hit if op == "==" else not hit)
-        return left
-
-    def relational(self) -> Value:
-        left = self.shift()
-        while self.peek() in ("<", "<=", ">", ">="):
-            op = self.take()
-            right = self._as_int(self.shift())
-            a = self._as_int(left)
-            left = int(
-                a < right if op == "<"
-                else a <= right if op == "<="
-                else a > right if op == ">"
-                else a >= right
-            )
-        return left
-
-    def shift(self) -> Value:
-        left = self.additive()
-        while self.peek() in ("<<", ">>"):
-            op = self.take()
-            right = self._as_int(self.additive())
-            if not 0 <= right <= 256:
-                if self.dead:
-                    left = 0
-                    continue
-                raise EvalError(f"shift amount {right} out of range")
-            left = self._as_int(left) << right if op == "<<" \
-                else self._as_int(left) >> right
-        return left
-
-    def additive(self) -> Value:
-        left = self.multiplicative()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            right = self._as_int(self.multiplicative())
-            left = self._as_int(left) + right if op == "+" \
-                else self._as_int(left) - right
-        return left
-
-    def multiplicative(self) -> Value:
-        left = self.unary()
-        while self.peek() in ("*", "/", "%"):
-            op = self.take()
-            right = self._as_int(self.unary())
-            if op == "*":
-                left = self._as_int(left) * right
-            elif right == 0 and self.dead:
-                left = 0
-            elif op == "/":
-                left = _c_div(self._as_int(left), right)
-            else:
-                left = _c_mod(self._as_int(left), right)
         return left
 
     def unary(self) -> Value:
-        tok = self.peek()
-        if tok == "!":
-            self.take()
-            return int(not self._truthy(self.unary()))
-        if tok == "-":
-            self.take()
-            return -self._as_int(self.unary())
-        if tok == "+":
-            self.take()
-            return self._as_int(self.unary())
-        if tok == "~":
-            self.take()
-            return ~self._as_int(self.unary())
-        return self.postfix()
+        fn = _UNARY.get(self.peek())
+        if fn is None:
+            return self.postfix()
+        self.take()
+        return int(fn(self._as_int(self.unary())))
 
     def postfix(self) -> Value:
         val = self.primary()
@@ -284,11 +209,9 @@ class _Parser:
             val = self.ternary()
             self.take(")")
             return val
-        if re.match(r"0[xX]", tok):
-            return int(_INT_SUFFIX_RE.sub("", tok), 16)
         if tok[0].isdigit():
-            return int(_INT_SUFFIX_RE.sub("", tok))
-        if re.match(r"[A-Za-z_]\w*$", tok):
+            return int(tok.rstrip("uUlL"), 16 if tok[:2] in ("0x", "0X") else 10)
+        if _NAME_RE.fullmatch(tok):
             if tok not in self.env:
                 if self.dead:
                     return 0

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import cexpr
 from .errors import (
@@ -377,56 +377,37 @@ def parse_contract_text(
     search_space = "\n".join(fences) if fences else raw
 
     base_allowed = {p.name for p in f.params} | set(known_globals)
-    body_idents = set(cexpr.identifiers(f.body_text))
-    inv_allowed = base_allowed | body_idents
+    inv_allowed = base_allowed | set(cexpr.identifiers(f.body_text))
 
-    requires: List[str] = []
-    ensures: List[str] = []
-    assigns: List[str] = []
-    invariants: List[str] = []
+    clauses: Dict[str, List[str]] = {
+        kw: [] for kw in (REQUIRES_KW, ENSURES_KW, ASSIGNS_KW, INVARIANT_KW)}
     for m in _ANNOT_RE.finditer(search_space):
         arg = _balanced_argument(search_space, m.end() - 1)
         if arg is None:
             return ParseFailure(ParseFailureReason.UNBALANCED, m.group(1))
-        arg = " ".join(arg.split())
-        kw = m.group(1)
-        if kw == REQUIRES_KW:
-            requires.append(arg)
-        elif kw == ENSURES_KW:
-            ensures.append(arg)
-        elif kw == ASSIGNS_KW:
-            assigns.append(arg)
-        else:
-            invariants.append(arg)
-
-    if not (requires or ensures or assigns or invariants):
+        clauses[m.group(1)].append(" ".join(arg.split()))
+    if not any(clauses.values()):
         return ParseFailure(ParseFailureReason.NO_CLAUSES, "no annotation clauses found")
 
-    for expr in requires:
-        bad = _validate_clause(expr, base_allowed, "requires")
-        if bad:
-            return ParseFailure(bad.reason, bad.detail)
-    for expr in ensures:
-        bad = _validate_clause(expr, base_allowed, "ensures")
-        if bad:
-            return ParseFailure(bad.reason, bad.detail)
-    for expr in invariants:
-        bad = _validate_clause(expr, inv_allowed, "loop invariant")
-        if bad:
-            return ParseFailure(bad.reason, bad.detail)
+    for kw, kind, allowed in ((REQUIRES_KW, "requires", base_allowed),
+                              (ENSURES_KW, "ensures", base_allowed),
+                              (INVARIANT_KW, "loop invariant", inv_allowed)):
+        for expr in clauses[kw]:
+            bad = _validate_clause(expr, allowed, kind)
+            if bad:
+                return bad
+    invariants = clauses[INVARIANT_KW]
     for n, expr in enumerate(invariants):
         if n >= len(f.loops) or f.loops[n].body_open is None:
             return ParseFailure(ParseFailureReason.LOOP_ORDINAL,
                                 f"no braced loop {n} to lead with: {expr}")
-    for t in assigns:
-        t = t.strip()
-        if not t:
-            return ParseFailure(ParseFailureReason.NO_CLAUSES, "empty assigns target")
+    if "" in clauses[ASSIGNS_KW]:
+        return ParseFailure(ParseFailureReason.NO_CLAUSES, "empty assigns target")
 
     return Contract(
         function=f.name,
-        requires=tuple(requires),
-        ensures=tuple(ensures),
-        assigns=tuple(assigns),
+        requires=tuple(clauses[REQUIRES_KW]),
+        ensures=tuple(clauses[ENSURES_KW]),
+        assigns=tuple(clauses[ASSIGNS_KW]),
         loop_invariants=tuple(enumerate(invariants)),
     )

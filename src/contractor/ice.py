@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
+from .cexpr import identifiers
 from .contracts import Contract, ParseFailure
 from .errors import NoResponsibleFunctionError
 from .program_model import ProgramModel
@@ -167,11 +168,11 @@ def classify(result: Union[VerificationResult, ParseFailure]) -> Classification:
 
 def _has_unconstrained_nondet(parsed: ParsedCounterexample) -> bool:
     relevant = {n.split("[")[0] for n, _ in parsed.key_variables}
-    relevant |= set(re.findall(r"[A-Za-z_]\w*", parsed.violated_property))
+    relevant.update(identifiers(parsed.violated_property))
     assumed_so_far: set = set()
     for step in parsed.trace:
         if step.kind == "assume":
-            assumed_so_far |= set(re.findall(r"[A-Za-z_]\w*", step.note))
+            assumed_so_far.update(identifiers(step.note))
             continue
         for name, value in step.assignments:
             base = name.split("[")[0]
@@ -258,6 +259,12 @@ def _contract_mentions(c: Contract, name: str) -> bool:
     return any(_clause_mentions(expr, name) for _, expr in c.loop_invariants)
 
 
+def _lvalue_ends_in(lvalue: str, key: str) -> bool:
+    """Whether an assigned path is the key or ends in `.key` or `->key`:
+    `p->s.x` ends in `x` and in `s.x`, not in `p` or `s`."""
+    return lvalue == key or lvalue.endswith(("." + key, "->" + key))
+
+
 def weakest_link(
     parsed: ParsedCounterexample,
     contracts: Mapping[str, Contract],
@@ -266,8 +273,8 @@ def weakest_link(
     """The contracted function most suspect for a system-level failure.
 
     Each key variable maps to the functions whose contracts mention it, plus
-    the function that produced it at a call site (`v = f(...)`, as recorded in
-    `model.assigned_calls`). Gap score per function: mapped variables over
+    the function that produced it at a call site (`v = f(...)` or
+    `s.v = f(...)`, as recorded in `model.assigned_calls`). Gap score per function: mapped variables over
     (1 + ensures clauses touching any key variable); the highest gap is the
     least-constrained responsible function.
     Ties break lexicographically so reruns pick the same target.
@@ -283,13 +290,8 @@ def weakest_link(
         for fname, c in contracts.items():
             if _contract_mentions(c, var):
                 mapped[fname].add(var)
-        if re.fullmatch(r"[A-Za-z_]\w*", var):
-            var_producers = [callee for lvalue, callee in model.assigned_calls if lvalue == var]
-        else:  # s.x, *p: not an lvalue the model records
-            producer_re = r"\b%s\s*=\s*([A-Za-z_]\w*)\s*\(" % re.escape(var)
-            var_producers = [m.group(1) for m in re.finditer(producer_re, model.masked_text)]
-        for producer in var_producers:
-            if producer in contracts:
+        for lvalue, producer in model.assigned_calls:
+            if producer in contracts and _lvalue_ends_in(lvalue, var):
                 mapped[producer].add(var)
 
     candidates = {f: vars_ for f, vars_ in mapped.items() if vars_}

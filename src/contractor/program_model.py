@@ -64,7 +64,11 @@ _BRACE_RE = re.compile(r"[{}]")
 _BODY_OPEN_RE = re.compile(r"\s*\{")
 # a `;`-terminated segment starts at offset 0 or just after a separator
 _SEGMENT_RE = re.compile(r"(?:^|(?<=[;{}#]))\n*([^;{}#\n][^;{}#]*;)")
-_ASSIGNED_CALL_RE = re.compile(r"\b([A-Za-z_]\w*)\s*=\s*([A-Za-z_]\w*)\s*\(")
+# `lvalue = callee(`, the lvalue a name or a `.`/`->` path spelled without spaces
+_ASSIGNED_CALL_RE = re.compile(
+    r"\b([A-Za-z_]\w*(?:(?:\.|->)[A-Za-z_]\w*)*)\s*=\s*([A-Za-z_]\w*)\s*\(")
+# a directive's own line and every line it continues with a backslash
+_DIRECTIVE_LINES_RE = re.compile(r"(?:.*\\\n)*.*\n?")
 _ARRAY_BOUND_RE = re.compile(r"\[[^\]]*\]")
 _LOOP_KEYWORD_RE = re.compile(r"\b(for|while|do)\b")
 _DO_TAIL_RE = re.compile(r"\s*while\b")
@@ -146,11 +150,11 @@ class SystemProperty:
 @dataclass(frozen=True)
 class ProgramModel:
     source_text: str
-    masked_text: str = field(repr=False)  # source_text through mask_comments_and_strings
     functions: Tuple[FunctionInfo, ...]
     property: SystemProperty
     global_names: Tuple[str, ...] = ()
-    # (lvalue, callee) of each `lvalue = callee(` in masked_text, in text order
+    # (lvalue, callee) of each `lvalue = callee(` outside comments and strings,
+    # in text order
     assigned_calls: Tuple[Tuple[str, str], ...] = ()
     _by_name: Dict[str, FunctionInfo] = field(init=False, repr=False, compare=False)
 
@@ -334,8 +338,8 @@ def _scan_globals(masked: str, raws: Sequence[_RawFunction]) -> Tuple[str, ...]:
         seg_start, seg = m.start(1), m.group(1)
         if inside_function(seg_start):
             continue
-        if masked[seg_start - 1:seg_start] == "#":  # a directive's own line declares nothing
-            seg = seg.partition("\n")[2]
+        if masked[seg_start - 1:seg_start] == "#":  # a directive's lines declare nothing
+            seg = seg[_DIRECTIVE_LINES_RE.match(seg).end():]
         if "(" in seg:  # prototype or call, not a variable
             continue
         words = _WORD_RE.findall(seg)
@@ -566,7 +570,6 @@ def parse_program(source_text: str, weights: WeightTable = DEFAULT_WEIGHTS) -> P
 
     return ProgramModel(
         source_text=source_text,
-        masked_text=masked,
         functions=tuple(functions),
         property=prop,
         global_names=global_names,

@@ -24,13 +24,13 @@ stubs left to blame). Everything else, including budget exhaustion, is
 
 from __future__ import annotations
 
-import re
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
+from .cexpr import identifiers
 from .contracts import (
     Contract,
     ContractOrigin,
@@ -658,18 +658,13 @@ def run_pipeline(
 
 
 def _coverage_names(ctx: _Ctx, f: FunctionInfo) -> set:
-    prop_idents = set(re.findall(r"[A-Za-z_]\w*", ctx.model.property.assertion_text))
     names = {p.name for p in f.params} | {"__ESBMC_return_value"}
-    names |= prop_idents & set(ctx.model.global_names)
+    names |= set(identifiers(ctx.model.property.assertion_text)) & set(ctx.model.global_names)
     return names
 
 
 def _covers(c: Contract, names: set) -> bool:
-    for clause in c.ensures:
-        for ident in re.findall(r"[A-Za-z_]\w*", clause):
-            if ident in names:
-                return True
-    return False
+    return any(not names.isdisjoint(identifiers(clause)) for clause in c.ensures)
 
 
 def _synthesize_low_one(

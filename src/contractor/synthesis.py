@@ -34,7 +34,7 @@ from .contracts import (
 from .errors import ClientUnavailableError
 from .ice import IceDatabase, StateExample, render_examples
 from .mock_backend import source_digest as prompt_digest
-from .program_model import FunctionInfo
+from .program_model import FunctionInfo, mask_comments_and_strings
 from .runlog import RunLog
 
 PARSE_RETRIES = 2
@@ -338,10 +338,11 @@ _PREFIX_TARGET_RE = re.compile(r"(?:\+\+|--)\s*([A-Za-z_]\w*)")
 
 def heuristic_fallback(f: FunctionInfo, known_globals: Iterable[str] = ()) -> Contract:
     """Most conservative contract we can write without thinking: no
-    precondition, trivially true postcondition, assigns from a body scan
-    (globals written, plus writes through pointer parameters; the latter get
-    stripped later by assigns sanitization, which is the point: they are
-    recorded for the log, not for the backend)."""
+    precondition, trivially true postcondition, assigns from a scan of the
+    body outside comments and strings (globals written, plus writes through
+    pointer parameters; the latter get stripped later by assigns
+    sanitization, which is the point: they are recorded for the log, not for
+    the backend)."""
     globals_set = set(known_globals)
     pointer_params = {p.name for p in f.params if "*" in p.type_text or "[" in p.type_text}
     targets: List[str] = []
@@ -351,7 +352,8 @@ def heuristic_fallback(f: FunctionInfo, known_globals: Iterable[str] = ()) -> Co
         if t and t not in targets:
             targets.append(t)
 
-    for m in _ASSIGN_TARGET_RE.finditer(f.body_text):
+    body = mask_comments_and_strings(f.body_text)
+    for m in _ASSIGN_TARGET_RE.finditer(body):
         raw = m.group(1).strip()
         if raw.startswith("*"):
             base = raw.lstrip("* \t")
@@ -363,7 +365,7 @@ def heuristic_fallback(f: FunctionInfo, known_globals: Iterable[str] = ()) -> Co
                 add(" ".join(raw.split()))
         elif raw in globals_set:
             add(raw)
-    for m in _PREFIX_TARGET_RE.finditer(f.body_text):
+    for m in _PREFIX_TARGET_RE.finditer(body):
         if m.group(1) in globals_set:
             add(m.group(1))
 

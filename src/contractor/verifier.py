@@ -22,6 +22,7 @@ from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import mock_backend
+from .cexpr import identifiers
 from .contracts import InstrumentedSource
 from .errors import BackendNotFoundError
 from .mock_backend import ENFORCE_FLAG, FIXTURES_ENV
@@ -163,7 +164,7 @@ def parse_verifier_output(raw: str) -> Tuple[Status, Optional[ParsedCounterexamp
     for step in trace:
         for name, value in step.assignments:
             final[name] = value
-    prop_idents = set(re.findall(r"[A-Za-z_]\w*", violated))
+    prop_idents = set(identifiers(violated))
     keyed = {n: v for n, v in final.items() if n.split("[")[0] in prop_idents}
     if not keyed:
         keyed = final

@@ -3,6 +3,9 @@ it usable as an oracle for counterexample arithmetic."""
 
 from __future__ import annotations
 
+import shutil
+import subprocess
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,6 +17,73 @@ from contractor.cexpr import (
     identifiers,
     try_evaluate_bool,
 )
+
+
+# One case per precedence level, loosest first, each giving a different value
+# if that level bound tighter or looser than its neighbour, then mixed
+# chains. Every value is what gcc prints for the same expression as C `int`
+# (`test_precedence_table_matches_gcc`).
+PRECEDENCE = [
+    ("1 || 0 && 0", 1),
+    ("1 | 2 && 0", 0),
+    ("1 ^ 1 | 1", 1),
+    ("3 ^ 1 & 2", 3),
+    ("2 & 2 == 2", 0),
+    ("2 == 2 < 3", 0),
+    ("3 != 2 > 1", 1),
+    ("1 < 1 << 2", 1),
+    ("8 >> 1 + 1", 2),
+    ("1 << 1 + 1", 4),
+    ("1 + 2 * 3", 7),
+    ("10 - 3 - 2", 5),
+    ("7 - 5 % 3", 5),
+    ("-7 / 2", -3),
+    ("100 / 10 / 5", 2),
+    ("-2 * -3", 6),
+    ("!0 + ~0", 0),
+    ("~5 & 7", 2),
+    ("0 ? 1 : 2 ? 3 : 4", 3),
+    ("1 + 2 * 3 << 1 > 12 == 1 & 5 ^ 4 | 2 && 3 || 0", 1),
+    ("2 + 3 * 4 % 5 - 6 / 4 << 2 >> 1 >= 5 != 0 & 1 | 8 ^ 3", 11),
+]
+
+
+@pytest.mark.parametrize("text, value", PRECEDENCE)
+def test_precedence_table(text, value):
+    assert evaluate(text, {}) == value
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc on PATH")
+def test_precedence_table_matches_gcc(tmp_path):
+    lines = "".join(f'    printf("%d\\n", {text});\n' for text, _ in PRECEDENCE)
+    src = tmp_path / "table.c"
+    src.write_text("#include <stdio.h>\nint main(void) {\n" + lines + "    return 0;\n}\n")
+    subprocess.run(["gcc", "-w", "-o", str(tmp_path / "table"), str(src)], check=True, timeout=60)
+    out = subprocess.run([str(tmp_path / "table")], check=True, capture_output=True, text=True,
+                         timeout=60)
+    assert [int(v) for v in out.stdout.split()] == [v for _, v in PRECEDENCE]
+
+
+def test_dead_branch_errors_give_zero():
+    # the untaken side is parsed but cannot fail
+    assert evaluate("0 && 1 / 0", {}) == 0
+    assert evaluate("1 || 1 << 300", {}) == 1
+    assert evaluate("0 ? buf : 1", {"buf": [1, 2]}) == 1
+    assert evaluate("1 ? 2 : buf[9] % 0", {"buf": [1, 2]}) == 2
+    # taken, each one fails
+    for text in ("1 && 1 / 0", "0 || 1 << 300", "1 << -1", "1 ? buf + 1 : 1"):
+        with pytest.raises(EvalError):
+            evaluate(text, {"buf": [1, 2]})
+    # malformed text fails even where it is never evaluated
+    with pytest.raises(EvalError):
+        evaluate("0 && (1 +", {})
+
+
+def test_identifiers_skip_literals():
+    assert identifiers("x <= 0x7f && y > 10u && z != 5UL") == ("x", "y", "z")
+    assert identifiers("p->next == 0") == ("p", "next")
+    # outside the dialect: every identifier-shaped word
+    assert identifiers("s.f == 1.5") == ("s", "f")
 
 
 def test_arithmetic_precedence():

@@ -378,7 +378,53 @@ def test_weakest_link_member_key_reads_the_source_text():
         {"function": "main", "line": 9, "assigns": [("s.x", "1")]},
     ]))
     assert [name for name, _ in parsed.key_variables] == ["s.x"]
+    assert model.assigned_calls == (("s.x", "f"),)
     assert weakest_link(parsed, {"f": contract("f")}, model) == "f"
+
+
+PATHS_SRC = """\
+struct pt { int x; };
+struct box { struct pt s; };
+
+int f(int a) {
+    return a;
+}
+
+int g(int a) {
+    return a + 1;
+}
+
+int main() {
+    struct box b;
+    struct box *p = &b;
+    int x = 0;
+    p->s.x = f(1);
+    b.s . x = g(2);
+    assert(x + p->s.x > 5);
+    return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("key, blamed", [
+    ("x", {"f", "g"}),  # the last name of either path
+    ("s.x", {"f"}),  # `b.s . x` is spelled with spaces: only its last name is recorded
+    ("p->s.x", {"f"}),
+    ("s", set()),  # a path does not end in its own prefix
+    ("p", set()),
+])
+def test_weakest_link_path_lvalues_end_in_the_key(key, blamed):
+    model = parse_program(PATHS_SRC)
+    assert model.assigned_calls == (("p->s.x", "f"), ("x", "g"))
+    parsed = parsed_from(failure_output("x > 5", steps=[
+        {"function": "main", "line": 16, "assigns": [(key, "1")]},
+    ]))
+    for fname in ("f", "g"):  # one contracted function at a time
+        if fname in blamed:
+            assert weakest_link(parsed, {fname: contract(fname)}, model) == fname
+        else:
+            with pytest.raises(NoResponsibleFunctionError):
+                weakest_link(parsed, {fname: contract(fname)}, model)
 
 
 def test_weakest_link_no_candidate_raises():

@@ -233,7 +233,7 @@ def loops_of(body: str):
     model = parse_program(wrap("int f(int n) {\n    int i = 0;\n" + body + "    return i;\n}",
                                "f(2)"))
     f = model.function("f")
-    return f, model.masked_text[f.body_span[0]:f.body_span[1]]
+    return f, mask_comments_and_strings(model.source_text)[f.body_span[0]:f.body_span[1]]
 
 
 @pytest.mark.parametrize("body, expected", [
@@ -370,7 +370,8 @@ def test_file_scope_edge_cases():
     ("int a, b;\nunsigned *p, q = 3;\n", ("a", "b", "p", "q")),
     ("#define MAX(a, b) ((a) > (b) ? (a) : (b))\nint limit;\n", ("limit",)),
     ("#define N 4\nint buf[N];\nchar grid[N][N + 1], row[2 * N];\n", ("buf", "grid", "row")),
-], ids=["multi_declarator", "after_function_like_define", "array_bound"])
+    ("#define SQ(a) \\\n  ((a) * (a))\nint k;\n", ("k",)),
+], ids=["multi_declarator", "after_function_like_define", "array_bound", "after_continued_define"])
 def test_globals_take_every_declarator(file_scope, expected):
     src = file_scope + "int main() {\n    int r = 0;\n    assert(r >= 0);\n    return 0;\n}\n"
     assert parse_program(src).global_names == expected

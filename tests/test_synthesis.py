@@ -259,6 +259,22 @@ def test_heuristic_fallback_scans_assigns():
     assert c.origin is ContractOrigin.HEURISTIC_FALLBACK
 
 
+def test_heuristic_fallback_skips_comments_and_strings():
+    src = ('int counter = 0;\nint total = 0;\n\n'
+           'void log_line(const char *s) {\n}\n\n'
+           'int bump(int n) {\n'
+           '    /* counter = 0 resets it */\n'
+           '    log_line("total = 1; counter++");\n'
+           '    // total += n;\n'
+           '    return n + 1;\n'
+           '}\n\n'
+           'int main() {\n    int r = bump(2);\n    assert(r == 3);\n    return 0;\n}\n')
+    model = parse_program(src)
+    c = heuristic_fallback(model.function("bump"), model.global_names)
+    assert model.global_names == ("counter", "total")
+    assert c.assigns == ()
+
+
 def test_heuristic_fallback_records_pointer_writes():
     src = dict(corpus_sources())["swap_ptr.c"]
     model = parse_program(src)

@@ -1,21 +1,28 @@
 """The benchmark's construction, checked in-process: every `oraclebench`
 workload program at seed 1, run against the oracle's own verifier, ends with
 the outcome, verdict, stage and iteration count its construction fixes. A
-refinement change the benchmark would call `incorrect` fails here first."""
+refinement change the benchmark would call `incorrect` fails here first.
+
+`tests/corpus/run_table.json` pins the SHA-256 of each program's
+`canonical_run_bytes`, so a change that should keep behaviour keeps every
+decision of every run, not only how the run ended."""
 
 from __future__ import annotations
 
+import hashlib
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
-from contractor.harness import run_program
+from contractor.harness import canonical_run_bytes, run_program
 from contractor.refinement import PipelineConfig, Strategy
 from contractor.synthesis import ScriptedLlmClient
 from contractor.verifier import VerificationResult, parse_verifier_output
 
 ORACLEBENCH = Path(__file__).resolve().parents[1] / "oraclebench"
+RUN_TABLE = Path(__file__).resolve().parent / "corpus" / "run_table.json"
 BENCH_MODULES = ("model", "oracle", "workloads")
 
 
@@ -46,7 +53,8 @@ def parse(out: str, mode: str) -> VerificationResult:
 def test_every_workload_program_ends_as_constructed(bench, workload):
     oracle, workloads = bench
     programs = workloads.GENERATORS[workload](1)
-    assert programs
+    pinned = json.loads(RUN_TABLE.read_text(encoding="utf-8"))[workload]
+    assert sorted(p["name"] for p in programs) == sorted(pinned)
     for p in programs:
         prog = oracle.Program(p["model"])
         cfg = PipelineConfig(**dict(p["config"], strategy=Strategy(p["config"]["strategy"])))
@@ -60,3 +68,5 @@ def test_every_workload_program_ends_as_constructed(bench, workload):
         stalled = [e["mode"] for e in report.log.of_kind("verification")
                    if e["status"] in ("tool_error", "timeout")]
         assert stalled == [], p["name"]
+        run_bytes = canonical_run_bytes(report.verdict, report.log)
+        assert hashlib.sha256(run_bytes).hexdigest() == pinned[p["name"]], p["name"]
