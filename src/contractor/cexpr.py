@@ -4,7 +4,9 @@ and the one definition of the names an expression mentions (`identifiers`).
 Integer-only, C semantics where they differ from Python: division and modulo
 truncate toward zero, relational and logical operators yield 0/1, and a shift
 amount must lie in 0..256. Arrays are plain Python sequences in the
-valuation. No casts, no calls, no assignment.
+valuation. No casts, no calls, no assignment. A character literal of one
+plain character or a simple escape has its C value; a floating, string or
+other character literal has none, so evaluating it raises EvalError.
 
 Binary operators come from one precedence table, `_LEVELS`, loosest level
 first, and `_apply` holds their C rules. `&&`, `||` and `?:` short-circuit the
@@ -27,19 +29,33 @@ class EvalError(Exception):
     """Expression cannot be parsed or evaluated over the given valuation."""
 
 
-_TOKEN_RE = re.compile(
-    r"""
-    \s*(
-        0[xX][0-9a-fA-F]+[uUlL]* |
-        \d+[uUlL]*               |
-        [A-Za-z_]\w*             |
-        << | >> | <= | >= | == | != | && | \|\| |
-        [-+*/%~!<>=&^|?:()\[\],]
-    )
-    """,
-    re.VERBOSE,
-)
-_NAME_RE = re.compile(r"[A-Za-z_]\w*")
+# floating literals: hexadecimal with a binary exponent, decimal with a point
+# or an exponent
+_FLOAT = r"""
+    0[xX](?:[0-9a-fA-F]+\.?[0-9a-fA-F]*|\.[0-9a-fA-F]+)[pP][+-]?\d+[fFlL]?
+    | (?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?[fFlL]?
+    | \d+[eE][+-]?\d+[fFlL]?
+"""
+# character, string, floating and integer literals, each floating one before
+# the integer it starts with; a literal names nothing
+_LITERAL = r"""
+    '(?:\\.|[^'\\\n])+' | "(?:\\.|[^"\\\n])*" |
+""" + _FLOAT + r"""
+    | 0[xX][0-9a-fA-F]+[uUlL]* | \d+[uUlL]*
+"""
+_NAME = r"[A-Za-z_]\w*"
+_TOKEN_RE = re.compile(r"\s*(" + _LITERAL + "|" + _NAME + r"""
+    | << | >> | <= | >= | == | != | && | \|\|
+    | [-+*/%~!<>=&^|?:()\[\],]
+)""", re.VERBOSE)
+# a literal or a name, wherever it stands in text of any shape
+_LEXEME_RE = re.compile(_LITERAL + "|" + _NAME, re.VERBOSE)
+_FLOAT_RE = re.compile(_FLOAT, re.VERBOSE)
+_NAME_RE = re.compile(_NAME)
+# the value of each one-character literal's text between the quotes
+_CHAR_VALUES = {**{chr(c): c for c in range(32, 127) if chr(c) not in "\\'"},
+                "\\0": 0, "\\t": 9, "\\n": 10, "\\r": 13,
+                "\\\\": 92, "\\'": 39, '\\"': 34}
 
 # binary operators by precedence, loosest first; each level is left-associative
 _LEVELS = (
@@ -71,14 +87,10 @@ def tokenize(text: str) -> List[str]:
 
 
 def identifiers(text: str) -> Tuple[str, ...]:
-    """All identifier tokens in order of first appearance, deduplicated.
-    A literal such as `0x7f` or `10u` names nothing. Text outside the
-    evaluator's dialect falls back to every identifier-shaped word."""
-    try:
-        tokens = tokenize(text)
-    except EvalError:
-        tokens = _NAME_RE.findall(text)
-    return tuple(dict.fromkeys(t for t in tokens if _NAME_RE.fullmatch(t)))
+    """All identifiers in order of first appearance, deduplicated, read from
+    text in or outside the evaluator's dialect. A literal such as `0x7f`,
+    `10u`, `1e5`, `1.5f`, `'a'` or `"s"` names nothing."""
+    return tuple(dict.fromkeys(t for t in _LEXEME_RE.findall(text) if _NAME_RE.fullmatch(t)))
 
 
 def _apply(op: str, a: int, b: int) -> int:
@@ -209,6 +221,12 @@ class _Parser:
             val = self.ternary()
             self.take(")")
             return val
+        if tok[0] == "'" and tok[1:-1] in _CHAR_VALUES:
+            return _CHAR_VALUES[tok[1:-1]]
+        if tok[0] in "'\"" or _FLOAT_RE.fullmatch(tok):
+            if self.dead:
+                return 0
+            raise EvalError(f"literal {tok} has no integer value here")
         if tok[0].isdigit():
             return int(tok.rstrip("uUlL"), 16 if tok[:2] in ("0x", "0X") else 10)
         if _NAME_RE.fullmatch(tok):

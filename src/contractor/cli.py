@@ -24,7 +24,6 @@ from .harness import (
     write_report,
 )
 from .mock_backend import source_digest
-from .program_model import DEFAULT_WEIGHTS, load_weight_table
 from .refinement import PipelineConfig, Strategy, VerdictOutcome
 from .synthesis import make_client
 from .verifier import SubprocessVerifier, VerifierConfig
@@ -51,11 +50,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                         "each with one thread")
     p.add_argument("--tau", type=float, default=10.0,
                    help="complexity threshold for the pre-abstraction split")
-    p.add_argument("--weights", default=None,
-                   help="complexity weight overrides, one 'name = value' per line")
     p.add_argument("--report", default=None, help="write a JSON report here")
-    p.add_argument("--retries", type=int, default=2,
-                   help="extra synthesis attempts after a malformed reply")
 
 
 def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
@@ -64,7 +59,6 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
         strategy=Strategy(args.strategy),
         timeout_s=args.timeout_s,
         workers=args.workers,
-        retries=args.retries,
     )
     if args.max_iterations is not None:
         kw.update(k_cegar=args.max_iterations, k_cegis=args.max_iterations,
@@ -80,12 +74,6 @@ def _verifier(args: argparse.Namespace) -> SubprocessVerifier:
         fixtures_dir=args.fixtures,
     )
     return SubprocessVerifier(cfg)
-
-
-def _weights(args: argparse.Namespace):
-    if args.weights is None:
-        return DEFAULT_WEIGHTS
-    return load_weight_table(args.weights)
 
 
 def _print_verdict(report: RunReport) -> None:
@@ -119,8 +107,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     cfg = _pipeline_config(args)
     client = make_client(args.llm, args.transcripts)
     verifier = _verifier(args)
-    report = run_program(Path(args.program).name, source, cfg, client, verifier,
-                         weights=_weights(args))
+    report = run_program(Path(args.program).name, source, cfg, client, verifier)
     _print_verdict(report)
     if args.runlog:
         Path(args.runlog).write_text(report.log.to_jsonl(), encoding="utf-8")
@@ -157,8 +144,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     cfg = replace(_pipeline_config(args), workers=1)
     verifier = _verifier(args)
     factory = lambda: make_client(args.llm, args.transcripts)  # noqa: E731
-    suite = run_suite(programs, cfg, factory, verifier, workers=args.workers,
-                      weights=_weights(args))
+    suite = run_suite(programs, cfg, factory, verifier, workers=args.workers)
     width = max((len(r.name) for r in suite.reports), default=4)
     for r in suite.reports:
         print(f"{r.name:<{width}}  {r.outcome.value:<11}  iterations={r.iterations}")

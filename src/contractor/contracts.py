@@ -20,7 +20,13 @@ from .errors import (
     UnbalancedSourceError,
     UnknownFunctionError,
 )
-from .program_model import C_KEYWORDS, FunctionInfo, ProgramModel, match_close
+from .program_model import (
+    C_KEYWORDS,
+    FunctionInfo,
+    ProgramModel,
+    mask_comments_and_strings,
+    match_close,
+)
 
 REQUIRES_KW = "__ESBMC_requires"
 ENSURES_KW = "__ESBMC_ensures"
@@ -377,7 +383,7 @@ def parse_contract_text(
     search_space = "\n".join(fences) if fences else raw
 
     base_allowed = {p.name for p in f.params} | set(known_globals)
-    inv_allowed = base_allowed | set(cexpr.identifiers(f.body_text))
+    inv_allowed = base_allowed | set(cexpr.identifiers(mask_comments_and_strings(f.body_text)))
 
     clauses: Dict[str, List[str]] = {
         kw: [] for kw in (REQUIRES_KW, ENSURES_KW, ASSIGNS_KW, INVARIANT_KW)}

@@ -31,10 +31,6 @@ class UnknownFunctionError(ContractorError):
     pass
 
 
-class WeightTableError(ContractorError):
-    """Weights file has an unknown name or a value that is not a number."""
-
-
 class LoopOrdinalError(ContractorError):
     """Loop invariant targets a loop that does not exist or cannot take one."""
 

@@ -22,7 +22,7 @@ from enum import Enum
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .errors import ContractorError, DeadlineExceededError, EmptySuiteError, SourceParseError
-from .program_model import DEFAULT_WEIGHTS, WeightTable, parse_program
+from .program_model import parse_program
 from .refinement import PipelineConfig, Verdict, VerdictOutcome, run_pipeline
 from .runlog import RunLog
 from .synthesis import LlmClient
@@ -74,12 +74,11 @@ def run_program(
     cfg: PipelineConfig,
     client: LlmClient,
     verifier,
-    weights: WeightTable = DEFAULT_WEIGHTS,
 ) -> RunReport:
     log = RunLog()
     log.event("program", name=name)
     try:
-        model = parse_program(source_text, weights=weights)
+        model = parse_program(source_text)
     except SourceParseError as exc:
         log.event("parse_error", detail=str(exc))
         return RunReport(name=name, outcome=RunOutcome.FAILED, verdict=None,
@@ -139,7 +138,6 @@ def run_suite(
     client_factory: Callable[[], LlmClient],
     verifier,
     workers: int = 1,
-    weights: WeightTable = DEFAULT_WEIGHTS,
 ) -> SuiteReport:
     """Run every (name, source) pair. Each program gets a fresh client so
     stateful clients cannot leak replies across programs; reports come back
@@ -149,8 +147,7 @@ def run_suite(
 
     def one(item: Tuple[str, str]) -> RunReport:
         name, source = item
-        return run_program(name, source, cfg, client_factory(), verifier,
-                           weights=weights)
+        return run_program(name, source, cfg, client_factory(), verifier)
 
     with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
         return SuiteReport(reports=tuple(pool.map(one, programs)))

@@ -12,19 +12,15 @@ the complexity metrics, the tier split and the invariant injection in
 
 Every file-scope scan is linear in the source, since the paper's hardest
 inputs are large C files. `_scan_functions` jumps from one brace, `;`, `#` or
-call head to the next, and `_scan_globals` lets a `;`-terminated segment
-start only at offset 0 or just after a separator. An unanchored segment
-regex such as `[^;{}#\n][^;{}#]*;` is not linear: in a run with no `;` that
-ends at `{`, `}`, `#` or the end of the text, it starts again at every
-position and rescans to the run's end, so the run costs the square of its
-length. Every masked doc comment before a function is such a run.
+call head to the next, and `_scan_globals` from one brace, `;` or `#` to the
+next outside function definitions, reading a declaration up to its `;` with
+any brace block inside it (an initializer, a struct body) left out.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -33,7 +29,6 @@ from .errors import (
     NoMainError,
     NoPropertyError,
     UnbalancedSourceError,
-    WeightTableError,
 )
 
 C_KEYWORDS = {
@@ -62,8 +57,9 @@ _FUNC_HEAD_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\(")
 _FILE_SCOPE_STOP_RE = re.compile(r"[{};#]|" + _FUNC_HEAD_RE.pattern)
 _BRACE_RE = re.compile(r"[{}]")
 _BODY_OPEN_RE = re.compile(r"\s*\{")
-# a `;`-terminated segment starts at offset 0 or just after a separator
-_SEGMENT_RE = re.compile(r"(?:^|(?<=[;{}#]))\n*([^;{}#\n][^;{}#]*;)")
+_DECL_STOP_RE = re.compile(r"[{};#]")
+# a struct, union or enum tag, which is no declarator
+_TAG_RE = re.compile(r"\b(struct|union|enum)\s+[A-Za-z_]\w*")
 # `lvalue = callee(`, the lvalue a name or a `.`/`->` path spelled without spaces
 _ASSIGNED_CALL_RE = re.compile(
     r"\b([A-Za-z_]\w*(?:(?:\.|->)[A-Za-z_]\w*)*)\s*=\s*([A-Za-z_]\w*)\s*\(")
@@ -80,19 +76,6 @@ class Tier(str, Enum):
     MEDIUM = "medium"
     HIGH = "high"
 
-
-@dataclass(frozen=True)
-class WeightTable:
-    loop: float = 5.0
-    nesting: float = 1.0
-    recursion: float = 20.0
-    unbounded: float = 20.0
-    alloc: float = 3.0
-    branch: float = 0.5
-    pointer: float = 0.5
-
-
-DEFAULT_WEIGHTS = WeightTable()
 
 # tier boundaries are half-open: score < 5 minimal, [5, 10) low,
 # [10, 20) medium, >= 20 high
@@ -325,35 +308,51 @@ def _scan_functions(src: str, masked: str) -> List[_RawFunction]:
     return raws
 
 
+def _declared(decl: str) -> List[str]:
+    """The names one file-scope declaration declares, read with its brace
+    blocks left out."""
+    if "(" in decl:  # prototype or call, not a variable
+        return []
+    words = _WORD_RE.findall(decl)
+    if not words or words[0] == "typedef" or not any(w in TYPE_KEYWORDS for w in words):
+        return []
+    names = []
+    for part in _split_top_level(_TAG_RE.sub(r"\1", decl)):  # one declarator each
+        head = _ARRAY_BOUND_RE.sub(" ", part).split("=", 1)[0]
+        cand = [w for w in _WORD_RE.findall(head)
+                if w not in TYPE_KEYWORDS and w not in C_KEYWORDS]
+        if cand:
+            names.append(cand[-1])
+    return names
+
+
 def _scan_globals(masked: str, raws: Sequence[_RawFunction]) -> Tuple[str, ...]:
-    """Names declared at file scope outside any function definition."""
-    starts = [r.sig_start for r in raws]  # in source order, no two overlap
-
-    def inside_function(pos: int) -> bool:
-        i = bisect_right(starts, pos) - 1
-        return i >= 0 and pos < raws[i].body_span[1]
-
-    names: Dict[str, None] = {}
-    for m in _SEGMENT_RE.finditer(masked):
-        seg_start, seg = m.start(1), m.group(1)
-        if inside_function(seg_start):
-            continue
-        if masked[seg_start - 1:seg_start] == "#":  # a directive's lines declare nothing
-            seg = seg[_DIRECTIVE_LINES_RE.match(seg).end():]
-        if "(" in seg:  # prototype or call, not a variable
-            continue
-        words = _WORD_RE.findall(seg)
-        if not words or words[0] in ("typedef", "return", "goto", "break", "continue"):
-            continue
-        if not any(w in TYPE_KEYWORDS for w in words):
-            continue
-        for part in _split_top_level(seg):  # one declarator each
-            head = _ARRAY_BOUND_RE.sub(" ", part).split("=", 1)[0]
-            cand = [w for w in _WORD_RE.findall(head)
-                    if w not in TYPE_KEYWORDS and w not in C_KEYWORDS]
-            if cand:
-                names.setdefault(cand[-1])
-    return tuple(names)
+    """Names declared at file scope outside any function definition. A brace
+    block there belongs to the declaration it stands in: an initializer, or
+    a struct, union or enum body."""
+    cuts = [0] + [x for r in raws for x in (r.sig_start, r.body_span[1])] + [len(masked)]
+    text = "\n".join(masked[a:b] for a, b in zip(cuts[::2], cuts[1::2]))
+    found: List[str] = []
+    decl: List[str] = []  # the declaration read so far, outside its brace blocks
+    depth = 0
+    pos = 0
+    while True:
+        m = _DECL_STOP_RE.search(text, pos)
+        if m is None:
+            break
+        if depth == 0:
+            decl.append(text[pos:m.start()])
+        c, pos = m.group(), m.end()
+        if c == "#":  # a directive's lines declare nothing
+            pos = _DIRECTIVE_LINES_RE.match(text, m.start()).end()
+        elif c == "{":
+            depth += 1
+        elif c == "}":
+            depth -= 1
+        elif depth == 0:
+            found += _declared(" ".join(decl))
+            decl = []
+    return tuple(dict.fromkeys(found))
 
 
 def _header(masked_body: str, pos: int) -> Tuple[str, int]:
@@ -445,36 +444,29 @@ def _pointer_op_count(masked_body: str) -> int:
     return count
 
 
-def _metrics(masked_body: str, loops: Sequence[LoopSite], has_recursion: bool,
-             weights: WeightTable) -> ComplexityMetrics:
+def _metrics(masked_body: str, loops: Sequence[LoopSite],
+             has_recursion: bool) -> ComplexityMetrics:
     branches = len(re.findall(r"\bif\b", masked_body))
     branches += len(re.findall(r"\bcase\b", masked_body))
     branches += masked_body.count("?")
-    return _scored(ComplexityMetrics(
+    nesting = _max_loop_nesting(loops)
+    unbounded = any(_loop_is_unbounded(masked_body, s) for s in loops)
+    allocs = sum(1 for m in _FUNC_HEAD_RE.finditer(masked_body) if m.group(1) in ALLOC_FUNCTIONS)
+    pointer_ops = _pointer_op_count(masked_body)
+    # one fixed weight per signal
+    score = (5.0 * len(loops) + 1.0 * nesting + 20.0 * has_recursion + 20.0 * unbounded
+             + 3.0 * allocs + 0.5 * branches + 0.5 * pointer_ops)
+    return ComplexityMetrics(
         loop_count=len(loops),
-        max_nesting_depth=_max_loop_nesting(loops),
+        max_nesting_depth=nesting,
         has_recursion=has_recursion,
-        has_unbounded_loop=any(_loop_is_unbounded(masked_body, s) for s in loops),
-        dynamic_alloc_count=sum(1 for m in _FUNC_HEAD_RE.finditer(masked_body)
-                                if m.group(1) in ALLOC_FUNCTIONS),
+        has_unbounded_loop=unbounded,
+        dynamic_alloc_count=allocs,
         branch_count=branches,
-        pointer_op_count=_pointer_op_count(masked_body),
-        score=0.0,
-        tier=Tier.MINIMAL,
-    ), weights)
-
-
-def _scored(m: ComplexityMetrics, weights: WeightTable) -> ComplexityMetrics:
-    score = (
-        weights.loop * m.loop_count
-        + weights.nesting * m.max_nesting_depth
-        + weights.recursion * (1 if m.has_recursion else 0)
-        + weights.unbounded * (1 if m.has_unbounded_loop else 0)
-        + weights.alloc * m.dynamic_alloc_count
-        + weights.branch * m.branch_count
-        + weights.pointer * m.pointer_op_count
+        pointer_op_count=pointer_ops,
+        score=score,
+        tier=tier_for(score),
     )
-    return replace(m, score=score, tier=tier_for(score))
 
 
 def tier_for(score: float) -> Tier:
@@ -485,11 +477,6 @@ def tier_for(score: float) -> Tier:
     if score < TIER_HIGH:
         return Tier.MEDIUM
     return Tier.HIGH
-
-
-def score_complexity(f: FunctionInfo, weights: WeightTable = DEFAULT_WEIGHTS) -> ComplexityMetrics:
-    """Re-score f's raw counts under a different weight table."""
-    return _scored(f.metrics, weights)
 
 
 def _extract_property(masked_main: str, src_main: str) -> SystemProperty:
@@ -523,7 +510,7 @@ def _recursive_functions(calls: Dict[str, set]) -> set:
     return recursive
 
 
-def parse_program(source_text: str, weights: WeightTable = DEFAULT_WEIGHTS) -> ProgramModel:
+def parse_program(source_text: str) -> ProgramModel:
     """Build the model. Raises on missing main, zero or multiple assertions,
     and brace imbalance."""
     masked = mask_comments_and_strings(source_text)
@@ -559,7 +546,7 @@ def parse_program(source_text: str, weights: WeightTable = DEFAULT_WEIGHTS) -> P
             params=r.params,
             calls=tuple(sorted(call_names[r.name])),
             is_static=r.is_static,
-            metrics=_metrics(body_masked, loops, r.name in recursive, weights),
+            metrics=_metrics(body_masked, loops, r.name in recursive),
             loops=tuple(loops),
         ))
 
@@ -585,29 +572,3 @@ def partition_functions(
     high = tuple(f for f in model.functions if f.metrics.score >= tau)
     return low, high
 
-
-_WEIGHT_KEYS = set(WeightTable.__dataclass_fields__)
-
-
-def load_weight_table(path: str) -> WeightTable:
-    """Parse a weights file: one `name = value` per line, '#' comments."""
-    values: Dict[str, float] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" in line:
-                key, _, val = line.partition("=")
-            else:
-                key, _, val = line.partition(" ")
-            key = key.strip()
-            if key not in _WEIGHT_KEYS:
-                raise WeightTableError(f"{path}:{lineno}: unknown weight {key!r}")
-            try:
-                values[key] = float(val.strip())
-            except ValueError:
-                raise WeightTableError(
-                    f"{path}:{lineno}: weight {key!r} needs a number, got {val.strip()!r}"
-                ) from None
-    return WeightTable(**values)

@@ -97,7 +97,6 @@ class PipelineConfig:
     # threads for phase-1b synthesis, and for each round's backend checks
     # when the verifier sets concurrent_checks
     workers: int = 1
-    retries: int = 2
 
 
 @dataclass(frozen=True)
@@ -221,9 +220,9 @@ def _request(ctx: _Ctx, f: FunctionInfo, intent: SynthesisIntent,
 
 
 def _keep(ctx: _Ctx, contracts: Dict[str, Contract], fname: str,
-          result: Union[Contract, ParseFailure]) -> None:
-    """Store a reply's contract with its assigns sanitized, or classify why
-    the reply could not be used."""
+          result: Union[Contract, ParseFailure]) -> Optional[Contract]:
+    """Store a reply's contract with its assigns sanitized and return it, or
+    classify why the reply could not be used and return None."""
     if isinstance(result, Contract):
         kept, stripped = sanitize_assigns(result.assigns)
         if stripped:
@@ -231,24 +230,27 @@ def _keep(ctx: _Ctx, contracts: Dict[str, Contract], fname: str,
                           stripped=list(stripped))
             result = replace(result, assigns=kept)
         contracts[fname] = result
-        return
+        return result
     cls = classify(result)
     ctx.log.event("classification", function=fname,
                   level=cls.level.value, category=cls.category.value)
+    return None
 
 
 def _ask(ctx: _Ctx, contracts: Dict[str, Contract], f: FunctionInfo,
-         intent: SynthesisIntent) -> None:
+         intent: SynthesisIntent) -> Optional[Contract]:
     """Ask the client for f's contract under intent, revising the one in
-    contracts, and keep the reply there. CEGIS under SMART ICE shows the
-    model f's examples."""
+    contracts, keep the reply there and return it (None when the reply
+    could not be used). An over-approximation falls back to a scan of the
+    body; CEGIS under SMART ICE shows the model f's examples."""
     req = _request(ctx, f, intent, contracts.get(f.name), _diagnostics_for(ctx, f.name, intent))
-    if intent is SynthesisIntent.CEGIS and ctx.cfg.strategy is Strategy.SMART_ICE:
-        result = cegis_synthesize(req, ctx.client, ctx.db, retries=ctx.cfg.retries,
-                                  log=ctx.log)
+    if intent is SynthesisIntent.OVERAPPROXIMATE:
+        result = overapproximate(req, ctx.client, ctx.log)
+    elif intent is SynthesisIntent.CEGIS and ctx.cfg.strategy is Strategy.SMART_ICE:
+        result = cegis_synthesize(req, ctx.client, ctx.db, log=ctx.log)
     else:
-        result = synthesize(req, ctx.client, retries=ctx.cfg.retries, log=ctx.log)
-    _keep(ctx, contracts, f.name, result)
+        result = synthesize(req, ctx.client, log=ctx.log)
+    return _keep(ctx, contracts, f.name, result)
 
 
 def _diagnostics_for(ctx: _Ctx, fname: str, intent: SynthesisIntent) -> str:
@@ -673,7 +675,7 @@ def _synthesize_low_one(
     """Phase 1b worker: precise synthesis with coverage validation. Logs into
     a private RunLog so concurrent workers stay deterministic after merge."""
     req = _request(ctx, f, SynthesisIntent.INITIAL)
-    result = synthesize(req, ctx.client, retries=ctx.cfg.retries, log=log)
+    result = synthesize(req, ctx.client, log=log)
     if not isinstance(result, Contract):
         return result
     wanted = _coverage_names(ctx, f)
@@ -697,10 +699,7 @@ def _run_pre_abstraction(ctx: _Ctx) -> Verdict:
 
     ctx.set_stage("pre_abstraction:1a")
     for f in high:
-        _keep(ctx, contracts, f.name,
-              overapproximate(f, ctx.model.property.assertion_text, ctx.client,
-                              ctx.model.global_names, retries=ctx.cfg.retries,
-                              log=ctx.log))
+        _ask(ctx, contracts, f, SynthesisIntent.OVERAPPROXIMATE)
 
     ctx.set_stage("pre_abstraction:1b")
     side_logs = {f.name: RunLog() for f in low}
@@ -725,9 +724,7 @@ def _run_pre_abstraction(ctx: _Ctx) -> Verdict:
         r = ctx.fn_results.get(f.name)
         if r is None or r.status is not Status.PASS:
             continue  # unverified abstraction stays in place for refinement
-        asked: Dict[str, Contract] = {}
-        _ask(ctx, asked, f, SynthesisIntent.INITIAL)
-        precise = asked.get(f.name)
+        precise = _ask(ctx, {}, f, SynthesisIntent.INITIAL)
         if precise is None:
             continue
         check = _check(ctx, render_enforce(ctx.model, precise))
@@ -737,9 +734,8 @@ def _run_pre_abstraction(ctx: _Ctx) -> Verdict:
             ctx.log.event("substitute", function=f.name, kept="precise")
         else:
             ctx.log.event("substitute", function=f.name, kept="abstraction")
-            cls = _classified(ctx, f.name, check) if check.status is Status.FAIL else None
-            if cls is not None:
-                _learn(ctx, check.parsed, cls, f.name, "phase4", [f.name])
+            if check.status is Status.FAIL:
+                _classified(ctx, f.name, check)
 
     ctx.set_stage("pre_abstraction:5")
     _verify_round(ctx, dict(ctx.contracts))

@@ -379,33 +379,24 @@ def heuristic_fallback(f: FunctionInfo, known_globals: Iterable[str] = ()) -> Co
 
 
 def overapproximate(
-    f: FunctionInfo,
-    property_text: str,
+    req: SynthesisRequest,
     client: LlmClient,
-    known_globals: Tuple[str, ...] = (),
-    retries: int = PARSE_RETRIES,
     log: Optional[RunLog] = None,
 ) -> Contract:
-    """Loose contract for a function too complex to treat precisely. Always
-    returns a contract: when the model is unreachable or keeps misformatting,
-    the scan-based fallback takes over."""
-    req = SynthesisRequest(
-        function=f,
-        property_text=property_text,
-        intent=SynthesisIntent.OVERAPPROXIMATE,
-        known_globals=known_globals,
-    )
+    """Loose contract for a function too complex to treat precisely, asked
+    under req's OVERAPPROXIMATE intent. Always returns a contract: when the
+    model is unreachable or keeps misformatting, the scan-based fallback
+    takes over."""
     try:
-        result = synthesize(req, client, retries=retries, log=log)
+        result = synthesize(req, client, log=log)
     except ClientUnavailableError:
         result = None
     if isinstance(result, Contract):
         return result
-    fallback = heuristic_fallback(f, known_globals)
     if log is not None:
-        log.event("synthesis", function=f.name, intent=SynthesisIntent.OVERAPPROXIMATE.value,
+        log.event("synthesis", function=req.function.name, intent=req.intent.value,
                   attempt=-1, prompt="", outcome="fallback", reason=None)
-    return fallback
+    return heuristic_fallback(req.function, req.known_globals)
 
 
 def _example_env(ex: StateExample) -> Dict[str, int]:
@@ -446,14 +437,13 @@ def cegis_synthesize(
     req: SynthesisRequest,
     client: LlmClient,
     db: IceDatabase,
-    retries: int = PARSE_RETRIES,
     log: Optional[RunLog] = None,
 ) -> Union[Contract, ParseFailure]:
     """Example-conditioned synthesis. Example-inconsistent replies are accepted
     but flagged in the log; the verifier has the final word anyway."""
     full_req = replace(req, intent=SynthesisIntent.CEGIS,
                        examples=render_examples(db, req.function.name))
-    result = synthesize(full_req, client, retries=retries, log=log)
+    result = synthesize(full_req, client, log=log)
     if isinstance(result, Contract) and log is not None:
         for warning in check_example_consistency(result, db):
             log.event("example_inconsistency", function=req.function.name, detail=warning)

@@ -82,8 +82,28 @@ def test_dead_branch_errors_give_zero():
 def test_identifiers_skip_literals():
     assert identifiers("x <= 0x7f && y > 10u && z != 5UL") == ("x", "y", "z")
     assert identifiers("p->next == 0") == ("p", "next")
-    # outside the dialect: every identifier-shaped word
+    # outside the dialect: every identifier outside a literal
     assert identifiers("s.f == 1.5") == ("s", "f")
+
+
+@pytest.mark.parametrize("clause", ["c == 'a'", "x < 1e5", "x < 1.5f"])
+def test_character_and_floating_literals_name_nothing(clause):
+    assert identifiers(clause) == (clause[0],)
+    assert identifiers("s->" + clause) == ("s", clause[0])  # outside the dialect
+    assert identifiers('strcmp(s, "b c")') == ("strcmp", "s")
+
+
+def test_character_literals_have_their_c_value():
+    assert evaluate("c == 'a'", {"c": 97}) == 1
+    assert evaluate("' ' + '\\n' + '\\0' + '\\\\'", {}) == 32 + 10 + 0 + 92
+
+
+@pytest.mark.parametrize("clause", ["x < 1e5", "x < 1.5f", "x < 0x1p3", "c == 'ab'",
+                                    "c == '\\x41'", "c == \"a\""])
+def test_literals_without_an_integer_value_raise(clause):
+    with pytest.raises(EvalError):
+        evaluate(clause, {"x": 1, "c": 97})
+    assert evaluate("0 && " + clause, {"x": 1, "c": 97}) == 0
 
 
 def test_arithmetic_precedence():

@@ -89,7 +89,6 @@ def test_parser_defaults():
     assert args.timeout_s == 600.0
     assert args.workers == 1
     assert args.tau == 10.0
-    assert args.retries == 2
     assert args.runlog is None
     assert args.max_iterations is None
 

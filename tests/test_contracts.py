@@ -218,6 +218,26 @@ def test_parse_accepts_known_global():
     assert r.assigns == ("counter",)
 
 
+@pytest.mark.parametrize("clause", ["c == 'a'", "x < 1e5", "x < 1.5f"])
+def test_parse_accepts_character_and_floating_literals(clause):
+    model = parse_program("int f(char c, int x) { return x; }\n"
+                          "int main() { int r = f('a', 1); assert(r >= 0); }\n")
+    c = parse_contract_text(f"__ESBMC_requires({clause});", model.function("f"))
+    assert isinstance(c, Contract)
+    assert c.requires == (clause,)
+
+
+def test_parse_rejects_invariant_naming_a_comment_word():
+    model = parse_program("int f(int n) {\n  int i = 0;\n  /* counter hidden */\n"
+                          "  while (i < n) { i++; }\n  return i;\n}\n"
+                          "int main() { int r = f(3); assert(r >= 0); }\n")
+    f = model.function("f")
+    assert isinstance(parse_contract_text("__ESBMC_loop_invariant(i >= 0);", f), Contract)
+    r = parse_contract_text("__ESBMC_loop_invariant(hidden >= 0);", f)
+    assert isinstance(r, ParseFailure)
+    assert r.reason is ParseFailureReason.UNKNOWN_IDENTIFIER
+
+
 def test_parse_rejects_unbalanced():
     model = parse_program(INC)
     f = model.function("increment")

@@ -11,17 +11,12 @@ from contractor.errors import (
     MultiplePropertiesError,
     NoMainError,
     NoPropertyError,
-    WeightTableError,
 )
 from contractor.program_model import (
-    DEFAULT_WEIGHTS,
     Tier,
-    WeightTable,
-    load_weight_table,
     mask_comments_and_strings,
     parse_program,
     partition_functions,
-    score_complexity,
     tier_for,
 )
 from conftest import CORPUS_DIR, corpus_sources
@@ -371,7 +366,12 @@ def test_file_scope_edge_cases():
     ("#define MAX(a, b) ((a) > (b) ? (a) : (b))\nint limit;\n", ("limit",)),
     ("#define N 4\nint buf[N];\nchar grid[N][N + 1], row[2 * N];\n", ("buf", "grid", "row")),
     ("#define SQ(a) \\\n  ((a) * (a))\nint k;\n", ("k",)),
-], ids=["multi_declarator", "after_function_like_define", "array_bound", "after_continued_define"])
+    ("int arr[3] = {1, 2, 3};\nint k;\nstruct pt { int x; int y; } origin;\n",
+     ("arr", "k", "origin")),
+    ("enum c { R };\nstruct pt;\nint k;\n", ("k",)),
+    ("struct pt{int x;}a, *b = 0;\ntypedef struct { int t; } T;\n", ("a", "b")),
+], ids=["multi_declarator", "after_function_like_define", "array_bound", "after_continued_define",
+        "brace_blocks", "tags_declare_nothing", "tag_body_then_declarators"])
 def test_globals_take_every_declarator(file_scope, expected):
     src = file_scope + "int main() {\n    int r = 0;\n    assert(r >= 0);\n    return 0;\n}\n"
     assert parse_program(src).global_names == expected
@@ -382,38 +382,3 @@ def test_partition_by_tau():
     low, high = partition_functions(model, tau=10.0)
     assert [f.name for f in high if f.name != "main"] == ["gcd"]
     assert all(f.name == "main" for f in low)
-
-
-def test_score_complexity_respects_weights():
-    model = parse_program(corpus_text("parity.c"))
-    f = model.function("parity")
-    heavy = WeightTable(loop=50.0, nesting=1.0, recursion=20.0, unbounded=20.0,
-                        alloc=3.0, branch=0.5, pointer=0.5)
-    rescored = score_complexity(f, heavy)
-    assert rescored.score == pytest.approx(51.0)
-    assert rescored.tier is Tier.HIGH
-
-
-def test_load_weight_table(tmp_path):
-    p = tmp_path / "w.txt"
-    p.write_text("# comment\nloop = 2.5\nbranch = 1.0\n")
-    table = load_weight_table(str(p))
-    assert table.loop == 2.5
-    assert table.branch == 1.0
-    assert table.recursion == DEFAULT_WEIGHTS.recursion
-
-
-def test_load_weight_table_rejects_unknown_key(tmp_path):
-    p = tmp_path / "w.txt"
-    p.write_text("loops = 2.5\n")
-    with pytest.raises(WeightTableError):
-        load_weight_table(str(p))
-
-
-def test_load_weight_table_rejects_non_numeric_value(tmp_path):
-    # both malformed shapes must surface as the package's own error type so
-    # the command line reports them instead of crashing with a traceback
-    p = tmp_path / "w.txt"
-    p.write_text("loop = not-a-number\n")
-    with pytest.raises(WeightTableError):
-        load_weight_table(str(p))

@@ -289,17 +289,15 @@ def test_overapproximate_falls_back_when_client_down():
         def complete(self, prompt, tags=None):
             raise ClientUnavailableError("no endpoint")
 
-    model = parse_program(INC)
     log = RunLog()
-    c = overapproximate(model.function("increment"), "r > n", Down(), log=log)
+    c = overapproximate(inc_request(SynthesisIntent.OVERAPPROXIMATE), Down(), log=log)
     assert c.origin is ContractOrigin.HEURISTIC_FALLBACK
     assert any(e["outcome"] == "fallback" for e in log.of_kind("synthesis"))
 
 
 def test_overapproximate_falls_back_on_persistent_parse_failure():
     client = ScriptedLlmClient({"*": "still not a contract"})
-    model = parse_program(INC)
-    c = overapproximate(model.function("increment"), "r > n", client, retries=1)
+    c = overapproximate(inc_request(SynthesisIntent.OVERAPPROXIMATE), client)
     assert c.origin is ContractOrigin.HEURISTIC_FALLBACK
 
 
