@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -24,7 +23,7 @@ from .harness import (
     write_report,
 )
 from .mock_backend import source_digest
-from .refinement import PipelineConfig, Strategy, VerdictOutcome
+from .refinement import PipelineConfig, Strategy, VerdictOutcome, available_cpus
 from .synthesis import make_client
 from .verifier import SubprocessVerifier, VerifierConfig
 
@@ -44,10 +43,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iterations", type=int, default=None, metavar="N",
                    help="cap each refinement loop at N (total budget 2N)")
     p.add_argument("--timeout-s", type=float, default=600.0)
-    p.add_argument("--workers", type=int, default=1,
-                   help="verify: threads for pre-abstraction synthesis and for each "
-                        "round's backend checks; suite: programs run at once, "
-                        "each with one thread")
+    p.add_argument("--workers", type=int, default=available_cpus(),
+                   help="verify: checks of one round in flight at once, each a "
+                        "backend process with its own memory (pass 1 for a "
+                        "memory-hungry backend), and threads for pre-abstraction "
+                        "synthesis; suite: programs run at once, each checking "
+                        "serially (default: the CPUs available)")
     p.add_argument("--tau", type=float, default=10.0,
                    help="complexity threshold for the pre-abstraction split")
     p.add_argument("--report", default=None, help="write a JSON report here")
@@ -139,9 +140,7 @@ def _collect_programs(paths: Sequence[str]) -> List[Tuple[str, str]]:
 
 def _cmd_suite(args: argparse.Namespace) -> int:
     programs = _collect_programs(args.paths)
-    # --workers spreads the programs; each one synthesizes and checks
-    # serially, so a suite holds N checks in flight, not N * N
-    cfg = replace(_pipeline_config(args), workers=1)
+    cfg = _pipeline_config(args)
     verifier = _verifier(args)
     factory = lambda: make_client(args.llm, args.transcripts)  # noqa: E731
     suite = run_suite(programs, cfg, factory, verifier, workers=args.workers)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -141,13 +141,18 @@ def run_suite(
 ) -> SuiteReport:
     """Run every (name, source) pair. Each program gets a fresh client so
     stateful clients cannot leak replies across programs; reports come back
-    in input order no matter how the pool schedules them."""
+    in input order no matter how the pool schedules them.
+
+    workers spreads the programs, and each program synthesizes and checks
+    serially (cfg.workers is 1 here), so a suite holds at most workers
+    checks in flight, not workers * cfg.workers."""
     if not programs:
         raise EmptySuiteError("no programs to run")
+    serial = replace(cfg, workers=1)
 
     def one(item: Tuple[str, str]) -> RunReport:
         name, source = item
-        return run_program(name, source, cfg, client_factory(), verifier)
+        return run_program(name, source, serial, client_factory(), verifier)
 
     with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
         return SuiteReport(reports=tuple(pool.map(one, programs)))

@@ -40,7 +40,7 @@ from .cexpr import identifiers
 from .contracts import Contract, ParseFailure
 from .errors import NoResponsibleFunctionError
 from .program_model import ProgramModel
-from .verifier import ParsedCounterexample, Status, VerificationResult
+from .verifier import ParsedCounterexample, Status, VerificationResult, normalize_value
 
 DIAGNOSTIC_EXAMPLE_LIMIT = 10
 
@@ -70,21 +70,6 @@ ADMISSIBLE_CATEGORIES = (Category.UNCONSTRAINED_INIT, Category.SEMANTIC)
 class Classification:
     level: Level
     category: Category
-
-
-def normalize_value(text: str) -> str:
-    """Canonical value text: trailing parenthetical annotations dropped,
-    integers in canonical decimal, whitespace collapsed."""
-    s = text.strip()
-    s = re.sub(r"\s*\([^()]*\)\s*$", "", s).strip() or s
-    for base in (10, 16):
-        try:
-            if base == 16 and not re.match(r"[+-]?0[xX]", s):
-                continue
-            return str(int(s, base))
-        except ValueError:
-            pass
-    return " ".join(s.split())
 
 
 @dataclass(frozen=True)

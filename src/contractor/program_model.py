@@ -66,6 +66,8 @@ _ASSIGNED_CALL_RE = re.compile(
 # a directive's own line and every line it continues with a backslash
 _DIRECTIVE_LINES_RE = re.compile(r"(?:.*\\\n)*.*\n?")
 _ARRAY_BOUND_RE = re.compile(r"\[[^\]]*\]")
+# the name a pointer declarator such as `(*fp)(int)` declares
+_POINTER_DECLARATOR_RE = re.compile(r"\(\s*\*+\s*([A-Za-z_]\w*)\s*\)")
 _LOOP_KEYWORD_RE = re.compile(r"\b(for|while|do)\b")
 _DO_TAIL_RE = re.compile(r"\s*while\b")
 
@@ -310,15 +312,20 @@ def _scan_functions(src: str, masked: str) -> List[_RawFunction]:
 
 def _declared(decl: str) -> List[str]:
     """The names one file-scope declaration declares, read with its brace
-    blocks left out."""
-    if "(" in decl:  # prototype or call, not a variable
-        return []
+    blocks left out. Each declarator is read before its initializer's `=`.
+    One that holds a parenthesis declares the name inside `(*name)`; without
+    that it is a prototype and declares nothing."""
     words = _WORD_RE.findall(decl)
     if not words or words[0] == "typedef" or not any(w in TYPE_KEYWORDS for w in words):
         return []
     names = []
     for part in _split_top_level(_TAG_RE.sub(r"\1", decl)):  # one declarator each
         head = _ARRAY_BOUND_RE.sub(" ", part).split("=", 1)[0]
+        if "(" in head:
+            pointer = _POINTER_DECLARATOR_RE.search(head)
+            if pointer:
+                names.append(pointer.group(1))
+            continue
         cand = [w for w in _WORD_RE.findall(head)
                 if w not in TYPE_KEYWORDS and w not in C_KEYWORDS]
         if cand:

@@ -24,9 +24,10 @@ stubs left to blame). Everything else, including budget exhaustion, is
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -86,6 +87,14 @@ class VerdictOutcome(str, Enum):
     INCONCLUSIVE = "inconclusive"
 
 
+def available_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     k_cegar: int = 5
@@ -95,8 +104,8 @@ class PipelineConfig:
     strategy: Strategy = Strategy.SMART_ICE
     timeout_s: float = 600.0  # wall budget for the whole program
     # threads for phase-1b synthesis, and for each round's backend checks
-    # when the verifier sets concurrent_checks
-    workers: int = 1
+    # when the verifier sets concurrent_checks; 1 keeps both serial
+    workers: int = field(default_factory=available_cpus)
 
 
 @dataclass(frozen=True)

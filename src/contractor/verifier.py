@@ -57,7 +57,7 @@ class VerifierConfig:
 class TraceStep:
     function: str
     line: int
-    assignments: Tuple[Tuple[str, str], ...]  # (name, value text) pairs
+    assignments: Tuple[Tuple[str, str], ...]  # (name, normalized value) pairs
     kind: str = "assign"  # assign | assume | call | return
     note: str = ""
 
@@ -80,6 +80,23 @@ class VerificationResult:
     wall_time_s: float
     mode: str  # "system" | "function:<name>"
     command: Tuple[str, ...] = ()
+
+
+_ANNOTATION_RE = re.compile(r"\s*\([^()]*\)\s*$")
+_HEX_RE = re.compile(r"[+-]?0[xX]")
+
+
+def normalize_value(text: str) -> str:
+    """Canonical value text: a trailing parenthetical annotation dropped,
+    integers in canonical decimal, whitespace collapsed. The trace parser
+    reads every assigned value through it, so `150 (00000000 ... 10010110)`
+    is kept, logged and shown as `150`."""
+    s = text.strip()
+    s = _ANNOTATION_RE.sub("", s).strip() or s
+    try:
+        return str(int(s, 16 if _HEX_RE.match(s) else 10))
+    except ValueError:
+        return " ".join(s.split())
 
 
 _STATE_RE = re.compile(
@@ -118,7 +135,7 @@ def _parse_trace(lines: Sequence[str]) -> Tuple[TraceStep, ...]:
                 kind = cm.group(1)
                 note = cm.group(2).strip()
             elif xm:
-                assigns.append((xm.group(1), xm.group(2)))
+                assigns.append((xm.group(1), normalize_value(xm.group(2))))
             i += 1
         if assigns or kind != "assign":
             steps.append(TraceStep(

@@ -8,7 +8,7 @@ import json
 import pytest
 
 from conftest import RecordingVerifier, RuleVerifier, contract_reply, failure_output, success_output
-from contractor import cli
+from contractor import cli, harness
 from contractor.harness import run_program
 from contractor.refinement import PipelineConfig
 from contractor.synthesis import ScriptedLlmClient
@@ -87,7 +87,7 @@ def test_parser_defaults():
     assert args.backend == "esbmc"
     assert args.llm == "live"
     assert args.timeout_s == 600.0
-    assert args.workers == 1
+    assert args.workers == PipelineConfig().workers  # the CPUs available
     assert args.tau == 10.0
     assert args.runlog is None
     assert args.max_iterations is None
@@ -102,19 +102,18 @@ def test_max_iterations_sets_both_loop_caps():
 
 
 def test_suite_workers_size_the_suite_pool_only(world, capsys, monkeypatch):
-    # N suite threads, each synthesizing serially: never N * N threads
+    # N suite threads, each program checking serially: never N * N checks
     seen = []
-    real = cli.run_suite
+    real = harness.run_program
 
-    def spy(programs, cfg, client_factory, verifier, workers=1, **kw):
-        seen.append((cfg.workers, workers))
-        return real(programs, cfg, client_factory, verifier, workers=workers, **kw)
+    def spy(name, source, cfg, *args, **kw):
+        seen.append((name, cfg.workers))
+        return real(name, source, cfg, *args, **kw)
 
-    monkeypatch.setattr(cli, "run_suite", spy)
-    code = cli.main(["suite", str(world / "programs" / "ok.c"),
-                     *mock_flags(world), "--workers", "3"])
-    assert code == 0
-    assert seen == [(1, 3)]
+    monkeypatch.setattr(harness, "run_program", spy)
+    code = cli.main(["suite", str(world / "programs"), *mock_flags(world), "--workers", "3"])
+    assert code == 1  # bad.c does not converge
+    assert sorted(seen) == [("bad.c", 1), ("ok.c", 1)]
 
 
 def test_verify_workers_size_phase_1b(world, capsys, monkeypatch):

@@ -370,8 +370,13 @@ def test_file_scope_edge_cases():
      ("arr", "k", "origin")),
     ("enum c { R };\nstruct pt;\nint k;\n", ("k",)),
     ("struct pt{int x;}a, *b = 0;\ntypedef struct { int t; } T;\n", ("a", "b")),
+    ("int k = MAX(1, 2);\n", ("k",)),
+    ("int n = sizeof(int);\n", ("n",)),
+    ("int (*fp)(int);\n", ("fp",)),
+    ("int f(int);\nint g(int a, int b), h;\n", ("h",)),
 ], ids=["multi_declarator", "after_function_like_define", "array_bound", "after_continued_define",
-        "brace_blocks", "tags_declare_nothing", "tag_body_then_declarators"])
+        "brace_blocks", "tags_declare_nothing", "tag_body_then_declarators",
+        "call_initializer", "sizeof_initializer", "function_pointer", "prototypes_declare_nothing"])
 def test_globals_take_every_declarator(file_scope, expected):
     src = file_scope + "int main() {\n    int r = 0;\n    assert(r >= 0);\n    return 0;\n}\n"
     assert parse_program(src).global_names == expected

@@ -8,6 +8,7 @@ from __future__ import annotations
 import ast
 import importlib.util
 import inspect
+import os
 import sys
 import threading
 import time
@@ -155,7 +156,8 @@ def test_failed_function_contract_is_dropped_then_relaxed():
                 at_function="shift")
         return success_output()
 
-    verdict, log, client, verifier = run(TWO_FN_SRC, script, RuleVerifier(rule))
+    # serial checks, so the backend sees them in the order asserted below
+    verdict, log, client, verifier = run(TWO_FN_SRC, script, RuleVerifier(rule), workers=1)
     assert verdict.outcome is VerdictOutcome.VERIFIED
     assert verdict.stage == "cegar"
     assert verdict.iterations_used == 1
@@ -750,9 +752,26 @@ class BarrierVerifier(RuleVerifier):
         return super()._run(src, mode)
 
 
+def cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def test_checks_overlap_on_every_cpu_by_default():
+    assert PipelineConfig().workers == cpus()
+
+
 def test_a_round_keeps_two_checks_in_flight():
     verdict, _, _, verifier = run(INC_SRC, {"inc|initial": INC_REPLY}, BarrierVerifier(),
                                   workers=2)
+    assert verdict.outcome is VerdictOutcome.VERIFIED
+    assert sorted(mode for mode, _ in verifier.calls) == ["function:inc", "system"]
+
+
+@pytest.mark.skipif(cpus() < 2, reason="one CPU: checks are serial by default")
+def test_a_default_round_keeps_two_checks_in_flight():
+    verdict, _, _, verifier = run(INC_SRC, {"inc|initial": INC_REPLY}, BarrierVerifier())
     assert verdict.outcome is VerdictOutcome.VERIFIED
     assert sorted(mode for mode, _ in verifier.calls) == ["function:inc", "system"]
 

@@ -13,6 +13,7 @@ import pytest
 
 from contractor.contracts import Contract, ContractOrigin, render_enforce, render_replace
 from contractor.errors import BackendNotFoundError
+from contractor.ice import render_trace
 from contractor import mock_backend
 from contractor.mock_backend import lookup, source_digest, transcript_name, write_transcript
 from contractor.program_model import parse_program
@@ -53,6 +54,20 @@ def test_parse_failure_extracts_property_and_trace():
     assert parsed.violated_property == "r > n"
     assert [s.function for s in parsed.trace] == ["main", "increment", "main"]
     assert parsed.key_map() == {"n": "5", "r": "5"}  # x not in the property
+
+
+def test_trace_values_are_normalized_once_at_parse():
+    out = failure_output("r > n", steps=[
+        {"function": "main", "line": 7,
+         "assigns": [("n", "150 (00000000 00000000 00000000 10010110)"), ("p", "0x10")]},
+        {"function": "main", "line": 8, "assigns": [("r", "nondet_symbol!0")]},
+    ])
+    status, parsed = parse_verifier_output(out)
+    assert status is Status.FAIL
+    assert [s.assignments for s in parsed.trace] == [
+        (("n", "150"), ("p", "16")), (("r", "nondet_symbol!0"),)]
+    assert parsed.key_map() == {"n": "150", "r": "nondet_symbol!0"}
+    assert "n = 150; p = 16" in render_trace(parsed).splitlines()[2]
 
 
 def test_parse_failure_key_vars_fall_back_to_all():
