@@ -100,11 +100,6 @@ class InstrumentedSource:
     functions: Tuple[str, ...]  # functions carrying annotations
     injections: Tuple[Injection, ...] = ()
 
-    @property
-    def provenance(self) -> Tuple[Tuple[str, str], ...]:
-        """(annotation line, originating clause) pairs in emission order."""
-        return tuple((inj.text.strip(), inj.clause) for inj in self.injections)
-
 
 def strip_annotations(instr: InstrumentedSource) -> str:
     """Undo every recorded insertion; returns the original bytes."""

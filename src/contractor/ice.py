@@ -34,7 +34,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
 
 from .cexpr import identifiers
 from .contracts import Contract, ParseFailure
@@ -107,6 +107,8 @@ class IceDatabase:
     negatives: List[StateExample] = field(default_factory=list)
     implications: List[Tuple[StateExample, StateExample]] = field(default_factory=list)
     conflicts: List[ConflictRecord] = field(default_factory=list)
+    # the (function, items) keys of the held implication pairs
+    _held: Set[Tuple] = field(default_factory=set, init=False, repr=False, compare=False)
 
     def _find(self, pool: List[StateExample], ex: StateExample) -> Optional[StateExample]:
         for member in pool:
@@ -123,15 +125,12 @@ class IceDatabase:
     def add_implications(self, pairs: Iterable[Tuple[StateExample, StateExample]]) -> int:
         """Append each (pre, post) pair whose two states are not yet held as a
         pair, in order; returns how many were appended."""
-        def key(pair: Tuple[StateExample, StateExample]) -> Tuple:
-            return tuple((ex.function, ex.items) for ex in pair)
-
-        held = {key(p) for p in self.implications}
         before = len(self.implications)
-        for pair in pairs:
-            if key(pair) not in held:
-                held.add(key(pair))
-                self.implications.append(pair)
+        for pre, post in pairs:
+            key = ((pre.function, pre.items), (post.function, post.items))
+            if key not in self._held:
+                self._held.add(key)
+                self.implications.append((pre, post))
         return len(self.implications) - before
 
 
@@ -212,22 +211,21 @@ def extract_implications(
     parsed: ParsedCounterexample, function: str
 ) -> List[Tuple[StateExample, StateExample]]:
     """Loop-carried (pre, post) state pairs: consecutive steps of the function
-    where the later one re-assigns something already bound."""
-    steps = [s for s in parsed.trace if s.function == function and s.kind == "assign"]
+    where the later one re-assigns something already bound. Each value is
+    normalized once, as it enters the running valuation."""
     pairs: List[Tuple[StateExample, StateExample]] = []
     running: Dict[str, str] = {}
-    prev_snapshot: Optional[Dict[str, str]] = None
-    for step in steps:
-        known = set(running)
-        reassigns = any(name in known for name, _ in step.assignments)
+    prev: Optional[StateExample] = None
+    for step in parsed.trace:
+        if step.function != function or step.kind != "assign":
+            continue
+        reassigns = any(name in running for name, _ in step.assignments)
         for name, value in step.assignments:
-            running[name] = value
-        snapshot = dict(running)
-        if prev_snapshot is not None and reassigns:
-            pre = StateExample.make(function, prev_snapshot, provenance="implication")
-            post = StateExample.make(function, snapshot, provenance="implication")
-            pairs.append((pre, post))
-        prev_snapshot = snapshot
+            running[name] = normalize_value(value)
+        state = StateExample(function, tuple(sorted(running.items())), "implication")
+        if prev is not None and reassigns:
+            pairs.append((prev, state))
+        prev = state
     found = IceDatabase()
     found.add_implications(pairs)
     return found.implications

@@ -14,29 +14,35 @@ written to stdout as its UTF-8 bytes, whatever the stdout encoding, so
 repeated runs are bit-identical. Anything else is a miss: a loud non-verdict
 line, which the driver maps to a tool error.
 
-The driver starts this file as a script, `python -I -S mock_backend.py ...`,
-so a check pays for a bare interpreter start and nothing more: the module
-imports only `os`, `sys`, `time` and CPython's built-in SHA-256, never
-`site`, `argparse`, `typing` or the rest of `contractor`. Arguments are read
-by hand: the last one is the source file, `--enforce-contract NAME` makes the
-mode `function:NAME` (else `system`), `--fixtures DIR` overrides
-CONTRACTOR_MOCK_FIXTURES, and every other argument is ignored.
+The driver starts a check as `python -I -S -c <bootstrap> ...`
+(`verifier.MOCK_COMMAND`): the bootstrap appends this file's directory to
+`sys.path`, imports this module from its cached bytecode and exits with
+`main()`. At module level the module imports only `sys`, `posix` (the POSIX
+module `os` wraps, which interpreter start-up has already loaded) and
+CPython's built-in SHA-256, so a check loads nothing a bare
+`python -I -S -c pass` does not load, apart from that one module. `time` is
+imported only to honour a `sleep=` field, and `os` only by
+`write_transcript`, which runs in the pipeline process. The script form,
+`python -I -S mock_backend.py ...`, and `contractor-mock-bmc` behave the
+same. Arguments are read by hand: the last one is the source file,
+`--enforce-contract NAME` makes the mode `function:NAME` (else `system`),
+`--fixtures DIR` overrides CONTRACTOR_MOCK_FIXTURES, and every other argument
+is ignored.
 
 `source_digest` is the package's one SHA-256. It lives here so that neither a
 check nor the pipeline process loads OpenSSL's `_hashlib` for it.
 """
 
-import os
+import posix
 import sys
-import time
 
 try:
-    from _sha2 import sha256 as _sha256  # CPython 3.12+
-except ImportError:
-    try:
-        from _sha256 import sha256 as _sha256  # CPython 3.10, 3.11
-    except ImportError:
-        from hashlib import sha256 as _sha256
+    if sys.version_info >= (3, 12):
+        from _sha2 import sha256 as _sha256
+    else:
+        from _sha256 import sha256 as _sha256
+except ImportError:  # an interpreter built without its own SHA-256
+    from hashlib import sha256 as _sha256
 
 HEADER_PREFIX = "# digest="
 FIXTURES_ENV = "CONTRACTOR_MOCK_FIXTURES"
@@ -55,7 +61,7 @@ def lookup(fixtures_dir: str, digest: str, mode: str) -> tuple[str, float] | Non
     """(output, sleep_s) of the file `transcript_name(digest, mode)` names, if
     its header carries exactly this digest and mode; None otherwise."""
     try:
-        fh = open(os.path.join(fixtures_dir, transcript_name(digest, mode)),
+        fh = open(f"{fixtures_dir}/{transcript_name(digest, mode)}",
                   "r", encoding="utf-8", newline="")
     except FileNotFoundError:
         return None
@@ -82,6 +88,8 @@ def write_transcript(
 ) -> str:
     """Record one fixture; overwrites any previous recording for the same key.
     Returns the file path."""
+    import os
+
     os.makedirs(fixtures_dir, exist_ok=True)
     digest = source_digest(source_text)
     header = f"{HEADER_PREFIX}{digest} mode={mode}"
@@ -94,20 +102,38 @@ def write_transcript(
     return path
 
 
+def _environ(name: str) -> str | None:
+    """os.environ.get(name) as the process started with it: posix.environ is
+    the bytes snapshot os.environ is built from, and main runs as a process
+    of its own."""
+    value = posix.environ.get(name.encode())
+    if value is None:
+        return None
+    return value.decode(sys.getfilesystemencoding(), sys.getfilesystemencodeerrors())
+
+
+def _is_dir(path: str) -> bool:
+    """os.path.isdir(path)."""
+    try:
+        return posix.stat(path).st_mode & 0o170000 == 0o040000
+    except (OSError, ValueError):
+        return False
+
+
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else list(argv)
     if not args:
         print("usage: contractor-mock-bmc [--fixtures DIR] [--enforce-contract NAME] "
               "[other flags, ignored] SOURCE", file=sys.stderr)
         return 2
-    read = {FIXTURES_FLAG: os.environ.get(FIXTURES_ENV), ENFORCE_FLAG: None}
+    read = {FIXTURES_FLAG: _environ(FIXTURES_ENV), ENFORCE_FLAG: None}
     options = iter(args[:-1])
     for arg in options:
         if arg in read:
             read[arg] = next(options, None)
     fixtures, enforce = read[FIXTURES_FLAG], read[ENFORCE_FLAG]
 
-    if not fixtures or not os.path.isdir(fixtures):
+    if not fixtures or not _is_dir(fixtures):
         print("MOCK: no fixtures directory configured")
         return 0
 
@@ -121,6 +147,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     output, sleep_s = hit
     if sleep_s:
+        import time
+
         time.sleep(sleep_s)
     out = sys.stdout.buffer
     out.write(output.encode("utf-8"))

@@ -4,9 +4,12 @@ One child process per check. The backend is anything that takes an annotated
 C file plus mode flags and prints a verdict marker; the bundled mock
 (`contractor.mock_backend`) replays recorded transcripts and is a first-class
 backend choice, not a test shim, so whole runs work offline. The mock is
-started as `python -I -S <path of mock_backend.py> <flags> <source>`: a
-stdlib-only script outside `site`, so a check costs about a bare interpreter
-start. Every other backend is started by its own name.
+started as `python -I -S -c <bootstrap> <flags> <source>` (`MOCK_COMMAND`):
+the bootstrap appends the directory of `mock_backend.py` to `sys.path`,
+imports `mock_backend` from its cached bytecode and exits with its `main()`.
+Outside `site`, the check loads nothing a bare `python -I -S -c pass` does not
+load except the SHA-256 module, so it costs about a bare interpreter start.
+Every other backend is started by its own name.
 """
 
 from __future__ import annotations
@@ -27,7 +30,12 @@ from .contracts import InstrumentedSource
 from .errors import BackendNotFoundError
 from .mock_backend import ENFORCE_FLAG, FIXTURES_ENV
 
-MOCK_COMMAND = (sys.executable, "-I", "-S", mock_backend.__file__)
+# -I keeps the working directory and the environment's paths off sys.path,
+# so the appended directory shadows no module start-up or the check loads
+_MOCK_BOOTSTRAP = ("import sys; sys.path.append(%r); "
+                   "import mock_backend; sys.exit(mock_backend.main())")
+MOCK_COMMAND = (sys.executable, "-I", "-S", "-c",
+                _MOCK_BOOTSTRAP % os.path.dirname(os.path.abspath(mock_backend.__file__)))
 REPLACE_FLAG = "--replace-call-with-contract"
 SUCCESS_MARKERS = ("VERIFICATION SUCCESSFUL",)
 FAILURE_MARKERS = ("VERIFICATION FAILED",)
@@ -203,6 +211,10 @@ class SubprocessVerifier:
 
     def __init__(self, cfg: VerifierConfig):
         self.cfg = cfg
+        self._backend = MOCK_COMMAND if cfg.backend_path == "mock" else (cfg.backend_path,)
+        self._env = dict(os.environ)
+        if cfg.fixtures_dir:
+            self._env[FIXTURES_ENV] = cfg.fixtures_dir
 
     def system(self, src: InstrumentedSource, timeout_s: Optional[float] = None) -> VerificationResult:
         """Replace-mode check of the whole program: every annotated function's
@@ -230,11 +242,7 @@ class SubprocessVerifier:
             src_path = os.path.join(tmp, "program.c")
             with open(src_path, "w", encoding="utf-8") as fh:
                 fh.write(src.text)
-            backend = MOCK_COMMAND if cfg.backend_path == "mock" else (cfg.backend_path,)
-            cmd = [*backend, *flags, *cfg.extra_flags, src_path]
-            env = dict(os.environ)
-            if cfg.fixtures_dir:
-                env[FIXTURES_ENV] = cfg.fixtures_dir
+            cmd = [*self._backend, *flags, *cfg.extra_flags, src_path]
             started = time.monotonic()
             try:
                 out = subprocess.run(
@@ -242,7 +250,7 @@ class SubprocessVerifier:
                     stdout=subprocess.PIPE,
                     stderr=subprocess.STDOUT,
                     timeout=budget,
-                    env=env,
+                    env=self._env,
                 ).stdout
                 timed_out = False
             except FileNotFoundError as exc:

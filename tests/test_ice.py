@@ -194,6 +194,19 @@ def test_extract_implications_on_reassignment():
     assert post.valuation == {"i": "0", "s": "1"}
 
 
+def test_add_implications_appends_each_pair_once():
+    # a pair is held by its two states, whatever their provenance, across calls
+    a, b, c = (StateExample.make("f", {"i": v}) for v in ("0", "1", "2"))
+    db = IceDatabase()
+    assert db.add_implications([(a, b), (b, c), (a, b)]) == 2
+    again = StateExample.make("f", {"i": "0"}, provenance="implication")
+    assert db.add_implications([(again, b), (c, a)]) == 1
+    assert db.implications == [(a, b), (b, c), (c, a)]
+    # the held keys are bookkeeping: they neither show nor compare
+    assert db == IceDatabase(implications=[(a, b), (b, c), (c, a)])
+    assert repr(db) == repr(IceDatabase(implications=list(db.implications)))
+
+
 def test_extract_implications_needs_reassignment():
     out = failure_output("a == 1", steps=[
         {"function": "f", "line": 1, "assigns": [("a", "1")]},

@@ -18,6 +18,7 @@ from contractor import mock_backend
 from contractor.mock_backend import lookup, source_digest, transcript_name, write_transcript
 from contractor.program_model import parse_program
 from contractor.verifier import (
+    MOCK_COMMAND,
     Status,
     SubprocessVerifier,
     VerifierConfig,
@@ -320,8 +321,19 @@ def test_mock_replays_utf8_bytes_whatever_the_stdout_encoding(tmp_path, monkeypa
     assert result.raw_output == output
 
 
+def _modules_imported(cmd, env=None):
+    """The modules `python -X importtime` reports cmd's interpreter importing,
+    and the completed run."""
+    run = subprocess.run([cmd[0], "-X", "importtime", *cmd[1:]], env=env,
+                         capture_output=True, text=True, timeout=30)
+    loaded = [line.rsplit("|", 1)[1].strip() for line in run.stderr.splitlines()
+              if line.startswith("import time:") and line.count("|") == 2]
+    return loaded[1:], run  # loaded[0] is the column heading
+
+
 def test_mock_check_command_loads_only_the_stdlib(tmp_path):
-    # re-run the exact command of a mock check under -X importtime
+    # re-run the exact command of a mock check under -X importtime: it loads
+    # what a bare start loads, plus the SHA-256 module and itself
     model = parse_program(INC)
     enf = render_enforce(model, inc_contract())
     write_transcript(str(tmp_path), enf.text, enf.mode, success_output())
@@ -329,17 +341,57 @@ def test_mock_check_command_loads_only_the_stdlib(tmp_path):
     result = SubprocessVerifier(cfg).function(enf, "increment")
     assert result.status is Status.PASS
     cmd = list(result.command)
-    assert cmd[:4] == [sys.executable, "-I", "-S", mock_backend.__file__]
+    assert cmd[:5] == list(MOCK_COMMAND)
+    assert cmd[:4] == [sys.executable, "-I", "-S", "-c"]
+    assert repr(str(Path(mock_backend.__file__).resolve().parent)) in cmd[4]
     source = tmp_path / "program.c"  # the check's own temporary copy is gone
     source.write_text(enf.text, encoding="utf-8")
-    rerun = subprocess.run([cmd[0], "-X", "importtime", *cmd[1:-1], str(source)],
-                           env=dict(os.environ, CONTRACTOR_MOCK_FIXTURES=str(tmp_path)),
-                           capture_output=True, text=True, timeout=30)
+    loaded, rerun = _modules_imported(
+        [*cmd[:-1], str(source)], env=dict(os.environ, CONTRACTOR_MOCK_FIXTURES=str(tmp_path)))
     assert rerun.stdout == success_output()
-    loaded = [line.rsplit("|", 1)[1].strip() for line in rerun.stderr.splitlines()
-              if line.startswith("import time:") and line.count("|") == 2]
-    assert "os" in loaded
-    forbidden = [m for m in loaded
-                 if m in ("argparse", "typing", "_hashlib", "hashlib", "site")
-                 or m.split(".")[0] == "contractor"]
-    assert forbidden == []
+    bare, _ = _modules_imported([sys.executable, "-I", "-S", "-c", "pass"])
+    sha256 = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
+    assert sorted(set(loaded) - set(bare)) == sorted({sha256, "mock_backend"})
+
+
+def test_mock_script_form_replays_the_same_bytes(tmp_path):
+    # `python -I -S mock_backend.py` still works as a backend, byte for byte
+    model = parse_program(INC)
+    enf = render_enforce(model, inc_contract())
+    output = success_output().replace("Symex completed", "Symex completed: r \u2265 n")
+    write_transcript(str(tmp_path), enf.text, enf.mode, output)
+    source = tmp_path / "program.c"
+    source.write_text(enf.text, encoding="utf-8")
+    args = ["--enforce-contract", "increment", "--unwind", "5", str(source)]
+    env = dict(os.environ, CONTRACTOR_MOCK_FIXTURES=str(tmp_path))
+    script = subprocess.run([sys.executable, "-I", "-S", mock_backend.__file__, *args],
+                            env=env, capture_output=True, timeout=30)
+    check = subprocess.run([*MOCK_COMMAND, *args], env=env, capture_output=True, timeout=30)
+    assert script.returncode == check.returncode == 0
+    assert script.stdout == check.stdout == output.encode("utf-8")
+    assert script.stderr == check.stderr == b""
+
+
+@pytest.mark.parametrize("env_dir, flag_dir, replays", [
+    (None, None, False),
+    ("missing", None, False),
+    ("program.c", None, False),  # a file, not a directory
+    ("fixtures", None, True),
+    ("missing", "fixtures", True),
+])
+def test_mock_reads_its_fixtures_directory(tmp_path, env_dir, flag_dir, replays):
+    # the environment names the directory unless --fixtures does; anything
+    # but a directory is no fixtures directory at all
+    model = parse_program(INC)
+    enf = render_enforce(model, inc_contract())
+    write_transcript(str(tmp_path / "fixtures"), enf.text, enf.mode, success_output())
+    source = tmp_path / "program.c"
+    source.write_text(enf.text, encoding="utf-8")
+    env = {k: v for k, v in os.environ.items() if k != "CONTRACTOR_MOCK_FIXTURES"}
+    if env_dir:
+        env["CONTRACTOR_MOCK_FIXTURES"] = str(tmp_path / env_dir)
+    flags = ["--fixtures", str(tmp_path / flag_dir)] if flag_dir else []
+    out = subprocess.run([*MOCK_COMMAND, *flags, "--enforce-contract", "increment", str(source)],
+                         env=env, capture_output=True, text=True, timeout=30)
+    assert out.returncode == 0
+    assert out.stdout == (success_output() if replays else "MOCK: no fixtures directory configured\n")
