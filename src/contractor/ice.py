@@ -101,6 +101,10 @@ class ConflictRecord:
     existing: StateExample
 
 
+def _pair_key(pair: Tuple[StateExample, StateExample]) -> Tuple:
+    return tuple((ex.function, ex.items) for ex in pair)
+
+
 @dataclass
 class IceDatabase:
     positives: List[StateExample] = field(default_factory=list)
@@ -109,6 +113,9 @@ class IceDatabase:
     conflicts: List[ConflictRecord] = field(default_factory=list)
     # the (function, items) keys of the held implication pairs
     _held: Set[Tuple] = field(default_factory=set, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._held.update(_pair_key(pair) for pair in self.implications)
 
     def _find(self, pool: List[StateExample], ex: StateExample) -> Optional[StateExample]:
         for member in pool:
@@ -126,11 +133,11 @@ class IceDatabase:
         """Append each (pre, post) pair whose two states are not yet held as a
         pair, in order; returns how many were appended."""
         before = len(self.implications)
-        for pre, post in pairs:
-            key = ((pre.function, pre.items), (post.function, post.items))
+        for pair in pairs:
+            key = _pair_key(pair)
             if key not in self._held:
                 self._held.add(key)
-                self.implications.append((pre, post))
+                self.implications.append(pair)
         return len(self.implications) - before
 
 
@@ -211,8 +218,8 @@ def extract_implications(
     parsed: ParsedCounterexample, function: str
 ) -> List[Tuple[StateExample, StateExample]]:
     """Loop-carried (pre, post) state pairs: consecutive steps of the function
-    where the later one re-assigns something already bound. Each value is
-    normalized once, as it enters the running valuation."""
+    where the later one re-assigns something already bound. The parser has
+    normalized every value."""
     pairs: List[Tuple[StateExample, StateExample]] = []
     running: Dict[str, str] = {}
     prev: Optional[StateExample] = None
@@ -220,8 +227,7 @@ def extract_implications(
         if step.function != function or step.kind != "assign":
             continue
         reassigns = any(name in running for name, _ in step.assignments)
-        for name, value in step.assignments:
-            running[name] = normalize_value(value)
+        running.update(step.assignments)
         state = StateExample(function, tuple(sorted(running.items())), "implication")
         if prev is not None and reassigns:
             pairs.append((prev, state))

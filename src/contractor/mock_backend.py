@@ -22,9 +22,12 @@ module `os` wraps, which interpreter start-up has already loaded) and
 CPython's built-in SHA-256, so a check loads nothing a bare
 `python -I -S -c pass` does not load, apart from that one module. `time` is
 imported only to honour a `sleep=` field, and `os` only by
-`write_transcript`, which runs in the pipeline process. The script form,
-`python -I -S mock_backend.py ...`, and `contractor-mock-bmc` behave the
-same. Arguments are read by hand: the last one is the source file,
+`write_transcript`, which runs in the pipeline process, or off POSIX. The
+environment is read from `posix.environ`, the dict `os.environ` reads and
+writes through, so a `main(argv)` called in-process sees every change made to
+`os.environ`. The script form, `python -I -S mock_backend.py ...`, and
+`contractor-mock-bmc` behave the same. Arguments are read by hand: the last
+one is the source file,
 `--enforce-contract NAME` makes the mode `function:NAME` (else `system`),
 `--fixtures DIR` overrides CONTRACTOR_MOCK_FIXTURES, and every other argument
 is ignored.
@@ -33,8 +36,12 @@ is ignored.
 check nor the pipeline process loads OpenSSL's `_hashlib` for it.
 """
 
-import posix
 import sys
+
+try:
+    import posix  # the module `os` wraps, which interpreter start-up has loaded
+except ImportError:  # not a POSIX system: _environ and _is_dir use os
+    posix = None
 
 try:
     if sys.version_info >= (3, 12):
@@ -103,9 +110,12 @@ def write_transcript(
 
 
 def _environ(name: str) -> str | None:
-    """os.environ.get(name) as the process started with it: posix.environ is
-    the bytes snapshot os.environ is built from, and main runs as a process
-    of its own."""
+    """os.environ.get(name). On POSIX, os.environ keeps its data in
+    posix.environ, by bytes, and writes every change through to it."""
+    if posix is None:
+        import os
+
+        return os.environ.get(name)
     value = posix.environ.get(name.encode())
     if value is None:
         return None
@@ -114,6 +124,10 @@ def _environ(name: str) -> str | None:
 
 def _is_dir(path: str) -> bool:
     """os.path.isdir(path)."""
+    if posix is None:
+        import os
+
+        return os.path.isdir(path)
     try:
         return posix.stat(path).st_mode & 0o170000 == 0o040000
     except (OSError, ValueError):

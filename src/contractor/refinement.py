@@ -362,13 +362,12 @@ def _when_due(ctx: _Ctx, check: Callable[[float], VerificationResult]
 
 
 def _check(ctx: _Ctx, instr: InstrumentedSource, queued: Optional[Future] = None,
-           key: Optional[Tuple[str, str]] = None, **fields) -> VerificationResult:
+           **fields) -> VerificationResult:
     """instr's result, from its queued check, else checked here: a program's
     PASS or FAIL for one (mode, text) reaches the backend once. The result is
-    memoised under key (instr's `_key`, computed here when not given) and
-    logged; a check whose turn came after the wall budget was spent ends the
-    run here."""
-    key = key or _key(instr)
+    memoised and logged; a check whose turn came after the wall budget was
+    spent ends the run here."""
+    key = _key(instr)
     if queued is not None:
         result = queued.result()
     else:
@@ -395,19 +394,17 @@ def _verify_round(ctx: _Ctx, contracts: Dict[str, Contract]) -> None:
     names = sorted(contracts)
     instrs = [render_replace(ctx.model, contracts.values())]
     instrs += [render_enforce(ctx.model, contracts[name]) for name in names]
-    keys = [_key(instr) for instr in instrs]
     # checks overlap only outside this interpreter: an in-process verifier
     # holds the GIL while it checks, and may keep state from call to call
     overlap = ctx.cfg.workers > 1 and getattr(ctx.verifier, "concurrent_checks", False)
     pool = ThreadPoolExecutor(max_workers=ctx.cfg.workers) if overlap else None
     try:
-        queued = [None if pool is None or key in ctx.checked
-                  else pool.submit(_when_due, ctx, _backend(ctx, instr))
-                  for instr, key in zip(instrs, keys)]
-        _hold_system(ctx, _check(ctx, instrs[0], queued[0], keys[0], contract_set=names))
+        queued = [None if pool is None or _key(instr) in ctx.checked
+                  else pool.submit(_when_due, ctx, _backend(ctx, instr)) for instr in instrs]
+        _hold_system(ctx, _check(ctx, instrs[0], queued[0], contract_set=names))
         ctx.fn_results = {}
-        for name, instr, fut, key in zip(names, instrs[1:], queued[1:], keys[1:]):
-            result = _check(ctx, instr, fut, key)
+        for name, instr, fut in zip(names, instrs[1:], queued[1:]):
+            result = _check(ctx, instr, fut)
             ctx.fn_results[name] = result
             cls = None if result.status is Status.PASS else _classified(ctx, name, result)
             if cls is not None:

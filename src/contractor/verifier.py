@@ -30,8 +30,7 @@ from .contracts import InstrumentedSource
 from .errors import BackendNotFoundError
 from .mock_backend import ENFORCE_FLAG, FIXTURES_ENV
 
-# -I keeps the working directory and the environment's paths off sys.path,
-# so the appended directory shadows no module start-up or the check loads
+# with -I the appended directory comes after the stdlib, so it shadows nothing
 _MOCK_BOOTSTRAP = ("import sys; sys.path.append(%r); "
                    "import mock_backend; sys.exit(mock_backend.main())")
 MOCK_COMMAND = (sys.executable, "-I", "-S", "-c",
@@ -211,10 +210,6 @@ class SubprocessVerifier:
 
     def __init__(self, cfg: VerifierConfig):
         self.cfg = cfg
-        self._backend = MOCK_COMMAND if cfg.backend_path == "mock" else (cfg.backend_path,)
-        self._env = dict(os.environ)
-        if cfg.fixtures_dir:
-            self._env[FIXTURES_ENV] = cfg.fixtures_dir
 
     def system(self, src: InstrumentedSource, timeout_s: Optional[float] = None) -> VerificationResult:
         """Replace-mode check of the whole program: every annotated function's
@@ -242,7 +237,11 @@ class SubprocessVerifier:
             src_path = os.path.join(tmp, "program.c")
             with open(src_path, "w", encoding="utf-8") as fh:
                 fh.write(src.text)
-            cmd = [*self._backend, *flags, *cfg.extra_flags, src_path]
+            backend = MOCK_COMMAND if cfg.backend_path == "mock" else (cfg.backend_path,)
+            cmd = [*backend, *flags, *cfg.extra_flags, src_path]
+            env = dict(os.environ)
+            if cfg.fixtures_dir:
+                env[FIXTURES_ENV] = cfg.fixtures_dir
             started = time.monotonic()
             try:
                 out = subprocess.run(
@@ -250,7 +249,7 @@ class SubprocessVerifier:
                     stdout=subprocess.PIPE,
                     stderr=subprocess.STDOUT,
                     timeout=budget,
-                    env=self._env,
+                    env=env,
                 ).stdout
                 timed_out = False
             except FileNotFoundError as exc:

@@ -205,6 +205,10 @@ def test_add_implications_appends_each_pair_once():
     # the held keys are bookkeeping: they neither show nor compare
     assert db == IceDatabase(implications=[(a, b), (b, c), (c, a)])
     assert repr(db) == repr(IceDatabase(implications=list(db.implications)))
+    # pairs given to the constructor are held as well
+    built = IceDatabase(implications=[(a, b)])
+    assert built.add_implications([(again, b), (b, c)]) == 1
+    assert built.implications == [(a, b), (b, c)]
 
 
 def test_extract_implications_needs_reassignment():

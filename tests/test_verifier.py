@@ -372,6 +372,24 @@ def test_mock_script_form_replays_the_same_bytes(tmp_path):
     assert script.stderr == check.stderr == b""
 
 
+@pytest.mark.parametrize("on_posix", [True, False])
+def test_mock_main_in_process_reads_the_live_environment(tmp_path, monkeypatch, capsys, on_posix):
+    # an in-process call sees a variable set after start-up, on POSIX or not
+    model = parse_program(INC)
+    enf = render_enforce(model, inc_contract())
+    write_transcript(str(tmp_path / "fixtures"), enf.text, enf.mode, success_output())
+    source = tmp_path / "program.c"
+    source.write_text(enf.text, encoding="utf-8")
+    if not on_posix:
+        monkeypatch.setattr(mock_backend, "posix", None)
+    monkeypatch.setenv("CONTRACTOR_MOCK_FIXTURES", str(tmp_path / "fixtures"))
+    assert mock_backend.main(["--enforce-contract", "increment", str(source)]) == 0
+    assert capsys.readouterr().out == success_output()
+    monkeypatch.setenv("CONTRACTOR_MOCK_FIXTURES", str(source))  # a file
+    assert mock_backend.main(["--enforce-contract", "increment", str(source)]) == 0
+    assert capsys.readouterr().out == "MOCK: no fixtures directory configured\n"
+
+
 @pytest.mark.parametrize("env_dir, flag_dir, replays", [
     (None, None, False),
     ("missing", None, False),
