@@ -2,8 +2,8 @@
 
 A contract is (requires, ensures, assigns) plus optional loop invariants.
 Rendering injects backend annotation statements into the program text and
-records every insertion, so stripping is exact by construction: remove the
-recorded segments and the original bytes come back.
+records every insertion, so removing the recorded segments gives back the
+original bytes.
 """
 
 from __future__ import annotations
@@ -99,22 +99,6 @@ class InstrumentedSource:
     mode: str  # "system" | "function:<name>", the check's one name
     functions: Tuple[str, ...]  # functions carrying annotations
     injections: Tuple[Injection, ...] = ()
-
-
-def strip_annotations(instr: InstrumentedSource) -> str:
-    """Undo every recorded insertion; returns the original bytes."""
-    text = instr.text
-    # rebuild by replaying insertions against the original offsets, back to front
-    pieces: List[str] = []
-    cursor = 0
-    shift = 0
-    for inj in sorted(instr.injections, key=lambda j: j.offset):
-        insert_at = inj.offset + shift
-        pieces.append(text[cursor:insert_at])
-        cursor = insert_at + len(inj.text)
-        shift += len(inj.text)
-    pieces.append(text[cursor:])
-    return "".join(pieces)
 
 
 def _indent_of_line(src: str, pos: int) -> str:

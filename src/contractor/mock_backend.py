@@ -16,18 +16,28 @@ line, which the driver maps to a tool error.
 
 The driver starts a check as `python -I -S -c <bootstrap> ...`
 (`verifier.MOCK_COMMAND`): the bootstrap appends this file's directory to
-`sys.path`, imports this module from its cached bytecode and exits with
-`main()`. At module level the module imports only `sys`, `posix` (the POSIX
-module `os` wraps, which interpreter start-up has already loaded) and
-CPython's built-in SHA-256, so a check loads nothing a bare
+`sys.path`, imports this module from its cached bytecode and ends with
+`exit_now(main())`. At module level the module imports only `sys`, `posix`
+(the POSIX module `os` wraps, which interpreter start-up has already loaded)
+and CPython's built-in SHA-256, so a check loads nothing a bare
 `python -I -S -c pass` does not load, apart from that one module. `time` is
 imported only to honour a `sleep=` field, and `os` only by
 `write_transcript`, which runs in the pipeline process, or off POSIX. The
 environment is read from `posix.environ`, the dict `os.environ` reads and
 writes through, so a `main(argv)` called in-process sees every change made to
-`os.environ`. The script form, `python -I -S mock_backend.py ...`, and
-`contractor-mock-bmc` behave the same. Arguments are read by hand: the last
-one is the source file,
+`os.environ`.
+
+`exit_now` flushes stdout and stderr and ends the process with
+`posix._exit`, skipping interpreter finalization (garbage collection, module
+teardown, freeing memory). Once the reply is flushed the driver has all it
+reads, so that teardown would only spend CPU, about a sixth of a check's.
+`main` returns its exit code and never ends the process itself, so tests and
+`contractor-mock-bmc` call it in-process. If it raises, the bootstrap never
+reaches `exit_now`: the traceback and exit code 1 stay, and the driver reads
+a tool error. The script form, `python -I -S mock_backend.py ...`, ends
+through `exit_now` too, and `contractor-mock-bmc` replays the same bytes.
+
+Arguments are read by hand: the last one is the source file,
 `--enforce-contract NAME` makes the mode `function:NAME` (else `system`),
 `--fixtures DIR` overrides CONTRACTOR_MOCK_FIXTURES, and every other argument
 is ignored.
@@ -134,6 +144,16 @@ def _is_dir(path: str) -> bool:
         return False
 
 
+def exit_now(code: int) -> None:
+    """Flush stdout and stderr, then end the process with code without
+    finalizing the interpreter (`posix._exit`). Off POSIX, sys.exit(code)."""
+    sys.stdout.flush()
+    sys.stderr.flush()
+    if posix is None:
+        sys.exit(code)
+    posix._exit(code)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else list(argv)
     if not args:
@@ -171,4 +191,4 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    exit_now(main())

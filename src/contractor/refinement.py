@@ -15,11 +15,11 @@ CEGIS's ask when only the system check fails all use that choice. Relax and
 strengthen diagnostics show the last round's own check: the function's, or
 the system's.
 
-After every round `_conclude` decides: `verified` only when one single
-contract set passes the system check and every function's own check at once,
-`falsified` only on a system counterexample against fully concrete code (no
-stubs left to blame). Everything else, including budget exhaustion, is
-`inconclusive`.
+After every round `_conclude` decides: `verified` only when the check memo
+holds a pass for one single contract set's system check and every
+function's own check, `falsified` only on a system counterexample against
+fully concrete code (no stubs left to blame). Everything else, including
+budget exhaustion, is `inconclusive`.
 """
 
 from __future__ import annotations
@@ -163,7 +163,8 @@ class _Ctx:
         # the contracted function sys_result's counterexample blames
         self.blamed: Optional[str] = None
         # PASS and FAIL results by (mode, SHA-256 of the instrumented text);
-        # a timeout or tool error is not kept, so that check runs again
+        # a timeout or tool error is not kept, so that check runs again.
+        # `verified` is read from here, not from the held results above
         self.checked: Dict[Tuple[str, str], VerificationResult] = {}
 
     @property
@@ -427,13 +428,30 @@ def _failing_functions(ctx: _Ctx) -> List[str]:
     return [name for name, status in _statuses(ctx) if status != Status.PASS.value]
 
 
+def _memo_verifies(ctx: _Ctx) -> bool:
+    """Whether the check memo holds a PASS for the system render of
+    ctx.contracts and for the enforce render of every target's contract
+    in it. A target without a contract, or a render the memo lacks, is not
+    a pass."""
+    if any(f.name not in ctx.contracts for f in ctx.targets):
+        return False
+    instrs = [render_replace(ctx.model, ctx.contracts.values())]
+    instrs += [render_enforce(ctx.model, c) for c in ctx.contracts.values()]
+    for instr in instrs:
+        result = ctx.checked.get(_key(instr))
+        if result is None or result.status is not Status.PASS:
+            return False
+    return True
+
+
 def _conclude(ctx: _Ctx) -> Optional[Verdict]:
     """The verdict the round just verified supports, or None to go on.
 
     `verified` needs a system pass plus a passing check for every target
-    function, all under that one contract set; `falsified` needs a system
+    function, all under that one contract set, read from the check memo
+    rather than from the round's held results; `falsified` needs a system
     failure with no contract stub left to blame."""
-    if ctx.sys_result.status is Status.PASS and not _failing_functions(ctx):
+    if _memo_verifies(ctx):
         return _verdict(ctx, VerdictOutcome.VERIFIED)
     if ctx.sys_result.status is Status.FAIL and not ctx.contracts:
         return _falsified(ctx)
@@ -463,7 +481,8 @@ def delta_debug(
     Requires, assigns, and invariants are never touched. Worst case this
     spends 2n check calls. Raises IrreducibleFailureError when even the
     empty ensures list fails, which means the problem is not in the
-    postcondition at all.
+    postcondition at all; the logged event then keeps every clause and
+    counts the calls spent.
     """
     ensures = list(c.ensures)
     calls = 0
@@ -485,6 +504,9 @@ def delta_debug(
         if attempt(kept):
             break
     else:
+        if log is not None:
+            log.event("delta_debug", function=c.function, kept=ensures,
+                      removed=[], checks=calls, irreducible=True)
         raise IrreducibleFailureError(
             f"{c.function}: check fails with no ensures clauses left"
         )
@@ -533,8 +555,6 @@ def _delta_debug_stagnating(ctx: _Ctx) -> bool:
         try:
             reduced = delta_debug(c, check, log=ctx.log)
         except IrreducibleFailureError:
-            ctx.log.event("delta_debug", function=fname, kept=list(c.ensures),
-                          removed=[], checks=0, irreducible=True)
             continue
         # the last passing trial is the reduced contract
         ctx.contracts[fname], ctx.fn_results[fname] = reduced, passed[-1]

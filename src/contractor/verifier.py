@@ -6,9 +6,13 @@ C file plus mode flags and prints a verdict marker; the bundled mock
 backend choice, not a test shim, so whole runs work offline. The mock is
 started as `python -I -S -c <bootstrap> <flags> <source>` (`MOCK_COMMAND`):
 the bootstrap appends the directory of `mock_backend.py` to `sys.path`,
-imports `mock_backend` from its cached bytecode and exits with its `main()`.
-Outside `site`, the check loads nothing a bare `python -I -S -c pass` does not
-load except the SHA-256 module, so it costs about a bare interpreter start.
+imports `mock_backend` from its cached bytecode and ends with
+`mock_backend.exit_now(mock_backend.main())`. Outside `site`, the check loads
+nothing a bare `python -I -S -c pass` does not load except the SHA-256
+module, and `exit_now` ends the child with `posix._exit` once its reply is
+flushed, skipping interpreter finalization, whose work (garbage collection,
+module teardown) the driver never reads. A check thus costs interpreter
+start-up plus the replay.
 Every other backend is started by its own name.
 """
 
@@ -32,7 +36,7 @@ from .mock_backend import ENFORCE_FLAG, FIXTURES_ENV
 
 # with -I the appended directory comes after the stdlib, so it shadows nothing
 _MOCK_BOOTSTRAP = ("import sys; sys.path.append(%r); "
-                   "import mock_backend; sys.exit(mock_backend.main())")
+                   "import mock_backend; mock_backend.exit_now(mock_backend.main())")
 MOCK_COMMAND = (sys.executable, "-I", "-S", "-c",
                 _MOCK_BOOTSTRAP % os.path.dirname(os.path.abspath(mock_backend.__file__)))
 REPLACE_FLAG = "--replace-call-with-contract"

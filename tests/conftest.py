@@ -1,6 +1,6 @@
 """Shared helpers: corpus loading, backend-output builders, in-memory
-verifiers, and a recording wrapper that turns any run into mock-backend
-transcripts."""
+verifiers, a recording wrapper that turns any run into mock-backend
+transcripts, and the instrumentation round-trip oracle."""
 
 from __future__ import annotations
 
@@ -157,6 +157,22 @@ class RecordingVerifier:
         result = self.inner.function(src, name, timeout_s)
         self._record(src, result)
         return result
+
+
+def strip_annotations(instr: InstrumentedSource) -> str:
+    """Undo every recorded insertion; returns the original bytes."""
+    text = instr.text
+    # rebuild by replaying insertions against the original offsets, back to front
+    pieces: List[str] = []
+    cursor = 0
+    shift = 0
+    for inj in sorted(instr.injections, key=lambda j: j.offset):
+        insert_at = inj.offset + shift
+        pieces.append(text[cursor:insert_at])
+        cursor = insert_at + len(inj.text)
+        shift += len(inj.text)
+    pieces.append(text[cursor:])
+    return "".join(pieces)
 
 
 def parsed_from(output: str) -> ParsedCounterexample:

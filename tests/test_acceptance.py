@@ -28,6 +28,7 @@ from conftest import (
     contract_reply,
     corpus_sources,
     failure_output,
+    strip_annotations,
     success_output,
 )
 from contractor.cexpr import evaluate_bool
@@ -38,7 +39,6 @@ from contractor.contracts import (
     encode_universal_property,
     render_enforce,
     render_replace,
-    strip_annotations,
 )
 from contractor.errors import LoopOrdinalError
 from contractor.harness import (

@@ -15,11 +15,10 @@ from contractor.contracts import (
     render_enforce,
     render_replace,
     sanitize_assigns,
-    strip_annotations,
 )
 from contractor.errors import LoopOrdinalError, UnknownFunctionError
 from contractor.program_model import parse_program
-from conftest import contract_reply, corpus_sources
+from conftest import contract_reply, corpus_sources, strip_annotations
 
 
 def mk(function="increment", requires=(), ensures=(), assigns=(), invariants=()):

@@ -153,6 +153,19 @@ def test_all_fail_raises_irreducible():
         delta_debug(c, lambda t: False)
 
 
+def test_irreducible_log_event_counts_the_checks_spent():
+    c = make_contract(3)
+    log = RunLog()
+    calls = []
+    with pytest.raises(IrreducibleFailureError):
+        delta_debug(c, lambda t: calls.append(t.ensures) and False, log=log)
+    assert calls == [c.ensures[:2], c.ensures[:1], ()]
+    assert log.of_kind("delta_debug") == [{
+        "event": "delta_debug", "function": c.function, "kept": list(c.ensures),
+        "removed": [], "checks": 3, "irreducible": True,
+    }]
+
+
 def test_log_event_records_kept_and_removed():
     c = make_contract(3)
     log = RunLog()

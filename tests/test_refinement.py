@@ -686,6 +686,29 @@ def test_timeout_is_checked_again():
     assert len(full) >= 2 and len(set(full)) == 1
 
 
+def test_verified_is_read_from_the_check_memo(monkeypatch):
+    # inc fails its own check, but every round's held results are then
+    # overwritten with a stale PASS; the memo still holds the FAIL
+    from contractor import refinement
+
+    stale = VerificationResult(status=Status.PASS, raw_output=success_output(),
+                               parsed=None, wall_time_s=0.0, mode="function:inc")
+    verify_round = refinement._verify_round
+
+    def stale_round(ctx, contracts):
+        verify_round(ctx, contracts)
+        ctx.fn_results = dict.fromkeys(ctx.fn_results, stale)
+
+    monkeypatch.setattr(refinement, "_verify_round", stale_round)
+    rule = lambda src, mode: (failure_output("x > 0") if mode == "function:inc"
+                              else success_output())
+    verdict, log, _, _ = run(INC_SRC, {"*": INC_REPLY}, RuleVerifier(rule),
+                             k_cegar=1, k_cegis=1)
+    assert verdict.outcome is VerdictOutcome.INCONCLUSIVE
+    assert verdict.status_map() == {"inc": "pass"}  # the stale record
+    assert log.of_kind("budget_exhausted")
+
+
 # -- one round's checks in one pool -------------------------------------------
 
 class SleepyVerifier:

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -132,12 +133,15 @@ def test_mock_backend_round_trip(tmp_path):
 
 
 def test_mock_backend_miss_is_tool_error(tmp_path):
+    # the miss line is printed, and still arrives whole from a child that
+    # ends without finalizing
     model = parse_program(INC)
     enf = render_enforce(model, inc_contract())
     cfg = VerifierConfig(backend_path="mock", fixtures_dir=str(tmp_path), timeout_s=30.0)
     result = SubprocessVerifier(cfg).function(enf, "increment")
     assert result.status is Status.TOOL_ERROR
-    assert "no transcript" in result.raw_output
+    assert result.raw_output == (f"MOCK: no transcript for digest={source_digest(enf.text)}"
+                                 " mode=function:increment\n")
 
 
 def test_mock_backend_sleep_triggers_timeout(tmp_path):
@@ -372,8 +376,21 @@ def test_mock_script_form_replays_the_same_bytes(tmp_path):
     assert script.stderr == check.stderr == b""
 
 
+@pytest.fixture
+def no_exit(monkeypatch):
+    """mock_backend's posix, except that _exit fails the test instead of
+    ending pytest: an in-process main must return its code."""
+    def _exit(code):
+        raise AssertionError(f"main ended the process with code {code}")
+
+    real = mock_backend.posix
+    monkeypatch.setattr(mock_backend, "posix",
+                        SimpleNamespace(environ=real.environ, stat=real.stat, _exit=_exit))
+
+
 @pytest.mark.parametrize("on_posix", [True, False])
-def test_mock_main_in_process_reads_the_live_environment(tmp_path, monkeypatch, capsys, on_posix):
+def test_mock_main_in_process_reads_the_live_environment(tmp_path, monkeypatch, capsys, on_posix,
+                                                          no_exit):
     # an in-process call sees a variable set after start-up, on POSIX or not
     model = parse_program(INC)
     enf = render_enforce(model, inc_contract())
@@ -413,3 +430,57 @@ def test_mock_reads_its_fixtures_directory(tmp_path, env_dir, flag_dir, replays)
                          env=env, capture_output=True, text=True, timeout=30)
     assert out.returncode == 0
     assert out.stdout == (success_output() if replays else "MOCK: no fixtures directory configured\n")
+
+
+# -- a check ends with posix._exit once its reply is flushed -------------------
+
+def test_mock_replays_a_reply_larger_than_a_pipe_buffer(tmp_path):
+    # the whole reply is written and flushed before the child ends unfinalized
+    model = parse_program(INC)
+    enf = render_enforce(model, inc_contract())
+    filler = "".join(f"symex step {i}: r ≥ {i}\n" for i in range(16384))
+    output = success_output().replace("Symex completed\n", "Symex completed\n" + filler)
+    assert len(output.encode("utf-8")) > 256 * 1024
+    write_transcript(str(tmp_path), enf.text, enf.mode, output)
+    cfg = VerifierConfig(backend_path="mock", fixtures_dir=str(tmp_path), timeout_s=30.0)
+    result = SubprocessVerifier(cfg).function(enf, "increment")
+    assert result.status is Status.PASS
+    assert result.raw_output == output
+
+
+def test_mock_exit_codes_reach_the_caller(tmp_path):
+    # main's usage code, and a traceback with code 1 when main raises
+    usage = subprocess.run([*MOCK_COMMAND], capture_output=True, text=True, timeout=30)
+    assert usage.returncode == 2
+    assert (usage.stdout, usage.stderr.split(" ", 1)[0]) == ("", "usage:")
+    missing = subprocess.run([*MOCK_COMMAND, "--fixtures", str(tmp_path),
+                              str(tmp_path / "absent.c")],
+                             capture_output=True, text=True, timeout=30)
+    assert missing.returncode == 1
+    assert "FileNotFoundError" in missing.stderr
+    assert parse_verifier_output(missing.stdout + missing.stderr)[0] is Status.TOOL_ERROR
+
+
+def test_exit_now_flushes_both_streams_before_it_ends():
+    code = ("import sys; sys.path.append(%r); import mock_backend; "
+            "print('reply', end=''); sys.stderr.write('note'); mock_backend.exit_now(3)"
+            % str(Path(mock_backend.__file__).parent))
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                         capture_output=True, text=True, timeout=30)
+    assert (out.returncode, out.stdout, out.stderr) == (3, "reply", "note")
+
+
+def test_mock_main_in_process_returns_its_code(tmp_path, monkeypatch, capsys, no_exit):
+    # main returns on its usage and miss paths too (the live-environment test
+    # covers the others); only exit_now ends the process, off POSIX by raising
+    model = parse_program(INC)
+    source = tmp_path / "program.c"
+    source.write_text(render_enforce(model, inc_contract()).text, encoding="utf-8")
+    assert mock_backend.main([]) == 2
+    assert capsys.readouterr().err.startswith("usage:")
+    assert mock_backend.main(["--fixtures", str(tmp_path), str(source)]) == 0
+    assert capsys.readouterr().out.startswith("MOCK: no transcript for digest=")
+    monkeypatch.setattr(mock_backend, "posix", None)
+    with pytest.raises(SystemExit) as exc:
+        mock_backend.exit_now(2)
+    assert exc.value.code == 2
