@@ -5,15 +5,19 @@ calls replaced by contract stubs, check every implementation against its own
 contract, and refine on failure. Function-level failures weaken that contract;
 system-level failures strengthen the weakest responsible one. Two identical
 iterations in a row count as stagnation, which triggers ensures-clause
-reduction and an escalation to example-guided synthesis.
+reduction and an escalation to example-guided synthesis. A contract whose
+check fails on one of its own loop invariants is not reduced: ensures are
+asserted only at exit, so no subset of them can cure it. The system is
+checked under the reduced set only when every target then passes; while a
+target still fails, the next CEGIS round checks the system under its own
+set, and a run that has no round left checks it before it ends.
 
 The last round's results are the one record later steps read. The weakest
-link is chosen once per system counterexample, by `_hold_system`, on the
-contract set that produced it (after a drop, the full set whose survivors
-were checked). Its E- label under SMART ICE, the CEGAR strengthen ask and
-CEGIS's ask when only the system check fails all use that choice. Relax and
-strengthen diagnostics show the last round's own check: the function's, or
-the system's.
+link is chosen once per system counterexample, by `_hold_system`, among the
+contracts that check stubbed (after a drop, the survivors). Its E- label
+under SMART ICE, the CEGAR strengthen ask and CEGIS's ask when only the
+system check fails all use that choice. Relax and strengthen diagnostics
+show the last round's own check: the function's, or the system's.
 
 After every round `_conclude` decides: `verified` only when the check memo
 holds a pass for one single contract set's system check and every
@@ -27,9 +31,10 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from .cexpr import identifiers
 from .contracts import (
@@ -230,37 +235,42 @@ def _request(ctx: _Ctx, f: FunctionInfo, intent: SynthesisIntent,
 
 
 def _keep(ctx: _Ctx, contracts: Dict[str, Contract], fname: str,
-          result: Union[Contract, ParseFailure]) -> Optional[Contract]:
+          result: Union[Contract, ParseFailure], log: Optional[RunLog] = None
+          ) -> Optional[Contract]:
     """Store a reply's contract with its assigns sanitized and return it, or
-    classify why the reply could not be used and return None."""
+    classify why the reply could not be used and return None. Events go to
+    log, ctx.log by default."""
+    log = ctx.log if log is None else log
     if isinstance(result, Contract):
         kept, stripped = sanitize_assigns(result.assigns)
         if stripped:
-            ctx.log.event("assigns_stripped", function=result.function,
-                          stripped=list(stripped))
+            log.event("assigns_stripped", function=result.function,
+                      stripped=list(stripped))
             result = replace(result, assigns=kept)
         contracts[fname] = result
         return result
     cls = classify(result)
-    ctx.log.event("classification", function=fname,
-                  level=cls.level.value, category=cls.category.value)
+    log.event("classification", function=fname,
+              level=cls.level.value, category=cls.category.value)
     return None
 
 
 def _ask(ctx: _Ctx, contracts: Dict[str, Contract], f: FunctionInfo,
-         intent: SynthesisIntent) -> Optional[Contract]:
+         intent: SynthesisIntent, log: Optional[RunLog] = None) -> Optional[Contract]:
     """Ask the client for f's contract under intent, revising the one in
     contracts, keep the reply there and return it (None when the reply
     could not be used). An over-approximation falls back to a scan of the
-    body; CEGIS under SMART ICE shows the model f's examples."""
+    body; CEGIS under SMART ICE shows the model f's examples. Events go to
+    log, ctx.log by default."""
+    log = ctx.log if log is None else log
     req = _request(ctx, f, intent, contracts.get(f.name), _diagnostics_for(ctx, f.name, intent))
     if intent is SynthesisIntent.OVERAPPROXIMATE:
-        result = overapproximate(req, ctx.client, ctx.log)
+        result = overapproximate(req, ctx.client, log)
     elif intent is SynthesisIntent.CEGIS and ctx.cfg.strategy is Strategy.SMART_ICE:
-        result = cegis_synthesize(req, ctx.client, ctx.db, log=ctx.log)
+        result = cegis_synthesize(req, ctx.client, ctx.db, log=log)
     else:
-        result = synthesize(req, ctx.client, log=ctx.log)
-    return _keep(ctx, contracts, f.name, result)
+        result = synthesize(req, ctx.client, log=log)
+    return _keep(ctx, contracts, f.name, result, log)
 
 
 def _diagnostics_for(ctx: _Ctx, fname: str, intent: SynthesisIntent) -> str:
@@ -329,15 +339,18 @@ def _learn(ctx: _Ctx, parsed: ParsedCounterexample, cls: Classification, target:
             ctx.log.event("db", action="implications", function=name, **_db_sizes(ctx.db))
 
 
-def _hold_system(ctx: _Ctx, result: VerificationResult) -> None:
+def _hold_system(ctx: _Ctx, result: VerificationResult,
+                 stubbed: Dict[str, Contract]) -> None:
     """Keep the system check's result as the round's. A counterexample is
-    blamed here, once, on ctx.contracts; under SMART ICE the blamed
-    function's state becomes a negative example."""
+    blamed here, once, on the contracts the check stubbed; under SMART ICE
+    the blamed function's state becomes a negative example. Implication
+    pairs are taken for every function of ctx.contracts: a function that
+    ran as concrete code took real loop steps."""
     ctx.sys_result, ctx.blamed = result, None
     cls = _classified(ctx, "__system__", result) if result.status is Status.FAIL else None
     if cls is None:
         return
-    ctx.blamed, fallback = _blame(ctx, result.parsed, ctx.contracts)
+    ctx.blamed, fallback = _blame(ctx, result.parsed, stubbed)
     ctx.log.event("weakest_link", chosen=ctx.blamed, fallback=fallback)
     if ctx.blamed is not None:
         _learn(ctx, result.parsed, cls, ctx.blamed, "system", sorted(ctx.contracts))
@@ -383,26 +396,47 @@ def _check(ctx: _Ctx, instr: InstrumentedSource, queued: Optional[Future] = None
     return result
 
 
-def _verify_round(ctx: _Ctx, contracts: Dict[str, Contract]) -> None:
-    """System check plus every function check, under one contract set.
+def _check_system(ctx: _Ctx) -> None:
+    """Check the system under ctx.contracts and hold the result."""
+    _hold_system(ctx, _check(ctx, render_replace(ctx.model, ctx.contracts.values()),
+                             contract_set=sorted(ctx.contracts)), ctx.contracts)
+
+
+@contextmanager
+def _queued(ctx: _Ctx, instrs: List[InstrumentedSource]) -> Iterator[List[Optional[Future]]]:
+    """One queued check per instr for `_check` to read, or None where it
+    checks on this thread.
 
     With cfg.workers above 1 and a verifier whose concurrent_checks is set,
     the checks not memoised yet run in a pool of that many threads, each
-    given the budget left when it starts. Results are memoised, logged and
-    held on this thread in the serial order: system first, then the
-    functions by name."""
+    given the budget left when it starts. Leaving the block waits for the
+    running checks and cancels the queued ones."""
+    # checks overlap only outside this interpreter: an in-process verifier
+    # holds the GIL while it checks, and may keep state from call to call
+    if ctx.cfg.workers <= 1 or not getattr(ctx.verifier, "concurrent_checks", False):
+        yield [None] * len(instrs)
+        return
+    pool = ThreadPoolExecutor(max_workers=ctx.cfg.workers)
+    try:
+        yield [None if _key(instr) in ctx.checked
+               else pool.submit(_when_due, ctx, _backend(ctx, instr)) for instr in instrs]
+    finally:
+        # a running check was given no more than the budget left, so this
+        # waits no longer than the budget; a queued one never starts
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _verify_round(ctx: _Ctx, contracts: Dict[str, Contract]) -> None:
+    """System check plus every function check, under one contract set,
+    overlapped as `_queued` allows. Results are memoised, logged and held
+    on this thread in the serial order: system first, then the functions by
+    name."""
     ctx.contracts = contracts
     names = sorted(contracts)
     instrs = [render_replace(ctx.model, contracts.values())]
     instrs += [render_enforce(ctx.model, contracts[name]) for name in names]
-    # checks overlap only outside this interpreter: an in-process verifier
-    # holds the GIL while it checks, and may keep state from call to call
-    overlap = ctx.cfg.workers > 1 and getattr(ctx.verifier, "concurrent_checks", False)
-    pool = ThreadPoolExecutor(max_workers=ctx.cfg.workers) if overlap else None
-    try:
-        queued = [None if pool is None or _key(instr) in ctx.checked
-                  else pool.submit(_when_due, ctx, _backend(ctx, instr)) for instr in instrs]
-        _hold_system(ctx, _check(ctx, instrs[0], queued[0], contract_set=names))
+    with _queued(ctx, instrs) as queued:
+        _hold_system(ctx, _check(ctx, instrs[0], queued[0], contract_set=names), contracts)
         ctx.fn_results = {}
         for name, instr, fut in zip(names, instrs[1:], queued[1:]):
             result = _check(ctx, instr, fut)
@@ -410,11 +444,6 @@ def _verify_round(ctx: _Ctx, contracts: Dict[str, Contract]) -> None:
             cls = None if result.status is Status.PASS else _classified(ctx, name, result)
             if cls is not None:
                 _learn(ctx, result.parsed, cls, name, "function", [name])
-    finally:
-        if pool is not None:
-            # a running check was given no more than the budget left, so this
-            # waits no longer than the budget; a queued one never starts
-            pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _falsified(ctx: _Ctx) -> Verdict:
@@ -450,10 +479,12 @@ def _conclude(ctx: _Ctx) -> Optional[Verdict]:
     `verified` needs a system pass plus a passing check for every target
     function, all under that one contract set, read from the check memo
     rather than from the round's held results; `falsified` needs a system
-    failure with no contract stub left to blame."""
+    failure with no contract stub left to blame. A round may hold no system
+    result: one deferred after a reduction concludes nothing."""
     if _memo_verifies(ctx):
         return _verdict(ctx, VerdictOutcome.VERIFIED)
-    if ctx.sys_result.status is Status.FAIL and not ctx.contracts:
+    held = ctx.sys_result
+    if held is not None and held.status is Status.FAIL and not ctx.contracts:
         return _falsified(ctx)
     return None
 
@@ -473,16 +504,20 @@ def delta_debug(
     c: Contract,
     check: Callable[[Contract], bool],
     log: Optional[RunLog] = None,
+    violated: Optional[str] = None,
 ) -> Contract:
     """Reduce the ensures list of a failing contract until the check passes.
 
     Clauses are removed from the tail one by one; once the check passes, each
     removed clause is offered back and kept only if the check still passes.
     Requires, assigns, and invariants are never touched. Worst case this
-    spends 2n check calls. Raises IrreducibleFailureError when even the
-    empty ensures list fails, which means the problem is not in the
-    postcondition at all; the logged event then keeps every clause and
-    counts the calls spent.
+    spends 2n check calls. Raises IrreducibleFailureError when no subset
+    can pass, which means the problem is not in the postcondition at all:
+    at once, with no check spent, when violated (the property the failing
+    check reported) is one of c's loop invariants and none of its ensures,
+    since ensures are asserted only at exit; otherwise once even the empty
+    ensures list fails. The logged event then keeps every clause and counts
+    the calls spent.
     """
     ensures = list(c.ensures)
     calls = 0
@@ -497,6 +532,14 @@ def delta_debug(
         )
         return bool(check(trial))
 
+    def irreducible() -> IrreducibleFailureError:
+        if log is not None:
+            log.event("delta_debug", function=c.function, kept=ensures,
+                      removed=[], checks=calls, irreducible=True)
+        return IrreducibleFailureError(f"{c.function}: no subset of the ensures clauses passes")
+
+    if violated in {e for _, e in c.loop_invariants} and violated not in ensures:
+        raise irreducible()
     kept = list(range(len(ensures)))
     removed: List[int] = []
     while kept:
@@ -504,12 +547,7 @@ def delta_debug(
         if attempt(kept):
             break
     else:
-        if log is not None:
-            log.event("delta_debug", function=c.function, kept=ensures,
-                      removed=[], checks=calls, irreducible=True)
-        raise IrreducibleFailureError(
-            f"{c.function}: check fails with no ensures clauses left"
-        )
+        raise irreducible()
 
     for i in sorted(removed):
         trial = sorted(kept + [i])
@@ -553,7 +591,8 @@ def _delta_debug_stagnating(ctx: _Ctx) -> bool:
             return result.status is Status.PASS
 
         try:
-            reduced = delta_debug(c, check, log=ctx.log)
+            reduced = delta_debug(c, check, log=ctx.log,
+                                  violated=r.parsed.violated_property if r.parsed else None)
         except IrreducibleFailureError:
             continue
         # the last passing trial is the reduced contract
@@ -592,10 +631,16 @@ def _run_cegar(ctx: _Ctx) -> Optional[Verdict]:
             ctx.log.event("stagnation", iteration=k,
                           failing=_failing_functions(ctx))
             if _delta_debug_stagnating(ctx):
-                # a weaker ensures may no longer imply the property: the
-                # verdict must read a system result under the reduced set
-                _hold_system(ctx, _check(ctx, render_replace(ctx.model, ctx.contracts.values()),
-                                         contract_set=sorted(ctx.contracts)))
+                if _failing_functions(ctx):
+                    # no system check under this set can conclude the run:
+                    # the next round checks the system under its own set
+                    # (and `_refine` does when none follows), and CEGIS
+                    # reads no blame while a function fails
+                    ctx.sys_result, ctx.blamed = None, None
+                else:
+                    # a weaker ensures may no longer imply the property: the
+                    # verdict must read a system result under the reduced set
+                    _check_system(ctx)
             # reduction alone may finish the job when the system side passes
             return _conclude(ctx)
         previous = snapshot
@@ -637,6 +682,10 @@ def _refine(ctx: _Ctx) -> Verdict:
     """CEGAR, then CEGIS; inconclusive once both have spent their budget."""
     verdict = _run_cegar(ctx) or _run_cegis(ctx)
     if verdict is None:
+        if ctx.sys_result is None:
+            # deferred after a reduction, and no round followed: the verdict
+            # reads a system result under the final set
+            _check_system(ctx)
         ctx.log.event("budget_exhausted", iterations=ctx.iterations)
         verdict = _verdict(ctx, VerdictOutcome.INCONCLUSIVE)
     return verdict
@@ -684,7 +733,7 @@ def run_pipeline(
         if result.status is Status.FAIL and not survivors:
             ctx.contracts, ctx.sys_result = survivors, result
             return _falsified(ctx)
-        _hold_system(ctx, result)
+        _hold_system(ctx, result, survivors)
     return _refine(ctx)
 
 
@@ -749,22 +798,31 @@ def _run_pre_abstraction(ctx: _Ctx) -> Verdict:
         return verdict
 
     ctx.set_stage("pre_abstraction:4")
-    for f in high:
-        r = ctx.fn_results.get(f.name)
-        if r is None or r.status is not Status.PASS:
-            continue  # unverified abstraction stays in place for refinement
-        precise = _ask(ctx, {}, f, SynthesisIntent.INITIAL)
-        if precise is None:
-            continue
-        check = _check(ctx, render_enforce(ctx.model, precise))
-        if check.status is Status.PASS:
-            ctx.contracts[f.name] = precise
-            ctx.fn_results[f.name] = check
-            ctx.log.event("substitute", function=f.name, kept="precise")
-        else:
-            ctx.log.event("substitute", function=f.name, kept="abstraction")
-            if check.status is Status.FAIL:
-                _classified(ctx, f.name, check)
+    # an unverified abstraction stays in place for refinement; each verified
+    # one's precise contract is asked for here, its own check overlapped as
+    # `_queued` allows, and its ask's events merged in model order
+    passing = {name for name, status in _statuses(ctx) if status == Status.PASS.value}
+    verified = [f for f in high if f.name in passing]
+    side_logs = {f.name: RunLog() for f in verified}
+    precise = {f.name: _ask(ctx, {}, f, SynthesisIntent.INITIAL, side_logs[f.name])
+               for f in verified}
+    asked = [name for name, c in precise.items() if c is not None]
+    instrs = [render_enforce(ctx.model, precise[name]) for name in asked]
+    with _queued(ctx, instrs) as queued:
+        checks = dict(zip(asked, zip(instrs, queued)))
+        for f in verified:
+            ctx.log.events.extend(side_logs[f.name].events)
+            if f.name not in checks:
+                continue
+            check = _check(ctx, *checks[f.name])
+            if check.status is Status.PASS:
+                ctx.contracts[f.name] = precise[f.name]
+                ctx.fn_results[f.name] = check
+                ctx.log.event("substitute", function=f.name, kept="precise")
+            else:
+                ctx.log.event("substitute", function=f.name, kept="abstraction")
+                if check.status is Status.FAIL:
+                    _classified(ctx, f.name, check)
 
     ctx.set_stage("pre_abstraction:5")
     _verify_round(ctx, dict(ctx.contracts))

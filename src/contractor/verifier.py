@@ -14,6 +14,9 @@ flushed, skipping interpreter finalization, whose work (garbage collection,
 module teardown) the driver never reads. A check thus costs interpreter
 start-up plus the replay.
 Every other backend is started by its own name.
+
+A check passes only when the backend prints a success marker and exits with
+code 0; a failure marker reads as a failure whatever the exit code.
 """
 
 from __future__ import annotations
@@ -248,26 +251,30 @@ class SubprocessVerifier:
                 env[FIXTURES_ENV] = cfg.fixtures_dir
             started = time.monotonic()
             try:
-                out = subprocess.run(
+                done = subprocess.run(
                     cmd,
                     stdout=subprocess.PIPE,
                     stderr=subprocess.STDOUT,
                     timeout=budget,
                     env=env,
-                ).stdout
-                timed_out = False
+                )
+                out, returncode = done.stdout, done.returncode
             except FileNotFoundError as exc:
                 raise BackendNotFoundError(f"backend executable not found: {cmd[0]}") from exc
             except subprocess.TimeoutExpired as exc:
-                out, timed_out = exc.stdout or b"", True
+                out, returncode = exc.stdout or b"", None
             elapsed = time.monotonic() - started
         raw = out.decode("utf-8", errors="replace")
-        if timed_out:
+        if returncode is None:
             status, parsed = Status.TIMEOUT, None
         elif any(marker in raw for marker in NOT_FOUND_MARKERS):
             status, parsed = Status.TOOL_ERROR, None
         else:
             status, parsed = parse_verifier_output(raw)
+            if status is Status.PASS and returncode != 0:
+                # a backend that crashed after printing the marker proved nothing;
+                # a failure may exit with any code (ESBMC exits 1 on one)
+                status = Status.TOOL_ERROR
         return VerificationResult(
             status=status, raw_output=raw, parsed=parsed,
             wall_time_s=elapsed, mode=src.mode, command=tuple(cmd),

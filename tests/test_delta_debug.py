@@ -10,6 +10,7 @@ check calls.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, FrozenSet, List, Set, Tuple
 
 import pytest
@@ -185,3 +186,36 @@ def test_already_passing_contract_keeps_everything():
     c = make_contract(2)
     reduced = delta_debug(c, lambda t: True)
     assert reduced.ensures == c.ensures
+
+
+@pytest.mark.parametrize("violated, reducible", [
+    ("i <= n", False),  # a loop invariant: ensures are asserted only at exit
+    ("c0 > 0", True),  # an ensures clause
+    ("i <= n || c0 > 0", True),  # neither: the search decides
+])
+def test_a_failing_loop_invariant_is_irreducible_without_checks(violated, reducible):
+    c = replace(make_contract(2), loop_invariants=((0, "i <= n"),))
+    log = RunLog()
+    calls = []
+
+    def check(trial: Contract) -> bool:
+        calls.append(trial.ensures)
+        return "c0 > 0" not in trial.ensures
+
+    if reducible:
+        assert delta_debug(c, check, log=log, violated=violated).ensures == ("c1 > 1",)
+        assert calls
+    else:
+        with pytest.raises(IrreducibleFailureError):
+            delta_debug(c, check, log=log, violated=violated)
+        assert calls == []
+        assert log.of_kind("delta_debug") == [{
+            "event": "delta_debug", "function": "f", "kept": list(c.ensures),
+            "removed": [], "checks": 0, "irreducible": True,
+        }]
+
+
+def test_an_invariant_that_is_also_an_ensures_is_searched():
+    c = replace(make_contract(2), loop_invariants=((0, "c0 > 0"),))
+    reduced = delta_debug(c, lambda t: "c0 > 0" not in t.ensures, violated="c0 > 0")
+    assert reduced.ensures == ("c1 > 1",)

@@ -619,6 +619,120 @@ def test_system_only_failure_asks_cegis_for_the_weakest_link():
     assert iterations == 5
 
 
+# -- no serial check that cannot change the outcome ---------------------------
+
+ACC_STEP_SRC = """\
+int acc(int n) {
+    int s = 0;
+    int i = 0;
+    while (i < n) {
+        s = s + 2;
+        i = i + 1;
+    }
+    return s;
+}
+
+int step(int z) {
+    return z + 1;
+}
+
+int main() {
+    int t = acc(3);
+    int q = step(0);
+    assert(q >= 1 && t == 6);
+    return 0;
+}
+"""
+
+ACC_INVARIANT = "i >= 0 && i <= n && s == i * 3"
+ACC_REPLY = contract_reply(requires=("n >= 0",),
+                           ensures=("__ESBMC_return_value == n * 2",
+                                    "__ESBMC_return_value >= 0"),
+                           invariants=(ACC_INVARIANT,))
+STEP_POISONED = contract_reply(assigns=("z",),
+                               ensures=("__ESBMC_return_value >= 1", "__ESBMC_return_value < 0"))
+
+
+def acc_rule(violated: str):
+    """acc's check fails on violated while "n * 2" is in its contract; step's
+    fails on "< 0"; the system passes."""
+    def rule(src, mode):
+        if mode == "function:acc" and "n * 2" in src.text:
+            return failure_output(
+                violated, at_function="acc",
+                steps=[{"function": "acc", "line": 5, "assigns": [("i", "1"), ("s", "2")]}])
+        return step_rule("< 0")(src, mode)
+    return rule
+
+
+def acc_step_run(violated: str = ACC_INVARIANT, **cfg_kw):
+    script = {"acc": ACC_REPLY, "step": STEP_POISONED}
+    return run(ACC_STEP_SRC, script, RuleVerifier(acc_rule(violated)), **cfg_kw)
+
+
+def acc_checks(verifier):
+    return [text for mode, text in verifier.calls if mode == "function:acc"]
+
+
+def test_a_failing_loop_invariant_spends_no_reduction_check():
+    _, log, _, verifier = acc_step_run(k_cegis=0)
+    dd = {e["function"]: e for e in log.of_kind("delta_debug")}
+    assert dd["acc"] == {"event": "delta_debug", "function": "acc",
+                         "kept": ["__ESBMC_return_value == n * 2", "__ESBMC_return_value >= 0"],
+                         "removed": [], "checks": 0, "irreducible": True}
+    # acc's one contract reached the backend once; no trial dropped a clause
+    assert len(acc_checks(verifier)) == 1
+    assert dd["step"]["removed"] == ["__ESBMC_return_value < 0"]
+
+
+def test_a_failing_ensures_still_runs_the_search():
+    verdict, log, _, verifier = acc_step_run(violated="__ESBMC_return_value == n * 2",
+                                             k_cegis=0)
+    dd = {e["function"]: e for e in log.of_kind("delta_debug")}
+    assert dd["acc"]["removed"] == ["__ESBMC_return_value == n * 2"]
+    # one trial repeats a phase-1 render, so it is a memo hit
+    assert dd["acc"]["checks"] == 4 and len(acc_checks(verifier)) == 4
+    # every target passes after the reduction, so the system is checked
+    # under the reduced set and the run concludes
+    assert verdict.outcome is VerdictOutcome.VERIFIED
+    after = log.events[kinds(log).index("delta_debug"):]
+    system = [e for e in after if e["event"] == "verification" and e["mode"] == "system"]
+    assert [e["contract_set"] for e in system] == [["acc", "step"]]
+
+
+def test_no_system_check_between_a_reduction_and_the_cegis_round():
+    verdict, log, _, verifier = acc_step_run(k_cegis=1)
+    assert verdict.outcome is VerdictOutcome.INCONCLUSIVE
+    seen = kinds(log)
+    reduced, cegis = seen.index("stagnation"), seen.index("cegis_migrate")
+    assert "delta_debug" in seen[reduced:cegis]
+    assert [e["mode"] for e in log.events[reduced:cegis]
+            if e["event"] == "verification"] == ["function:step"] * 2
+    between = log.events[cegis:seen.index("iteration", cegis)]
+    assert [e["event"] for e in between if e["event"] != "synthesis"] == ["cegis_migrate"]
+    # the CEGIS round checks the system under its own set, and the run ends on it
+    first = log.events[seen.index("verification", cegis)]
+    assert (first["mode"], first["status"], first["contract_set"]) == ("system", "pass",
+                                                                       ["acc", "step"])
+    assert [m for m, _ in verifier.calls].count("system") == 3
+    assert verdict.system_status == "pass"
+
+
+def test_without_a_cegis_round_the_system_is_checked_under_the_reduced_set():
+    from contractor.harness import RunOutcome, classify_outcome
+
+    verdict, log, _, verifier = acc_step_run(k_cegis=0)
+    seen = kinds(log)
+    last = log.events[seen.index("budget_exhausted") - 1]
+    assert (last["event"], last["mode"], last["status"]) == ("verification", "system", "pass")
+    mode, text = verifier.calls[-1]
+    assert mode == "system" and "__ESBMC_return_value < 0" not in text
+    assert "__ESBMC_return_value >= 1" in text
+    assert verdict.system_status == "pass"
+    assert verdict.status_map() == {"acc": "fail", "step": "pass"}
+    assert classify_outcome(verdict) is RunOutcome.SYSTEM_ONLY
+
+
 # -- one backend check per (mode, text) within a program -----------------------
 
 KEEP_STEP_SRC = """\
@@ -764,14 +878,18 @@ def test_a_check_gets_the_budget_left_when_it_starts(workers, checked, statuses)
 
 
 class BarrierVerifier(RuleVerifier):
-    """Every check waits until a second one is in flight."""
+    """Every check that waits (all of them by default) waits until a second
+    one is in flight."""
 
-    def __init__(self):
-        super().__init__(lambda src, mode: success_output())
+    def __init__(self, rule=lambda src, mode: success_output(),
+                 waits=lambda src, mode: True):
+        super().__init__(rule)
+        self.waits = waits
         self.barrier = threading.Barrier(2, timeout=5)
 
     def _run(self, src, mode):
-        self.barrier.wait()
+        if self.waits(src, mode):
+            self.barrier.wait()
         return super()._run(src, mode)
 
 
@@ -797,6 +915,82 @@ def test_a_default_round_keeps_two_checks_in_flight():
     verdict, _, _, verifier = run(INC_SRC, {"inc|initial": INC_REPLY}, BarrierVerifier())
     assert verdict.outcome is VerdictOutcome.VERIFIED
     assert sorted(mode for mode, _ in verifier.calls) == ["function:inc", "system"]
+
+
+TWO_HIGH_SRC = """\
+int deep(int n) {
+    if (n <= 0) {
+        return 0;
+    }
+    return deep(n - 1) + 1;
+}
+
+int down(int m) {
+    if (m <= 0) {
+        return 0;
+    }
+    return down(m - 1) + 2;
+}
+
+int main() {
+    int x = deep(3);
+    int y = down(2);
+    assert(x + y >= 7);
+    return 0;
+}
+"""
+
+TWO_HIGH_SCRIPT = {
+    "deep|overapproximate": contract_reply(assigns=("n",),
+                                           ensures=("__ESBMC_return_value >= 0",)),
+    "down|overapproximate": contract_reply(assigns=("m",),
+                                           ensures=("__ESBMC_return_value >= 0",)),
+    "deep|initial": contract_reply(assigns=("n",), ensures=("__ESBMC_return_value == n",)),
+    "down|initial": contract_reply(assigns=("m",),
+                                   ensures=("__ESBMC_return_value == m * 2",)),
+}
+
+
+def two_high_rule(src, mode):
+    # the system fails while an abstraction is in place
+    if mode == "system" and "__ESBMC_return_value >= 0" in src.text:
+        return failure_output(
+            "x + y >= 7",
+            steps=[{"function": "main", "line": 16, "assigns": [("x", "0")]},
+                   {"function": "main", "line": 17, "assigns": [("y", "0")]}])
+    return success_output()
+
+
+def is_precise_check(src, mode):
+    return mode.startswith("function:") and "__ESBMC_return_value >= 0" not in src.text
+
+
+def test_stage_four_keeps_the_log_of_a_serial_run():
+    from contractor.harness import canonical_run_bytes
+
+    runs = []
+    for workers in (1, 2):
+        verdict, log, _, _ = run(TWO_HIGH_SRC, dict(TWO_HIGH_SCRIPT), RuleVerifier(two_high_rule),
+                                 strategy=Strategy.PRE_ABSTRACTION, workers=workers)
+        assert (verdict.outcome, verdict.stage) == (VerdictOutcome.VERIFIED,
+                                                    "pre_abstraction:5")
+        runs.append(canonical_run_bytes(verdict, log))
+    assert runs[0] == runs[1]
+    stages = [e.get("stage") for e in log.events]
+    phase4 = log.events[stages.index("pre_abstraction:4") + 1:stages.index("pre_abstraction:5")]
+    # each function's ask, check and substitution, in model order
+    assert [(e["event"], e.get("function") or e.get("mode")) for e in phase4] == [
+        ("synthesis", "deep"), ("verification", "function:deep"), ("substitute", "deep"),
+        ("synthesis", "down"), ("verification", "function:down"), ("substitute", "down")]
+
+
+@pytest.mark.skipif(cpus() < 2, reason="one CPU: checks are serial by default")
+def test_stage_four_keeps_two_checks_in_flight():
+    verifier = BarrierVerifier(two_high_rule, waits=is_precise_check)
+    verdict, log, _, _ = run(TWO_HIGH_SRC, dict(TWO_HIGH_SCRIPT), verifier,
+                             strategy=Strategy.PRE_ABSTRACTION)
+    assert (verdict.outcome, verdict.stage) == (VerdictOutcome.VERIFIED, "pre_abstraction:5")
+    assert [e["kept"] for e in log.of_kind("substitute")] == ["precise", "precise"]
 
 
 class ThreadVerifier:
@@ -1091,6 +1285,36 @@ def test_a_system_counterexample_is_blamed_once():
     block = ask["prompt"][ask["prompt"].index(NEGATIVE_SECTION):]
     assert block.splitlines()[1] == "  f1: g=1, h=2"
     assert verdict.contract_map()["f1"].ensures == ("g == k + 4",)
+
+
+def test_the_drop_check_blames_only_the_contracts_it_stubbed():
+    # f1's first contract fails its own check, so the drop check stubs only
+    # f2; blamed on the full set, the tie would go to f1, concrete there
+    script = dict(GH_SCRIPT, **{
+        "f1|initial": contract_reply(assigns=("g",), ensures=("g == k + 1",)),
+        "f1|relax": contract_reply(assigns=("g",), ensures=("g == k",)),
+        "f2|initial": contract_reply(assigns=("h",), ensures=("h == k",)),
+    })
+
+    def rule(src, mode):
+        if mode == "function:f1" and "g == k + 1" in src.text:
+            return failure_output(
+                "g == k + 1",
+                steps=[{"function": "f1", "line": 5, "assigns": [("k", "1"), ("g", "1")]}],
+                at_function="f1")
+        return gh_rule(src, mode)
+
+    verdict, log, _, _ = run(GH_SRC, script, RuleVerifier(rule))
+    seen = kinds(log)
+    drop = seen.index("drop")
+    assert log.events[drop]["survivors"] == ["f2"]
+    chosen = log.events[seen.index("weakest_link", drop)]["chosen"]
+    assert chosen == "f2"
+    negatives = [e["function"] for e in log.events[drop:seen.index("phase", drop)]
+                 if e["event"] == "db" and e["action"] == "admitted_negative"]
+    assert negatives == ["f2"]
+    (ask,) = [e for e in log.of_kind("synthesis") if e["intent"] == "strengthen"]
+    assert ask["function"] == "f2"
 
 
 def test_no_ice_strengthens_the_function_the_round_blamed():

@@ -162,6 +162,24 @@ def test_missing_backend_raises(tmp_path):
         SubprocessVerifier(cfg).function(enf, "increment")
 
 
+@pytest.mark.parametrize("marker, code, status", [
+    ("VERIFICATION SUCCESSFUL", 0, Status.PASS),
+    # printed the marker, then crashed: nothing was proved
+    ("VERIFICATION SUCCESSFUL", 1, Status.TOOL_ERROR),
+    ("VERIFICATION FAILED", 0, Status.FAIL),
+    ("VERIFICATION FAILED", 1, Status.FAIL),
+])
+def test_a_pass_needs_exit_code_zero(tmp_path, marker, code, status):
+    backend = tmp_path / "backend.sh"
+    backend.write_text(f"#!/bin/sh\necho '{marker}'\nexit {code}\n", encoding="utf-8")
+    backend.chmod(0o755)
+    enf = render_enforce(parse_program(INC), inc_contract())
+    cfg = VerifierConfig(backend_path=str(backend), timeout_s=30.0)
+    result = SubprocessVerifier(cfg).function(enf, "increment")
+    assert result.status is status
+    assert result.raw_output == f"{marker}\n"
+
+
 def test_subprocess_verifier_protocol(tmp_path):
     model = parse_program(INC)
     c = inc_contract()
