@@ -12,18 +12,21 @@ checked under the reduced set only when every target then passes; while a
 target still fails, the next CEGIS round checks the system under its own
 set, and a run that has no round left checks it before it ends.
 
-The last round's results are the one record later steps read. The weakest
-link is chosen once per system counterexample, by `_hold_system`, among the
-contracts that check stubbed (after a drop, the survivors). Its E- label
-under SMART ICE, the CEGAR strengthen ask and CEGIS's ask when only the
-system check fails all use that choice. Relax and strengthen diagnostics
-show the last round's own check: the function's, or the system's.
+The last round's results are the one record later steps read: the keys its
+checks settled in the check store, one for the system (with the set it
+stubbed) and one per function. Statuses, diagnostics (the function's own
+check for a relax, the system's for a strengthen), `system_status` and
+`verified` all read the store by those keys. The weakest link is chosen once
+per system counterexample, by `_hold_system`, among the contracts that check
+stubbed (after a drop, the survivors). Its E- label under SMART ICE, the
+CEGAR strengthen ask and CEGIS's ask when only the system check fails all
+use that choice.
 
-After every round `_conclude` decides: `verified` only when the check memo
-holds a pass for one single contract set's system check and every
-function's own check, `falsified` only on a system counterexample against
-fully concrete code (no stubs left to blame). Everything else, including
-budget exhaustion, is `inconclusive`.
+After every round `_conclude` decides: `verified` only when the system
+check, settled under the current set, and every function's own check
+passed, `falsified` only on a system counterexample against fully concrete
+code (no stubs left to blame). Everything else, including budget
+exhaustion, is `inconclusive`.
 """
 
 from __future__ import annotations
@@ -150,6 +153,9 @@ class Verdict:
         }
 
 
+Key = Tuple[str, str]  # (mode, SHA-256 of the instrumented text)
+
+
 class _Ctx:
     def __init__(self, model: ProgramModel, cfg: PipelineConfig, client: LlmClient,
                  verifier, log: RunLog):
@@ -163,14 +169,16 @@ class _Ctx:
         self.stage = "initial"
         self.iterations = 0
         self.contracts: Dict[str, Contract] = {}
-        self.fn_results: Dict[str, Optional[VerificationResult]] = {}
-        self.sys_result: Optional[VerificationResult] = None
-        # the contracted function sys_result's counterexample blames
+        # the check store: each key's last result. A PASS or FAIL is a memo
+        # hit; a timeout or tool error is checked again
+        self.checked: Dict[Key, VerificationResult] = {}
+        # the last round's keys, each entered as its check settles; statuses,
+        # diagnostics, system_status and `verified` read the store by these
+        self.sys_key: Optional[Key] = None
+        self.sys_set: List[str] = []  # the contracts the system check stubbed
+        self.fn_keys: Dict[str, Key] = {}
+        # the contracted function the system counterexample blames
         self.blamed: Optional[str] = None
-        # PASS and FAIL results by (mode, SHA-256 of the instrumented text);
-        # a timeout or tool error is not kept, so that check runs again.
-        # `verified` is read from here, not from the held results above
-        self.checked: Dict[Tuple[str, str], VerificationResult] = {}
 
     @property
     def targets(self) -> List[FunctionInfo]:
@@ -195,18 +203,21 @@ def _deadline_error(ctx: _Ctx) -> DeadlineExceededError:
     return exc
 
 
+def _result(ctx: _Ctx, key: Optional[Key]) -> Optional[VerificationResult]:
+    """The stored result of a round key; None for no key."""
+    return None if key is None else ctx.checked[key]
+
+
+def _status(ctx: _Ctx, name: str) -> str:
+    if name not in ctx.contracts:
+        return "no_contract"
+    result = _result(ctx, ctx.fn_keys.get(name))
+    return "unchecked" if result is None else result.status.value
+
+
 def _statuses(ctx: _Ctx) -> List[Tuple[str, str]]:
     """Each target's status under the current set, in model order."""
-    statuses: List[Tuple[str, str]] = []
-    for f in ctx.targets:
-        r = ctx.fn_results.get(f.name)
-        if f.name not in ctx.contracts:
-            statuses.append((f.name, "no_contract"))
-        elif r is None:
-            statuses.append((f.name, "unchecked"))
-        else:
-            statuses.append((f.name, r.status.value))
-    return statuses
+    return [(f.name, _status(ctx, f.name)) for f in ctx.targets]
 
 
 def _verdict(ctx: _Ctx, outcome: VerdictOutcome,
@@ -217,7 +228,7 @@ def _verdict(ctx: _Ctx, outcome: VerdictOutcome,
         iterations_used=ctx.iterations,
         contracts=tuple(sorted(ctx.contracts.items())),
         per_function_status=tuple(_statuses(ctx)),
-        system_status=ctx.sys_result.status.value if ctx.sys_result else None,
+        system_status=ctx.checked[ctx.sys_key].status.value if ctx.sys_key else None,
         falsified_property=falsified_property,
     )
 
@@ -277,8 +288,8 @@ def _diagnostics_for(ctx: _Ctx, fname: str, intent: SynthesisIntent) -> str:
     """What the last round's check reported, for a relax prompt (fname's own
     check) or a strengthen prompt (the system check); under SMART ICE with
     fname's examples. Other intents, and a passing check, get none."""
-    result = {SynthesisIntent.RELAX: ctx.fn_results.get(fname),
-              SynthesisIntent.STRENGTHEN: ctx.sys_result}.get(intent)
+    result = _result(ctx, {SynthesisIntent.RELAX: ctx.fn_keys.get(fname),
+                           SynthesisIntent.STRENGTHEN: ctx.sys_key}.get(intent))
     if result is None or result.status is Status.PASS:
         return ""
     if ctx.cfg.strategy is Strategy.SMART_ICE:
@@ -339,14 +350,14 @@ def _learn(ctx: _Ctx, parsed: ParsedCounterexample, cls: Classification, target:
             ctx.log.event("db", action="implications", function=name, **_db_sizes(ctx.db))
 
 
-def _hold_system(ctx: _Ctx, result: VerificationResult,
-                 stubbed: Dict[str, Contract]) -> None:
-    """Keep the system check's result as the round's. A counterexample is
-    blamed here, once, on the contracts the check stubbed; under SMART ICE
-    the blamed function's state becomes a negative example. Implication
-    pairs are taken for every function of ctx.contracts: a function that
-    ran as concrete code took real loop steps."""
-    ctx.sys_result, ctx.blamed = result, None
+def _hold_system(ctx: _Ctx, key: Key, stubbed: Dict[str, Contract]) -> None:
+    """Enter the system check's key as the round's, with the contracts it
+    stubbed. A counterexample is blamed here, once, on those; under SMART
+    ICE the blamed function's state becomes a negative example. Implication
+    pairs are taken for every function of ctx.contracts: a function that ran
+    as concrete code took real loop steps."""
+    ctx.sys_key, ctx.sys_set, ctx.blamed = key, sorted(stubbed), None
+    result = ctx.checked[key]
     cls = _classified(ctx, "__system__", result) if result.status is Status.FAIL else None
     if cls is None:
         return
@@ -356,8 +367,14 @@ def _hold_system(ctx: _Ctx, result: VerificationResult,
         _learn(ctx, result.parsed, cls, ctx.blamed, "system", sorted(ctx.contracts))
 
 
-def _key(instr: InstrumentedSource) -> Tuple[str, str]:
+def _key(instr: InstrumentedSource) -> Key:
     return (instr.mode, source_digest(instr.text))
+
+
+def _memo(ctx: _Ctx, key: Key) -> Optional[VerificationResult]:
+    """key's stored PASS or FAIL, which no backend need repeat."""
+    result = ctx.checked.get(key)
+    return result if result is not None and result.status in (Status.PASS, Status.FAIL) else None
 
 
 def _backend(ctx: _Ctx, instr: InstrumentedSource) -> Callable[[float], VerificationResult]:
@@ -376,28 +393,27 @@ def _when_due(ctx: _Ctx, check: Callable[[float], VerificationResult]
 
 
 def _check(ctx: _Ctx, instr: InstrumentedSource, queued: Optional[Future] = None,
-           **fields) -> VerificationResult:
-    """instr's result, from its queued check, else checked here: a program's
-    PASS or FAIL for one (mode, text) reaches the backend once. The result is
-    memoised and logged; a check whose turn came after the wall budget was
-    spent ends the run here."""
+           **fields) -> Key:
+    """instr's key, once its result is stored: from its queued check, else
+    checked here. A program's PASS or FAIL for one (mode, text) reaches the
+    backend once. The result is logged; a check whose turn came after the
+    wall budget was spent ends the run here."""
     key = _key(instr)
     if queued is not None:
         result = queued.result()
     else:
-        hit = ctx.checked.get(key)
+        hit = _memo(ctx, key)
         result = _when_due(ctx, _backend(ctx, instr) if hit is None else lambda left: hit)
     if result is None:
         raise _deadline_error(ctx)
-    if result.status in (Status.PASS, Status.FAIL):
-        ctx.checked[key] = result
+    ctx.checked[key] = result
     ctx.log.event("verification", mode=instr.mode, status=result.status.value,
                   **fields, iteration=ctx.iterations)
-    return result
+    return key
 
 
 def _check_system(ctx: _Ctx) -> None:
-    """Check the system under ctx.contracts and hold the result."""
+    """Check the system under ctx.contracts and hold its key."""
     _hold_system(ctx, _check(ctx, render_replace(ctx.model, ctx.contracts.values()),
                              contract_set=sorted(ctx.contracts)), ctx.contracts)
 
@@ -418,7 +434,7 @@ def _queued(ctx: _Ctx, instrs: List[InstrumentedSource]) -> Iterator[List[Option
         return
     pool = ThreadPoolExecutor(max_workers=ctx.cfg.workers)
     try:
-        yield [None if _key(instr) in ctx.checked
+        yield [None if _memo(ctx, _key(instr)) is not None
                else pool.submit(_when_due, ctx, _backend(ctx, instr)) for instr in instrs]
     finally:
         # a running check was given no more than the budget left, so this
@@ -428,19 +444,18 @@ def _queued(ctx: _Ctx, instrs: List[InstrumentedSource]) -> Iterator[List[Option
 
 def _verify_round(ctx: _Ctx, contracts: Dict[str, Contract]) -> None:
     """System check plus every function check, under one contract set,
-    overlapped as `_queued` allows. Results are memoised, logged and held
-    on this thread in the serial order: system first, then the functions by
-    name."""
-    ctx.contracts = contracts
+    overlapped as `_queued` allows. The round starts a new record; results
+    are stored, logged and their keys entered on this thread in the serial
+    order: system first, then the functions by name."""
+    ctx.contracts, ctx.sys_key, ctx.fn_keys = contracts, None, {}
     names = sorted(contracts)
     instrs = [render_replace(ctx.model, contracts.values())]
     instrs += [render_enforce(ctx.model, contracts[name]) for name in names]
     with _queued(ctx, instrs) as queued:
         _hold_system(ctx, _check(ctx, instrs[0], queued[0], contract_set=names), contracts)
-        ctx.fn_results = {}
         for name, instr, fut in zip(names, instrs[1:], queued[1:]):
-            result = _check(ctx, instr, fut)
-            ctx.fn_results[name] = result
+            key = ctx.fn_keys[name] = _check(ctx, instr, fut)
+            result = ctx.checked[key]
             cls = None if result.status is Status.PASS else _classified(ctx, name, result)
             if cls is not None:
                 _learn(ctx, result.parsed, cls, name, "function", [name])
@@ -457,34 +472,21 @@ def _failing_functions(ctx: _Ctx) -> List[str]:
     return [name for name, status in _statuses(ctx) if status != Status.PASS.value]
 
 
-def _memo_verifies(ctx: _Ctx) -> bool:
-    """Whether the check memo holds a PASS for the system render of
-    ctx.contracts and for the enforce render of every target's contract
-    in it. A target without a contract, or a render the memo lacks, is not
-    a pass."""
-    if any(f.name not in ctx.contracts for f in ctx.targets):
-        return False
-    instrs = [render_replace(ctx.model, ctx.contracts.values())]
-    instrs += [render_enforce(ctx.model, c) for c in ctx.contracts.values()]
-    for instr in instrs:
-        result = ctx.checked.get(_key(instr))
-        if result is None or result.status is not Status.PASS:
-            return False
-    return True
-
-
 def _conclude(ctx: _Ctx) -> Optional[Verdict]:
     """The verdict the round just verified supports, or None to go on.
 
-    `verified` needs a system pass plus a passing check for every target
-    function, all under that one contract set, read from the check memo
-    rather than from the round's held results; `falsified` needs a system
-    failure with no contract stub left to blame. A round may hold no system
-    result: one deferred after a reduction concludes nothing."""
-    if _memo_verifies(ctx):
+    `verified` needs a system pass settled under the current set plus a
+    passing check for every target function (one without a contract fails);
+    `falsified` needs a system failure with no contract stub left to blame.
+    A round may hold no system key: one deferred after a reduction
+    concludes nothing."""
+    system = _result(ctx, ctx.sys_key)
+    if system is None:
+        return None
+    if (system.status is Status.PASS and ctx.sys_set == sorted(ctx.contracts)
+            and not _failing_functions(ctx)):
         return _verdict(ctx, VerdictOutcome.VERIFIED)
-    held = ctx.sys_result
-    if held is not None and held.status is Status.FAIL and not ctx.contracts:
+    if system.status is Status.FAIL and not ctx.contracts:
         return _falsified(ctx)
     return None
 
@@ -575,20 +577,21 @@ def _delta_debug_stagnating(ctx: _Ctx) -> bool:
     """Reduce the ensures of every failing contract; True if any was reduced."""
     reduced_any = False
     for fname in sorted(ctx.contracts):
-        r = ctx.fn_results.get(fname)
+        r = _result(ctx, ctx.fn_keys.get(fname))
         if r is None or r.status is Status.PASS:
             continue
         c = ctx.contracts[fname]
         if not c.ensures:
             continue
 
-        passed: List[VerificationResult] = []
+        passed: List[Key] = []
 
         def check(trial: Contract) -> bool:
-            result = _check(ctx, render_enforce(ctx.model, trial))
-            if result.status is Status.PASS:
-                passed.append(result)
-            return result.status is Status.PASS
+            key = _check(ctx, render_enforce(ctx.model, trial))
+            ok = ctx.checked[key].status is Status.PASS
+            if ok:
+                passed.append(key)
+            return ok
 
         try:
             reduced = delta_debug(c, check, log=ctx.log,
@@ -596,7 +599,7 @@ def _delta_debug_stagnating(ctx: _Ctx) -> bool:
         except IrreducibleFailureError:
             continue
         # the last passing trial is the reduced contract
-        ctx.contracts[fname], ctx.fn_results[fname] = reduced, passed[-1]
+        ctx.contracts[fname], ctx.fn_keys[fname] = reduced, passed[-1]
         reduced_any = True
     return reduced_any
 
@@ -636,7 +639,7 @@ def _run_cegar(ctx: _Ctx) -> Optional[Verdict]:
                     # the next round checks the system under its own set
                     # (and `_refine` does when none follows), and CEGIS
                     # reads no blame while a function fails
-                    ctx.sys_result, ctx.blamed = None, None
+                    ctx.sys_key, ctx.blamed = None, None
                 else:
                     # a weaker ensures may no longer imply the property: the
                     # verdict must read a system result under the reduced set
@@ -682,7 +685,7 @@ def _refine(ctx: _Ctx) -> Verdict:
     """CEGAR, then CEGIS; inconclusive once both have spent their budget."""
     verdict = _run_cegar(ctx) or _run_cegis(ctx)
     if verdict is None:
-        if ctx.sys_result is None:
+        if ctx.sys_key is None:
             # deferred after a reduction, and no round followed: the verdict
             # reads a system result under the final set
             _check_system(ctx)
@@ -719,8 +722,7 @@ def run_pipeline(
 
     # drop contracts that failed their own check, re-verify the system with
     # the survivors (dropped functions stay concrete); this seeds refinement
-    failed = [name for name, r in ctx.fn_results.items()
-              if r is not None and r.status is not Status.PASS]
+    failed = [name for name in ctx.fn_keys if _status(ctx, name) != Status.PASS.value]
     if failed:
         survivors = {n: c for n, c in ctx.contracts.items() if n not in failed}
         ctx.log.event("drop", functions=sorted(failed),
@@ -728,12 +730,12 @@ def run_pipeline(
         # only the system check sees the survivors: refinement starts from
         # the full set, and the failed contracts are what the relax side
         # works on
-        result = _check(ctx, render_replace(ctx.model, survivors.values()),
-                        contract_set=sorted(survivors))
-        if result.status is Status.FAIL and not survivors:
-            ctx.contracts, ctx.sys_result = survivors, result
+        key = _check(ctx, render_replace(ctx.model, survivors.values()),
+                     contract_set=sorted(survivors))
+        if ctx.checked[key].status is Status.FAIL and not survivors:
+            ctx.contracts, ctx.sys_key, ctx.sys_set = survivors, key, []
             return _falsified(ctx)
-        _hold_system(ctx, result, survivors)
+        _hold_system(ctx, key, survivors)
     return _refine(ctx)
 
 
@@ -814,10 +816,10 @@ def _run_pre_abstraction(ctx: _Ctx) -> Verdict:
             ctx.log.events.extend(side_logs[f.name].events)
             if f.name not in checks:
                 continue
-            check = _check(ctx, *checks[f.name])
+            key = _check(ctx, *checks[f.name])
+            check = ctx.checked[key]
             if check.status is Status.PASS:
-                ctx.contracts[f.name] = precise[f.name]
-                ctx.fn_results[f.name] = check
+                ctx.contracts[f.name], ctx.fn_keys[f.name] = precise[f.name], key
                 ctx.log.event("substitute", function=f.name, kept="precise")
             else:
                 ctx.log.event("substitute", function=f.name, kept="abstraction")

@@ -801,17 +801,19 @@ def test_timeout_is_checked_again():
 
 
 def test_verified_is_read_from_the_check_memo(monkeypatch):
-    # inc fails its own check, but every round's held results are then
-    # overwritten with a stale PASS; the memo still holds the FAIL
+    # inc fails its own check; after every round a stale PASS record is put
+    # where the run once held its results, and nothing reads it
     from contractor import refinement
 
     stale = VerificationResult(status=Status.PASS, raw_output=success_output(),
                                parsed=None, wall_time_s=0.0, mode="function:inc")
     verify_round = refinement._verify_round
+    rounds = []
 
     def stale_round(ctx, contracts):
         verify_round(ctx, contracts)
-        ctx.fn_results = dict.fromkeys(ctx.fn_results, stale)
+        rounds.append(ctx)
+        ctx.fn_results = {"inc": stale}
 
     monkeypatch.setattr(refinement, "_verify_round", stale_round)
     rule = lambda src, mode: (failure_output("x > 0") if mode == "function:inc"
@@ -819,8 +821,16 @@ def test_verified_is_read_from_the_check_memo(monkeypatch):
     verdict, log, _, _ = run(INC_SRC, {"*": INC_REPLY}, RuleVerifier(rule),
                              k_cegar=1, k_cegis=1)
     assert verdict.outcome is VerdictOutcome.INCONCLUSIVE
-    assert verdict.status_map() == {"inc": "pass"}  # the stale record
+    assert verdict.status_map() == {"inc": "fail"}
     assert log.of_kind("budget_exhausted")
+    # the check store is the one place a result is kept
+    ctx = rounds[-1]
+    del ctx.fn_results
+    held = [name for name, value in vars(ctx).items()
+            if isinstance(value, VerificationResult)
+            or isinstance(value, dict) and any(isinstance(v, VerificationResult)
+                                               for v in value.values())]
+    assert held == ["checked"]
 
 
 # -- one round's checks in one pool -------------------------------------------
@@ -1324,6 +1334,177 @@ def test_no_ice_strengthens_the_function_the_round_blamed():
     assert log.of_kind("db") == []
     asks = [e["function"] for e in log.of_kind("synthesis") if e["intent"] == "strengthen"]
     assert asks == ["f1"]
+
+
+# -- one round record, read from the check store -------------------------------
+
+def spy_renders(monkeypatch):
+    """Count every render refinement asks for."""
+    from contractor import refinement
+
+    renders = []
+    for name in ("render_replace", "render_enforce"):
+        render = getattr(refinement, name)
+
+        def spy(*args, _render=render, **kw):
+            renders.append(_render(*args, **kw))
+            return renders[-1]
+
+        monkeypatch.setattr(refinement, name, spy)
+    return renders
+
+
+@pytest.mark.parametrize("scenario", [
+    keep_step_run,
+    lambda: acc_step_run(k_cegis=1),
+    lambda: acc_step_run(violated="__ESBMC_return_value == n * 2", k_cegis=0),
+], ids=["relax-rounds", "reduction-deferred", "reduction-verified"])
+def test_each_check_renders_its_text_once(monkeypatch, scenario):
+    # the conclusion reads the round's keys and renders nothing again
+    renders = spy_renders(monkeypatch)
+    _, log, _, _ = scenario()
+    assert len(renders) == len(log.of_kind("verification"))
+
+
+def subst_run():
+    script = {
+        "deep|overapproximate": contract_reply(
+            assigns=("n",), ensures=("__ESBMC_return_value >= 0",)),
+        "deep|initial": contract_reply(
+            assigns=("n",), ensures=("__ESBMC_return_value >= 5",)),
+        "lift|initial": contract_reply(
+            assigns=("k",), ensures=("__ESBMC_return_value == k + 10",)),
+    }
+
+    def rule(src, mode):
+        if mode == "system" and "__ESBMC_return_value >= 5" not in src.text:
+            return failure_output(
+                "y >= 15",
+                steps=[{"function": "main", "line": 14, "assigns": [("x", "0")]},
+                       {"function": "main", "line": 15, "assigns": [("y", "10")]}])
+        return success_output()
+
+    return run(SUBST_SRC, script, RuleVerifier(rule), strategy=Strategy.PRE_ABSTRACTION)
+
+
+STORE_SCENARIOS = {
+    # name: (run, whether a reduction defers a system check before a conclusion)
+    "subst": (subst_run, False),
+    "subst-relax": (lambda: run(SUBST_SRC, dict(LIFT_SCRIPT), RuleVerifier(lift_rule),
+                                strategy=Strategy.PRE_ABSTRACTION), False),
+    "two-high": (lambda: run(TWO_HIGH_SRC, dict(TWO_HIGH_SCRIPT), RuleVerifier(two_high_rule),
+                             strategy=Strategy.PRE_ABSTRACTION), False),
+    "reduction-deferred": (lambda: acc_step_run(k_cegis=1), True),
+    "reduction-verified": (lambda: acc_step_run(violated="__ESBMC_return_value == n * 2",
+                                                k_cegis=0), False),
+    "reduction-loose": (loose_run, False),
+    "drop": (lambda: run(GH_SRC, dict(GH_SCRIPT), RuleVerifier(gh_rule)), False),
+}
+
+
+def assert_function_keys(ctx, complete: bool) -> None:
+    """Each function key of the round is the enforce render of that
+    function's current contract; when complete, every contract has one."""
+    from contractor.contracts import render_enforce
+    from contractor.refinement import _key
+
+    want = {name: _key(render_enforce(ctx.model, c)) for name, c in ctx.contracts.items()
+            if complete or name in ctx.fn_keys}
+    assert ctx.fn_keys == want
+
+
+@pytest.mark.parametrize("scenario, defers", list(STORE_SCENARIOS.values()),
+                         ids=list(STORE_SCENARIOS))
+def test_every_conclusion_reads_the_keys_of_the_current_set(monkeypatch, scenario, defers):
+    # the round's keys are the renders of the set the run holds, except
+    # while a reduction defers the system check, which leaves no system key;
+    # a function's key changes only with its contract, so that holds at
+    # every check too
+    from contractor import refinement
+    from contractor.contracts import render_replace
+    from contractor.refinement import _key
+
+    check, conclude = refinement._check, refinement._conclude
+    deferred = []
+
+    def checked_check(ctx, *args, **kw):
+        assert_function_keys(ctx, complete=False)
+        return check(ctx, *args, **kw)
+
+    def checked_conclude(ctx):
+        assert_function_keys(ctx, complete=True)
+        if ctx.sys_key is None:
+            seen = [e["event"] for e in ctx.log.events]
+            last_round = len(seen) - seen[::-1].index("iteration")
+            assert "delta_debug" in seen[seen.index("stagnation", last_round):]
+            deferred.append(ctx.iterations)
+        else:
+            assert ctx.sys_set == sorted(ctx.contracts)
+            assert ctx.sys_key == _key(render_replace(ctx.model, ctx.contracts.values()))
+        return conclude(ctx)
+
+    monkeypatch.setattr(refinement, "_check", checked_check)
+    monkeypatch.setattr(refinement, "_conclude", checked_conclude)
+    scenario()
+    assert bool(deferred) is defers
+
+
+def test_a_system_pass_under_another_set_verifies_nothing():
+    # the drop check holds the survivors' system key: inc's contract was
+    # dropped from it, so its pass says nothing about the full set
+    from contractor import refinement
+    from contractor.contracts import render_enforce, render_replace
+
+    model = parse_program(INC_SRC)
+    ctx = refinement._Ctx(model, PipelineConfig(), ScriptedLlmClient({}), PassVerifier(),
+                          RunLog())
+    verdict, _, _, _ = run(INC_SRC, {"inc|initial": INC_REPLY}, PassVerifier())
+    ctx.contracts = verdict.contract_map()
+    ctx.fn_keys["inc"] = refinement._check(ctx, render_enforce(model, ctx.contracts["inc"]))
+    refinement._hold_system(ctx, refinement._check(ctx, render_replace(model, [])), {})
+    assert refinement._conclude(ctx) is None
+    refinement._check_system(ctx)
+    assert refinement._conclude(ctx).outcome is VerdictOutcome.VERIFIED
+
+
+def stagnation_run():
+    poisoned = contract_reply(
+        assigns=("z",),
+        ensures=("__ESBMC_return_value >= 1", "__ESBMC_return_value < 0"),
+    )
+    script = {"step|initial": poisoned, "step|relax": poisoned}
+    return run(STEP_SRC, script, RuleVerifier(step_rule("< 0")))
+
+
+PASS_SCENARIOS = {
+    # name: (source, run, the functions whose key the run replaced)
+    "substitution": (SUBST_SRC, subst_run, {"deep"}),
+    "two-substitutions": (TWO_HIGH_SRC, STORE_SCENARIOS["two-high"][0], {"deep", "down"}),
+    "reduction": (STEP_SRC, stagnation_run, {"step"}),
+    "two-reductions": (ACC_STEP_SRC, STORE_SCENARIOS["reduction-verified"][0], {"acc", "step"}),
+}
+
+
+@pytest.mark.parametrize("src, scenario, replaced", list(PASS_SCENARIOS.values()),
+                         ids=list(PASS_SCENARIOS))
+def test_each_reported_pass_is_a_backend_pass_of_the_final_contract(src, scenario, replaced):
+    # stage 4 and delta debugging replace one function's key with its contract
+    from contractor.contracts import render_enforce
+    from contractor.verifier import parse_verifier_output
+
+    verdict, log, _, verifier = scenario()
+    assert verdict.outcome is VerdictOutcome.VERIFIED
+    final = verdict.contract_map()
+    assert {name for name, c in final.items()
+            if c.origin is ContractOrigin.DELTA_REDUCED} | {
+        e["function"] for e in log.of_kind("substitute") if e["kept"] == "precise"} == replaced
+    model = parse_program(src)
+    for name, status in verdict.per_function_status:
+        assert status == "pass"
+        mode, instr = f"function:{name}", render_enforce(model, final[name])
+        assert (mode, instr.text) in verifier.calls
+        out = verifier.rule(instr, mode)
+        assert not isinstance(out, Status) and parse_verifier_output(out)[0] is Status.PASS
 
 
 # -- the entry points the benchmark's tracer rebinds ---------------------------
