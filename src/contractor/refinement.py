@@ -393,12 +393,13 @@ def _when_due(ctx: _Ctx, check: Callable[[float], VerificationResult]
 
 
 def _check(ctx: _Ctx, instr: InstrumentedSource, queued: Optional[Future] = None,
-           **fields) -> Key:
-    """instr's key, once its result is stored: from its queued check, else
-    checked here. A program's PASS or FAIL for one (mode, text) reaches the
-    backend once. The result is logged; a check whose turn came after the
-    wall budget was spent ends the run here."""
-    key = _key(instr)
+           **fields) -> Tuple[Key, bool]:
+    """instr's key, once its result is stored, and whether the memo answered
+    it: from its queued check, else checked here. A program's PASS or FAIL
+    for one (mode, text) reaches the backend once. The result is logged; a
+    check whose turn came after the wall budget was spent ends the run
+    here."""
+    key, hit = _key(instr), None
     if queued is not None:
         result = queued.result()
     else:
@@ -409,13 +410,14 @@ def _check(ctx: _Ctx, instr: InstrumentedSource, queued: Optional[Future] = None
     ctx.checked[key] = result
     ctx.log.event("verification", mode=instr.mode, status=result.status.value,
                   **fields, iteration=ctx.iterations)
-    return key
+    return key, hit is not None
 
 
 def _check_system(ctx: _Ctx) -> None:
     """Check the system under ctx.contracts and hold its key."""
-    _hold_system(ctx, _check(ctx, render_replace(ctx.model, ctx.contracts.values()),
-                             contract_set=sorted(ctx.contracts)), ctx.contracts)
+    key, _ = _check(ctx, render_replace(ctx.model, ctx.contracts.values()),
+                    contract_set=sorted(ctx.contracts))
+    _hold_system(ctx, key, ctx.contracts)
 
 
 @contextmanager
@@ -452,9 +454,11 @@ def _verify_round(ctx: _Ctx, contracts: Dict[str, Contract]) -> None:
     instrs = [render_replace(ctx.model, contracts.values())]
     instrs += [render_enforce(ctx.model, contracts[name]) for name in names]
     with _queued(ctx, instrs) as queued:
-        _hold_system(ctx, _check(ctx, instrs[0], queued[0], contract_set=names), contracts)
+        key, _ = _check(ctx, instrs[0], queued[0], contract_set=names)
+        _hold_system(ctx, key, contracts)
         for name, instr, fut in zip(names, instrs[1:], queued[1:]):
-            key = ctx.fn_keys[name] = _check(ctx, instr, fut)
+            key, _ = _check(ctx, instr, fut)
+            ctx.fn_keys[name] = key
             result = ctx.checked[key]
             cls = None if result.status is Status.PASS else _classified(ctx, name, result)
             if cls is not None:
@@ -507,6 +511,7 @@ def delta_debug(
     check: Callable[[Contract], bool],
     log: Optional[RunLog] = None,
     violated: Optional[str] = None,
+    backend_checks: Optional[Callable[[], int]] = None,
 ) -> Contract:
     """Reduce the ensures list of a failing contract until the check passes.
 
@@ -518,26 +523,27 @@ def delta_debug(
     at once, with no check spent, when violated (the property the failing
     check reported) is one of c's loop invariants and none of its ensures,
     since ensures are asserted only at exit; otherwise once even the empty
-    ensures list fails. The logged event then keeps every clause and counts
-    the calls spent.
+    ensures list fails. The logged event then keeps every clause. Its
+    `checks` counts the trials that reached the backend: backend_checks()
+    when given, since a memo may answer some, else every call to check.
     """
     ensures = list(c.ensures)
     calls = 0
+    spent = backend_checks or (lambda: calls)
+
+    def reduced(indices: List[int]) -> Contract:
+        return replace(c, ensures=tuple(ensures[i] for i in sorted(indices)),
+                       origin=ContractOrigin.DELTA_REDUCED)
 
     def attempt(indices: List[int]) -> bool:
         nonlocal calls
         calls += 1
-        trial = replace(
-            c,
-            ensures=tuple(ensures[i] for i in sorted(indices)),
-            origin=ContractOrigin.DELTA_REDUCED,
-        )
-        return bool(check(trial))
+        return bool(check(reduced(indices)))
 
     def irreducible() -> IrreducibleFailureError:
         if log is not None:
             log.event("delta_debug", function=c.function, kept=ensures,
-                      removed=[], checks=calls, irreducible=True)
+                      removed=[], checks=spent(), irreducible=True)
         return IrreducibleFailureError(f"{c.function}: no subset of the ensures clauses passes")
 
     if violated in {e for _, e in c.loop_invariants} and violated not in ensures:
@@ -557,20 +563,11 @@ def delta_debug(
             kept = trial
             removed.remove(i)
 
-    reduced = replace(
-        c,
-        ensures=tuple(ensures[i] for i in sorted(kept)),
-        origin=ContractOrigin.DELTA_REDUCED,
-    )
     if log is not None:
-        log.event(
-            "delta_debug",
-            function=c.function,
-            kept=[ensures[i] for i in sorted(kept)],
-            removed=[ensures[i] for i in sorted(removed)],
-            checks=calls,
-        )
-    return reduced
+        log.event("delta_debug", function=c.function,
+                  kept=[ensures[i] for i in sorted(kept)],
+                  removed=[ensures[i] for i in sorted(removed)], checks=spent())
+    return reduced(kept)
 
 
 def _delta_debug_stagnating(ctx: _Ctx) -> bool:
@@ -585,17 +582,21 @@ def _delta_debug_stagnating(ctx: _Ctx) -> bool:
             continue
 
         passed: List[Key] = []
+        misses: List[Key] = []
 
         def check(trial: Contract) -> bool:
-            key = _check(ctx, render_enforce(ctx.model, trial))
+            key, hit = _check(ctx, render_enforce(ctx.model, trial))
             ok = ctx.checked[key].status is Status.PASS
+            if not hit:
+                misses.append(key)
             if ok:
                 passed.append(key)
             return ok
 
         try:
             reduced = delta_debug(c, check, log=ctx.log,
-                                  violated=r.parsed.violated_property if r.parsed else None)
+                                  violated=r.parsed.violated_property if r.parsed else None,
+                                  backend_checks=lambda: len(misses))
         except IrreducibleFailureError:
             continue
         # the last passing trial is the reduced contract
@@ -730,8 +731,8 @@ def run_pipeline(
         # only the system check sees the survivors: refinement starts from
         # the full set, and the failed contracts are what the relax side
         # works on
-        key = _check(ctx, render_replace(ctx.model, survivors.values()),
-                     contract_set=sorted(survivors))
+        key, _ = _check(ctx, render_replace(ctx.model, survivors.values()),
+                        contract_set=sorted(survivors))
         if ctx.checked[key].status is Status.FAIL and not survivors:
             ctx.contracts, ctx.sys_key, ctx.sys_set = survivors, key, []
             return _falsified(ctx)
@@ -816,7 +817,7 @@ def _run_pre_abstraction(ctx: _Ctx) -> Verdict:
             ctx.log.events.extend(side_logs[f.name].events)
             if f.name not in checks:
                 continue
-            key = _check(ctx, *checks[f.name])
+            key, _ = _check(ctx, *checks[f.name])
             check = ctx.checked[key]
             if check.status is Status.PASS:
                 ctx.contracts[f.name], ctx.fn_keys[f.name] = precise[f.name], key

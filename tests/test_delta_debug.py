@@ -219,3 +219,14 @@ def test_an_invariant_that_is_also_an_ensures_is_searched():
     c = replace(make_contract(2), loop_invariants=((0, "c0 > 0"),))
     reduced = delta_debug(c, lambda t: "c0 > 0" not in t.ensures, violated="c0 > 0")
     assert reduced.ensures == ("c1 > 1",)
+
+
+def test_log_event_counts_only_the_trials_the_backend_ran():
+    # a caller whose memo answered some trials says how many reached the backend
+    c = make_contract(3)
+    log = RunLog()
+    calls = []
+    delta_debug(c, lambda t: calls.append(t) or "c0 > 0" not in t.ensures, log=log,
+                backend_checks=lambda: len(calls) - 1)
+    (event,) = log.of_kind("delta_debug")
+    assert event["checks"] == len(calls) - 1
