@@ -1469,6 +1469,37 @@ def test_a_system_pass_under_another_set_verifies_nothing():
     assert refinement._conclude(ctx).outcome is VerdictOutcome.VERIFIED
 
 
+class SlowRelaxClient(ScriptedLlmClient):
+    """Replies as scripted; a relax reply takes delay seconds."""
+
+    def __init__(self, script, delay: float):
+        super().__init__(script)
+        self.delay = delay
+
+    def complete(self, prompt, tags=None):
+        if (tags or {}).get("intent") == "relax":
+            time.sleep(self.delay)
+        return super().complete(prompt, tags)
+
+
+def test_a_round_cut_by_the_deadline_reports_nothing_of_the_round_before():
+    # the relax ask spends the budget, so no check of the round runs: the
+    # partial verdict holds the relaxed contract and no result under it
+    relaxed = contract_reply(requires=("x > 0",), assigns=("x",),
+                             ensures=("__ESBMC_return_value >= x",))
+    rule = lambda src, mode: (failure_output("x > 0") if "> x)" in src.text
+                              and mode == "function:inc" else success_output())
+    with pytest.raises(DeadlineExceededError) as exc:
+        run_pipeline(parse_program(INC_SRC), PipelineConfig(timeout_s=1.0),
+                     SlowRelaxClient({"inc|initial": INC_REPLY, "inc|relax": relaxed}, 1.1),
+                     RuleVerifier(rule), log=RunLog())
+    partial = exc.value.partial
+    assert (partial.stage, partial.iterations_used) == ("cegar", 1)
+    assert partial.contract_map()["inc"].ensures == ("__ESBMC_return_value >= x",)
+    assert partial.status_map() == {"inc": "unchecked"}
+    assert partial.system_status is None
+
+
 def stagnation_run():
     poisoned = contract_reply(
         assigns=("z",),
