@@ -1339,30 +1339,28 @@ def test_no_ice_strengthens_the_function_the_round_blamed():
 
 # -- one round record, read from the check store -------------------------------
 
-def spy_renders(monkeypatch):
-    """Count every render refinement asks for."""
+def acc_reduced_run():
+    # acc fails on an ensures clause, so both contracts are reduced and pass
+    return acc_step_run(violated="__ESBMC_return_value == n * 2", k_cegis=0)
+
+
+def two_high_run():
+    return run(TWO_HIGH_SRC, dict(TWO_HIGH_SCRIPT), RuleVerifier(two_high_rule),
+               strategy=Strategy.PRE_ABSTRACTION)
+
+
+@pytest.mark.parametrize("scenario", [
+    keep_step_run, lambda: acc_step_run(k_cegis=1), acc_reduced_run,
+], ids=["relax-rounds", "reduction-deferred", "reduction-verified"])
+def test_each_check_renders_its_text_once(monkeypatch, scenario):
+    # the conclusion reads the round's keys and renders nothing again
     from contractor import refinement
 
     renders = []
     for name in ("render_replace", "render_enforce"):
         render = getattr(refinement, name)
-
-        def spy(*args, _render=render, **kw):
-            renders.append(_render(*args, **kw))
-            return renders[-1]
-
-        monkeypatch.setattr(refinement, name, spy)
-    return renders
-
-
-@pytest.mark.parametrize("scenario", [
-    keep_step_run,
-    lambda: acc_step_run(k_cegis=1),
-    lambda: acc_step_run(violated="__ESBMC_return_value == n * 2", k_cegis=0),
-], ids=["relax-rounds", "reduction-deferred", "reduction-verified"])
-def test_each_check_renders_its_text_once(monkeypatch, scenario):
-    # the conclusion reads the round's keys and renders nothing again
-    renders = spy_renders(monkeypatch)
+        monkeypatch.setattr(refinement, name,
+                            lambda *a, _render=render: renders.append(a) or _render(*a))
     _, log, _, _ = scenario()
     assert len(renders) == len(log.of_kind("verification"))
 
@@ -1393,11 +1391,9 @@ STORE_SCENARIOS = {
     "subst": (subst_run, False),
     "subst-relax": (lambda: run(SUBST_SRC, dict(LIFT_SCRIPT), RuleVerifier(lift_rule),
                                 strategy=Strategy.PRE_ABSTRACTION), False),
-    "two-high": (lambda: run(TWO_HIGH_SRC, dict(TWO_HIGH_SCRIPT), RuleVerifier(two_high_rule),
-                             strategy=Strategy.PRE_ABSTRACTION), False),
+    "two-high": (two_high_run, False),
     "reduction-deferred": (lambda: acc_step_run(k_cegis=1), True),
-    "reduction-verified": (lambda: acc_step_run(violated="__ESBMC_return_value == n * 2",
-                                                k_cegis=0), False),
+    "reduction-verified": (acc_reduced_run, False),
     "reduction-loose": (loose_run, False),
     "drop": (lambda: run(GH_SRC, dict(GH_SCRIPT), RuleVerifier(gh_rule)), False),
 }
@@ -1512,9 +1508,9 @@ def stagnation_run():
 PASS_SCENARIOS = {
     # name: (source, run, the functions whose key the run replaced)
     "substitution": (SUBST_SRC, subst_run, {"deep"}),
-    "two-substitutions": (TWO_HIGH_SRC, STORE_SCENARIOS["two-high"][0], {"deep", "down"}),
+    "two-substitutions": (TWO_HIGH_SRC, two_high_run, {"deep", "down"}),
     "reduction": (STEP_SRC, stagnation_run, {"step"}),
-    "two-reductions": (ACC_STEP_SRC, STORE_SCENARIOS["reduction-verified"][0], {"acc", "step"}),
+    "two-reductions": (ACC_STEP_SRC, acc_reduced_run, {"acc", "step"}),
 }
 
 
