@@ -14,12 +14,7 @@ from enum import Enum
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import cexpr
-from .errors import (
-    LoopOrdinalError,
-    QuantifierShapeError,
-    UnbalancedSourceError,
-    UnknownFunctionError,
-)
+from .errors import LoopOrdinalError, UnbalancedSourceError, UnknownFunctionError
 from .program_model import (
     C_KEYWORDS,
     FunctionInfo,
@@ -206,96 +201,6 @@ def sanitize_assigns(targets: Sequence[str]) -> Tuple[Tuple[str, ...], Tuple[str
         else:
             kept.append(t)
     return tuple(kept), tuple(stripped)
-
-
-_FORALL_RE = re.compile(
-    r"(?:\\forall|∀)\s*(?:[A-Za-z_]\w*\s+)*?([A-Za-z_]\w*)\s*[;,.]\s*(.*)",
-    re.DOTALL,
-)
-# bound/body separator: ==> in the formal style, a bare colon informally
-_BOUND_RE = re.compile(
-    r"^\s*0\s*<=\s*(?P<var>[A-Za-z_]\w*)\s*<\s*(?P<bound>[^=].*?)\s*(?:==>|⇒|:)\s*(?P<body>.*)$"
-    r"|^\s*(?P<var2>[A-Za-z_]\w*)\s*<\s*(?P<bound2>.*?)\s*(?:==>|⇒|:)\s*(?P<body2>.*)$",
-    re.DOTALL,
-)
-
-
-@dataclass(frozen=True)
-class UniversalEncoding:
-    declaration: str
-    assumption: str
-    assertion: str
-    index_name: str
-
-    @property
-    def text(self) -> str:
-        return "\n".join([self.declaration, self.assumption, self.assertion])
-
-
-def _fresh_index_name(taken_text: str) -> str:
-    if not re.search(r"\bidx\b", taken_text):
-        return "idx"
-    n = 2
-    while re.search(r"\bidx%d\b" % n, taken_text):
-        n += 1
-    return "idx%d" % n
-
-
-def encode_universal_property(
-    property_text: str,
-    bound_var: str,
-    bound_expr: str,
-    index_type: str = "u32",
-) -> UniversalEncoding:
-    """Lower a bounded forall to the nondet-index form the backend can check:
-
-        u32 idx;
-        __ESBMC_assume(idx < len);
-        if (ret == 0) assert(buf[idx] <= 0x7f);
-
-    An outer `guard ==>` before the forall becomes the if-guard. The quantified
-    variable is substituted by a fresh index name throughout the body.
-    """
-    text = property_text.strip()
-    guard = None
-    fa = _FORALL_RE.search(text)
-    if fa is None:
-        raise QuantifierShapeError("no \\forall quantifier found")
-    head = text[:fa.start()].strip()
-    if head:
-        m = re.match(r"^(.*?)(?:==>|⇒)\s*$", head, re.DOTALL)
-        if not m:
-            raise QuantifierShapeError(f"unsupported prefix before quantifier: {head!r}")
-        guard = m.group(1).strip()
-    qvar = fa.group(1)
-    rest = fa.group(2).strip().rstrip(";")
-    if qvar != bound_var:
-        raise QuantifierShapeError(
-            f"quantified variable {qvar!r} does not match declared {bound_var!r}"
-        )
-    bm = _BOUND_RE.match(rest)
-    if not bm:
-        raise QuantifierShapeError(f"bound is not of the 0 <= {bound_var} < N shape: {rest!r}")
-    var = bm.group("var") or bm.group("var2")
-    bound = (bm.group("bound") or bm.group("bound2")).strip()
-    body = (bm.group("body") or bm.group("body2")).strip()
-    if var != bound_var:
-        raise QuantifierShapeError(f"bound constrains {var!r}, not {bound_var!r}")
-    if bound != bound_expr.strip():
-        raise QuantifierShapeError(
-            f"declared bound {bound_expr!r} does not match property bound {bound!r}"
-        )
-    idx = _fresh_index_name(property_text + " " + (guard or ""))
-    body_idx = re.sub(r"\b%s\b" % re.escape(bound_var), idx, body)
-    assertion = f"assert({body_idx});"
-    if guard:
-        assertion = f"if ({guard}) " + assertion
-    return UniversalEncoding(
-        declaration=f"{index_type} {idx};",
-        assumption=f"__ESBMC_assume({idx} < {bound_expr.strip()});",
-        assertion=assertion,
-        index_name=idx,
-    )
 
 
 _ANNOT_RE = re.compile(

@@ -35,10 +35,6 @@ class LoopOrdinalError(ContractorError):
     """Loop invariant targets a loop that does not exist or cannot take one."""
 
 
-class QuantifierShapeError(ContractorError):
-    """Property is not a bounded forall of the supported shape."""
-
-
 class BackendNotFoundError(ContractorError):
     pass
 

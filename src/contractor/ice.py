@@ -218,8 +218,9 @@ def extract_implications(
     parsed: ParsedCounterexample, function: str
 ) -> List[Tuple[StateExample, StateExample]]:
     """Loop-carried (pre, post) state pairs: consecutive steps of the function
-    where the later one re-assigns something already bound. The parser has
-    normalized every value."""
+    where the later one re-assigns something already bound, in trace order
+    and with repeats; IceDatabase.add_implications holds each pair once. The
+    parser has normalized every value."""
     pairs: List[Tuple[StateExample, StateExample]] = []
     running: Dict[str, str] = {}
     prev: Optional[StateExample] = None
@@ -232,9 +233,7 @@ def extract_implications(
         if prev is not None and reassigns:
             pairs.append((prev, state))
         prev = state
-    found = IceDatabase()
-    found.add_implications(pairs)
-    return found.implications
+    return pairs
 
 
 def _clause_mentions(clause: str, name: str) -> bool:
@@ -319,23 +318,24 @@ def render_trace(parsed: ParsedCounterexample) -> str:
 
 def render_examples(db: IceDatabase, function: str) -> str:
     """function's own E+, E-, implication pairs and refused admissions, the
-    most recent DIAGNOSTIC_EXAMPLE_LIMIT of each: same inputs, same bytes."""
+    most recent DIAGNOSTIC_EXAMPLE_LIMIT of each: same inputs, same bytes.
+    Only the entries shown are rendered."""
     sections = (
-        (POSITIVE_SECTION, [ex.render() for ex in db.positive_for(function)]),
-        (NEGATIVE_SECTION, [ex.render() for ex in db.negative_for(function)]),
-        (IMPLICATION_SECTION, [f"{{{pre.render()}}} -> {{{post.render()}}}"
-                               for pre, post in db.implications if pre.function == function]),
-        (CONFLICT_SECTION, [f"refused {rec.polarity}: {rec.candidate.render()}"
-                            for rec in db.conflicts if rec.candidate.function == function]),
+        (POSITIVE_SECTION, db.positive_for(function), StateExample.render),
+        (NEGATIVE_SECTION, db.negative_for(function), StateExample.render),
+        (IMPLICATION_SECTION, [pair for pair in db.implications if pair[0].function == function],
+         lambda pair: f"{{{pair[0].render()}}} -> {{{pair[1].render()}}}"),
+        (CONFLICT_SECTION, [rec for rec in db.conflicts if rec.candidate.function == function],
+         lambda rec: f"refused {rec.polarity}: {rec.candidate.render()}"),
     )
     lines: List[str] = []
-    for title, items in sections:
+    for title, entries, render in sections:
         lines.append(title)
-        omitted = len(items) - DIAGNOSTIC_EXAMPLE_LIMIT
+        omitted = len(entries) - DIAGNOSTIC_EXAMPLE_LIMIT
         if omitted > 0:
             lines.append(f"  {function}: ({omitted} earlier omitted)")
-        lines += [f"  {function}: {item}" for item in items[-DIAGNOSTIC_EXAMPLE_LIMIT:]]
-        if not items:
+        lines += [f"  {function}: {render(entry)}" for entry in entries[-DIAGNOSTIC_EXAMPLE_LIMIT:]]
+        if not entries:
             lines.append("  (none)")
     return "\n".join(lines)
 

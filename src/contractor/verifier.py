@@ -240,9 +240,9 @@ class SubprocessVerifier:
         cfg = self.cfg
         budget = cfg.timeout_s if timeout_s is None else min(cfg.timeout_s, timeout_s)
         budget = max(budget, 0.05)
-        with tempfile.TemporaryDirectory(prefix="contractor-") as tmp:
-            src_path = os.path.join(tmp, "program.c")
-            with open(src_path, "w", encoding="utf-8") as fh:
+        fd, src_path = tempfile.mkstemp(prefix="contractor-", suffix=".c")
+        try:
+            with open(fd, "w", encoding="utf-8") as fh:
                 fh.write(src.text)
             backend = MOCK_COMMAND if cfg.backend_path == "mock" else (cfg.backend_path,)
             cmd = [*backend, *flags, *cfg.extra_flags, src_path]
@@ -264,6 +264,8 @@ class SubprocessVerifier:
             except subprocess.TimeoutExpired as exc:
                 out, returncode = exc.stdout or b"", None
             elapsed = time.monotonic() - started
+        finally:
+            os.unlink(src_path)
         raw = out.decode("utf-8", errors="replace")
         if returncode is None:
             status, parsed = Status.TIMEOUT, None

@@ -1,5 +1,5 @@
-"""Annotation rendering, byte-exact stripping, contract-text parsing, assigns
-sanitization, and the bounded encoding of universally quantified properties."""
+"""Annotation rendering, byte-exact stripping, contract-text parsing and assigns
+sanitization."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from contractor.contracts import (
     ContractOrigin,
     ParseFailure,
     ParseFailureReason,
-    encode_universal_property,
     parse_contract_text,
     render_enforce,
     render_replace,
@@ -263,28 +262,6 @@ def test_sanitize_assigns():
     assert stripped == ("*p", "q->field")
     again_kept, again_stripped = sanitize_assigns(kept)
     assert again_kept == kept and again_stripped == ()
-
-
-def test_universal_encoding_shape():
-    enc = encode_universal_property(
-        "\\forall i. 0 <= i < len: buf[i] <= 0x7f", "i", "len")
-    assert enc.declaration == "u32 idx;"
-    assert enc.assumption == "__ESBMC_assume(idx < len);"
-    assert enc.assertion == "assert(buf[idx] <= 0x7f);"
-
-
-def test_universal_encoding_with_guard():
-    enc = encode_universal_property(
-        "ret == 0 ==> \\forall i. i < len: buf[i] <= 0x7f", "i", "len")
-    assert enc.assertion == "if (ret == 0) assert(buf[idx] <= 0x7f);"
-    assert enc.assumption == "__ESBMC_assume(idx < len);"
-
-
-def test_universal_encoding_fresh_index():
-    enc = encode_universal_property(
-        "\\forall i. i < n: idx + buf[i] > 0", "i", "n")
-    assert enc.index_name != "idx"
-    assert enc.index_name in enc.assertion
 
 
 def test_round_trip_random_contracts_whole_corpus():

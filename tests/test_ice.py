@@ -13,6 +13,7 @@ from contractor.ice import (
     ADMISSIBLE_CATEGORIES,
     Category,
     Classification,
+    ConflictRecord,
     IceDatabase,
     Level,
     StateExample,
@@ -192,6 +193,23 @@ def test_extract_implications_on_reassignment():
     pre, post = pairs[0]
     assert pre.valuation == {"i": "0", "s": "0"}
     assert post.valuation == {"i": "0", "s": "1"}
+
+
+def test_extract_implications_keeps_repeats_for_the_database():
+    # a loop that comes back to a state yields its pair again; the database
+    # holds the first occurrence only
+    out = failure_output("s == 2", steps=[
+        {"function": "f", "line": 3, "assigns": [("s", "0")]},
+        {"function": "f", "line": 4, "assigns": [("s", "1")]},
+        {"function": "f", "line": 4, "assigns": [("s", "0")]},
+        {"function": "f", "line": 4, "assigns": [("s", "1")]},
+    ])
+    pairs = extract_implications(parsed_from(out), "f")
+    assert [(pre.valuation["s"], post.valuation["s"]) for pre, post in pairs] == [
+        ("0", "1"), ("1", "0"), ("0", "1")]
+    db = IceDatabase()
+    assert db.add_implications(pairs) == 2
+    assert db.implications == pairs[:2]
 
 
 def test_add_implications_appends_each_pair_once():
@@ -493,6 +511,22 @@ def test_render_examples_shows_only_the_target_function():
     assert text.index("inc: x=1") > neg
     assert text.index("Known-good states (E+):") < text.index("inc: x=5") < neg
     assert "other" not in text and "y=9" not in text
+
+
+def test_render_examples_renders_only_the_entries_it_shows(monkeypatch):
+    # every section is capped before its entries are rendered
+    states = [StateExample.make("f", {"x": str(i)}) for i in range(25)]
+    db = IceDatabase(positives=states[:], negatives=states[:12],
+                     implications=list(zip(states, states[1:]))[:15])
+    db.conflicts += [ConflictRecord("negative", ex, ex) for ex in states[:11]]
+    expected = render_examples(db, "f")
+    rendered = []
+    real = StateExample.render
+    monkeypatch.setattr(StateExample, "render", lambda ex: rendered.append(ex) or real(ex))
+    assert render_examples(db, "f") == expected
+    assert len(rendered) == 10 + 10 + 2 * 10 + 10
+    for omitted in (15, 2, 5, 1):
+        assert f"  f: ({omitted} earlier omitted)" in expected
 
 
 @st.composite

@@ -7,6 +7,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -160,6 +161,29 @@ def test_missing_backend_raises(tmp_path):
     cfg = VerifierConfig(backend_path="/nonexistent/esbmc-bin", timeout_s=5.0)
     with pytest.raises(BackendNotFoundError):
         SubprocessVerifier(cfg).function(enf, "increment")
+
+
+@pytest.mark.parametrize("outcome", ["pass", "fail", "timeout", "missing"])
+def test_a_check_leaves_no_temporary_file(tmp_path, monkeypatch, outcome):
+    # the source file of a check is removed however the check ends
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    (tmp_path / "tmp").mkdir()
+    enf = render_enforce(parse_program(INC), inc_contract())
+    fixtures = str(tmp_path / "fixtures")
+    reply = success_output() if outcome != "fail" else failure_output("r > n", steps=[])
+    write_transcript(fixtures, enf.text, enf.mode, reply,
+                     sleep_s=5.0 if outcome == "timeout" else None)
+    backend = "/nonexistent/esbmc-bin" if outcome == "missing" else "mock"
+    cfg = VerifierConfig(backend_path=backend, fixtures_dir=fixtures, timeout_s=0.8)
+    if outcome == "missing":
+        with pytest.raises(BackendNotFoundError):
+            SubprocessVerifier(cfg).function(enf, "increment")
+    else:
+        result = SubprocessVerifier(cfg).function(enf, "increment")
+        assert result.status is {"pass": Status.PASS, "fail": Status.FAIL,
+                                 "timeout": Status.TIMEOUT}[outcome]
+        assert Path(result.command[-1]).name.startswith("contractor-")
+    assert list((tmp_path / "tmp").iterdir()) == []
 
 
 @pytest.mark.parametrize("marker, code, status", [
