@@ -25,30 +25,7 @@ _SOURCES = {
 }
 _SUBMODULE = {name: module for module, names in _SOURCES.items() for name in names}
 
-__all__ = [
-    "Contract",
-    "ContractOrigin",
-    "ContractorError",
-    "ParseFailure",
-    "PipelineConfig",
-    "ProgramModel",
-    "RunOutcome",
-    "RunReport",
-    "Status",
-    "Strategy",
-    "SubprocessVerifier",
-    "SuiteReport",
-    "Tier",
-    "Verdict",
-    "VerdictOutcome",
-    "VerifierConfig",
-    "delta_debug",
-    "parse_program",
-    "run_pipeline",
-    "run_program",
-    "run_suite",
-    "__version__",
-]
+__all__ = [*_SUBMODULE, "__version__"]
 
 
 def __getattr__(name: str):

@@ -15,13 +15,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import cexpr
 from .errors import LoopOrdinalError, UnbalancedSourceError, UnknownFunctionError
-from .program_model import (
-    C_KEYWORDS,
-    FunctionInfo,
-    ProgramModel,
-    mask_comments_and_strings,
-    match_close,
-)
+from .program_model import C_KEYWORDS, FunctionInfo, ProgramModel, match_close
 
 REQUIRES_KW = "__ESBMC_requires"
 ENSURES_KW = "__ESBMC_ensures"
@@ -156,33 +150,27 @@ def _injections_for(model: ProgramModel, c: Contract) -> List[Injection]:
     return injections
 
 
+def _render(model: ProgramModel, ordered: Sequence[Contract], mode: str) -> InstrumentedSource:
+    """The source with each contract's annotations, in the given order."""
+    injections = [inj for c in ordered for inj in _injections_for(model, c)]
+    return InstrumentedSource(
+        text=_apply_injections(model.source_text, injections),
+        mode=mode,
+        functions=tuple(c.function for c in ordered),
+        injections=tuple(injections),
+    )
+
+
 def render_enforce(model: ProgramModel, c: Contract) -> InstrumentedSource:
     """Annotate exactly one function for an enforce-mode check; everything else
     stays untouched."""
-    injections = _injections_for(model, c)
-    text = _apply_injections(model.source_text, injections)
-    return InstrumentedSource(
-        text=text,
-        mode=f"function:{c.function}",
-        functions=(c.function,),
-        injections=tuple(injections),
-    )
+    return _render(model, [c], f"function:{c.function}")
 
 
 def render_replace(model: ProgramModel, contracts: Iterable[Contract]) -> InstrumentedSource:
     """Annotate every contracted function for a system-level check; calls to them
     get substituted by their contract stubs, uncontracted functions stay concrete."""
-    ordered = sorted(contracts, key=lambda c: c.function)
-    injections: List[Injection] = []
-    for c in ordered:
-        injections.extend(_injections_for(model, c))
-    text = _apply_injections(model.source_text, injections)
-    return InstrumentedSource(
-        text=text,
-        mode="system",
-        functions=tuple(c.function for c in ordered),
-        injections=tuple(injections),
-    )
+    return _render(model, sorted(contracts, key=lambda c: c.function), "system")
 
 
 def sanitize_assigns(targets: Sequence[str]) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
@@ -267,7 +255,7 @@ def parse_contract_text(
     search_space = "\n".join(fences) if fences else raw
 
     base_allowed = {p.name for p in f.params} | set(known_globals)
-    inv_allowed = base_allowed | set(cexpr.identifiers(mask_comments_and_strings(f.body_text)))
+    inv_allowed = base_allowed | set(f.body_names)
 
     clauses: Dict[str, List[str]] = {
         kw: [] for kw in (REQUIRES_KW, ENSURES_KW, ASSIGNS_KW, INVARIANT_KW)}

@@ -31,7 +31,6 @@ each.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
@@ -236,15 +235,11 @@ def extract_implications(
     return pairs
 
 
-def _clause_mentions(clause: str, name: str) -> bool:
-    return re.search(r"\b%s\b" % re.escape(name), clause) is not None
-
-
-def _contract_mentions(c: Contract, name: str) -> bool:
-    for clause in list(c.requires) + list(c.ensures) + list(c.assigns):
-        if _clause_mentions(clause, name):
-            return True
-    return any(_clause_mentions(expr, name) for _, expr in c.loop_invariants)
+def _contract_mentions(c: Contract, key: Set[str]) -> bool:
+    """Whether one clause of c names every name of a key: `x`, or `s` and
+    `x` for `s.x`. A character or string literal names nothing."""
+    clauses = c.requires + c.ensures + c.assigns + tuple(e for _, e in c.loop_invariants)
+    return any(key <= set(identifiers(clause)) for clause in clauses)
 
 
 def _lvalue_ends_in(lvalue: str, key: str) -> bool:
@@ -260,23 +255,23 @@ def weakest_link(
 ) -> str:
     """The contracted function most suspect for a system-level failure.
 
-    Each key variable maps to the functions whose contracts mention it, plus
+    Each key variable maps to the functions whose contracts name it, plus
     the function that produced it at a call site (`v = f(...)` or
     `s.v = f(...)`, as recorded in `model.assigned_calls`). Gap score per function: mapped variables over
     (1 + ensures clauses touching any key variable); the highest gap is the
     least-constrained responsible function.
     Ties break lexicographically so reruns pick the same target.
     """
-    key_names: List[str] = []
+    # each key variable's base and the names it is spelled with
+    keys: Dict[str, Set[str]] = {}
     for name, _ in parsed.key_variables:
         base = name.split("[")[0]
-        if base not in key_names:
-            key_names.append(base)
+        keys.setdefault(base, set(identifiers(base)))
 
     mapped: Dict[str, set] = {fname: set() for fname in contracts}
-    for var in key_names:
+    for var, names in keys.items():
         for fname, c in contracts.items():
-            if _contract_mentions(c, var):
+            if _contract_mentions(c, names):
                 mapped[fname].add(var)
         for lvalue, producer in model.assigned_calls:
             if producer in contracts and _lvalue_ends_in(lvalue, var):
@@ -285,13 +280,13 @@ def weakest_link(
     candidates = {f: vars_ for f, vars_ in mapped.items() if vars_}
     if not candidates:
         raise NoResponsibleFunctionError(
-            "no key variable maps to any contracted function: %s" % ", ".join(key_names)
+            "no key variable maps to any contracted function: %s" % ", ".join(keys)
         )
 
     def gap(fname: str) -> float:
         relevant_ensures = sum(
             1 for clause in contracts[fname].ensures
-            if any(_clause_mentions(clause, v) for v in key_names)
+            if any(names <= set(identifiers(clause)) for names in keys.values())
         )
         return len(candidates[fname]) / (1.0 + relevant_ensures)
 

@@ -5,10 +5,12 @@ bodies blanked, offsets preserved) is enough to find top-level function
 definitions, the single system assertion in main, and the complexity signals
 the tier split needs. Anything deeper belongs to the backend.
 
-`LoopSite` is the only place a loop is read. `_loop_sites` finds each loop's
-keyword, header condition and extent in one pass over a function body, and
-the complexity metrics, the tier split and the invariant injection in
-`contracts` all read those records instead of the text.
+The source is masked once; each function body is a slice of that mask,
+scanned once for its call heads, and every other layer reads the records
+stored here. `LoopSite` is the only place a loop is read: `_loop_sites` finds
+each loop's keyword, header condition and extent in one pass over a body.
+`FunctionInfo.writes` (`_writes`) serves the unbounded-loop test and the
+fallback contract's assigns, `FunctionInfo.body_names` the invariant check.
 
 Every file-scope scan is linear in the source, since the paper's hardest
 inputs are large C files. `_scan_functions` jumps from one brace, `;`, `#` or
@@ -24,6 +26,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .cexpr import identifiers
 from .errors import (
     MultiplePropertiesError,
     NoMainError,
@@ -125,6 +128,8 @@ class FunctionInfo:
     is_static: bool
     metrics: ComplexityMetrics
     loops: Tuple[LoopSite, ...]  # in textual order; offsets into body_text
+    writes: Tuple[str, ...]  # the body's write targets, see `_writes`
+    body_names: Tuple[str, ...]  # the body's names outside comments and strings
 
 
 @dataclass(frozen=True)
@@ -404,16 +409,20 @@ def _loop_sites(masked_body: str) -> List[LoopSite]:
     return sites
 
 
-_MUTATION_RE = re.compile(
-    r"([A-Za-z_]\w*)\s*(\+\+|--|=[^=]|\+=|-=|\*=|/=|%=|&=|\|=|\^=|<<=|>>=)"
+# a target as spelled, `*p`, `p->f` or a name, before an assignment operator
+# or a postfix `++`/`--`; the lookahead consumes neither `==` nor the next name
+_WRITE_RE = re.compile(
+    r"(\*\s*[A-Za-z_]\w*|[A-Za-z_]\w*\s*->\s*[A-Za-z_]\w*|[A-Za-z_]\w*)"
+    r"\s*(?:=(?!=)|\+=|-=|\*=|/=|%=|\|=|&=|\^=|<<=|>>=|\+\+|--)"
 )
-_PREFIX_MUT_RE = re.compile(r"(\+\+|--)\s*([A-Za-z_]\w*)")
+_PREFIX_WRITE_RE = re.compile(r"(?:\+\+|--)\s*([A-Za-z_]\w*)")
 
 
-def _mutated_names(masked_body: str) -> set:
-    names = {m.group(1) for m in _MUTATION_RE.finditer(masked_body)}
-    names |= {m.group(2) for m in _PREFIX_MUT_RE.finditer(masked_body)}
-    return names
+def _writes(masked: str) -> Tuple[str, ...]:
+    """The write targets of masked text as spelled: assignment and postfix
+    targets in text order, then prefix ones."""
+    return tuple([m.group(1) for m in _WRITE_RE.finditer(masked)]
+                 + [m.group(1) for m in _PREFIX_WRITE_RE.finditer(masked)])
 
 
 def _loop_is_unbounded(masked_body: str, site: LoopSite) -> bool:
@@ -424,8 +433,8 @@ def _loop_is_unbounded(masked_body: str, site: LoopSite) -> bool:
     if not cond_vars:
         return True  # constant condition
     # bounded iff the condition mentions something the loop itself changes
-    mutated = _mutated_names(masked_body[site.offset:site.end])
-    return not any(v in mutated for v in cond_vars)
+    written = {_WORD_RE.findall(t)[-1] for t in _writes(masked_body[site.offset:site.end])}
+    return not any(v in written for v in cond_vars)
 
 
 def _max_loop_nesting(sites: Sequence[LoopSite]) -> int:
@@ -451,14 +460,14 @@ def _pointer_op_count(masked_body: str) -> int:
     return count
 
 
-def _metrics(masked_body: str, loops: Sequence[LoopSite],
+def _metrics(masked_body: str, loops: Sequence[LoopSite], heads: Sequence[str],
              has_recursion: bool) -> ComplexityMetrics:
     branches = len(re.findall(r"\bif\b", masked_body))
     branches += len(re.findall(r"\bcase\b", masked_body))
     branches += masked_body.count("?")
     nesting = _max_loop_nesting(loops)
     unbounded = any(_loop_is_unbounded(masked_body, s) for s in loops)
-    allocs = sum(1 for m in _FUNC_HEAD_RE.finditer(masked_body) if m.group(1) in ALLOC_FUNCTIONS)
+    allocs = sum(1 for h in heads if h in ALLOC_FUNCTIONS)
     pointer_ops = _pointer_op_count(masked_body)
     # one fixed weight per signal
     score = (5.0 * len(loops) + 1.0 * nesting + 20.0 * has_recursion + 20.0 * unbounded
@@ -529,22 +538,19 @@ def parse_program(source_text: str) -> ProgramModel:
 
     global_names = _scan_globals(masked, raws)
 
-    call_names: Dict[str, set] = {}
     defined = {r.name for r in raws}
-    for r in raws:
-        body_masked = masked[r.body_span[0]:r.body_span[1]]
-        calls = {m.group(1) for m in _FUNC_HEAD_RE.finditer(body_masked)
-                 if m.group(1) not in C_KEYWORDS}
-        call_names[r.name] = calls & defined
-
+    bodies = [masked[r.body_span[0]:r.body_span[1]] for r in raws]
+    heads = [[m.group(1) for m in _FUNC_HEAD_RE.finditer(body)] for body in bodies]
+    # a name defined twice keeps the calls of its last definition
+    call_names = {r.name: {h for h in hs if h not in C_KEYWORDS} & defined
+                  for r, hs in zip(raws, heads)}
     recursive = _recursive_functions(call_names)
 
     functions: List[FunctionInfo] = []
-    for r in raws:
+    for r, body, hs in zip(raws, bodies, heads):
         if r.name == "main":
             continue
-        body_masked = masked[r.body_span[0]:r.body_span[1]]
-        loops = _loop_sites(body_masked)
+        loops = _loop_sites(body)
         functions.append(FunctionInfo(
             name=r.name,
             signature_text=r.signature_text,
@@ -553,8 +559,10 @@ def parse_program(source_text: str) -> ProgramModel:
             params=r.params,
             calls=tuple(sorted(call_names[r.name])),
             is_static=r.is_static,
-            metrics=_metrics(body_masked, loops, r.name in recursive),
+            metrics=_metrics(body, loops, hs, r.name in recursive),
             loops=tuple(loops),
+            writes=_writes(body),
+            body_names=identifiers(body),
         ))
 
     prop = _extract_property(

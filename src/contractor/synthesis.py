@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import json
 import os
-import re
+import tempfile
 import threading
 import time
 from dataclasses import dataclass, replace
@@ -34,7 +34,7 @@ from .contracts import (
 from .errors import ClientUnavailableError
 from .ice import IceDatabase, StateExample, render_examples
 from .mock_backend import source_digest as prompt_digest
-from .program_model import FunctionInfo, mask_comments_and_strings
+from .program_model import FunctionInfo
 from .runlog import RunLog
 
 PARSE_RETRIES = 2
@@ -153,7 +153,8 @@ class HttpLlmClient(LlmClient):
         self.backend_id = f"http:{self.model or 'unknown'}"
 
     def complete(self, prompt: str, tags: Optional[Mapping[str, str]] = None) -> str:
-        # not at the top: every mock-backend check imports this module
+        # not at the top: replay and scripted runs never load urllib.request,
+        # whose import alone takes tens of milliseconds
         import urllib.request
         from http.client import HTTPException
 
@@ -173,9 +174,12 @@ class HttpLlmClient(LlmClient):
             # urlopen raises HTTPError (an OSError) on any status >= 400
             with urllib.request.urlopen(request, timeout=self.timeout_s) as resp:
                 data = json.loads(resp.read())
-            return data["choices"][0]["message"]["content"]
+            content = data["choices"][0]["message"]["content"]
         except (OSError, HTTPException, KeyError, IndexError, TypeError, ValueError) as exc:
             raise ClientUnavailableError(f"live endpoint failed: {exc}") from exc
+        if not isinstance(content, str):
+            raise ClientUnavailableError(f"live endpoint replied {type(content).__name__}, not text")
+        return content
 
 
 @dataclass(frozen=True)
@@ -196,12 +200,18 @@ class ReplayLlmClient(LlmClient):
         self.store_dir = store_dir
 
     def complete(self, prompt: str, tags: Optional[Mapping[str, str]] = None) -> str:
-        path = os.path.join(self.store_dir, prompt_digest(prompt) + ".json")
+        digest = prompt_digest(prompt)
+        path = os.path.join(self.store_dir, digest + ".json")
         if not os.path.exists(path):
-            raise ClientUnavailableError(f"no transcript for prompt digest {prompt_digest(prompt)[:16]}")
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        return data["reply"]
+            raise ClientUnavailableError(f"no transcript for prompt digest {digest[:16]}")
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                reply = json.load(fh)["reply"]
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ClientUnavailableError(f"unreadable transcript {digest[:16]}: {exc!r}") from exc
+        if not isinstance(reply, str):
+            raise ClientUnavailableError(f"transcript {digest[:16]} holds no text reply")
+        return reply
 
 
 class RecordingLlmClient(LlmClient):
@@ -223,11 +233,11 @@ class RecordingLlmClient(LlmClient):
             backend_id=self.inner.backend_id,
             timestamp=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         )
-        tmp = os.path.join(self.store_dir, digest + ".json.tmp")
-        final = os.path.join(self.store_dir, digest + ".json")
-        with open(tmp, "w", encoding="utf-8") as fh:
+        # a temporary file of its own: two recorders of one prompt share none
+        fd, tmp = tempfile.mkstemp(dir=self.store_dir, prefix=digest, suffix=".tmp")
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             json.dump(record.__dict__, fh, indent=2)
-        os.replace(tmp, final)
+        os.replace(tmp, os.path.join(self.store_dir, digest + ".json"))
         return reply
 
 
@@ -329,45 +339,26 @@ def synthesize(
     return last_failure  # type: ignore[return-value]
 
 
-_ASSIGN_TARGET_RE = re.compile(
-    r"(\*\s*[A-Za-z_]\w*|[A-Za-z_]\w*\s*->\s*[A-Za-z_]\w*|[A-Za-z_]\w*)"
-    r"\s*(?:=(?!=)|\+=|-=|\*=|/=|%=|\|=|&=|\^=|<<=|>>=|\+\+|--)"
-)
-_PREFIX_TARGET_RE = re.compile(r"(?:\+\+|--)\s*([A-Za-z_]\w*)")
-
-
 def heuristic_fallback(f: FunctionInfo, known_globals: Iterable[str] = ()) -> Contract:
     """Most conservative contract we can write without thinking: no
-    precondition, trivially true postcondition, assigns from a scan of the
-    body outside comments and strings (globals written, plus writes through
-    pointer parameters; the latter get stripped later by assigns
-    sanitization, which is the point: they are recorded for the log, not for
-    the backend)."""
+    precondition, trivially true postcondition, assigns from the body's write
+    targets (`f.writes`): globals written, plus writes through pointer
+    parameters; the latter get stripped later by assigns sanitization, which
+    is the point: they are recorded for the log, not for the backend."""
     globals_set = set(known_globals)
     pointer_params = {p.name for p in f.params if "*" in p.type_text or "[" in p.type_text}
     targets: List[str] = []
-
-    def add(t: str) -> None:
-        t = " ".join(t.split())
-        if t and t not in targets:
-            targets.append(t)
-
-    body = mask_comments_and_strings(f.body_text)
-    for m in _ASSIGN_TARGET_RE.finditer(body):
-        raw = m.group(1).strip()
-        if raw.startswith("*"):
-            base = raw.lstrip("* \t")
-            if base in pointer_params or base in globals_set:
-                add("*" + base)
-        elif "->" in raw:
-            base = raw.split("->")[0].strip()
-            if base in pointer_params or base in globals_set:
-                add(" ".join(raw.split()))
-        elif raw in globals_set:
-            add(raw)
-    for m in _PREFIX_TARGET_RE.finditer(body):
-        if m.group(1) in globals_set:
-            add(m.group(1))
+    for t in f.writes:
+        if t.startswith("*"):
+            base = t.lstrip("* \t")
+            t = "*" + base
+        else:
+            base = t.split("->")[0].strip()
+        # a global counts, and so does a write through a pointer parameter
+        if base in globals_set or (t != base and base in pointer_params):
+            t = " ".join(t.split())
+            if t not in targets:
+                targets.append(t)
 
     return Contract(
         function=f.name,

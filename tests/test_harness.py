@@ -25,7 +25,7 @@ from contractor.refinement import (
     Verdict,
     VerdictOutcome,
 )
-from contractor.synthesis import ScriptedLlmClient
+from contractor.synthesis import RecordingLlmClient, ReplayLlmClient, ScriptedLlmClient
 
 INC_SRC = """\
 int inc(int x) {
@@ -196,6 +196,20 @@ def test_run_program_reports_an_exhausted_client_as_failed():
     assert report.verdict is None
     assert report.error.startswith("ClientUnavailableError")
     assert report.log.of_kind("error")[0]["detail"] == report.error
+
+
+@pytest.mark.parametrize("stored", [b"{not json", b"[]", b"{}", b'{"reply": null}', b"\xff"])
+def test_a_corrupt_replay_store_fails_each_program_not_the_suite(tmp_path, stored):
+    programs = [("a.c", INC_SRC), ("b.c", INC_SRC)]
+    run_suite(programs, CFG, lambda: RecordingLlmClient(
+        ScriptedLlmClient({"inc|initial": INC_REPLY}), str(tmp_path)), PassVerifier())
+    transcripts = list(tmp_path.glob("*.json"))
+    assert transcripts
+    for transcript in transcripts:
+        transcript.write_bytes(stored)
+    suite = run_suite(programs, CFG, lambda: ReplayLlmClient(str(tmp_path)), PassVerifier())
+    assert [r.outcome for r in suite.reports] == [RunOutcome.FAILED, RunOutcome.FAILED]
+    assert all(r.error.startswith("ClientUnavailableError") for r in suite.reports)
 
 
 def test_run_suite_worker_invariance():

@@ -473,6 +473,28 @@ def test_weakest_link_no_candidate_raises():
         weakest_link(parsed, contracts, model)
 
 
+def test_weakest_link_reads_no_name_inside_a_character_literal():
+    # x is neither assigned from a call nor named by the contract: its 'x'
+    # is a character
+    model = parse_program(WEAKEST_SRC)
+    parsed = parsed_from(failure_output("x > 0", steps=[
+        {"function": "main", "line": 3, "assigns": [("x", "0")]},
+    ]))
+    contracts = {"source": contract("source", ensures=("__ESBMC_return_value != 'x'",))}
+    with pytest.raises(NoResponsibleFunctionError):
+        weakest_link(parsed, contracts, model)
+
+
+def test_weakest_link_maps_a_member_key_its_contract_names():
+    model = parse_program(WEAKEST_SRC)
+    parsed = parsed_from(failure_output("g.x > 0", steps=[
+        {"function": "main", "line": 3, "assigns": [("g.x", "0")]},
+    ]))
+    contracts = {"sink": contract("sink"),
+                 "source": contract("source", ensures=("g.x == __ESBMC_return_value",))}
+    assert weakest_link(parsed, contracts, model) == "source"
+
+
 def test_diagnostics_sections_always_present():
     db = IceDatabase()
     text = render_diagnostics(db, None, sem(), "f")

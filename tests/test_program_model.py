@@ -168,6 +168,26 @@ def test_bounded_loop_not_flagged_unbounded():
     assert not model.function("parity").metrics.has_unbounded_loop
 
 
+def test_assignment_does_not_hide_the_next_write():
+    # `i=j++` writes i, then j: the assignment's `=` must leave j to its `++`,
+    # so the loop changes its own condition and is bounded
+    fns = ("int f(int n) {\n    int i = 0, j = 0;\n"
+           "    while (j < n) { i=j++; }\n    return i;\n}")
+    f = parse_program(wrap(fns, "f(2)")).function("f")
+    assert not f.metrics.has_unbounded_loop
+    assert f.metrics.score == 6.0
+    assert f.writes == ("i", "j", "i", "j")
+
+
+def test_writes_and_body_names_read_outside_comments_and_strings():
+    fns = ("int g;\nint f(int *p, int n) {\n    /* h = 1; */ char *s = \"k = 2\";\n"
+           "    *p = n; p->v += 1; ++g; n--;\n    return n;\n}")
+    f = parse_program(wrap(fns, "f(0, 2)")).function("f")
+    # assignment and postfix targets in text order, then prefix ones
+    assert f.writes == ("*s", "*p", "p->v", "n", "g")
+    assert f.body_names == ("char", "s", "p", "n", "v", "g", "return")
+
+
 @pytest.mark.parametrize("later_block", ["{ i = i + 1; }", "{ g(1); }"])
 def test_braceless_loop_does_not_borrow_a_later_block(later_block):
     # the braceless body is `g(n);` alone, which never changes i, so the loop

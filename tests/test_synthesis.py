@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import re
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -151,6 +152,23 @@ def test_replay_and_recording_round_trip(tmp_path):
         replay.complete("a prompt never recorded")
 
 
+def test_two_recorders_of_one_prompt_do_not_collide(tmp_path, monkeypatch):
+    # both recordings stay inside json.dump until the other one is there too
+    barrier = threading.Barrier(2, timeout=10)
+    real_dump = json.dump
+
+    def held_dump(obj, fh, **kw):
+        real_dump(obj, fh, **kw)
+        barrier.wait()
+
+    monkeypatch.setattr(json, "dump", held_dump)
+    rec = RecordingLlmClient(ScriptedLlmClient(["the reply"]), str(tmp_path))
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        calls = [pool.submit(rec.complete, "one prompt") for _ in range(2)]
+        assert [c.result() for c in calls] == ["the reply", "the reply"]
+    assert [p.name for p in tmp_path.iterdir()] == [prompt_digest("one prompt") + ".json"]
+
+
 class _ChatEndpoint(BaseHTTPRequestHandler):
     def do_POST(self):
         body = self.rfile.read(int(self.headers["Content-Length"]))
@@ -192,7 +210,8 @@ def test_http_client_returns_the_reply_content(endpoint):
                        "messages": [{"role": "user", "content": "the prompt"}]}
 
 
-@pytest.mark.parametrize("status,body", [(500, b"{}"), (200, b"<html>not json</html>")])
+@pytest.mark.parametrize("status,body", [(500, b"{}"), (200, b"<html>not json</html>"),
+                                         (200, b'{"choices": [{"message": {"content": null}}]}')])
 def test_http_client_bad_reply_is_unavailable(endpoint, status, body):
     endpoint.reply_status, endpoint.reply_body = status, body
     with pytest.raises(ClientUnavailableError):
