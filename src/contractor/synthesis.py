@@ -178,7 +178,7 @@ class HttpLlmClient(LlmClient):
         except (OSError, HTTPException, KeyError, IndexError, TypeError, ValueError) as exc:
             raise ClientUnavailableError(f"live endpoint failed: {exc}") from exc
         if not isinstance(content, str):
-            raise ClientUnavailableError(f"live endpoint replied {type(content).__name__}, not text")
+            raise ClientUnavailableError(f"live endpoint sent {type(content).__name__}, not text")
         return content
 
 
