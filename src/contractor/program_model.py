@@ -12,11 +12,11 @@ each loop's keyword, header condition and extent in one pass over a body.
 `FunctionInfo.writes` (`_writes`) serves the unbounded-loop test and the
 fallback contract's assigns, `FunctionInfo.body_names` the invariant check.
 
-Every file-scope scan is linear in the source, since the paper's hardest
-inputs are large C files. `_scan_functions` jumps from one brace, `;`, `#` or
-call head to the next, and `_scan_globals` from one brace, `;` or `#` to the
-next outside function definitions, reading a declaration up to its `;` with
-any brace block inside it (an initializer, a struct body) left out.
+The file scope is read in one linear pass, since the paper's hardest inputs
+are large C files: `_scan_file_scope` jumps from one brace, `;`, `#` or call
+head to the next and reads each item once, a directive with the lines it
+continues, a function definition whole, a declaration up to its `;`. Every
+declarator, a parameter's or a global's, is read by `_declarator`.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ _FUNC_HEAD_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\(")
 _FILE_SCOPE_STOP_RE = re.compile(r"[{};#]|" + _FUNC_HEAD_RE.pattern)
 _BRACE_RE = re.compile(r"[{}]")
 _BODY_OPEN_RE = re.compile(r"\s*\{")
-_DECL_STOP_RE = re.compile(r"[{};#]")
 # a struct, union or enum tag, which is no declarator
 _TAG_RE = re.compile(r"\b(struct|union|enum)\s+[A-Za-z_]\w*")
 # `lvalue = callee(`, the lvalue a name or a `.`/`->` path spelled without spaces
@@ -231,35 +230,59 @@ def _split_top_level(text: str) -> List[str]:
     return parts
 
 
+def _declarator(part: str) -> Tuple[str, bool]:
+    """The name one declarator declares ("" when it names none) and whether
+    it declares a function. Array bounds, an initializer after its `=` and
+    struct, union or enum tags are left out; `(*name)` declares name, and
+    otherwise the name is the last word before any parenthesis."""
+    head = _ARRAY_BOUND_RE.sub(" ", _TAG_RE.sub(r"\1", part)).split("=", 1)[0]
+    pointer = _POINTER_DECLARATOR_RE.search(head)
+    if pointer:
+        return pointer.group(1), False
+    names = [w for w in _WORD_RE.findall(head.split("(", 1)[0])
+             if w not in TYPE_KEYWORDS and w not in C_KEYWORDS]
+    return (names[-1] if names else ""), "(" in head
+
+
 def _parse_params(param_text: str) -> Tuple[Param, ...]:
+    """The named parameters; a function declarator keeps its name."""
     inner = param_text.strip()
     if inner in ("", "void"):
         return ()
-    params: List[Param] = []
-    for part in _split_top_level(inner):
-        words = _WORD_RE.findall(part)
-        names = [w for w in words if w not in TYPE_KEYWORDS and w not in C_KEYWORDS]
-        if not names:
-            continue  # unnamed parameter in a prototype-style definition
-        params.append(Param(name=names[-1], type_text=part.strip()))
-    return tuple(params)
+    named = ((_declarator(part)[0], part.strip()) for part in _split_top_level(inner))
+    return tuple(Param(name=name, type_text=text) for name, text in named if name)
+
+
+def _declared(decl: str) -> List[str]:
+    """The names one file-scope declaration declares, read with its brace
+    blocks left out; a prototype declares nothing."""
+    words = _WORD_RE.findall(decl)
+    if not words or words[0] == "typedef" or not any(w in TYPE_KEYWORDS for w in words):
+        return []
+    return [name for name, is_function in map(_declarator, _split_top_level(decl))
+            if name and not is_function]
 
 
 @dataclass(frozen=True)
 class _RawFunction:
     name: str
     signature_text: str
-    sig_start: int
     body_span: Tuple[int, int]
     params: Tuple[Param, ...]
     is_static: bool
 
 
-def _scan_functions(src: str, masked: str) -> List[_RawFunction]:
+def _scan_file_scope(src: str, masked: str) -> Tuple[List[_RawFunction], Tuple[str, ...]]:
+    """The function definitions and the declared global names, in one pass
+    that reads each file-scope item once: a directive with every line it
+    continues, a function definition whole, and a declaration up to its `;`
+    with its brace blocks (an initializer, a struct body) left out."""
     raws: List[_RawFunction] = []
+    found: List[str] = []
+    decl: List[str] = []  # the declaration read so far, outside its brace blocks
     depth = 0
     i = 0
-    last_boundary = 0  # start of the current top-level chunk
+    item = 0  # start of the current file-scope item
     while True:
         m = (_BRACE_RE if depth else _FILE_SCOPE_STOP_RE).search(masked, i)
         if m is None:
@@ -267,6 +290,8 @@ def _scan_functions(src: str, masked: str) -> List[_RawFunction]:
         i = m.start()
         c = masked[i]
         if c == "{":
+            if depth == 0:
+                decl.append(masked[item:i])
             depth += 1
             i += 1
             continue
@@ -275,96 +300,40 @@ def _scan_functions(src: str, masked: str) -> List[_RawFunction]:
             if depth < 0:
                 raise UnbalancedSourceError("unmatched '}' at offset %d" % i)
             if depth == 0:
-                last_boundary = i + 1
+                item = i + 1
             i += 1
             continue
         if c == ";":
-            last_boundary = i + 1
-            i += 1
+            found += _declared(" ".join(decl + [masked[item:i]]))
+            decl = []
+            item = i = i + 1
             continue
-        if c == "#":  # preprocessor line
-            i = masked.find("\n", i)
-            if i < 0:
-                break
-            last_boundary = i + 1
-            i += 1
+        if c == "#":  # a directive's lines declare nothing
+            decl.append(masked[item:i])
+            item = i = _DIRECTIVE_LINES_RE.match(masked, i).end()
             continue
         if m.group(1) not in C_KEYWORDS:
             close = match_close(masked, m.end() - 1)
             body = _BODY_OPEN_RE.match(masked, close)
             if body:
                 j = body.end() - 1
-                sig_start = i - len(masked[last_boundary:i].lstrip())
+                sig_start = i - len(masked[item:i].lstrip())
                 body_end = match_close(masked, j)
-                sig_text = " ".join(src[sig_start:close].split())
                 head_words = _WORD_RE.findall(masked[sig_start:i + len(m.group(1))])
                 raws.append(_RawFunction(
                     name=m.group(1),
-                    signature_text=sig_text,
-                    sig_start=sig_start,
+                    signature_text=" ".join(src[sig_start:close].split()),
                     body_span=(j, body_end),
                     params=_parse_params(src[m.end():close - 1]),
                     is_static="static" in head_words,
                 ))
-                i = body_end
-                last_boundary = body_end
+                decl = []
+                item = i = body_end
                 continue
         i = m.end()
     if depth != 0:
         raise UnbalancedSourceError("source has %d unclosed brace(s)" % depth)
-    return raws
-
-
-def _declared(decl: str) -> List[str]:
-    """The names one file-scope declaration declares, read with its brace
-    blocks left out. Each declarator is read before its initializer's `=`.
-    One that holds a parenthesis declares the name inside `(*name)`; without
-    that it is a prototype and declares nothing."""
-    words = _WORD_RE.findall(decl)
-    if not words or words[0] == "typedef" or not any(w in TYPE_KEYWORDS for w in words):
-        return []
-    names = []
-    for part in _split_top_level(_TAG_RE.sub(r"\1", decl)):  # one declarator each
-        head = _ARRAY_BOUND_RE.sub(" ", part).split("=", 1)[0]
-        if "(" in head:
-            pointer = _POINTER_DECLARATOR_RE.search(head)
-            if pointer:
-                names.append(pointer.group(1))
-            continue
-        cand = [w for w in _WORD_RE.findall(head)
-                if w not in TYPE_KEYWORDS and w not in C_KEYWORDS]
-        if cand:
-            names.append(cand[-1])
-    return names
-
-
-def _scan_globals(masked: str, raws: Sequence[_RawFunction]) -> Tuple[str, ...]:
-    """Names declared at file scope outside any function definition. A brace
-    block there belongs to the declaration it stands in: an initializer, or
-    a struct, union or enum body."""
-    cuts = [0] + [x for r in raws for x in (r.sig_start, r.body_span[1])] + [len(masked)]
-    text = "\n".join(masked[a:b] for a, b in zip(cuts[::2], cuts[1::2]))
-    found: List[str] = []
-    decl: List[str] = []  # the declaration read so far, outside its brace blocks
-    depth = 0
-    pos = 0
-    while True:
-        m = _DECL_STOP_RE.search(text, pos)
-        if m is None:
-            break
-        if depth == 0:
-            decl.append(text[pos:m.start()])
-        c, pos = m.group(), m.end()
-        if c == "#":  # a directive's lines declare nothing
-            pos = _DIRECTIVE_LINES_RE.match(text, m.start()).end()
-        elif c == "{":
-            depth += 1
-        elif c == "}":
-            depth -= 1
-        elif depth == 0:
-            found += _declared(" ".join(decl))
-            decl = []
-    return tuple(dict.fromkeys(found))
+    return raws, tuple(dict.fromkeys(found))
 
 
 def _header(masked_body: str, pos: int) -> Tuple[str, int]:
@@ -530,13 +499,11 @@ def parse_program(source_text: str) -> ProgramModel:
     """Build the model. Raises on missing main, zero or multiple assertions,
     and brace imbalance."""
     masked = mask_comments_and_strings(source_text)
-    raws = _scan_functions(source_text, masked)
+    raws, global_names = _scan_file_scope(source_text, masked)
 
     main_raw = next((r for r in raws if r.name == "main"), None)
     if main_raw is None:
         raise NoMainError("no main() definition found")
-
-    global_names = _scan_globals(masked, raws)
 
     defined = {r.name for r in raws}
     bodies = [masked[r.body_span[0]:r.body_span[1]] for r in raws]

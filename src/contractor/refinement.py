@@ -307,9 +307,11 @@ def _db_sizes(db: IceDatabase) -> Dict[str, int]:
 
 
 def _classified(ctx: _Ctx, key: str, result: VerificationResult) -> Optional[Classification]:
-    """Classify a non-passing check and log it under key ("__system__" for
-    the system check). None when there is nothing to learn from: a
-    tool-level failure (quarantined) or no counterexample."""
+    """Classify a check a round reads, unless it passed, and log it under key
+    ("__system__" for the system check). None when there is nothing to learn
+    from: a pass, a tool-level failure (quarantined) or no counterexample."""
+    if result.status is Status.PASS:
+        return None
     cls = classify(result)
     ctx.log.event("classification", function=key, mode=result.mode,
                   level=cls.level.value, category=cls.category.value)
@@ -358,7 +360,7 @@ def _hold_system(ctx: _Ctx, key: Key, stubbed: Dict[str, Contract]) -> None:
     as concrete code took real loop steps."""
     ctx.sys_key, ctx.sys_set, ctx.blamed = key, sorted(stubbed), None
     result = ctx.checked[key]
-    cls = _classified(ctx, "__system__", result) if result.status is Status.FAIL else None
+    cls = _classified(ctx, "__system__", result)
     if cls is None:
         return
     ctx.blamed, fallback = _blame(ctx, result.parsed, stubbed)
@@ -460,7 +462,7 @@ def _verify_round(ctx: _Ctx, contracts: Dict[str, Contract]) -> None:
             key, _ = _check(ctx, instr, fut)
             ctx.fn_keys[name] = key
             result = ctx.checked[key]
-            cls = None if result.status is Status.PASS else _classified(ctx, name, result)
+            cls = _classified(ctx, name, result)
             if cls is not None:
                 _learn(ctx, result.parsed, cls, name, "function", [name])
 
@@ -824,8 +826,7 @@ def _run_pre_abstraction(ctx: _Ctx) -> Verdict:
                 ctx.log.event("substitute", function=f.name, kept="precise")
             else:
                 ctx.log.event("substitute", function=f.name, kept="abstraction")
-                if check.status is Status.FAIL:
-                    _classified(ctx, f.name, check)
+                _classified(ctx, f.name, check)
 
     ctx.set_stage("pre_abstraction:5")
     _verify_round(ctx, dict(ctx.contracts))

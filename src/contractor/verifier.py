@@ -259,8 +259,8 @@ class SubprocessVerifier:
                     env=env,
                 )
                 out, returncode = done.stdout, done.returncode
-            except FileNotFoundError as exc:
-                raise BackendNotFoundError(f"backend executable not found: {cmd[0]}") from exc
+            except OSError as exc:  # missing, not executable, or no process to run it
+                raise BackendNotFoundError(f"backend cannot be started: {cmd[0]}: {exc}") from exc
             except subprocess.TimeoutExpired as exc:
                 out, returncode = exc.stdout or b"", None
             elapsed = time.monotonic() - started

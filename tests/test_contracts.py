@@ -244,6 +244,28 @@ def test_parse_rejects_unbalanced():
     assert r.reason is ParseFailureReason.UNBALANCED
 
 
+def test_parse_accepts_an_array_parameter_with_a_macro_bound():
+    model = parse_program("#define LEN 4\nint sum(int a[LEN], int n) {\n  return n;\n}\n"
+                          "int main() { int b[LEN] = {0}; int r = sum(b, 1); assert(r >= 0); }\n")
+    c = parse_contract_text("__ESBMC_requires(a[0] >= 0);", model.function("sum"))
+    assert isinstance(c, Contract)
+    assert c.requires == ("a[0] >= 0",)
+
+
+@pytest.mark.parametrize("raw, reason, detail", [
+    ("__ESBMC_requires( );", ParseFailureReason.NO_CLAUSES, "empty requires clause"),
+    ("__ESBMC_ensures(x[0 > 1);", ParseFailureReason.UNBALANCED, "x[0 > 1"),
+    ("__ESBMC_requires(x > 0; x < 9);", ParseFailureReason.UNBALANCED,
+     "statement in requires: x > 0; x < 9"),
+    ("__ESBMC_assigns();\n__ESBMC_ensures(x > 0);", ParseFailureReason.NO_CLAUSES,
+     "empty assigns target"),
+], ids=["empty_clause", "unbalanced_brackets", "statement", "empty_assigns_target"])
+def test_parse_rejects_a_malformed_clause(raw, reason, detail):
+    r = parse_contract_text(raw, parse_program(INC).function("increment"))
+    assert isinstance(r, ParseFailure)
+    assert (r.reason, r.detail) == (reason, detail)
+
+
 def test_parse_numbers_invariants_by_appearance():
     model = parse_program(SUM)
     f = model.function("sum_below")

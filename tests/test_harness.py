@@ -26,6 +26,7 @@ from contractor.refinement import (
     VerdictOutcome,
 )
 from contractor.synthesis import RecordingLlmClient, ReplayLlmClient, ScriptedLlmClient
+from contractor.verifier import SubprocessVerifier, VerifierConfig
 
 INC_SRC = """\
 int inc(int x) {
@@ -210,6 +211,19 @@ def test_a_corrupt_replay_store_fails_each_program_not_the_suite(tmp_path, store
     suite = run_suite(programs, CFG, lambda: ReplayLlmClient(str(tmp_path)), PassVerifier())
     assert [r.outcome for r in suite.reports] == [RunOutcome.FAILED, RunOutcome.FAILED]
     assert all(r.error.startswith("ClientUnavailableError") for r in suite.reports)
+
+
+@pytest.mark.parametrize("backend", ["missing", "not_executable"])
+def test_a_backend_that_cannot_start_fails_each_program_not_the_suite(tmp_path, backend):
+    path = tmp_path / "esbmc"
+    if backend == "not_executable":
+        path.write_text("#!/bin/sh\necho 'VERIFICATION SUCCESSFUL'\n")
+        path.chmod(0o644)
+    verifier = SubprocessVerifier(VerifierConfig(backend_path=str(path), timeout_s=5.0))
+    suite = run_suite([("a.c", INC_SRC), ("b.c", INC_SRC)], CFG,
+                      lambda: ScriptedLlmClient({"inc|initial": INC_REPLY}), verifier)
+    assert [r.outcome for r in suite.reports] == [RunOutcome.FAILED, RunOutcome.FAILED]
+    assert all(r.error.startswith("BackendNotFoundError") for r in suite.reports)
 
 
 def test_run_suite_worker_invariance():

@@ -394,12 +394,38 @@ def test_file_scope_edge_cases():
     ("int n = sizeof(int);\n", ("n",)),
     ("int (*fp)(int);\n", ("fp",)),
     ("int f(int);\nint g(int a, int b), h;\n", ("h",)),
+    ("int t[2] = {\n#if W\n  1, 2 }; int w[2] = {\n#endif\n  3, 4 };\n", ("t", "w")),
 ], ids=["multi_declarator", "after_function_like_define", "array_bound", "after_continued_define",
         "brace_blocks", "tags_declare_nothing", "tag_body_then_declarators",
-        "call_initializer", "sizeof_initializer", "function_pointer", "prototypes_declare_nothing"])
+        "call_initializer", "sizeof_initializer", "function_pointer", "prototypes_declare_nothing",
+        "directive_inside_initializer"])
 def test_globals_take_every_declarator(file_scope, expected):
     src = file_scope + "int main() {\n    int r = 0;\n    assert(r >= 0);\n    return 0;\n}\n"
     assert parse_program(src).global_names == expected
+
+
+def test_continued_define_ends_where_its_last_line_does():
+    src = ("#define COUNTER(n) \\\n    static int n = 0\n"
+           "int f(int x) {\n    return x;\n}\n")
+    f = parse_program(wrap(src, "f(1)")).function("f")
+    assert f.signature_text == "int f(int x)"
+    assert not f.is_static
+
+
+@pytest.mark.parametrize("param, name", [
+    ("int a[LEN]", "a"),
+    ("int m[n]", "m"),
+    ("int grid[N][N + 1]", "grid"),
+    ("struct pt *p", "p"),
+    ("int fn(int)", "fn"),
+    ("int (*fn)(int)", "fn"),
+    ("void (*cb)(int a)", "cb"),
+], ids=["macro_bound", "vla_bound", "two_bounds", "tagged", "function", "function_pointer",
+        "named_inner_parameter"])
+def test_parameter_takes_its_declarator_name(param, name):
+    src = wrap(f"#define LEN 4\n#define N 2\nint g(int n, {param}) {{\n    return n;\n}}",
+               "0")
+    assert [p.name for p in parse_program(src).function("g").params] == ["n", name]
 
 
 def test_partition_by_tau():

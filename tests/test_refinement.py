@@ -491,6 +491,136 @@ def test_pre_abstraction_classifies_an_unusable_precise_reply():
     assert "substitute" not in kinds(log)
 
 
+def test_phase_1b_keeps_a_coverage_retry_that_covers():
+    script = {
+        "deep|overapproximate": contract_reply(
+            assigns=("n",), ensures=("__ESBMC_return_value >= 0",)),
+        "lift|initial": [contract_reply(ensures=("1 > 0",)),
+                         contract_reply(ensures=("__ESBMC_return_value == k + 10",))],
+    }
+    verdict, log, client, _ = run(PRE_ABS_SRC, script, PassVerifier(),
+                                  strategy=Strategy.PRE_ABSTRACTION)
+    assert verdict.outcome is VerdictOutcome.VERIFIED
+    assert verdict.contract_map()["lift"].ensures == ("__ESBMC_return_value == k + 10",)
+    assert "coverage_warning" not in kinds(log)
+
+
+def test_phase_1b_leaves_a_function_whose_reply_never_parses_concrete():
+    script = {
+        "deep|overapproximate": contract_reply(
+            assigns=("n",), ensures=("__ESBMC_return_value >= 0",)),
+        "deep|initial": contract_reply(
+            assigns=("n",), ensures=("__ESBMC_return_value >= 0",)),
+        "lift|initial": "I cannot produce a contract for this.",
+    }
+    verdict, log, client, _ = run(PRE_ABS_SRC, script, PassVerifier(),
+                                  strategy=Strategy.PRE_ABSTRACTION, total_budget=0)
+    assert verdict.outcome is VerdictOutcome.INCONCLUSIVE
+    assert verdict.status_map() == {"deep": "pass", "lift": "no_contract"}
+    # three parse attempts, no coverage retry, one classification
+    assert client.calls.count({"function": "lift", "intent": "initial"}) == 3
+    assert [(e["function"], e["category"]) for e in log.of_kind("classification")] == [
+        ("lift", "syntax_error")]
+    assert "coverage_warning" not in kinds(log)
+
+
+@pytest.mark.parametrize("outcome, events", [
+    ("fail", [("classification", "semantic")]),
+    (Status.TIMEOUT, [("classification", "tool_error"), ("tool_quarantine", "timeout")]),
+], ids=["fail", "timeout"])
+def test_stage_four_keeps_the_abstraction_its_precise_check_does_not_pass(outcome, events):
+    script = {
+        "deep|overapproximate": contract_reply(
+            assigns=("n",), ensures=("__ESBMC_return_value >= 0",)),
+        "deep|initial": contract_reply(
+            assigns=("n",), ensures=("__ESBMC_return_value >= 5",)),
+        "lift|initial": contract_reply(
+            assigns=("k",), ensures=("__ESBMC_return_value == k + 10",)),
+    }
+
+    def rule(src, mode):
+        if mode == "function:deep" and "__ESBMC_return_value >= 5" in src.text:
+            return outcome if outcome is Status.TIMEOUT else failure_output(
+                "__ESBMC_return_value >= 5", at_function="deep",
+                steps=[{"function": "deep", "line": 5, "assigns": [("n", "1")]}])
+        if mode == "system":
+            return failure_output("y >= 15", steps=[
+                {"function": "main", "line": 15, "assigns": [("y", "10")]}])
+        return success_output()
+
+    verdict, log, _, _ = run(SUBST_SRC, script, RuleVerifier(rule),
+                             strategy=Strategy.PRE_ABSTRACTION, total_budget=0)
+    assert verdict.outcome is VerdictOutcome.INCONCLUSIVE
+    assert verdict.contract_map()["deep"].origin is ContractOrigin.LLM_ABSTRACTION
+    assert verdict.status_map()["deep"] == "pass"
+    stages = [e.get("stage") for e in log.events]
+    phase4 = log.events[stages.index("pre_abstraction:4") + 1:stages.index("pre_abstraction:5")]
+    assert [e["event"] for e in phase4] == ["synthesis", "verification", "substitute"] + [
+        kind for kind, _ in events]
+    assert phase4[2] == {"event": "substitute", "function": "deep", "kept": "abstraction"}
+    assert [(e["event"], e.get("category", e.get("status"))) for e in phase4[3:]] == events
+    assert all(e["function"] == "deep" for e in phase4[3:])
+
+
+@pytest.mark.parametrize("outcome, events", [
+    ("fail", ["classification", "weakest_link"]),
+    (Status.TIMEOUT, ["classification", "tool_quarantine"]),
+    (Status.TOOL_ERROR, ["classification", "tool_quarantine"]),
+], ids=["fail", "timeout", "tool_error"])
+def test_a_non_passing_system_check_is_classified_once(outcome, events):
+    rule = lambda src, mode: success_output() if mode != "system" else (
+        outcome if isinstance(outcome, Status) else failure_output(
+            "b > 5", steps=[{"function": "main", "line": 7, "assigns": [("b", "5")]}]))
+    verdict, log, _, _ = run(INC_SRC, {"inc|initial": INC_REPLY}, RuleVerifier(rule),
+                             total_budget=0)
+    assert verdict.outcome is VerdictOutcome.INCONCLUSIVE
+    assert verdict.system_status == (outcome if isinstance(outcome, Status) else Status.FAIL).value
+    held = [e for e in log.events if e.get("function") == "__system__" or
+            e["event"] == "weakest_link"]
+    assert [e["event"] for e in held] == events
+
+
+def test_a_failing_contract_with_no_ensures_is_not_reduced():
+    no_ensures = contract_reply(requires=("z > 100",), assigns=("z",))
+    verifier = RuleVerifier(step_rule("z > 100"))
+    verdict, log, client, _ = run(STEP_SRC, {"step|initial": no_ensures, "step|relax": no_ensures},
+                                  verifier, k_cegis=0)
+    assert verdict.outcome is VerdictOutcome.INCONCLUSIVE
+    assert verdict.status_map() == {"step": "fail"}
+    assert log.of_kind("stagnation")
+    assert "delta_debug" not in kinds(log)
+    # the relaxed round read the memo; the skipped reduction checked nothing
+    assert [mode for mode, _ in verifier.calls].count("function:step") == 1
+
+
+class SlowFunctionVerifier(RuleVerifier):
+    """Checks by rule; a function check takes delay seconds first."""
+
+    def __init__(self, rule, delay: float):
+        super().__init__(rule)
+        self.delay = delay
+
+    def function(self, src, name, timeout_s=None):
+        time.sleep(self.delay)
+        return super().function(src, name, timeout_s)
+
+
+@pytest.mark.parametrize("stage, k_cegar", [("cegar", 5), ("cegis", 0)])
+def test_a_round_that_starts_after_the_budget_asks_no_model(stage, k_cegar):
+    # the initial round's function check ends past the deadline and the
+    # system check fails, so the next round's turn comes with no budget left
+    rule = lambda src, mode: success_output() if mode != "system" else failure_output(
+        "b > 5", steps=[{"function": "main", "line": 7, "assigns": [("b", "5")]}])
+    client = ScriptedLlmClient({"*": INC_REPLY})
+    log = RunLog()
+    with pytest.raises(DeadlineExceededError) as exc:
+        run_pipeline(parse_program(INC_SRC), PipelineConfig(timeout_s=0.5, k_cegar=k_cegar),
+                     client, SlowFunctionVerifier(rule, 0.6), log=log)
+    assert (exc.value.partial.stage, exc.value.partial.iterations_used) == (stage, 0)
+    assert client.calls == [{"function": "inc", "intent": "initial"}]
+    assert "iteration" not in kinds(log)
+
+
 MULTI_LOW_SRC = """\
 int gain(int a) {
     return a + 2;

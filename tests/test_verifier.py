@@ -95,6 +95,22 @@ def test_parse_assume_steps():
     assert parsed.trace[0].note == "n < 10"
 
 
+def test_call_and_return_steps_are_parsed_and_rendered():
+    rule = "-" * 50
+    out = (f"[Counterexample]\n\nState 1 file program.c line 9 function main thread 0\n"
+           f"{rule}\n  call increment(n)\n\n"
+           f"State 2 file program.c line 4 function increment thread 0\n"
+           f"{rule}\n  return x + 1\n\n"
+           "Violated property:\n  file program.c line 10 function main\n  assertion\n"
+           "  r > n\n\nVERIFICATION FAILED\n")
+    status, parsed = parse_verifier_output(out)
+    assert status is Status.FAIL
+    assert [(s.kind, s.function, s.line, s.note) for s in parsed.trace] == [
+        ("call", "main", 9, "increment(n)"), ("return", "increment", 4, "x + 1")]
+    assert render_trace(parsed).splitlines()[2:] == [
+        "  1. [main line 9] call increment(n)", "  2. [increment line 4] return x + 1"]
+
+
 def test_unknown_output_is_tool_error():
     status, parsed = parse_verifier_output("segfault\n")
     assert status is Status.TOOL_ERROR
@@ -192,6 +208,8 @@ def test_a_check_leaves_no_temporary_file(tmp_path, monkeypatch, outcome):
     ("VERIFICATION SUCCESSFUL", 1, Status.TOOL_ERROR),
     ("VERIFICATION FAILED", 0, Status.FAIL),
     ("VERIFICATION FAILED", 1, Status.FAIL),
+    # the backend found no function to check
+    ("could not find function increment", 0, Status.TOOL_ERROR),
 ])
 def test_a_pass_needs_exit_code_zero(tmp_path, marker, code, status):
     backend = tmp_path / "backend.sh"
