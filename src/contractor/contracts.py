@@ -217,7 +217,8 @@ def _validate_clause(
     # otherwise misreport as unbalanced
     if _QUANT_RE.search(expr):
         return ParseFailure(ParseFailureReason.QUANTIFIED, expr)
-    if expr.count("(") != expr.count(")") or expr.count("[") != expr.count("]"):
+    # parentheses need no count: `_balanced_argument` cut expr at its match
+    if expr.count("[") != expr.count("]"):
         return ParseFailure(ParseFailureReason.UNBALANCED, expr)
     if ";" in expr:
         return ParseFailure(ParseFailureReason.UNBALANCED, f"statement in {kind}: {expr}")

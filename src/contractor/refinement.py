@@ -33,11 +33,10 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import contextmanager
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .cexpr import identifiers
 from .contracts import (
@@ -111,8 +110,9 @@ class PipelineConfig:
     tau: float = 10.0
     strategy: Strategy = Strategy.SMART_ICE
     timeout_s: float = 600.0  # wall budget for the whole program
-    # threads for phase-1b synthesis, and for each round's backend checks
-    # when the verifier sets concurrent_checks; 1 keeps both serial
+    # threads of the program's one pool, which runs the phase-1b asks and,
+    # when the verifier sets concurrent_checks, the backend checks; 1 makes
+    # no pool and keeps both on the pipeline thread
     workers: int = field(default_factory=available_cpus)
 
 
@@ -158,7 +158,7 @@ Key = Tuple[str, str]  # (mode, SHA-256 of the instrumented text)
 
 class _Ctx:
     def __init__(self, model: ProgramModel, cfg: PipelineConfig, client: LlmClient,
-                 verifier, log: RunLog):
+                 verifier, log: RunLog, pool: Optional[ThreadPoolExecutor] = None):
         self.model = model
         self.cfg = cfg
         self.client = client
@@ -179,6 +179,7 @@ class _Ctx:
         self.fn_keys: Dict[str, Key] = {}
         # the contracted function the system counterexample blames
         self.blamed: Optional[str] = None
+        self.pool = pool  # the program's one pool; None runs all on this thread
 
     @property
     def targets(self) -> List[FunctionInfo]:
@@ -379,40 +380,50 @@ def _memo(ctx: _Ctx, key: Key) -> Optional[VerificationResult]:
     return result if result is not None and result.status in (Status.PASS, Status.FAIL) else None
 
 
-def _backend(ctx: _Ctx, instr: InstrumentedSource) -> Callable[[float], VerificationResult]:
-    """The backend call that checks instr, given its timeout."""
-    if instr.mode == "system":
-        return lambda left: ctx.verifier.system(instr, timeout_s=left)
-    name = instr.mode[len("function:"):]
-    return lambda left: ctx.verifier.function(instr, name, timeout_s=left)
+Started = Union[VerificationResult, Callable[[], Optional[VerificationResult]]]
 
 
-def _when_due(ctx: _Ctx, check: Callable[[float], VerificationResult]
-              ) -> Optional[VerificationResult]:
-    """check, given the budget left when its turn comes; None when none is."""
-    left = ctx.remaining()
-    return check(left) if left > 0 else None
+def _start(ctx: _Ctx, instr: InstrumentedSource) -> Started:
+    """instr's memoised PASS or FAIL, else the backend call that checks it
+    given the budget left when it starts (None when none is). With a pool and
+    a verifier whose concurrent_checks is set, the call is submitted and what
+    returns reads its result; otherwise it runs when called."""
+    hit = _memo(ctx, _key(instr))
+    if hit is not None:
+        return hit
+
+    def call() -> Optional[VerificationResult]:
+        left = ctx.remaining()
+        if left <= 0:
+            return None
+        if instr.mode == "system":
+            return ctx.verifier.system(instr, timeout_s=left)
+        return ctx.verifier.function(instr, instr.mode[len("function:"):], timeout_s=left)
+
+    # checks overlap only outside this interpreter: an in-process verifier
+    # holds the GIL while it checks, and may keep state from call to call
+    if ctx.pool is not None and getattr(ctx.verifier, "concurrent_checks", False):
+        return ctx.pool.submit(call).result
+    return call
 
 
-def _check(ctx: _Ctx, instr: InstrumentedSource, queued: Optional[Future] = None,
+def _check(ctx: _Ctx, instr: InstrumentedSource, started: Optional[Started] = None,
            **fields) -> Tuple[Key, bool]:
     """instr's key, once its result is stored, and whether the memo answered
-    it: from its queued check, else checked here. A program's PASS or FAIL
-    for one (mode, text) reaches the backend once. The result is logged; a
-    check whose turn came after the wall budget was spent ends the run
-    here."""
-    key, hit = _key(instr), None
-    if queued is not None:
-        result = queued.result()
-    else:
-        hit = _memo(ctx, key)
-        result = _when_due(ctx, _backend(ctx, instr) if hit is None else lambda left: hit)
+    it: read from what `_start` returned, started here when not given. A
+    program's PASS or FAIL for one (mode, text) reaches the backend once. The
+    result is logged; a check whose turn came after the wall budget was spent
+    ends the run here."""
+    started = _start(ctx, instr) if started is None else started
+    hit = isinstance(started, VerificationResult)
+    result = started if hit else started()
     if result is None:
         raise _deadline_error(ctx)
+    key = _key(instr)
     ctx.checked[key] = result
     ctx.log.event("verification", mode=instr.mode, status=result.status.value,
                   **fields, iteration=ctx.iterations)
-    return key, hit is not None
+    return key, hit
 
 
 def _check_system(ctx: _Ctx) -> None:
@@ -422,49 +433,26 @@ def _check_system(ctx: _Ctx) -> None:
     _hold_system(ctx, key, ctx.contracts)
 
 
-@contextmanager
-def _queued(ctx: _Ctx, instrs: List[InstrumentedSource]) -> Iterator[List[Optional[Future]]]:
-    """One queued check per instr for `_check` to read, or None where it
-    checks on this thread.
-
-    With cfg.workers above 1 and a verifier whose concurrent_checks is set,
-    the checks not memoised yet run in a pool of that many threads, each
-    given the budget left when it starts. Leaving the block waits for the
-    running checks and cancels the queued ones."""
-    # checks overlap only outside this interpreter: an in-process verifier
-    # holds the GIL while it checks, and may keep state from call to call
-    if ctx.cfg.workers <= 1 or not getattr(ctx.verifier, "concurrent_checks", False):
-        yield [None] * len(instrs)
-        return
-    pool = ThreadPoolExecutor(max_workers=ctx.cfg.workers)
-    try:
-        yield [None if _memo(ctx, _key(instr)) is not None
-               else pool.submit(_when_due, ctx, _backend(ctx, instr)) for instr in instrs]
-    finally:
-        # a running check was given no more than the budget left, so this
-        # waits no longer than the budget; a queued one never starts
-        pool.shutdown(wait=True, cancel_futures=True)
-
-
 def _verify_round(ctx: _Ctx, contracts: Dict[str, Contract]) -> None:
-    """System check plus every function check, under one contract set,
-    overlapped as `_queued` allows. The round starts a new record; results
-    are stored, logged and their keys entered on this thread in the serial
-    order: system first, then the functions by name."""
+    """System check plus every function check, under one contract set, all
+    started before the first is read, so they overlap as `_start` allows.
+    The round starts a new record; results are stored, logged and their keys
+    entered on this thread in the serial order: system first, then the
+    functions by name."""
     ctx.contracts, ctx.sys_key, ctx.fn_keys = contracts, None, {}
     names = sorted(contracts)
     instrs = [render_replace(ctx.model, contracts.values())]
     instrs += [render_enforce(ctx.model, contracts[name]) for name in names]
-    with _queued(ctx, instrs) as queued:
-        key, _ = _check(ctx, instrs[0], queued[0], contract_set=names)
-        _hold_system(ctx, key, contracts)
-        for name, instr, fut in zip(names, instrs[1:], queued[1:]):
-            key, _ = _check(ctx, instr, fut)
-            ctx.fn_keys[name] = key
-            result = ctx.checked[key]
-            cls = _classified(ctx, name, result)
-            if cls is not None:
-                _learn(ctx, result.parsed, cls, name, "function", [name])
+    started = [_start(ctx, instr) for instr in instrs]
+    key, _ = _check(ctx, instrs[0], started[0], contract_set=names)
+    _hold_system(ctx, key, contracts)
+    for name, instr, begun in zip(names, instrs[1:], started[1:]):
+        key, _ = _check(ctx, instr, begun)
+        ctx.fn_keys[name] = key
+        result = ctx.checked[key]
+        cls = _classified(ctx, name, result)
+        if cls is not None:
+            _learn(ctx, result.parsed, cls, name, "function", [name])
 
 
 def _falsified(ctx: _Ctx) -> Verdict:
@@ -707,14 +695,25 @@ def run_pipeline(
     """Full pipeline for one program. The caller owns the RunLog if it passes
     one in; wall-clock overrun raises DeadlineExceededError with a partial
     verdict attached."""
-    ctx = _Ctx(model, cfg, client, verifier, log if log is not None else RunLog())
-    ctx.set_stage("initial")
-    ctx.log.event("config", strategy=cfg.strategy.value, k_cegar=cfg.k_cegar,
-                  k_cegis=cfg.k_cegis, total_budget=cfg.total_budget, tau=cfg.tau)
+    pool = ThreadPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else None
+    ctx = _Ctx(model, cfg, client, verifier, log if log is not None else RunLog(), pool)
+    try:
+        ctx.set_stage("initial")
+        ctx.log.event("config", strategy=cfg.strategy.value, k_cegar=cfg.k_cegar,
+                      k_cegis=cfg.k_cegis, total_budget=cfg.total_budget, tau=cfg.tau)
+        if cfg.strategy is Strategy.PRE_ABSTRACTION:
+            return _run_pre_abstraction(ctx)
+        return _run_top_down(ctx)
+    finally:
+        if pool is not None:
+            # waits for what is running (a check was given no more than the
+            # budget left) and cancels what is queued, on an error too
+            pool.shutdown(cancel_futures=True)
 
-    if cfg.strategy is Strategy.PRE_ABSTRACTION:
-        return _run_pre_abstraction(ctx)
 
+def _run_top_down(ctx: _Ctx) -> Verdict:
+    """One contract per target, a round under that set, the drop step, then
+    refinement."""
     contracts: Dict[str, Contract] = {}
     for f in ctx.targets:
         _ask(ctx, contracts, f, SynthesisIntent.INITIAL)
@@ -786,13 +785,11 @@ def _run_pre_abstraction(ctx: _Ctx) -> Verdict:
 
     ctx.set_stage("pre_abstraction:1b")
     side_logs = {f.name: RunLog() for f in low}
-    with ThreadPoolExecutor(max_workers=max(ctx.cfg.workers, 1)) as pool:
-        futures = {f.name: pool.submit(_synthesize_low_one, ctx, f, side_logs[f.name])
-                   for f in low}
-        results = {name: fut.result() for name, fut in futures.items()}
-    for f in low:  # merge worker logs in model order, not completion order
+    ask = lambda f: _synthesize_low_one(ctx, f, side_logs[f.name])
+    results = list((map if ctx.pool is None else ctx.pool.map)(ask, low))
+    for f, result in zip(low, results):  # merge side logs in model order
         ctx.log.events.extend(side_logs[f.name].events)
-        _keep(ctx, contracts, f.name, results[f.name])
+        _keep(ctx, contracts, f.name, result)
 
     ctx.set_stage("pre_abstraction:2")
     _verify_round(ctx, contracts)
@@ -804,29 +801,27 @@ def _run_pre_abstraction(ctx: _Ctx) -> Verdict:
 
     ctx.set_stage("pre_abstraction:4")
     # an unverified abstraction stays in place for refinement; each verified
-    # one's precise contract is asked for here, its own check overlapped as
-    # `_queued` allows, and its ask's events merged in model order
+    # one's precise contract is asked for here, its own check started once
+    # every ask is kept, and its ask's events merged in model order
     passing = {name for name, status in _statuses(ctx) if status == Status.PASS.value}
     verified = [f for f in high if f.name in passing]
     side_logs = {f.name: RunLog() for f in verified}
     precise = {f.name: _ask(ctx, {}, f, SynthesisIntent.INITIAL, side_logs[f.name])
                for f in verified}
-    asked = [name for name, c in precise.items() if c is not None]
-    instrs = [render_enforce(ctx.model, precise[name]) for name in asked]
-    with _queued(ctx, instrs) as queued:
-        checks = dict(zip(asked, zip(instrs, queued)))
-        for f in verified:
-            ctx.log.events.extend(side_logs[f.name].events)
-            if f.name not in checks:
-                continue
-            key, _ = _check(ctx, *checks[f.name])
-            check = ctx.checked[key]
-            if check.status is Status.PASS:
-                ctx.contracts[f.name], ctx.fn_keys[f.name] = precise[f.name], key
-                ctx.log.event("substitute", function=f.name, kept="precise")
-            else:
-                ctx.log.event("substitute", function=f.name, kept="abstraction")
-                _classified(ctx, f.name, check)
+    instrs = {name: render_enforce(ctx.model, c) for name, c in precise.items() if c is not None}
+    started = {name: _start(ctx, instr) for name, instr in instrs.items()}
+    for f in verified:
+        ctx.log.events.extend(side_logs[f.name].events)
+        if f.name not in instrs:
+            continue
+        key, _ = _check(ctx, instrs[f.name], started[f.name])
+        check = ctx.checked[key]
+        if check.status is Status.PASS:
+            ctx.contracts[f.name], ctx.fn_keys[f.name] = precise[f.name], key
+            ctx.log.event("substitute", function=f.name, kept="precise")
+        else:
+            ctx.log.event("substitute", function=f.name, kept="abstraction")
+            _classified(ctx, f.name, check)
 
     ctx.set_stage("pre_abstraction:5")
     _verify_round(ctx, dict(ctx.contracts))

@@ -1225,6 +1225,75 @@ def test_worker_count_keeps_the_log_of_failing_rounds(src, script, rule, strateg
     assert any(m.startswith("function:") and s == "fail" for m, s in first)
 
 
+# -- one pool per program -----------------------------------------------------
+
+def thread_starts(monkeypatch):
+    """Every thread started from here on, in start order."""
+    started = []
+    start = threading.Thread.start
+
+    def counting(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    return started
+
+
+def test_a_program_starts_no_more_threads_than_its_workers(monkeypatch):
+    started = thread_starts(monkeypatch)
+    verdict, log, _, verifier = run(CHAIN_SRC, dict(ROUTE_SCRIPT), RuleVerifier(route_rule),
+                                    workers=2)
+    assert (verdict.outcome, verdict.stage) == (VerdictOutcome.VERIFIED, "cegar")
+    # two rounds of three checks each, with the drop check between them
+    assert [e["mode"] for e in log.of_kind("verification")] == [
+        "system", "function:gain", "function:route", "system",
+        "system", "function:gain", "function:route"]
+    assert 1 <= len(started) <= 2
+
+
+class ThreadClient(ScriptedLlmClient):
+    """Replies as scripted; records the thread each ask ran on."""
+
+    def __init__(self, script):
+        super().__init__(script)
+        self.threads = []
+
+    def complete(self, prompt, tags=None):
+        self.threads.append(threading.current_thread())
+        return super().complete(prompt, tags)
+
+
+def test_a_serial_run_asks_on_the_pipeline_thread(monkeypatch):
+    started = thread_starts(monkeypatch)
+    client = ThreadClient(dict(MULTI_LOW_SCRIPT))
+    cfg = PipelineConfig(strategy=Strategy.PRE_ABSTRACTION, workers=1, timeout_s=60.0)
+    verdict = run_pipeline(parse_program(MULTI_LOW_SRC), cfg, client, PassVerifier(), RunLog())
+    assert verdict.outcome is VerdictOutcome.VERIFIED
+    assert {"function": "gain", "intent": "initial"} in client.calls  # a phase-1b ask
+    assert set(client.threads) == {threading.current_thread()}
+    assert started == []
+
+
+@pytest.mark.parametrize("case", ["phase-1b-ask-fails", "budget-spent-in-a-round"])
+def test_a_program_that_ends_on_an_error_leaves_no_pool_thread(case):
+    from contractor.harness import RunOutcome, run_program
+
+    if case == "phase-1b-ask-fails":
+        script = {k: v for k, v in MULTI_LOW_SCRIPT.items() if k != "gain|initial"}
+        cfg = PipelineConfig(strategy=Strategy.PRE_ABSTRACTION, workers=2, timeout_s=60.0)
+        verifier, outcome, error = PassVerifier(), RunOutcome.FAILED, "ClientUnavailableError"
+    else:
+        script = {"*": contract_reply(ensures=("__ESBMC_return_value >= 0",))}
+        cfg = PipelineConfig(workers=2, timeout_s=1.0)
+        verifier, outcome, error = SleepyVerifier(0.6), RunOutcome.TIMEOUT, "wall budget"
+    baseline = threading.active_count()
+    report = run_program("multi_low", MULTI_LOW_SRC, cfg, ScriptedLlmClient(script), verifier)
+    assert report.outcome is outcome
+    assert error in report.error
+    assert threading.active_count() == baseline
+
+
 # -- each state labelled once, each prompt shown its own function's examples ---
 
 def examples_rule(keep_a: str):
