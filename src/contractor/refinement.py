@@ -27,6 +27,14 @@ check, settled under the current set, and every function's own check
 passed, `falsified` only on a system counterexample against fully concrete
 code (no stubs left to blame). Everything else, including budget
 exhaustion, is `inconclusive`.
+
+Every ask goes through `_ask_all`, each into its own log, and is kept on
+the pipeline thread in ask order; only phase 1b's replies come from the
+pool, so a strengthen reads the relax kept before it in its round. `_ask`
+merges each log as soon as its ask is kept: a run that ends on a client
+error keeps the log of every ask made before it and the attempts of the
+ask it ends. Stage 4 places each log before its own check. Every refinement round is one `_loop`; CEGAR and CEGIS differ
+only in their asks and in CEGAR's stagnation step.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from .cexpr import identifiers
 from .contracts import (
@@ -49,6 +57,7 @@ from .contracts import (
     sanitize_assigns,
 )
 from .errors import (
+    ContractorError,
     DeadlineExceededError,
     IrreducibleFailureError,
     NoResponsibleFunctionError,
@@ -234,25 +243,10 @@ def _verdict(ctx: _Ctx, outcome: VerdictOutcome,
     )
 
 
-def _request(ctx: _Ctx, f: FunctionInfo, intent: SynthesisIntent,
-             current: Optional[Contract] = None, diagnostics: str = "") -> SynthesisRequest:
-    return SynthesisRequest(
-        function=f,
-        property_text=ctx.model.property.assertion_text,
-        intent=intent,
-        current_contract=current,
-        diagnostics=diagnostics,
-        known_globals=ctx.model.global_names,
-    )
-
-
-def _keep(ctx: _Ctx, contracts: Dict[str, Contract], fname: str,
-          result: Union[Contract, ParseFailure], log: Optional[RunLog] = None
-          ) -> Optional[Contract]:
+def _keep(contracts: Dict[str, Contract], fname: str,
+          result: Union[Contract, ParseFailure], log: RunLog) -> Optional[Contract]:
     """Store a reply's contract with its assigns sanitized and return it, or
-    classify why the reply could not be used and return None. Events go to
-    log, ctx.log by default."""
-    log = ctx.log if log is None else log
+    classify why the reply could not be used and return None."""
     if isinstance(result, Contract):
         kept, stripped = sanitize_assigns(result.assigns)
         if stripped:
@@ -267,22 +261,69 @@ def _keep(ctx: _Ctx, contracts: Dict[str, Contract], fname: str,
     return None
 
 
-def _ask(ctx: _Ctx, contracts: Dict[str, Contract], f: FunctionInfo,
-         intent: SynthesisIntent, log: Optional[RunLog] = None) -> Optional[Contract]:
-    """Ask the client for f's contract under intent, revising the one in
-    contracts, keep the reply there and return it (None when the reply
-    could not be used). An over-approximation falls back to a scan of the
-    body; CEGIS under SMART ICE shows the model f's examples. Events go to
-    log, ctx.log by default."""
-    log = ctx.log if log is None else log
-    req = _request(ctx, f, intent, contracts.get(f.name), _diagnostics_for(ctx, f.name, intent))
+Ask = Tuple[FunctionInfo, SynthesisIntent]
+
+
+def _reply(ctx: _Ctx, contracts: Dict[str, Contract], f: FunctionInfo,
+           intent: SynthesisIntent, log: RunLog, cover: bool = False
+           ) -> Union[Contract, ParseFailure]:
+    """The client's reply for f's contract under intent, revising the one in
+    contracts. An over-approximation falls back to a scan of the body; CEGIS
+    under SMART ICE shows the model f's examples. With cover, a contract
+    whose ensures mention none of f's parameters, its return value or the
+    property's globals is asked for once more, with that said."""
+    req = SynthesisRequest(
+        function=f, property_text=ctx.model.property.assertion_text, intent=intent,
+        current_contract=contracts.get(f.name), known_globals=ctx.model.global_names,
+        diagnostics=_diagnostics_for(ctx, f.name, intent))
     if intent is SynthesisIntent.OVERAPPROXIMATE:
-        result = overapproximate(req, ctx.client, log)
-    elif intent is SynthesisIntent.CEGIS and ctx.cfg.strategy is Strategy.SMART_ICE:
-        result = cegis_synthesize(req, ctx.client, ctx.db, log=log)
-    else:
-        result = synthesize(req, ctx.client, log=log)
-    return _keep(ctx, contracts, f.name, result, log)
+        return overapproximate(req, ctx.client, log)
+    if intent is SynthesisIntent.CEGIS and ctx.cfg.strategy is Strategy.SMART_ICE:
+        return cegis_synthesize(req, ctx.client, ctx.db, log=log)
+    result = synthesize(req, ctx.client, log=log)
+    if not cover or not isinstance(result, Contract):
+        return result
+    wanted = {p.name for p in f.params} | {"__ESBMC_return_value"}
+    wanted |= set(identifiers(ctx.model.property.assertion_text)) & set(ctx.model.global_names)
+    covers = lambda c: any(not wanted.isdisjoint(identifiers(e)) for e in c.ensures)
+    if covers(result):
+        return result
+    hint = f"previous ensures mentioned none of: {', '.join(sorted(wanted))}"
+    retry = synthesize(req, ctx.client, retries=0, log=log, failure_note=hint)
+    if isinstance(retry, Contract) and covers(retry):
+        return retry
+    accepted = retry if isinstance(retry, Contract) else result
+    log.event("coverage_warning", function=f.name,
+              wanted=sorted(wanted), ensures=list(accepted.ensures))
+    return accepted
+
+
+def _ask_all(ctx: _Ctx, contracts: Dict[str, Contract], asks: List[Ask],
+             cover: bool = False, pool: Optional[ThreadPoolExecutor] = None
+             ) -> Iterator[Tuple[Optional[Contract], RunLog]]:
+    """Each ask's kept contract (None when its reply could not be used) and
+    its own log, in ask order. Replies come from pool.map when a pool is
+    given, else one by one as they are read, so an ask sees every contract
+    kept before it; each is kept into contracts on this thread. An ask that
+    raises yields (None, its attempts so far) before the error is raised."""
+    logs = [RunLog() for _ in asks]
+    replies = (map if pool is None else pool.map)(
+        lambda ask, log: _reply(ctx, contracts, *ask, log, cover), asks, logs)
+    for (f, _), log in zip(asks, logs):
+        try:
+            result = next(replies)
+        except ContractorError:
+            yield None, log
+            raise
+        yield _keep(contracts, f.name, result, log), log
+
+
+def _ask(ctx: _Ctx, contracts: Dict[str, Contract], asks: List[Ask],
+         cover: bool = False, pool: Optional[ThreadPoolExecutor] = None) -> None:
+    """Run asks through `_ask_all`, merging each one's log into ctx.log as
+    soon as it is kept."""
+    for _, log in _ask_all(ctx, contracts, asks, cover, pool):
+        ctx.log.events.extend(log.events)
 
 
 def _diagnostics_for(ctx: _Ctx, fname: str, intent: SynthesisIntent) -> str:
@@ -595,86 +636,83 @@ def _delta_debug_stagnating(ctx: _Ctx) -> bool:
     return reduced_any
 
 
-def _run_cegar(ctx: _Ctx) -> Optional[Verdict]:
-    """Relax failing contracts and strengthen the weakest link until a round
-    concludes, the budget runs out, or a round repeats the one before."""
-    ctx.set_stage("cegar")
+def _stagnated(ctx: _Ctx, k: int) -> Optional[Verdict]:
+    """After a round that repeats the one before: reduce the ensures of the
+    failing contracts, and return the verdict that leaves."""
+    ctx.log.event("stagnation", iteration=k, failing=_failing_functions(ctx))
+    if _delta_debug_stagnating(ctx):
+        if _failing_functions(ctx):
+            # no system check under this set can conclude the run: the next
+            # round checks the system under its own set (and `_refine` does
+            # when none follows), and CEGIS reads no blame while a function
+            # fails
+            ctx.sys_key, ctx.blamed = None, None
+        else:
+            # a weaker ensures may no longer imply the property: the verdict
+            # must read a system result under the reduced set
+            _check_system(ctx)
+    # reduction alone may finish the job when the system side passes
+    return _conclude(ctx)
+
+
+def _cegar_asks(ctx: _Ctx) -> List[Ask]:
+    """Relax each failing contract (ask afresh for a function without one),
+    then strengthen the weakest link."""
+    asks = [(ctx.model.function(name),
+             SynthesisIntent.RELAX if name in ctx.contracts else SynthesisIntent.INITIAL)
+            for name in _failing_functions(ctx)]
+    if ctx.blamed is not None:
+        asks.append((ctx.model.function(ctx.blamed), SynthesisIntent.STRENGTHEN))
+    return asks
+
+
+def _cegis_asks(ctx: _Ctx) -> List[Ask]:
+    """Example-guided synthesis for every failing function or, when only the
+    system check fails, for its weakest link."""
+    names = _failing_functions(ctx)
+    if not names and ctx.blamed is not None:
+        names = [ctx.blamed]
+    return [(ctx.model.function(name), SynthesisIntent.CEGIS) for name in names]
+
+
+def _loop(ctx: _Ctx, loop: str, k_max: int, asks_for: Callable[[_Ctx], List[Ask]],
+          stuck: Optional[Callable[[_Ctx, int], Optional[Verdict]]] = None
+          ) -> Optional[Verdict]:
+    """Rounds of asks_for(ctx) on a copy of the set, each verified and
+    concluded, until one concludes or k_max rounds or the total budget are
+    spent. With stuck, a round that repeats the one before ends the loop
+    with stuck(ctx, k)."""
     previous = _iteration_snapshot(ctx)
-    k = 0
-    while k < ctx.cfg.k_cegar and ctx.iterations < ctx.cfg.total_budget:
+    for k in range(1, k_max + 1):
+        if ctx.iterations >= ctx.cfg.total_budget:
+            break
         ctx.check_deadline()
-        k += 1
         contracts = dict(ctx.contracts)
-        for fname in _failing_functions(ctx):
-            f = ctx.model.function(fname)
-            if fname in contracts:
-                _ask(ctx, contracts, f, SynthesisIntent.RELAX)
-            else:
-                _ask(ctx, contracts, f, SynthesisIntent.INITIAL)
-        if ctx.blamed is not None:
-            _ask(ctx, contracts, ctx.model.function(ctx.blamed), SynthesisIntent.STRENGTHEN)
+        asks = asks_for(ctx)
+        _ask(ctx, contracts, asks)
         ctx.iterations += 1
-        ctx.log.event("iteration", loop="cegar", index=k,
-                      failing=_failing_functions(ctx))
+        ctx.log.event("iteration", loop=loop, index=k, failing=[
+            f.name for f, intent in asks if intent is not SynthesisIntent.STRENGTHEN])
         _verify_round(ctx, contracts)
         verdict = _conclude(ctx)
         if verdict is not None:
             return verdict
         snapshot = _iteration_snapshot(ctx)
-        if snapshot == previous:
-            ctx.log.event("stagnation", iteration=k,
-                          failing=_failing_functions(ctx))
-            if _delta_debug_stagnating(ctx):
-                if _failing_functions(ctx):
-                    # no system check under this set can conclude the run:
-                    # the next round checks the system under its own set
-                    # (and `_refine` does when none follows), and CEGIS
-                    # reads no blame while a function fails
-                    ctx.sys_key, ctx.blamed = None, None
-                else:
-                    # a weaker ensures may no longer imply the property: the
-                    # verdict must read a system result under the reduced set
-                    _check_system(ctx)
-            # reduction alone may finish the job when the system side passes
-            return _conclude(ctx)
+        if stuck is not None and snapshot == previous:
+            return stuck(ctx, k)
         previous = snapshot
     return None
 
 
-def _cegis_targets(ctx: _Ctx) -> List[str]:
-    """The functions a CEGIS round asks for: every failing function, or the
-    weakest link when only the system check fails."""
-    failing = _failing_functions(ctx)
-    if failing or ctx.blamed is None:
-        return failing
-    return [ctx.blamed]
-
-
-def _run_cegis(ctx: _Ctx) -> Optional[Verdict]:
-    """Example-guided synthesis on the database CEGAR built, for every failing
-    function or, when only the system check fails, for its weakest link."""
-    ctx.set_stage("cegis")
-    ctx.log.event("cegis_migrate", **_db_sizes(ctx.db))
-    k = 0
-    while k < ctx.cfg.k_cegis and ctx.iterations < ctx.cfg.total_budget:
-        ctx.check_deadline()
-        k += 1
-        contracts = dict(ctx.contracts)
-        asked = _cegis_targets(ctx)
-        for fname in asked:
-            _ask(ctx, contracts, ctx.model.function(fname), SynthesisIntent.CEGIS)
-        ctx.iterations += 1
-        ctx.log.event("iteration", loop="cegis", index=k, failing=asked)
-        _verify_round(ctx, contracts)
-        verdict = _conclude(ctx)
-        if verdict is not None:
-            return verdict
-    return None
-
-
 def _refine(ctx: _Ctx) -> Verdict:
-    """CEGAR, then CEGIS; inconclusive once both have spent their budget."""
-    verdict = _run_cegar(ctx) or _run_cegis(ctx)
+    """CEGAR, then CEGIS on the database CEGAR built; inconclusive once both
+    have spent their budget."""
+    ctx.set_stage("cegar")
+    verdict = _loop(ctx, "cegar", ctx.cfg.k_cegar, _cegar_asks, _stagnated)
+    if verdict is None:
+        ctx.set_stage("cegis")
+        ctx.log.event("cegis_migrate", **_db_sizes(ctx.db))
+        verdict = _loop(ctx, "cegis", ctx.cfg.k_cegis, _cegis_asks)
     if verdict is None:
         if ctx.sys_key is None:
             # deferred after a reduction, and no round followed: the verdict
@@ -715,8 +753,7 @@ def _run_top_down(ctx: _Ctx) -> Verdict:
     """One contract per target, a round under that set, the drop step, then
     refinement."""
     contracts: Dict[str, Contract] = {}
-    for f in ctx.targets:
-        _ask(ctx, contracts, f, SynthesisIntent.INITIAL)
+    _ask(ctx, contracts, [(f, SynthesisIntent.INITIAL) for f in ctx.targets])
     _verify_round(ctx, contracts)
     verdict = _conclude(ctx)
     if verdict is not None:
@@ -741,38 +778,6 @@ def _run_top_down(ctx: _Ctx) -> Verdict:
     return _refine(ctx)
 
 
-def _coverage_names(ctx: _Ctx, f: FunctionInfo) -> set:
-    names = {p.name for p in f.params} | {"__ESBMC_return_value"}
-    names |= set(identifiers(ctx.model.property.assertion_text)) & set(ctx.model.global_names)
-    return names
-
-
-def _covers(c: Contract, names: set) -> bool:
-    return any(not names.isdisjoint(identifiers(clause)) for clause in c.ensures)
-
-
-def _synthesize_low_one(
-    ctx: _Ctx, f: FunctionInfo, log: RunLog
-) -> Union[Contract, ParseFailure]:
-    """Phase 1b worker: precise synthesis with coverage validation. Logs into
-    a private RunLog so concurrent workers stay deterministic after merge."""
-    req = _request(ctx, f, SynthesisIntent.INITIAL)
-    result = synthesize(req, ctx.client, log=log)
-    if not isinstance(result, Contract):
-        return result
-    wanted = _coverage_names(ctx, f)
-    if _covers(result, wanted):
-        return result
-    hint = f"previous ensures mentioned none of: {', '.join(sorted(wanted))}"
-    retry = synthesize(req, ctx.client, retries=0, log=log, failure_note=hint)
-    if isinstance(retry, Contract) and _covers(retry, wanted):
-        return retry
-    accepted = retry if isinstance(retry, Contract) else result
-    log.event("coverage_warning", function=f.name,
-              wanted=sorted(wanted), ensures=list(accepted.ensures))
-    return accepted
-
-
 def _run_pre_abstraction(ctx: _Ctx) -> Verdict:
     low, high = partition_functions(ctx.model, ctx.cfg.tau)
     low = [f for f in low if not f.is_static]
@@ -780,16 +785,10 @@ def _run_pre_abstraction(ctx: _Ctx) -> Verdict:
     contracts: Dict[str, Contract] = {}
 
     ctx.set_stage("pre_abstraction:1a")
-    for f in high:
-        _ask(ctx, contracts, f, SynthesisIntent.OVERAPPROXIMATE)
+    _ask(ctx, contracts, [(f, SynthesisIntent.OVERAPPROXIMATE) for f in high])
 
     ctx.set_stage("pre_abstraction:1b")
-    side_logs = {f.name: RunLog() for f in low}
-    ask = lambda f: _synthesize_low_one(ctx, f, side_logs[f.name])
-    results = list((map if ctx.pool is None else ctx.pool.map)(ask, low))
-    for f, result in zip(low, results):  # merge side logs in model order
-        ctx.log.events.extend(side_logs[f.name].events)
-        _keep(ctx, contracts, f.name, result)
+    _ask(ctx, contracts, [(f, SynthesisIntent.INITIAL) for f in low], cover=True, pool=ctx.pool)
 
     ctx.set_stage("pre_abstraction:2")
     _verify_round(ctx, contracts)
@@ -802,22 +801,21 @@ def _run_pre_abstraction(ctx: _Ctx) -> Verdict:
     ctx.set_stage("pre_abstraction:4")
     # an unverified abstraction stays in place for refinement; each verified
     # one's precise contract is asked for here, its own check started once
-    # every ask is kept, and its ask's events merged in model order
+    # every ask is kept, and its ask's log placed just before that check
     passing = {name for name, status in _statuses(ctx) if status == Status.PASS.value}
     verified = [f for f in high if f.name in passing]
-    side_logs = {f.name: RunLog() for f in verified}
-    precise = {f.name: _ask(ctx, {}, f, SynthesisIntent.INITIAL, side_logs[f.name])
-               for f in verified}
-    instrs = {name: render_enforce(ctx.model, c) for name, c in precise.items() if c is not None}
+    asked = list(_ask_all(ctx, {}, [(f, SynthesisIntent.INITIAL) for f in verified]))
+    instrs = {f.name: render_enforce(ctx.model, precise)
+              for f, (precise, _) in zip(verified, asked) if precise is not None}
     started = {name: _start(ctx, instr) for name, instr in instrs.items()}
-    for f in verified:
-        ctx.log.events.extend(side_logs[f.name].events)
-        if f.name not in instrs:
+    for f, (precise, log) in zip(verified, asked):
+        ctx.log.events.extend(log.events)
+        if precise is None:
             continue
         key, _ = _check(ctx, instrs[f.name], started[f.name])
         check = ctx.checked[key]
         if check.status is Status.PASS:
-            ctx.contracts[f.name], ctx.fn_keys[f.name] = precise[f.name], key
+            ctx.contracts[f.name], ctx.fn_keys[f.name] = precise, key
             ctx.log.event("substitute", function=f.name, kept="precise")
         else:
             ctx.log.event("substitute", function=f.name, kept="abstraction")

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+import re
 import tempfile
 import threading
 import time
@@ -99,6 +100,9 @@ def _contract_as_text(c: Optional[Contract]) -> str:
     return "\n".join(lines) if lines else "(empty contract)"
 
 
+_PLACEHOLDER = re.compile(r"\{(\w+)\}")
+
+
 def render_prompt(req: SynthesisRequest, failure_note: str = "") -> str:
     template = load_template(req.intent)
     note = ""
@@ -118,11 +122,9 @@ def render_prompt(req: SynthesisRequest, failure_note: str = "") -> str:
         "examples": req.examples or "(no examples yet)",
         "failure_note": note,
     }
-    text = template
-    # plain replacement, not str.format: substituted C code is full of braces
-    for key, value in fields.items():
-        text = text.replace("{" + key + "}", value)
-    return text
+    # one pass over the template, not str.format: substituted C code is full
+    # of braces, and a value (a body's comment, say) may hold "{property}"
+    return _PLACEHOLDER.sub(lambda m: fields.get(m.group(1), m.group(0)), template)
 
 
 class LlmClient:

@@ -25,7 +25,7 @@ from conftest import (
     success_output,
 )
 from contractor.contracts import ContractOrigin
-from contractor.errors import DeadlineExceededError
+from contractor.errors import ClientUnavailableError, DeadlineExceededError
 from contractor.ice import (
     DIAGNOSTIC_EXAMPLE_LIMIT,
     IMPLICATION_SECTION,
@@ -1292,6 +1292,78 @@ def test_a_program_that_ends_on_an_error_leaves_no_pool_thread(case):
     assert report.outcome is outcome
     assert error in report.error
     assert threading.active_count() == baseline
+
+
+# -- one ask path ---------------------------------------------------------------
+
+def relax_rule(src, mode):
+    """Everything passes under "== x + 1" or with no contract; otherwise inc's
+    own check and the system check fail."""
+    if "__ESBMC_return_value == x + 1" in src.text or "__ESBMC_return_value" not in src.text:
+        return success_output()
+    if mode == "system":
+        return failure_output("b > 5", steps=[
+            {"function": "main", "line": 6, "assigns": [("a", "5")]},
+            {"function": "main", "line": 7, "assigns": [("b", "5")]}])
+    return failure_output("__ESBMC_return_value > x + 1", at_function="inc", steps=[
+        {"function": "inc", "line": 2, "assigns": [("x", "5"), ("__ESBMC_return_value", "6")]}])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_strengthen_reads_the_relax_kept_before_it_in_its_round(workers):
+    script = {
+        "inc|initial": contract_reply(ensures=("__ESBMC_return_value > x + 9",)),
+        "inc|relax": [contract_reply(ensures=("__ESBMC_return_value > x + 5",)),
+                      contract_reply(ensures=("__ESBMC_return_value >= x",))],
+        "inc|strengthen": contract_reply(ensures=("__ESBMC_return_value == x + 1",)),
+    }
+    verdict, log, client, _ = run(INC_SRC, script, RuleVerifier(relax_rule), workers=workers)
+    assert (verdict.outcome, verdict.stage, verdict.iterations_used) == (
+        VerdictOutcome.VERIFIED, "cegar", 2)
+    # the second round relaxes inc, then strengthens what that relax kept
+    assert client.calls[-2:] == [{"function": "inc", "intent": "relax"},
+                                 {"function": "inc", "intent": "strengthen"}]
+    [strengthen] = prompts(log, "strengthen")
+    assert "__ESBMC_return_value >= x" in strengthen
+    assert "__ESBMC_return_value > x + 5" not in strengthen
+
+
+class OneReplyClient(ScriptedLlmClient):
+    """Answers its first call as scripted; every later call finds no reply."""
+
+    def complete(self, prompt, tags=None):
+        if self.calls:
+            raise ClientUnavailableError("no reply left")
+        return super().complete(prompt, tags)
+
+
+def failed_run(src, client, **cfg_kw):
+    from contractor.harness import RunOutcome, run_program
+
+    report = run_program("p", src, PipelineConfig(timeout_s=60.0, **cfg_kw), client, PassVerifier())
+    assert report.outcome is RunOutcome.FAILED
+    assert "ClientUnavailableError" in report.error
+    return report.log
+
+
+def test_a_client_error_keeps_the_log_of_every_ask_before_it():
+    log = failed_run(TWO_FN_SRC, ScriptedLlmClient({"produce|initial": INC_REPLY}))
+    assert [(e["function"], e["outcome"]) for e in log.of_kind("synthesis")] == [
+        ("produce", "parsed")]
+
+
+def test_a_client_error_keeps_the_attempts_of_the_ask_it_ends():
+    log = failed_run(INC_SRC, OneReplyClient({"*": "I cannot produce a contract for this."}))
+    assert [(e["function"], e["attempt"]) for e in log.of_kind("synthesis")] == [("inc", 0)]
+
+
+def test_a_phase_1b_client_error_keeps_the_log_of_every_ask_before_it():
+    script = {k: v for k, v in MULTI_LOW_SCRIPT.items() if k != "trim|initial"}
+    logs = [failed_run(MULTI_LOW_SRC, ScriptedLlmClient(script), workers=workers,
+                       strategy=Strategy.PRE_ABSTRACTION).events
+            for workers in (1, 2)]
+    assert logs[0] == logs[1]
+    assert [e["function"] for e in logs[0] if e["event"] == "synthesis"] == ["deep", "gain"]
 
 
 # -- each state labelled once, each prompt shown its own function's examples ---

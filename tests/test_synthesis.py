@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import re
 import threading
+from dataclasses import replace
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -92,6 +93,15 @@ def test_render_prompt_survives_braces_in_code():
     req = inc_request()
     prompt = render_prompt(req)
     assert "r > n" in prompt  # the property made it through
+
+
+def test_render_prompt_fills_each_placeholder_once():
+    # a body that mentions a placeholder reaches the prompt as written
+    req = inc_request(intent=SynthesisIntent.RELAX, diagnostics="trace here")
+    body = req.function.body_text.replace("{", "{ /* see {property}, {diagnostics}, {n} */", 1)
+    prompt = render_prompt(replace(req, function=replace(req.function, body_text=body)))
+    assert "/* see {property}, {diagnostics}, {n} */" in prompt
+    assert prompt.count("trace here") == 1
 
 
 def test_render_prompt_appends_failure_note():
