@@ -90,10 +90,11 @@ class InstrumentedSource:
     injections: Tuple[Injection, ...] = ()
 
 
+_INDENT_RE = re.compile(r"[ \t]*")
+
+
 def _indent_of_line(src: str, pos: int) -> str:
-    line_start = src.rfind("\n", 0, pos) + 1
-    m = re.match(r"[ \t]*", src[line_start:])
-    return m.group(0) if m else ""
+    return _INDENT_RE.match(src, src.rfind("\n", 0, pos) + 1).group(0)
 
 
 def _contract_lines(c: Contract) -> List[Tuple[str, str, str]]:

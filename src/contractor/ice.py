@@ -19,9 +19,15 @@ semantic counterexample is a state the implementation really reaches: it
 enters E+ for that function. An unconstrained_init function failure was
 driven by an input nothing assumed over, so it teaches no state. A system
 counterexample breaks the property: the blamed function's state enters E-.
-Loop iterations give implication pairs either way. Admissions that clash
-with the opposite polarity go to the conflict log instead, keeping E+ and
-E- disjoint at all times.
+Loop iterations give implication pairs either way.
+
+The sample set is one map. An example is its own key, its function and
+items whatever check produced it; the database indexes each labelled state
+with its polarity and the example first held for it. Every label goes
+through one gate, `_label`, which `admit` and `record_positive` call: a new
+state joins E+ or E-, one held under the other polarity is logged as a
+conflict instead, keeping E+ and E- disjoint at all times, and one held
+under the same polarity is a duplicate. Implication pairs use the same key.
 
 Every prompt reads the database through `render_examples`. It shows one
 function's own sections only, since a sample constrains only the predicate
@@ -61,21 +67,21 @@ class Category(str, Enum):
     UNCONSTRAINED_INIT = "unconstrained_init"
     SEMANTIC = "semantic"
 
+    @property
+    def level(self) -> Level:
+        return Level.TOOL if self is Category.TOOL_ERROR else Level.SEMANTIC
+
 
 ADMISSIBLE_CATEGORIES = (Category.UNCONSTRAINED_INIT, Category.SEMANTIC)
 
 
 @dataclass(frozen=True)
-class Classification:
-    level: Level
-    category: Category
-
-
-@dataclass(frozen=True)
 class StateExample:
+    """A state of one function's predicate. Equality and hash read the
+    state only, so an example is its own key in the database."""
     function: str
     items: Tuple[Tuple[str, str], ...]  # sorted (name, normalized value)
-    provenance: str = ""
+    provenance: str = field(default="", compare=False)
 
     @staticmethod
     def make(function: str, valuation: Mapping[str, str], provenance: str = "") -> "StateExample":
@@ -85,9 +91,6 @@ class StateExample:
     @property
     def valuation(self) -> Dict[str, str]:
         return dict(self.items)
-
-    def same_state(self, other: "StateExample") -> bool:
-        return self.function == other.function and self.items == other.items
 
     def render(self) -> str:
         return ", ".join(f"{k}={v}" for k, v in self.items)
@@ -100,27 +103,32 @@ class ConflictRecord:
     existing: StateExample
 
 
-def _pair_key(pair: Tuple[StateExample, StateExample]) -> Tuple:
-    return tuple((ex.function, ex.items) for ex in pair)
-
-
 @dataclass
 class IceDatabase:
     positives: List[StateExample] = field(default_factory=list)
     negatives: List[StateExample] = field(default_factory=list)
     implications: List[Tuple[StateExample, StateExample]] = field(default_factory=list)
     conflicts: List[ConflictRecord] = field(default_factory=list)
-    # the (function, items) keys of the held implication pairs
-    _held: Set[Tuple] = field(default_factory=set, init=False, repr=False, compare=False)
+    # the held implication pairs
+    _held: Set[Tuple[StateExample, StateExample]] = field(
+        default_factory=set, init=False, repr=False, compare=False)
+    # each labelled state's polarity and the example first held for it
+    _labels: Dict[StateExample, Tuple[str, StateExample]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._held.update(_pair_key(pair) for pair in self.implications)
+        self._held.update(self.implications)
+        for polarity, pool in (("positive", self.positives), ("negative", self.negatives)):
+            for ex in pool:
+                self._labels.setdefault(ex, (polarity, ex))
 
-    def _find(self, pool: List[StateExample], ex: StateExample) -> Optional[StateExample]:
-        for member in pool:
-            if member.same_state(ex):
-                return member
-        return None
+    def sizes(self) -> Dict[str, int]:
+        return {
+            "positives": len(self.positives),
+            "negatives": len(self.negatives),
+            "implications": len(self.implications),
+            "conflicts": len(self.conflicts),
+        }
 
     def positive_for(self, function: str) -> List[StateExample]:
         return [e for e in self.positives if e.function == function]
@@ -133,27 +141,26 @@ class IceDatabase:
         pair, in order; returns how many were appended."""
         before = len(self.implications)
         for pair in pairs:
-            key = _pair_key(pair)
-            if key not in self._held:
-                self._held.add(key)
+            if pair not in self._held:
+                self._held.add(pair)
                 self.implications.append(pair)
         return len(self.implications) - before
 
 
-def classify(result: Union[VerificationResult, ParseFailure]) -> Classification:
+def classify(result: Union[VerificationResult, ParseFailure]) -> Category:
     """Total over failures. Passing results are a caller bug, not a category."""
     if isinstance(result, ParseFailure):
-        return Classification(Level.SEMANTIC, Category.SYNTAX_ERROR)
+        return Category.SYNTAX_ERROR
     if result.status in (Status.TIMEOUT, Status.TOOL_ERROR):
-        return Classification(Level.TOOL, Category.TOOL_ERROR)
+        return Category.TOOL_ERROR
     if result.status is not Status.FAIL:
         raise ValueError("classify() is defined over failing results only")
     parsed = result.parsed
     if parsed is None:
-        return Classification(Level.SEMANTIC, Category.UNPARSED)
+        return Category.UNPARSED
     if _has_unconstrained_nondet(parsed):
-        return Classification(Level.SEMANTIC, Category.UNCONSTRAINED_INIT)
-    return Classification(Level.SEMANTIC, Category.SEMANTIC)
+        return Category.UNCONSTRAINED_INIT
+    return Category.SEMANTIC
 
 
 def _has_unconstrained_nondet(parsed: ParsedCounterexample) -> bool:
@@ -171,46 +178,40 @@ def _has_unconstrained_nondet(parsed: ParsedCounterexample) -> bool:
     return False
 
 
-def admit(db: IceDatabase, classification: Classification, example: StateExample) -> str:
+# what the gate reports for each polarity: (added, duplicate); a clash with
+# the other polarity is "blocked_conflict"
+_ACTIONS = {"positive": ("recorded_positive", "duplicate"),
+            "negative": ("admitted_negative", "rejected_or_duplicate")}
+
+
+def _label(db: IceDatabase, example: StateExample, polarity: str) -> str:
+    """Label example's state with polarity ("positive" or "negative") unless
+    it is labelled already: held under the other polarity, the refusal is
+    logged as a conflict; under the same one, it is a duplicate."""
+    held = db._labels.get(example)
+    if held is None:
+        db._labels[example] = (polarity, example)
+        (db.positives if polarity == "positive" else db.negatives).append(example)
+        return _ACTIONS[polarity][0]
+    if held[0] != polarity:
+        db.conflicts.append(ConflictRecord(polarity, example, held[1]))
+        return "blocked_conflict"
+    return _ACTIONS[polarity][1]
+
+
+def admit(db: IceDatabase, category: Category, example: StateExample) -> str:
     """Negative-side gate. Returns what it did: "admitted_negative",
     "blocked_conflict" (the state is a known positive; logged as a conflict),
-    or "rejected_or_duplicate" (tool-level, inadmissible, or already held)."""
-    if classification.level is Level.TOOL:
+    or "rejected_or_duplicate" (an inadmissible category, or already held)."""
+    if category not in ADMISSIBLE_CATEGORIES:
         return "rejected_or_duplicate"
-    if classification.category not in ADMISSIBLE_CATEGORIES:
-        return "rejected_or_duplicate"
-    clash = db._find(db.positives, example)
-    if clash is not None:
-        db.conflicts.append(ConflictRecord("negative", example, clash))
-        return "blocked_conflict"
-    if db._find(db.negatives, example) is not None:
-        return "rejected_or_duplicate"
-    db.negatives.append(example)
-    return "admitted_negative"
+    return _label(db, example, "negative")
 
 
 def record_positive(db: IceDatabase, example: StateExample) -> str:
     """Positive-side gate. Returns what it did: "recorded_positive",
     "blocked_conflict" (the state is a known negative), or "duplicate"."""
-    clash = db._find(db.negatives, example)
-    if clash is not None:
-        db.conflicts.append(ConflictRecord("positive", example, clash))
-        return "blocked_conflict"
-    if db._find(db.positives, example) is not None:
-        return "duplicate"
-    db.positives.append(example)
-    return "recorded_positive"
-
-
-def valuation_for(parsed: ParsedCounterexample, function: str) -> Dict[str, str]:
-    """Final valuation of the trace restricted to one function's steps."""
-    final: Dict[str, str] = {}
-    for step in parsed.trace:
-        if step.function != function:
-            continue
-        for name, value in step.assignments:
-            final[name] = value
-    return final
+    return _label(db, example, "positive")
 
 
 def extract_implications(
@@ -338,12 +339,12 @@ def render_examples(db: IceDatabase, function: str) -> str:
 def render_diagnostics(
     db: IceDatabase,
     parsed: Optional[ParsedCounterexample],
-    classification: Classification,
+    category: Category,
     function: str,
 ) -> str:
     """Diagnostics block for a relax or strengthen prompt on function: the
     failure category, the counterexample, then function's examples."""
-    lines = [f"Failure category: {classification.category.value}"]
+    lines = [f"Failure category: {category.value}"]
     if parsed is not None:
         lines.append(render_trace(parsed))
     else:

@@ -398,7 +398,7 @@ def _loop_is_unbounded(masked_body: str, site: LoopSite) -> bool:
     cond = site.condition
     if cond == "" or re.fullmatch(r"\(*\s*(1|true)\s*\)*", cond):
         return True  # for (;;), while (1)
-    cond_vars = [w for w in _WORD_RE.findall(cond) if w not in C_KEYWORDS]
+    cond_vars = [w for w in identifiers(cond) if w not in C_KEYWORDS]
     if not cond_vars:
         return True  # constant condition
     # bounded iff the condition mentions something the loop itself changes

@@ -33,8 +33,9 @@ the pipeline thread in ask order; only phase 1b's replies come from the
 pool, so a strengthen reads the relax kept before it in its round. `_ask`
 merges each log as soon as its ask is kept: a run that ends on a client
 error keeps the log of every ask made before it and the attempts of the
-ask it ends. Stage 4 places each log before its own check. Every refinement round is one `_loop`; CEGAR and CEGIS differ
-only in their asks and in CEGAR's stagnation step.
+ask it ends. Stage 4 places each log before its own check. Every
+refinement round is one `_loop`; CEGAR and CEGIS differ only in their asks
+and in CEGAR's stagnation step.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ from .errors import (
 )
 from .ice import (
     Category,
-    Classification,
     IceDatabase,
     Level,
     StateExample,
@@ -74,7 +74,6 @@ from .ice import (
     record_positive,
     render_diagnostics,
     render_trace,
-    valuation_for,
     weakest_link,
 )
 from .mock_backend import source_digest
@@ -88,7 +87,7 @@ from .synthesis import (
     overapproximate,
     synthesize,
 )
-from .verifier import ParsedCounterexample, Status, VerificationResult
+from .verifier import ParsedCounterexample, Status, VerificationResult, final_valuation
 
 
 class Strategy(str, Enum):
@@ -255,9 +254,9 @@ def _keep(contracts: Dict[str, Contract], fname: str,
             result = replace(result, assigns=kept)
         contracts[fname] = result
         return result
-    cls = classify(result)
+    category = classify(result)
     log.event("classification", function=fname,
-              level=cls.level.value, category=cls.category.value)
+              level=category.level.value, category=category.value)
     return None
 
 
@@ -339,29 +338,20 @@ def _diagnostics_for(ctx: _Ctx, fname: str, intent: SynthesisIntent) -> str:
     return "" if result.parsed is None else render_trace(result.parsed)
 
 
-def _db_sizes(db: IceDatabase) -> Dict[str, int]:
-    return {
-        "positives": len(db.positives),
-        "negatives": len(db.negatives),
-        "implications": len(db.implications),
-        "conflicts": len(db.conflicts),
-    }
-
-
-def _classified(ctx: _Ctx, key: str, result: VerificationResult) -> Optional[Classification]:
+def _classified(ctx: _Ctx, key: str, result: VerificationResult) -> Optional[Category]:
     """Classify a check a round reads, unless it passed, and log it under key
     ("__system__" for the system check). None when there is nothing to learn
     from: a pass, a tool-level failure (quarantined) or no counterexample."""
     if result.status is Status.PASS:
         return None
-    cls = classify(result)
+    category = classify(result)
     ctx.log.event("classification", function=key, mode=result.mode,
-                  level=cls.level.value, category=cls.category.value)
-    if cls.level is Level.TOOL:
+                  level=category.level.value, category=category.value)
+    if category.level is Level.TOOL:
         ctx.log.event("tool_quarantine", function=key, mode=result.mode,
                       status=result.status.value)
         return None
-    return None if result.parsed is None else cls
+    return None if result.parsed is None else category
 
 
 def _blame(ctx: _Ctx, parsed: ParsedCounterexample,
@@ -374,7 +364,7 @@ def _blame(ctx: _Ctx, parsed: ParsedCounterexample,
         return (min(contracts) if contracts else None), True
 
 
-def _learn(ctx: _Ctx, parsed: ParsedCounterexample, cls: Classification, target: str,
+def _learn(ctx: _Ctx, parsed: ParsedCounterexample, category: Category, target: str,
            provenance: str, names: List[str]) -> None:
     """Under SMART ICE, label target's state in the counterexample once, by
     the check it came from: a system counterexample's state is a negative
@@ -383,15 +373,15 @@ def _learn(ctx: _Ctx, parsed: ParsedCounterexample, cls: Classification, target:
     implication pairs of every function in names."""
     if ctx.cfg.strategy is not Strategy.SMART_ICE:
         return
-    valuation = valuation_for(parsed, target) or parsed.key_map()
+    valuation = final_valuation(parsed.trace, target) or parsed.key_map()
     system = provenance == "system"
-    if valuation and (system or cls.category is Category.SEMANTIC):
+    if valuation and (system or category is Category.SEMANTIC):
         ex = StateExample.make(target, valuation, provenance=provenance)
-        action = admit(ctx.db, cls, ex) if system else record_positive(ctx.db, ex)
-        ctx.log.event("db", action=action, function=target, **_db_sizes(ctx.db))
+        action = admit(ctx.db, category, ex) if system else record_positive(ctx.db, ex)
+        ctx.log.event("db", action=action, function=target, **ctx.db.sizes())
     for name in names:
         if ctx.db.add_implications(extract_implications(parsed, name)):
-            ctx.log.event("db", action="implications", function=name, **_db_sizes(ctx.db))
+            ctx.log.event("db", action="implications", function=name, **ctx.db.sizes())
 
 
 def _hold_system(ctx: _Ctx, key: Key, stubbed: Dict[str, Contract]) -> None:
@@ -402,13 +392,13 @@ def _hold_system(ctx: _Ctx, key: Key, stubbed: Dict[str, Contract]) -> None:
     as concrete code took real loop steps."""
     ctx.sys_key, ctx.sys_set, ctx.blamed = key, sorted(stubbed), None
     result = ctx.checked[key]
-    cls = _classified(ctx, "__system__", result)
-    if cls is None:
+    category = _classified(ctx, "__system__", result)
+    if category is None:
         return
     ctx.blamed, fallback = _blame(ctx, result.parsed, stubbed)
     ctx.log.event("weakest_link", chosen=ctx.blamed, fallback=fallback)
     if ctx.blamed is not None:
-        _learn(ctx, result.parsed, cls, ctx.blamed, "system", sorted(ctx.contracts))
+        _learn(ctx, result.parsed, category, ctx.blamed, "system", sorted(ctx.contracts))
 
 
 def _key(instr: InstrumentedSource) -> Key:
@@ -491,9 +481,9 @@ def _verify_round(ctx: _Ctx, contracts: Dict[str, Contract]) -> None:
         key, _ = _check(ctx, instr, begun)
         ctx.fn_keys[name] = key
         result = ctx.checked[key]
-        cls = _classified(ctx, name, result)
-        if cls is not None:
-            _learn(ctx, result.parsed, cls, name, "function", [name])
+        category = _classified(ctx, name, result)
+        if category is not None:
+            _learn(ctx, result.parsed, category, name, "function", [name])
 
 
 def _falsified(ctx: _Ctx) -> Verdict:
@@ -711,7 +701,7 @@ def _refine(ctx: _Ctx) -> Verdict:
     verdict = _loop(ctx, "cegar", ctx.cfg.k_cegar, _cegar_asks, _stagnated)
     if verdict is None:
         ctx.set_stage("cegis")
-        ctx.log.event("cegis_migrate", **_db_sizes(ctx.db))
+        ctx.log.event("cegis_migrate", **ctx.db.sizes())
         verdict = _loop(ctx, "cegis", ctx.cfg.k_cegis, _cegis_asks)
     if verdict is None:
         if ctx.sys_key is None:

@@ -175,6 +175,16 @@ def _parse_violated(lines: Sequence[str]) -> str:
     return expr
 
 
+def final_valuation(trace: Sequence[TraceStep], function: Optional[str] = None) -> Dict[str, str]:
+    """Each name's last assigned value in trace, over function's steps only
+    when one is given."""
+    final: Dict[str, str] = {}
+    for step in trace:
+        if function is None or step.function == function:
+            final.update(step.assignments)
+    return final
+
+
 def parse_verifier_output(raw: str) -> Tuple[Status, Optional[ParsedCounterexample]]:
     """Map backend text to a status; on failure, pull out the counterexample.
     Unknown or empty output is a tool error, never a pass."""
@@ -191,10 +201,7 @@ def parse_verifier_output(raw: str) -> Tuple[Status, Optional[ParsedCounterexamp
             violated = _parse_violated(lines[i + 1:])
             break
 
-    final: Dict[str, str] = {}
-    for step in trace:
-        for name, value in step.assignments:
-            final[name] = value
+    final = final_valuation(trace)
     prop_idents = set(identifiers(violated))
     keyed = {n: v for n, v in final.items() if n.split("[")[0] in prop_idents}
     if not keyed:

@@ -48,7 +48,6 @@ from contractor.harness import (
 from contractor.ice import (
     ADMISSIBLE_CATEGORIES,
     Category,
-    Classification,
     IceDatabase,
     Level,
     StateExample,
@@ -304,11 +303,11 @@ def test_criterion_04_clause_reduction_matches_brute_force_oracle():
 # --------------------------------------------------------------------------
 
 _CLS = {
-    "semantic": Classification(Level.SEMANTIC, Category.SEMANTIC),
-    "unconstrained": Classification(Level.SEMANTIC, Category.UNCONSTRAINED_INIT),
-    "syntax": Classification(Level.SEMANTIC, Category.SYNTAX_ERROR),
-    "unparsed": Classification(Level.SEMANTIC, Category.UNPARSED),
-    "tool": Classification(Level.TOOL, Category.TOOL_ERROR),
+    "semantic": Category.SEMANTIC,
+    "unconstrained": Category.UNCONSTRAINED_INIT,
+    "syntax": Category.SYNTAX_ERROR,
+    "unparsed": Category.UNPARSED,
+    "tool": Category.TOOL_ERROR,
 }
 
 _admission_ops = st.lists(
@@ -344,7 +343,7 @@ def _admission_matches_mirror(ops):
             continue
         cls = _CLS[kind]
         admit(db, cls, example)
-        if cls.level is Level.TOOL or cls.category not in ADMISSIBLE_CATEGORIES:
+        if cls.level is Level.TOOL or cls not in ADMISSIBLE_CATEGORIES:
             continue  # must leave the database untouched
         if key in mirror_pos:
             refused += 1
@@ -400,8 +399,8 @@ def test_criterion_05_example_database_properties():
         first = classify(case)
         second = classify(case)
         assert first == second
-        assert (first.level, first.category) in legal
-        seen.add((first.level, first.category))
+        assert (first.level, first) in legal
+        seen.add((first.level, first))
     assert seen == legal
 
     with pytest.raises(ValueError):

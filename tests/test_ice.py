@@ -12,7 +12,6 @@ from contractor.errors import NoResponsibleFunctionError
 from contractor.ice import (
     ADMISSIBLE_CATEGORIES,
     Category,
-    Classification,
     ConflictRecord,
     IceDatabase,
     Level,
@@ -24,11 +23,10 @@ from contractor.ice import (
     record_positive,
     render_diagnostics,
     render_examples,
-    valuation_for,
     weakest_link,
 )
 from contractor.program_model import parse_program
-from contractor.verifier import Status, VerificationResult
+from contractor.verifier import Status, VerificationResult, final_valuation
 from conftest import corpus_sources, failure_output, parsed_from
 
 
@@ -46,14 +44,14 @@ def test_classify_parse_failure():
     pf = ParseFailure(ParseFailureReason.NO_CLAUSES, "nothing")
     c = classify(pf)
     assert c.level is Level.SEMANTIC
-    assert c.category is Category.SYNTAX_ERROR
+    assert c is Category.SYNTAX_ERROR
 
 
 def test_classify_timeout_and_tool_error_are_tool_level():
     for status in (Status.TIMEOUT, Status.TOOL_ERROR):
         c = classify(result_with(status))
         assert c.level is Level.TOOL
-        assert c.category is Category.TOOL_ERROR
+        assert c is Category.TOOL_ERROR
 
 
 def test_classify_fail_without_counterexample_is_unparsed():
@@ -61,7 +59,7 @@ def test_classify_fail_without_counterexample_is_unparsed():
                            parsed=None, wall_time_s=0.0, mode="system", command=())
     c = classify(r)
     assert c.level is Level.SEMANTIC
-    assert c.category is Category.UNPARSED
+    assert c is Category.UNPARSED
 
 
 def test_classify_unconstrained_nondet():
@@ -69,7 +67,7 @@ def test_classify_unconstrained_nondet():
         {"function": "f", "line": 2, "assigns": [("x", "nondet_symbol!0")]},
     ])
     c = classify(result_with(Status.FAIL, out))
-    assert c.category is Category.UNCONSTRAINED_INIT
+    assert c is Category.UNCONSTRAINED_INIT
     assert c.level is Level.SEMANTIC
 
 
@@ -79,7 +77,7 @@ def test_assume_before_nondet_makes_it_semantic():
         {"function": "f", "line": 2, "assigns": [("x", "nondet_symbol!0")]},
     ])
     c = classify(result_with(Status.FAIL, out))
-    assert c.category is Category.SEMANTIC
+    assert c is Category.SEMANTIC
 
 
 def test_classify_rejects_pass():
@@ -91,8 +89,8 @@ def test_admissible_categories_are_exactly_two():
     assert set(ADMISSIBLE_CATEGORIES) == {Category.UNCONSTRAINED_INIT, Category.SEMANTIC}
 
 
-def sem() -> Classification:
-    return Classification(Level.SEMANTIC, Category.SEMANTIC)
+def sem() -> Category:
+    return Category.SEMANTIC
 
 
 def test_admit_and_dedup():
@@ -105,8 +103,7 @@ def test_admit_and_dedup():
 
 def test_tool_level_never_admitted():
     db = IceDatabase()
-    action = admit(db, Classification(Level.TOOL, Category.TOOL_ERROR),
-                   StateExample.make("f", {"x": "1"}))
+    action = admit(db, Category.TOOL_ERROR, StateExample.make("f", {"x": "1"}))
     assert action == "rejected_or_duplicate"
     assert db.negatives == [] and db.conflicts == []
 
@@ -114,7 +111,7 @@ def test_tool_level_never_admitted():
 def test_syntax_and_unparsed_not_admitted():
     db = IceDatabase()
     for cat in (Category.SYNTAX_ERROR, Category.UNPARSED):
-        action = admit(db, Classification(Level.SEMANTIC, cat), StateExample.make("f", {"x": "1"}))
+        action = admit(db, cat, StateExample.make("f", {"x": "1"}))
         assert action == "rejected_or_duplicate"
     assert db.negatives == []
 
@@ -127,7 +124,7 @@ def test_conflicting_negative_goes_to_log():
     assert len(db.negatives) == 0
     assert len(db.conflicts) == 1
     assert db.conflicts[0].polarity == "negative"
-    assert db.positives[0].same_state(ex)
+    assert db.positives[0] == ex
 
 
 def test_conflicting_positive_goes_to_log():
@@ -154,6 +151,35 @@ def test_same_values_different_function_no_conflict():
     assert db.conflicts == []
 
 
+def test_an_example_is_keyed_by_its_state_alone():
+    # the same (function, items) with another provenance is one key
+    sys_ex = StateExample.make("f", {"x": "1"}, provenance="system")
+    fn_ex = StateExample.make("f", {"x": "1"}, provenance="function")
+    assert sys_ex == fn_ex and hash(sys_ex) == hash(fn_ex)
+    assert len({sys_ex, fn_ex, StateExample.make("g", {"x": "1"}, provenance="system")}) == 2
+    db = IceDatabase()
+    assert admit(db, sem(), sys_ex) == "admitted_negative"
+    assert record_positive(db, fn_ex) == "blocked_conflict"
+    assert db.positives == [] and db.negatives == [sys_ex]
+    assert db.conflicts == [ConflictRecord("positive", fn_ex, sys_ex)]
+    assert db.conflicts[0].existing.provenance == "system"
+
+
+def test_a_database_built_with_pools_labels_them():
+    ex = StateExample.make("f", {"x": "1"}, provenance="system")
+    db = IceDatabase(negatives=[ex])
+    assert admit(db, sem(), StateExample.make("f", {"x": "1"})) == "rejected_or_duplicate"
+    assert record_positive(db, StateExample.make("f", {"x": "1"})) == "blocked_conflict"
+    assert db.conflicts[0].existing is ex
+    assert db.negatives == [ex] and db.positives == []
+
+
+def test_only_tool_error_is_tool_level():
+    for category in Category:
+        expected = Level.TOOL if category is Category.TOOL_ERROR else Level.SEMANTIC
+        assert category.level is expected
+
+
 def test_normalize_value():
     assert normalize_value("5") == "5"
     assert normalize_value("0x10") == "16"
@@ -169,16 +195,17 @@ def test_normalized_equality_detects_conflicts():
     assert db.conflicts and db.negatives == []
 
 
-def test_valuation_for_takes_last_assignment():
+def test_final_valuation_takes_last_assignment():
     out = failure_output("x > 0", steps=[
         {"function": "f", "line": 2, "assigns": [("x", "1")]},
         {"function": "g", "line": 9, "assigns": [("x", "7")]},
         {"function": "f", "line": 3, "assigns": [("x", "2"), ("y", "0")]},
     ])
     parsed = parsed_from(out)
-    assert valuation_for(parsed, "f") == {"x": "2", "y": "0"}
-    assert valuation_for(parsed, "g") == {"x": "7"}
-    assert valuation_for(parsed, "h") == {}
+    assert final_valuation(parsed.trace, "f") == {"x": "2", "y": "0"}
+    assert final_valuation(parsed.trace, "g") == {"x": "7"}
+    assert final_valuation(parsed.trace, "h") == {}
+    assert final_valuation(parsed.trace) == {"x": "2", "y": "0"}
 
 
 def test_extract_implications_on_reassignment():
@@ -571,4 +598,4 @@ def test_pools_stay_disjoint_under_any_sequence(ops):
         else:
             admit(db, sem(), ex)
     for p in db.positives:
-        assert not any(p.same_state(n) for n in db.negatives)
+        assert not any(p == n for n in db.negatives)

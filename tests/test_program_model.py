@@ -188,6 +188,18 @@ def test_writes_and_body_names_read_outside_comments_and_strings():
     assert f.body_names == ("char", "s", "p", "n", "v", "g", "return")
 
 
+@pytest.mark.parametrize("literal, counter", [("10u", "u"), ("0x7", "x7"), ("1u", "u")])
+def test_literal_in_condition_names_nothing(literal, counter):
+    # the loop writes only counter, which a literal's suffix or hex digits
+    # spell but do not name: the condition reads k alone, so it is unbounded
+    fns = (f"int f(int k) {{\n    int {counter} = 0;\n"
+           f"    while (k < {literal}) {{ {counter}++; }}\n    return {counter};\n}}")
+    f = parse_program(wrap(fns, "f(2)")).function("f")
+    assert f.metrics.has_unbounded_loop
+    assert f.metrics.score == pytest.approx(26.0)
+    assert f.metrics.tier is Tier.HIGH
+
+
 @pytest.mark.parametrize("later_block", ["{ i = i + 1; }", "{ g(1); }"])
 def test_braceless_loop_does_not_borrow_a_later_block(later_block):
     # the braceless body is `g(n);` alone, which never changes i, so the loop

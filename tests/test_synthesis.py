@@ -14,7 +14,7 @@ import pytest
 
 from contractor.contracts import Contract, ContractOrigin, ParseFailure
 from contractor.errors import ClientUnavailableError
-from contractor.ice import IceDatabase, StateExample, admit, record_positive, Classification, Level, Category
+from contractor.ice import IceDatabase, StateExample, admit, record_positive, Category
 from contractor.program_model import parse_program
 from contractor.runlog import RunLog
 from contractor.synthesis import (
@@ -344,8 +344,7 @@ def test_cegis_synthesize_flags_inconsistency():
 
 def test_cegis_prompt_contains_example_sections():
     db = IceDatabase()
-    sem = Classification(Level.SEMANTIC, Category.SEMANTIC)
-    admit(db, sem, StateExample.make("increment", {"x": "-1"}))
+    admit(db, Category.SEMANTIC, StateExample.make("increment", {"x": "-1"}))
     reply = contract_reply(ensures=["__ESBMC_return_value > x"])
     client = ScriptedLlmClient({"*": reply})
     log = RunLog()
@@ -358,8 +357,7 @@ def test_cegis_prompt_contains_example_sections():
 
 def test_check_example_consistency_warns_on_admitted_bad_state():
     db = IceDatabase()
-    sem = Classification(Level.SEMANTIC, Category.SEMANTIC)
-    admit(db, sem, StateExample.make("f", {"x": "5"}))
+    admit(db, Category.SEMANTIC, StateExample.make("f", {"x": "5"}))
     c = Contract(function="f", requires=("x > 0",), ensures=(), assigns=(),
                  origin=ContractOrigin.CEGIS)
     warnings = check_example_consistency(c, db)
