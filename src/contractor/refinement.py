@@ -405,23 +405,20 @@ def _key(instr: InstrumentedSource) -> Key:
     return (instr.mode, source_digest(instr.text))
 
 
-def _memo(ctx: _Ctx, key: Key) -> Optional[VerificationResult]:
-    """key's stored PASS or FAIL, which no backend need repeat."""
-    result = ctx.checked.get(key)
-    return result if result is not None and result.status in (Status.PASS, Status.FAIL) else None
-
-
-Started = Union[VerificationResult, Callable[[], Optional[VerificationResult]]]
+# a check's key with its stored result or the backend call that gets one
+Started = Tuple[Key, Union[VerificationResult, Callable[[], Optional[VerificationResult]]]]
 
 
 def _start(ctx: _Ctx, instr: InstrumentedSource) -> Started:
-    """instr's memoised PASS or FAIL, else the backend call that checks it
-    given the budget left when it starts (None when none is). With a pool and
-    a verifier whose concurrent_checks is set, the call is submitted and what
+    """instr's key, from the one hash a check makes of its text, and the
+    key's stored PASS or FAIL, else the backend call that checks it given the
+    budget left when it starts (None when none is). With a pool and a
+    verifier whose concurrent_checks is set, the call is submitted and what
     returns reads its result; otherwise it runs when called."""
-    hit = _memo(ctx, _key(instr))
-    if hit is not None:
-        return hit
+    key = _key(instr)
+    hit = ctx.checked.get(key)
+    if hit is not None and hit.status in (Status.PASS, Status.FAIL):
+        return key, hit
 
     def call() -> Optional[VerificationResult]:
         left = ctx.remaining()
@@ -434,8 +431,8 @@ def _start(ctx: _Ctx, instr: InstrumentedSource) -> Started:
     # checks overlap only outside this interpreter: an in-process verifier
     # holds the GIL while it checks, and may keep state from call to call
     if ctx.pool is not None and getattr(ctx.verifier, "concurrent_checks", False):
-        return ctx.pool.submit(call).result
-    return call
+        return key, ctx.pool.submit(call).result
+    return key, call
 
 
 def _check(ctx: _Ctx, instr: InstrumentedSource, started: Optional[Started] = None,
@@ -445,12 +442,11 @@ def _check(ctx: _Ctx, instr: InstrumentedSource, started: Optional[Started] = No
     program's PASS or FAIL for one (mode, text) reaches the backend once. The
     result is logged; a check whose turn came after the wall budget was spent
     ends the run here."""
-    started = _start(ctx, instr) if started is None else started
-    hit = isinstance(started, VerificationResult)
-    result = started if hit else started()
+    key, pending = _start(ctx, instr) if started is None else started
+    hit = isinstance(pending, VerificationResult)
+    result = pending if hit else pending()
     if result is None:
         raise _deadline_error(ctx)
-    key = _key(instr)
     ctx.checked[key] = result
     ctx.log.event("verification", mode=instr.mode, status=result.status.value,
                   **fields, iteration=ctx.iterations)

@@ -15,8 +15,10 @@ module teardown) the driver never reads. A check thus costs interpreter
 start-up plus the replay.
 Every other backend is started by its own name.
 
-A check passes only when the backend prints a success marker and exits with
-code 0; a failure marker reads as a failure whatever the exit code.
+Every reply is read by one rule, `parse_verifier_output`, in order: no exit
+code (a timeout) is a timeout, a function-not-found message a tool error, a
+failure marker a failure whatever else the reply holds, a success marker
+with exit code 0 a pass, and anything else a tool error.
 """
 
 from __future__ import annotations
@@ -185,13 +187,18 @@ def final_valuation(trace: Sequence[TraceStep], function: Optional[str] = None) 
     return final
 
 
-def parse_verifier_output(raw: str) -> Tuple[Status, Optional[ParsedCounterexample]]:
-    """Map backend text to a status; on failure, pull out the counterexample.
-    Unknown or empty output is a tool error, never a pass."""
-    if any(m in raw for m in SUCCESS_MARKERS):
-        return Status.PASS, None
-    if not any(m in raw for m in FAILURE_MARKERS):
+def parse_verifier_output(raw: str, returncode: Optional[int] = 0,
+                          ) -> Tuple[Status, Optional[ParsedCounterexample]]:
+    """A reply's status by the module's rule, with its counterexample on a
+    failure. returncode is None for a check stopped at its timeout; a failure
+    may exit with any code (ESBMC exits 1 on one)."""
+    if returncode is None:
+        return Status.TIMEOUT, None
+    if any(m in raw for m in NOT_FOUND_MARKERS):
         return Status.TOOL_ERROR, None
+    if not any(m in raw for m in FAILURE_MARKERS):
+        passed = returncode == 0 and any(m in raw for m in SUCCESS_MARKERS)
+        return (Status.PASS if passed else Status.TOOL_ERROR), None
 
     lines = raw.splitlines()
     trace = _parse_trace(lines)
@@ -274,16 +281,7 @@ class SubprocessVerifier:
         finally:
             os.unlink(src_path)
         raw = out.decode("utf-8", errors="replace")
-        if returncode is None:
-            status, parsed = Status.TIMEOUT, None
-        elif any(marker in raw for marker in NOT_FOUND_MARKERS):
-            status, parsed = Status.TOOL_ERROR, None
-        else:
-            status, parsed = parse_verifier_output(raw)
-            if status is Status.PASS and returncode != 0:
-                # a backend that crashed after printing the marker proved nothing;
-                # a failure may exit with any code (ESBMC exits 1 on one)
-                status = Status.TOOL_ERROR
+        status, parsed = parse_verifier_output(raw, returncode)
         return VerificationResult(
             status=status, raw_output=raw, parsed=parsed,
             wall_time_s=elapsed, mode=src.mode, command=tuple(cmd),

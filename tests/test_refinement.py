@@ -920,6 +920,20 @@ def test_memo_keeps_the_verification_events():
     assert events == expected
 
 
+def test_a_check_hashes_its_text_once(monkeypatch):
+    # the key `_start` hashes is the one `_check` stores, memo hit or not
+    from contractor import refinement
+
+    hashed = []
+    digest = refinement.source_digest
+    monkeypatch.setattr(refinement, "source_digest",
+                        lambda text: hashed.append(text) or digest(text))
+    _, log, _, verifier = keep_step_run()
+    events = log.of_kind("verification")
+    assert len(verifier.calls) < len(events)  # the memo answered some
+    assert len(hashed) == len(events)
+
+
 def test_timeout_is_checked_again():
     def rule(src, mode):
         return Status.TIMEOUT if mode == "function:inc" else success_output()

@@ -122,6 +122,54 @@ def test_empty_output_is_tool_error():
     assert status is Status.TOOL_ERROR
 
 
+FAILURE = failure_output("r > n", steps=[{"function": "main", "line": 8,
+                                          "assigns": [("r", "5")]}])
+
+# (reply, exit code, status); None is a backend stopped at its timeout
+STATUS_TABLE = [
+    pytest.param(success_output(), None, Status.TIMEOUT, id="timeout"),
+    pytest.param("could not find function increment\n" + FAILURE, 1, Status.TOOL_ERROR,
+                 id="not-found-and-failure"),
+    pytest.param(FAILURE, 1, Status.FAIL, id="failure-exit-1"),
+    pytest.param(success_output() + FAILURE, 0, Status.FAIL, id="both-markers-exit-0"),
+    pytest.param(success_output(), 0, Status.PASS, id="success-exit-0"),
+    pytest.param(success_output(), 3, Status.TOOL_ERROR, id="success-exit-3"),
+    pytest.param("segfault\n", 0, Status.TOOL_ERROR, id="no-marker"),
+    pytest.param("", 0, Status.TOOL_ERROR, id="empty"),
+]
+
+
+def script_backend_reading(tmp_path, reply, code):
+    """(status, parsed) of a SubprocessVerifier check on a script backend
+    that prints reply and exits with code, or hangs past the timeout when
+    code is None."""
+    (tmp_path / "reply.txt").write_text(reply, encoding="utf-8")
+    end = "exec sleep 30" if code is None else f"exit {code}"
+    backend = tmp_path / "backend.sh"
+    backend.write_text(f"#!/bin/sh\ncat '{tmp_path / 'reply.txt'}'\n{end}\n", encoding="utf-8")
+    backend.chmod(0o755)
+    cfg = VerifierConfig(backend_path=str(backend), timeout_s=0.5 if code is None else 30.0)
+    result = SubprocessVerifier(cfg).function(render_enforce(parse_program(INC), inc_contract()),
+                                              "increment")
+    if code is not None:
+        assert result.raw_output == reply
+    return result.status, result.parsed
+
+
+@pytest.mark.parametrize("reading", ["parse", "subprocess"])
+@pytest.mark.parametrize("reply, code, status", STATUS_TABLE)
+def test_every_reply_is_read_by_one_rule(tmp_path, reading, reply, code, status):
+    # the subprocess verifier and every in-process reader see one status
+    if reading == "parse":
+        got, parsed = parse_verifier_output(reply, code)
+    else:
+        got, parsed = script_backend_reading(tmp_path, reply, code)
+    assert got is status
+    assert (parsed is not None) is (status is Status.FAIL)
+    if status is Status.FAIL:
+        assert parsed == parse_verifier_output(FAILURE)[1]
+
+
 def test_mode_key():
     model = parse_program(INC)
     c = inc_contract()
