@@ -16,17 +16,20 @@ The last round's results are the one record later steps read: the keys its
 checks settled in the check store, one for the system (with the set it
 stubbed) and one per function. Statuses, diagnostics (the function's own
 check for a relax, the system's for a strengthen), `system_status` and
-`verified` all read the store by those keys. The weakest link is chosen once
-per system counterexample, by `_hold_system`, among the contracts that check
-stubbed (after a drop, the survivors). Its E- label under SMART ICE, the
+`verified` all read the store by those keys. Every system check goes
+through `_check_system`, which holds its key with the set it stubbed (a
+round's, the drop step's survivors or a reduced set). The weakest link is
+chosen once per system counterexample, by `_hold_system`, among the
+contracts that check stubbed, if any. Its E- label under SMART ICE, the
 CEGAR strengthen ask and CEGIS's ask when only the system check fails all
 use that choice.
 
-After every round `_conclude` decides: `verified` only when the system
-check, settled under the current set, and every function's own check
-passed, `falsified` only on a system counterexample against fully concrete
-code (no stubs left to blame). Everything else, including budget
-exhaustion, is `inconclusive`.
+A held system result speaks for the current set only when `_settled`: its
+check stubbed that set. `_conclude`, `system_status` and the end-of-budget
+check read that one rule. `verified` needs the settled system check and
+every function's own check to pass, `falsified` a system counterexample
+against fully concrete code (no stubs left to blame). Everything else,
+including budget exhaustion, is `inconclusive`.
 
 Every ask goes through `_ask_all`, each into its own log, and is kept on
 the pipeline thread in ask order; only phase 1b's replies come from the
@@ -212,15 +215,10 @@ def _deadline_error(ctx: _Ctx) -> DeadlineExceededError:
     return exc
 
 
-def _result(ctx: _Ctx, key: Optional[Key]) -> Optional[VerificationResult]:
-    """The stored result of a round key; None for no key."""
-    return None if key is None else ctx.checked[key]
-
-
 def _status(ctx: _Ctx, name: str) -> str:
     if name not in ctx.contracts:
         return "no_contract"
-    result = _result(ctx, ctx.fn_keys.get(name))
+    result = ctx.checked.get(ctx.fn_keys.get(name))
     return "unchecked" if result is None else result.status.value
 
 
@@ -231,13 +229,14 @@ def _statuses(ctx: _Ctx) -> List[Tuple[str, str]]:
 
 def _verdict(ctx: _Ctx, outcome: VerdictOutcome,
              falsified_property: Optional[str] = None) -> Verdict:
+    system = _settled(ctx)
     return Verdict(
         outcome=outcome,
         stage=ctx.stage,
         iterations_used=ctx.iterations,
         contracts=tuple(sorted(ctx.contracts.items())),
         per_function_status=tuple(_statuses(ctx)),
-        system_status=ctx.checked[ctx.sys_key].status.value if ctx.sys_key else None,
+        system_status=None if system is None else system.status.value,
         falsified_property=falsified_property,
     )
 
@@ -329,8 +328,8 @@ def _diagnostics_for(ctx: _Ctx, fname: str, intent: SynthesisIntent) -> str:
     """What the last round's check reported, for a relax prompt (fname's own
     check) or a strengthen prompt (the system check); under SMART ICE with
     fname's examples. Other intents, and a passing check, get none."""
-    result = _result(ctx, {SynthesisIntent.RELAX: ctx.fn_keys.get(fname),
-                           SynthesisIntent.STRENGTHEN: ctx.sys_key}.get(intent))
+    result = ctx.checked.get({SynthesisIntent.RELAX: ctx.fn_keys.get(fname),
+                              SynthesisIntent.STRENGTHEN: ctx.sys_key}.get(intent))
     if result is None or result.status is Status.PASS:
         return ""
     if ctx.cfg.strategy is Strategy.SMART_ICE:
@@ -355,13 +354,13 @@ def _classified(ctx: _Ctx, key: str, result: VerificationResult) -> Optional[Cat
 
 
 def _blame(ctx: _Ctx, parsed: ParsedCounterexample,
-           contracts: Dict[str, Contract]) -> Tuple[Optional[str], bool]:
+           contracts: Dict[str, Contract]) -> Tuple[str, bool]:
     """The contracted function a system counterexample blames, and whether
-    none was responsible so that the first one (None without any) stands in."""
+    none was responsible so that the first one stands in."""
     try:
         return weakest_link(parsed, contracts, ctx.model), False
     except NoResponsibleFunctionError:
-        return (min(contracts) if contracts else None), True
+        return min(contracts), True
 
 
 def _learn(ctx: _Ctx, parsed: ParsedCounterexample, category: Category, target: str,
@@ -386,19 +385,24 @@ def _learn(ctx: _Ctx, parsed: ParsedCounterexample, category: Category, target: 
 
 def _hold_system(ctx: _Ctx, key: Key, stubbed: Dict[str, Contract]) -> None:
     """Enter the system check's key as the round's, with the contracts it
-    stubbed. A counterexample is blamed here, once, on those; under SMART
-    ICE the blamed function's state becomes a negative example. Implication
-    pairs are taken for every function of ctx.contracts: a function that ran
-    as concrete code took real loop steps."""
+    stubbed. A counterexample is blamed here, once, on those if any; under
+    SMART ICE the blamed function's state becomes a negative example.
+    Implication pairs are taken for every function of ctx.contracts: a
+    function that ran as concrete code took real loop steps."""
     ctx.sys_key, ctx.sys_set, ctx.blamed = key, sorted(stubbed), None
     result = ctx.checked[key]
     category = _classified(ctx, "__system__", result)
-    if category is None:
+    if category is None or not stubbed:
         return
     ctx.blamed, fallback = _blame(ctx, result.parsed, stubbed)
     ctx.log.event("weakest_link", chosen=ctx.blamed, fallback=fallback)
-    if ctx.blamed is not None:
-        _learn(ctx, result.parsed, category, ctx.blamed, "system", sorted(ctx.contracts))
+    _learn(ctx, result.parsed, category, ctx.blamed, "system", sorted(ctx.contracts))
+
+
+def _settled(ctx: _Ctx) -> Optional[VerificationResult]:
+    """The held system result if its check stubbed the current set, else None."""
+    held = ctx.sys_key is not None and ctx.sys_set == sorted(ctx.contracts)
+    return ctx.checked[ctx.sys_key] if held else None
 
 
 def _key(instr: InstrumentedSource) -> Key:
@@ -435,29 +439,29 @@ def _start(ctx: _Ctx, instr: InstrumentedSource) -> Started:
     return key, call
 
 
-def _check(ctx: _Ctx, instr: InstrumentedSource, started: Optional[Started] = None,
-           **fields) -> Tuple[Key, bool]:
-    """instr's key, once its result is stored, and whether the memo answered
-    it: read from what `_start` returned, started here when not given. A
-    program's PASS or FAIL for one (mode, text) reaches the backend once. The
-    result is logged; a check whose turn came after the wall budget was spent
-    ends the run here."""
-    key, pending = _start(ctx, instr) if started is None else started
+def _check(ctx: _Ctx, started: Started, **fields) -> Tuple[Key, bool]:
+    """The key of the check `_start` returned, once its result is stored, and
+    whether the memo answered it. A program's PASS or FAIL for one (mode,
+    text) reaches the backend once. The result is logged; a check whose turn
+    came after the wall budget was spent ends the run here."""
+    key, pending = started
     hit = isinstance(pending, VerificationResult)
     result = pending if hit else pending()
     if result is None:
         raise _deadline_error(ctx)
     ctx.checked[key] = result
-    ctx.log.event("verification", mode=instr.mode, status=result.status.value,
+    ctx.log.event("verification", mode=key[0], status=result.status.value,
                   **fields, iteration=ctx.iterations)
     return key, hit
 
 
-def _check_system(ctx: _Ctx) -> None:
-    """Check the system under ctx.contracts and hold its key."""
-    key, _ = _check(ctx, render_replace(ctx.model, ctx.contracts.values()),
-                    contract_set=sorted(ctx.contracts))
-    _hold_system(ctx, key, ctx.contracts)
+def _check_system(ctx: _Ctx, stubbed: Dict[str, Contract],
+                  started: Optional[Started] = None) -> None:
+    """Check the system with stubbed's contracts as stubs (started here unless
+    given) and hold its key with that set."""
+    key, _ = _check(ctx, started or _start(ctx, render_replace(ctx.model, stubbed.values())),
+                    contract_set=sorted(stubbed))
+    _hold_system(ctx, key, stubbed)
 
 
 def _verify_round(ctx: _Ctx, contracts: Dict[str, Contract]) -> None:
@@ -468,13 +472,11 @@ def _verify_round(ctx: _Ctx, contracts: Dict[str, Contract]) -> None:
     functions by name."""
     ctx.contracts, ctx.sys_key, ctx.fn_keys = contracts, None, {}
     names = sorted(contracts)
-    instrs = [render_replace(ctx.model, contracts.values())]
-    instrs += [render_enforce(ctx.model, contracts[name]) for name in names]
-    started = [_start(ctx, instr) for instr in instrs]
-    key, _ = _check(ctx, instrs[0], started[0], contract_set=names)
-    _hold_system(ctx, key, contracts)
-    for name, instr, begun in zip(names, instrs[1:], started[1:]):
-        key, _ = _check(ctx, instr, begun)
+    system = _start(ctx, render_replace(ctx.model, contracts.values()))
+    started = [_start(ctx, render_enforce(ctx.model, contracts[name])) for name in names]
+    _check_system(ctx, contracts, system)
+    for name, begun in zip(names, started):
+        key, _ = _check(ctx, begun)
         ctx.fn_keys[name] = key
         result = ctx.checked[key]
         category = _classified(ctx, name, result)
@@ -499,13 +501,11 @@ def _conclude(ctx: _Ctx) -> Optional[Verdict]:
     `verified` needs a system pass settled under the current set plus a
     passing check for every target function (one without a contract fails);
     `falsified` needs a system failure with no contract stub left to blame.
-    A round may hold no system key: one deferred after a reduction
-    concludes nothing."""
-    system = _result(ctx, ctx.sys_key)
+    Without a settled system check it concludes nothing."""
+    system = _settled(ctx)
     if system is None:
         return None
-    if (system.status is Status.PASS and ctx.sys_set == sorted(ctx.contracts)
-            and not _failing_functions(ctx)):
+    if system.status is Status.PASS and not _failing_functions(ctx):
         return _verdict(ctx, VerdictOutcome.VERIFIED)
     if system.status is Status.FAIL and not ctx.contracts:
         return _falsified(ctx)
@@ -591,7 +591,7 @@ def _delta_debug_stagnating(ctx: _Ctx) -> bool:
     """Reduce the ensures of every failing contract; True if any was reduced."""
     reduced_any = False
     for fname in sorted(ctx.contracts):
-        r = _result(ctx, ctx.fn_keys.get(fname))
+        r = ctx.checked.get(ctx.fn_keys.get(fname))
         if r is None or r.status is Status.PASS:
             continue
         c = ctx.contracts[fname]
@@ -602,7 +602,7 @@ def _delta_debug_stagnating(ctx: _Ctx) -> bool:
         misses: List[Key] = []
 
         def check(trial: Contract) -> bool:
-            key, hit = _check(ctx, render_enforce(ctx.model, trial))
+            key, hit = _check(ctx, _start(ctx, render_enforce(ctx.model, trial)))
             ok = ctx.checked[key].status is Status.PASS
             if not hit:
                 misses.append(key)
@@ -636,7 +636,7 @@ def _stagnated(ctx: _Ctx, k: int) -> Optional[Verdict]:
         else:
             # a weaker ensures may no longer imply the property: the verdict
             # must read a system result under the reduced set
-            _check_system(ctx)
+            _check_system(ctx, ctx.contracts)
     # reduction alone may finish the job when the system side passes
     return _conclude(ctx)
 
@@ -700,10 +700,10 @@ def _refine(ctx: _Ctx) -> Verdict:
         ctx.log.event("cegis_migrate", **ctx.db.sizes())
         verdict = _loop(ctx, "cegis", ctx.cfg.k_cegis, _cegis_asks)
     if verdict is None:
-        if ctx.sys_key is None:
-            # deferred after a reduction, and no round followed: the verdict
-            # reads a system result under the final set
-            _check_system(ctx)
+        if _settled(ctx) is None:
+            # held from the drop step or deferred after a reduction, and no
+            # round since: the verdict reads a system result under the final set
+            _check_system(ctx, ctx.contracts)
         ctx.log.event("budget_exhausted", iterations=ctx.iterations)
         verdict = _verdict(ctx, VerdictOutcome.INCONCLUSIVE)
     return verdict
@@ -755,12 +755,10 @@ def _run_top_down(ctx: _Ctx) -> Verdict:
         # only the system check sees the survivors: refinement starts from
         # the full set, and the failed contracts are what the relax side
         # works on
-        key, _ = _check(ctx, render_replace(ctx.model, survivors.values()),
-                        contract_set=sorted(survivors))
-        if ctx.checked[key].status is Status.FAIL and not survivors:
-            ctx.contracts, ctx.sys_key, ctx.sys_set = survivors, key, []
+        _check_system(ctx, survivors)
+        if not survivors and ctx.checked[ctx.sys_key].status is Status.FAIL:
+            ctx.contracts = survivors
             return _falsified(ctx)
-        _hold_system(ctx, key, survivors)
     return _refine(ctx)
 
 
@@ -791,14 +789,13 @@ def _run_pre_abstraction(ctx: _Ctx) -> Verdict:
     passing = {name for name, status in _statuses(ctx) if status == Status.PASS.value}
     verified = [f for f in high if f.name in passing]
     asked = list(_ask_all(ctx, {}, [(f, SynthesisIntent.INITIAL) for f in verified]))
-    instrs = {f.name: render_enforce(ctx.model, precise)
-              for f, (precise, _) in zip(verified, asked) if precise is not None}
-    started = {name: _start(ctx, instr) for name, instr in instrs.items()}
+    started = {f.name: _start(ctx, render_enforce(ctx.model, precise))
+               for f, (precise, _) in zip(verified, asked) if precise is not None}
     for f, (precise, log) in zip(verified, asked):
         ctx.log.events.extend(log.events)
         if precise is None:
             continue
-        key, _ = _check(ctx, instrs[f.name], started[f.name])
+        key, _ = _check(ctx, started[f.name])
         check = ctx.checked[key]
         if check.status is Status.PASS:
             ctx.contracts[f.name], ctx.fn_keys[f.name] = precise, key

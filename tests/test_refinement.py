@@ -26,6 +26,7 @@ from conftest import (
 )
 from contractor.contracts import ContractOrigin
 from contractor.errors import ClientUnavailableError, DeadlineExceededError
+from contractor.harness import RunOutcome, classify_outcome
 from contractor.ice import (
     DIAGNOSTIC_EXAMPLE_LIMIT,
     IMPLICATION_SECTION,
@@ -115,8 +116,9 @@ def test_unparseable_replies_leave_functions_concrete_and_falsify():
     assert len(client.calls) == 3
     assert any(e["category"] in ("unparsed", "syntax_error")
                for e in log.of_kind("classification"))
-    # only the system check ran
+    # only the system check ran; it stubbed nothing, so it blames nothing
     assert [mode for mode, _ in verifier.calls] == ["system"]
+    assert log.of_kind("weakest_link") == []
 
 
 TWO_FN_SRC = """\
@@ -1622,6 +1624,47 @@ def test_no_ice_strengthens_the_function_the_round_blamed():
     assert asks == ["f1"]
 
 
+def f2_stub_rule(src, mode):
+    """f2's first contract fails its own check, and the system fails exactly
+    while that contract stands in for f2."""
+    if mode == "system" and "h == k + 1" not in src.text:
+        return success_output()
+    return gh_rule(src, mode)
+
+
+def test_a_system_pass_with_a_contract_dropped_is_not_reported_for_the_full_set():
+    # the drop check passes with f2 concrete, but no round follows it: the
+    # verdict reports both contracts, so it reads the system check under
+    # both, which failed; that check is in the memo, so no backend call is added
+    verifier = RuleVerifier(f2_stub_rule)
+    verdict, log, _, _ = run(GH_SRC, dict(GH_SCRIPT), verifier,
+                             k_cegar=0, k_cegis=0, total_budget=0)
+    assert sorted(verdict.contract_map()) == ["f1", "f2"]
+    assert verdict.system_status == "fail"
+    assert classify_outcome(verdict) is RunOutcome.FAILED
+    assert [mode for mode, _ in verifier.calls] == [
+        "system", "function:f1", "function:f2", "system"]
+
+
+def test_a_falsifying_drop_check_is_classified_and_blames_nothing():
+    # inc's contract fails its own check and every system check fails: the
+    # drop check, which runs inc concrete, is classified like every failing
+    # system check and falsifies; with no stub in it, it blames nothing
+    def rule(src, mode):
+        if mode == "function:inc":
+            return failure_output("__ESBMC_return_value > x", at_function="inc")
+        return failure_output("b > 5", steps=[{"function": "main", "line": 7,
+                                               "assigns": [("a", "5"), ("b", "5")]}])
+
+    verdict, log, _, _ = run(INC_SRC, {"inc|initial": INC_REPLY}, RuleVerifier(rule))
+    assert verdict.outcome is VerdictOutcome.FALSIFIED
+    assert verdict.system_status == "fail"
+    seen = kinds(log)
+    assert seen[seen.index("drop"):] == ["drop", "verification", "classification", "falsified"]
+    assert log.events[-2]["function"] == "__system__"
+    assert [e["chosen"] for e in log.of_kind("weakest_link")] == ["inc"]
+
+
 # -- one round record, read from the check store -------------------------------
 
 def acc_reduced_run():
@@ -1742,11 +1785,12 @@ def test_a_system_pass_under_another_set_verifies_nothing():
                           RunLog())
     verdict, _, _, _ = run(INC_SRC, {"inc|initial": INC_REPLY}, PassVerifier())
     ctx.contracts = verdict.contract_map()
-    ctx.fn_keys["inc"], _ = refinement._check(ctx, render_enforce(model, ctx.contracts["inc"]))
-    survivors_key, _ = refinement._check(ctx, render_replace(model, []))
+    ctx.fn_keys["inc"], _ = refinement._check(
+        ctx, refinement._start(ctx, render_enforce(model, ctx.contracts["inc"])))
+    survivors_key, _ = refinement._check(ctx, refinement._start(ctx, render_replace(model, [])))
     refinement._hold_system(ctx, survivors_key, {})
     assert refinement._conclude(ctx) is None
-    refinement._check_system(ctx)
+    refinement._check_system(ctx, ctx.contracts)
     assert refinement._conclude(ctx).outcome is VerdictOutcome.VERIFIED
 
 
