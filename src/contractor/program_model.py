@@ -70,6 +70,9 @@ _DIRECTIVE_LINES_RE = re.compile(r"(?:.*\\\n)*.*\n?")
 _ARRAY_BOUND_RE = re.compile(r"\[[^\]]*\]")
 # the name a pointer declarator such as `(*fp)(int)` declares
 _POINTER_DECLARATOR_RE = re.compile(r"\(\s*\*+\s*([A-Za-z_]\w*)\s*\)")
+# the outer parameter list of a function that returns a function pointer,
+# `int (*pick(int w))(int)`, after pick's own list
+_RETURNED_PARAMS_RE = re.compile(r"\s*\)\s*\(")
 _LOOP_KEYWORD_RE = re.compile(r"\b(for|while|do)\b")
 _DO_TAIL_RE = re.compile(r"\s*while\b")
 
@@ -313,7 +316,9 @@ def _scan_file_scope(src: str, masked: str) -> Tuple[List[_RawFunction], Tuple[s
             item = i = _DIRECTIVE_LINES_RE.match(masked, i).end()
             continue
         if m.group(1) not in C_KEYWORDS:
-            close = match_close(masked, m.end() - 1)
+            close = params_end = match_close(masked, m.end() - 1)
+            while (outer := _RETURNED_PARAMS_RE.match(masked, close)):
+                close = match_close(masked, outer.end() - 1)
             body = _BODY_OPEN_RE.match(masked, close)
             if body:
                 j = body.end() - 1
@@ -324,7 +329,7 @@ def _scan_file_scope(src: str, masked: str) -> Tuple[List[_RawFunction], Tuple[s
                     name=m.group(1),
                     signature_text=" ".join(src[sig_start:close].split()),
                     body_span=(j, body_end),
-                    params=_parse_params(src[m.end():close - 1]),
+                    params=_parse_params(src[m.end():params_end - 1]),
                     is_static="static" in head_words,
                 ))
                 decl = []

@@ -12,24 +12,28 @@ checked under the reduced set only when every target then passes; while a
 target still fails, the next CEGIS round checks the system under its own
 set, and a run that has no round left checks it before it ends.
 
-The last round's results are the one record later steps read: the keys its
-checks settled in the check store, one for the system (with the set it
-stubbed) and one per function. Statuses, diagnostics (the function's own
-check for a relax, the system's for a strengthen), `system_status` and
-`verified` all read the store by those keys. Every system check goes
-through `_check_system`, which holds its key with the set it stubbed (a
+The last round's results are the one record later steps read: one frozen
+`Round`, holding the contract set and the keys its checks settled in the
+check store, one for the system (with the contracts it stubbed, by value)
+and one per function. A function check, a stage-4 substitution or a
+reduction replaces the round with `Round.replaced`; nothing writes into
+one. Statuses, diagnostics (the function's own check for a relax, the
+system's for a strengthen), `system_status` and `verified` all read the
+store by the round's keys. Every system check goes through
+`_check_system`, which enters its key with the contracts it stubbed (a
 round's, the drop step's survivors or a reduced set). The weakest link is
-chosen once per system counterexample, by `_hold_system`, among the
-contracts that check stubbed, if any. Its E- label under SMART ICE, the
-CEGAR strengthen ask and CEGIS's ask when only the system check fails all
-use that choice.
+chosen there, once per system counterexample, among those contracts, if
+any. Its E- label under SMART ICE, the CEGAR strengthen ask and CEGIS's ask
+when only the system check fails all use that choice.
 
-A held system result speaks for the current set only when `_settled`: its
-check stubbed that set. `_conclude`, `system_status` and the end-of-budget
-check read that one rule. `verified` needs the settled system check and
-every function's own check to pass, `falsified` a system counterexample
-against fully concrete code (no stubs left to blame). Everything else,
-including budget exhaustion, is `inconclusive`.
+A held system result speaks only for the contracts it stubbed: it is
+`_settled` when those equal the round's contracts, compared by value, so a
+contract replaced under the same name unsettles it. `_conclude`,
+`system_status` and the end-of-budget check read that one rule. `verified`
+needs the settled system check and every function's own check to pass,
+`falsified` a system counterexample against fully concrete code (no stubs
+left to blame). Everything else, including budget exhaustion, is
+`inconclusive`.
 
 Every ask goes through `_ask_all`, each into its own log, and is kept on
 the pipeline thread in ask order; only phase 1b's replies come from the
@@ -167,6 +171,23 @@ class Verdict:
 Key = Tuple[str, str]  # (mode, SHA-256 of the instrumented text)
 
 
+@dataclass(frozen=True)
+class Round:
+    """One round's record: its contract set and the keys its checks settled,
+    each entered as its check settles; statuses, diagnostics, system_status
+    and `verified` read the check store by these."""
+    contracts: Dict[str, Contract] = field(default_factory=dict)
+    fn_keys: Dict[str, Key] = field(default_factory=dict)
+    sys_key: Optional[Key] = None
+    stubbed: Dict[str, Contract] = field(default_factory=dict)  # what sys_key's check stubbed
+    blamed: Optional[str] = None  # the contracted function its counterexample blames
+
+    def replaced(self, name: str, contract: Contract, key: Key) -> Round:
+        """This round with name's contract and function key replaced."""
+        return replace(self, contracts={**self.contracts, name: contract},
+                       fn_keys={**self.fn_keys, name: key})
+
+
 class _Ctx:
     def __init__(self, model: ProgramModel, cfg: PipelineConfig, client: LlmClient,
                  verifier, log: RunLog, pool: Optional[ThreadPoolExecutor] = None):
@@ -179,17 +200,10 @@ class _Ctx:
         self.deadline = time.monotonic() + cfg.timeout_s
         self.stage = "initial"
         self.iterations = 0
-        self.contracts: Dict[str, Contract] = {}
         # the check store: each key's last result. A PASS or FAIL is a memo
         # hit; a timeout or tool error is checked again
         self.checked: Dict[Key, VerificationResult] = {}
-        # the last round's keys, each entered as its check settles; statuses,
-        # diagnostics, system_status and `verified` read the store by these
-        self.sys_key: Optional[Key] = None
-        self.sys_set: List[str] = []  # the contracts the system check stubbed
-        self.fn_keys: Dict[str, Key] = {}
-        # the contracted function the system counterexample blames
-        self.blamed: Optional[str] = None
+        self.round = Round()  # replaced, never written into
         self.pool = pool  # the program's one pool; None runs all on this thread
 
     @property
@@ -216,9 +230,9 @@ def _deadline_error(ctx: _Ctx) -> DeadlineExceededError:
 
 
 def _status(ctx: _Ctx, name: str) -> str:
-    if name not in ctx.contracts:
+    if name not in ctx.round.contracts:
         return "no_contract"
-    result = ctx.checked.get(ctx.fn_keys.get(name))
+    result = ctx.checked.get(ctx.round.fn_keys.get(name))
     return "unchecked" if result is None else result.status.value
 
 
@@ -234,7 +248,7 @@ def _verdict(ctx: _Ctx, outcome: VerdictOutcome,
         outcome=outcome,
         stage=ctx.stage,
         iterations_used=ctx.iterations,
-        contracts=tuple(sorted(ctx.contracts.items())),
+        contracts=tuple(sorted(ctx.round.contracts.items())),
         per_function_status=tuple(_statuses(ctx)),
         system_status=None if system is None else system.status.value,
         falsified_property=falsified_property,
@@ -328,8 +342,8 @@ def _diagnostics_for(ctx: _Ctx, fname: str, intent: SynthesisIntent) -> str:
     """What the last round's check reported, for a relax prompt (fname's own
     check) or a strengthen prompt (the system check); under SMART ICE with
     fname's examples. Other intents, and a passing check, get none."""
-    result = ctx.checked.get({SynthesisIntent.RELAX: ctx.fn_keys.get(fname),
-                              SynthesisIntent.STRENGTHEN: ctx.sys_key}.get(intent))
+    result = ctx.checked.get({SynthesisIntent.RELAX: ctx.round.fn_keys.get(fname),
+                              SynthesisIntent.STRENGTHEN: ctx.round.sys_key}.get(intent))
     if result is None or result.status is Status.PASS:
         return ""
     if ctx.cfg.strategy is Strategy.SMART_ICE:
@@ -383,26 +397,11 @@ def _learn(ctx: _Ctx, parsed: ParsedCounterexample, category: Category, target: 
             ctx.log.event("db", action="implications", function=name, **ctx.db.sizes())
 
 
-def _hold_system(ctx: _Ctx, key: Key, stubbed: Dict[str, Contract]) -> None:
-    """Enter the system check's key as the round's, with the contracts it
-    stubbed. A counterexample is blamed here, once, on those if any; under
-    SMART ICE the blamed function's state becomes a negative example.
-    Implication pairs are taken for every function of ctx.contracts: a
-    function that ran as concrete code took real loop steps."""
-    ctx.sys_key, ctx.sys_set, ctx.blamed = key, sorted(stubbed), None
-    result = ctx.checked[key]
-    category = _classified(ctx, "__system__", result)
-    if category is None or not stubbed:
-        return
-    ctx.blamed, fallback = _blame(ctx, result.parsed, stubbed)
-    ctx.log.event("weakest_link", chosen=ctx.blamed, fallback=fallback)
-    _learn(ctx, result.parsed, category, ctx.blamed, "system", sorted(ctx.contracts))
-
-
 def _settled(ctx: _Ctx) -> Optional[VerificationResult]:
-    """The held system result if its check stubbed the current set, else None."""
-    held = ctx.sys_key is not None and ctx.sys_set == sorted(ctx.contracts)
-    return ctx.checked[ctx.sys_key] if held else None
+    """The held system result if its check stubbed the round's contracts
+    (compared by value), else None."""
+    held = ctx.round.sys_key is not None and ctx.round.stubbed == ctx.round.contracts
+    return ctx.checked[ctx.round.sys_key] if held else None
 
 
 def _key(instr: InstrumentedSource) -> Key:
@@ -458,10 +457,20 @@ def _check(ctx: _Ctx, started: Started, **fields) -> Tuple[Key, bool]:
 def _check_system(ctx: _Ctx, stubbed: Dict[str, Contract],
                   started: Optional[Started] = None) -> None:
     """Check the system with stubbed's contracts as stubs (started here unless
-    given) and hold its key with that set."""
+    given) and enter its key in the round with those contracts. A
+    counterexample is blamed here, once, on them if any; under SMART ICE the
+    blamed function's state becomes a negative example. Implication pairs are
+    taken for every function of the round: one that ran as concrete code
+    took real loop steps."""
     key, _ = _check(ctx, started or _start(ctx, render_replace(ctx.model, stubbed.values())),
                     contract_set=sorted(stubbed))
-    _hold_system(ctx, key, stubbed)
+    result, blamed = ctx.checked[key], None
+    category = _classified(ctx, "__system__", result)
+    if category is not None and stubbed:
+        blamed, fallback = _blame(ctx, result.parsed, stubbed)
+        ctx.log.event("weakest_link", chosen=blamed, fallback=fallback)
+        _learn(ctx, result.parsed, category, blamed, "system", sorted(ctx.round.contracts))
+    ctx.round = replace(ctx.round, sys_key=key, stubbed=dict(stubbed), blamed=blamed)
 
 
 def _verify_round(ctx: _Ctx, contracts: Dict[str, Contract]) -> None:
@@ -470,14 +479,14 @@ def _verify_round(ctx: _Ctx, contracts: Dict[str, Contract]) -> None:
     The round starts a new record; results are stored, logged and their keys
     entered on this thread in the serial order: system first, then the
     functions by name."""
-    ctx.contracts, ctx.sys_key, ctx.fn_keys = contracts, None, {}
+    ctx.round = Round(contracts)
     names = sorted(contracts)
     system = _start(ctx, render_replace(ctx.model, contracts.values()))
     started = [_start(ctx, render_enforce(ctx.model, contracts[name])) for name in names]
     _check_system(ctx, contracts, system)
     for name, begun in zip(names, started):
         key, _ = _check(ctx, begun)
-        ctx.fn_keys[name] = key
+        ctx.round = ctx.round.replaced(name, contracts[name], key)
         result = ctx.checked[key]
         category = _classified(ctx, name, result)
         if category is not None:
@@ -507,7 +516,7 @@ def _conclude(ctx: _Ctx) -> Optional[Verdict]:
         return None
     if system.status is Status.PASS and not _failing_functions(ctx):
         return _verdict(ctx, VerdictOutcome.VERIFIED)
-    if system.status is Status.FAIL and not ctx.contracts:
+    if system.status is Status.FAIL and not ctx.round.contracts:
         return _falsified(ctx)
     return None
 
@@ -518,7 +527,7 @@ def _iteration_snapshot(ctx: _Ctx) -> Tuple:
     failing = _failing_functions(ctx)
     clauses = tuple(
         (name, (c.requires, c.ensures, c.assigns, c.loop_invariants) if c else None)
-        for name, c in zip(failing, map(ctx.contracts.get, failing))
+        for name, c in zip(failing, map(ctx.round.contracts.get, failing))
     )
     return (frozenset(failing), clauses)
 
@@ -590,11 +599,11 @@ def delta_debug(
 def _delta_debug_stagnating(ctx: _Ctx) -> bool:
     """Reduce the ensures of every failing contract; True if any was reduced."""
     reduced_any = False
-    for fname in sorted(ctx.contracts):
-        r = ctx.checked.get(ctx.fn_keys.get(fname))
+    for fname in sorted(ctx.round.contracts):
+        r = ctx.checked.get(ctx.round.fn_keys.get(fname))
         if r is None or r.status is Status.PASS:
             continue
-        c = ctx.contracts[fname]
+        c = ctx.round.contracts[fname]
         if not c.ensures:
             continue
 
@@ -617,7 +626,7 @@ def _delta_debug_stagnating(ctx: _Ctx) -> bool:
         except IrreducibleFailureError:
             continue
         # the last passing trial is the reduced contract
-        ctx.contracts[fname], ctx.fn_keys[fname] = reduced, passed[-1]
+        ctx.round = ctx.round.replaced(fname, reduced, passed[-1])
         reduced_any = True
     return reduced_any
 
@@ -626,17 +635,12 @@ def _stagnated(ctx: _Ctx, k: int) -> Optional[Verdict]:
     """After a round that repeats the one before: reduce the ensures of the
     failing contracts, and return the verdict that leaves."""
     ctx.log.event("stagnation", iteration=k, failing=_failing_functions(ctx))
-    if _delta_debug_stagnating(ctx):
-        if _failing_functions(ctx):
-            # no system check under this set can conclude the run: the next
-            # round checks the system under its own set (and `_refine` does
-            # when none follows), and CEGIS reads no blame while a function
-            # fails
-            ctx.sys_key, ctx.blamed = None, None
-        else:
-            # a weaker ensures may no longer imply the property: the verdict
-            # must read a system result under the reduced set
-            _check_system(ctx, ctx.contracts)
+    if _delta_debug_stagnating(ctx) and not _failing_functions(ctx):
+        # a weaker ensures may no longer imply the property: the verdict
+        # must read a system result under the reduced set. While a target
+        # fails, no system check can conclude the run: the next round checks
+        # the system under its own set (and `_refine` does when none follows)
+        _check_system(ctx, ctx.round.contracts)
     # reduction alone may finish the job when the system side passes
     return _conclude(ctx)
 
@@ -645,10 +649,10 @@ def _cegar_asks(ctx: _Ctx) -> List[Ask]:
     """Relax each failing contract (ask afresh for a function without one),
     then strengthen the weakest link."""
     asks = [(ctx.model.function(name),
-             SynthesisIntent.RELAX if name in ctx.contracts else SynthesisIntent.INITIAL)
+             SynthesisIntent.RELAX if name in ctx.round.contracts else SynthesisIntent.INITIAL)
             for name in _failing_functions(ctx)]
-    if ctx.blamed is not None:
-        asks.append((ctx.model.function(ctx.blamed), SynthesisIntent.STRENGTHEN))
+    if ctx.round.blamed is not None:
+        asks.append((ctx.model.function(ctx.round.blamed), SynthesisIntent.STRENGTHEN))
     return asks
 
 
@@ -656,8 +660,8 @@ def _cegis_asks(ctx: _Ctx) -> List[Ask]:
     """Example-guided synthesis for every failing function or, when only the
     system check fails, for its weakest link."""
     names = _failing_functions(ctx)
-    if not names and ctx.blamed is not None:
-        names = [ctx.blamed]
+    if not names and ctx.round.blamed is not None:
+        names = [ctx.round.blamed]
     return [(ctx.model.function(name), SynthesisIntent.CEGIS) for name in names]
 
 
@@ -673,7 +677,7 @@ def _loop(ctx: _Ctx, loop: str, k_max: int, asks_for: Callable[[_Ctx], List[Ask]
         if ctx.iterations >= ctx.cfg.total_budget:
             break
         ctx.check_deadline()
-        contracts = dict(ctx.contracts)
+        contracts = dict(ctx.round.contracts)
         asks = asks_for(ctx)
         _ask(ctx, contracts, asks)
         ctx.iterations += 1
@@ -703,7 +707,7 @@ def _refine(ctx: _Ctx) -> Verdict:
         if _settled(ctx) is None:
             # held from the drop step or deferred after a reduction, and no
             # round since: the verdict reads a system result under the final set
-            _check_system(ctx, ctx.contracts)
+            _check_system(ctx, ctx.round.contracts)
         ctx.log.event("budget_exhausted", iterations=ctx.iterations)
         verdict = _verdict(ctx, VerdictOutcome.INCONCLUSIVE)
     return verdict
@@ -747,17 +751,17 @@ def _run_top_down(ctx: _Ctx) -> Verdict:
 
     # drop contracts that failed their own check, re-verify the system with
     # the survivors (dropped functions stay concrete); this seeds refinement
-    failed = [name for name in ctx.fn_keys if _status(ctx, name) != Status.PASS.value]
+    failed = [name for name in ctx.round.fn_keys if _status(ctx, name) != Status.PASS.value]
     if failed:
-        survivors = {n: c for n, c in ctx.contracts.items() if n not in failed}
+        survivors = {n: c for n, c in ctx.round.contracts.items() if n not in failed}
         ctx.log.event("drop", functions=sorted(failed),
                       survivors=sorted(survivors))
         # only the system check sees the survivors: refinement starts from
         # the full set, and the failed contracts are what the relax side
         # works on
         _check_system(ctx, survivors)
-        if not survivors and ctx.checked[ctx.sys_key].status is Status.FAIL:
-            ctx.contracts = survivors
+        if not survivors and ctx.checked[ctx.round.sys_key].status is Status.FAIL:
+            ctx.round = replace(ctx.round, contracts=survivors)
             return _falsified(ctx)
     return _refine(ctx)
 
@@ -798,12 +802,12 @@ def _run_pre_abstraction(ctx: _Ctx) -> Verdict:
         key, _ = _check(ctx, started[f.name])
         check = ctx.checked[key]
         if check.status is Status.PASS:
-            ctx.contracts[f.name], ctx.fn_keys[f.name] = precise, key
+            ctx.round = ctx.round.replaced(f.name, precise, key)
             ctx.log.event("substitute", function=f.name, kept="precise")
         else:
             ctx.log.event("substitute", function=f.name, kept="abstraction")
             _classified(ctx, f.name, check)
 
     ctx.set_stage("pre_abstraction:5")
-    _verify_round(ctx, dict(ctx.contracts))
+    _verify_round(ctx, dict(ctx.round.contracts))
     return _conclude(ctx) or _refine(ctx)

@@ -4,6 +4,8 @@ scoring, and the tier split."""
 from __future__ import annotations
 
 import json
+import shutil
+import subprocess
 
 import pytest
 
@@ -438,6 +440,38 @@ def test_parameter_takes_its_declarator_name(param, name):
     src = wrap(f"#define LEN 4\n#define N 2\nint g(int n, {param}) {{\n    return n;\n}}",
                "0")
     assert [p.name for p in parse_program(src).function("g").params] == ["n", name]
+
+
+FUNCTION_POINTER_RETURN_SRC = wrap(
+    "#include <assert.h>\n"
+    "int twice(int a) {\n    return 2 * a;\n}\n"
+    "int (*pick(int w))(int) {\n    return w > 0 ? twice : 0;\n}\n"
+    "int g = 3;",
+    "pick(g)(1)")
+
+
+def test_a_function_returning_a_function_pointer_is_found():
+    model = parse_program(FUNCTION_POINTER_RETURN_SRC)
+    pick = model.function("pick")
+    assert pick is not None and pick.signature_text == "int (*pick(int w))(int)"
+    assert [p.name for p in pick.params] == ["w"]
+    assert model.global_names == ("g",)
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None or shutil.which("nm") is None,
+                    reason="gcc or nm not on PATH")
+def test_functions_and_globals_match_the_compiled_symbols(tmp_path):
+    src, obj = tmp_path / "prog.c", tmp_path / "prog.o"
+    src.write_text(FUNCTION_POINTER_RETURN_SRC)
+    subprocess.run(["gcc", "-w", "-c", "-o", str(obj), str(src)], check=True, timeout=60)
+    nm = subprocess.run(["nm", str(obj)], capture_output=True, text=True, check=True,
+                        timeout=60).stdout
+    symbols = [line.split() for line in nm.splitlines()]
+    # T marks a defined function, D a defined initialized global
+    defined = lambda kind: {s[2] for s in symbols if len(s) == 3 and s[1] == kind}
+    model = parse_program(FUNCTION_POINTER_RETURN_SRC)
+    assert {f.name for f in model.functions} | {"main"} == defined("T")
+    assert set(model.global_names) == defined("D")
 
 
 def test_partition_by_tau():

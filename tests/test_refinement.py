@@ -1733,9 +1733,9 @@ def assert_function_keys(ctx, complete: bool) -> None:
     from contractor.contracts import render_enforce
     from contractor.refinement import _key
 
-    want = {name: _key(render_enforce(ctx.model, c)) for name, c in ctx.contracts.items()
-            if complete or name in ctx.fn_keys}
-    assert ctx.fn_keys == want
+    want = {name: _key(render_enforce(ctx.model, c)) for name, c in ctx.round.contracts.items()
+            if complete or name in ctx.round.fn_keys}
+    assert ctx.round.fn_keys == want
 
 
 @pytest.mark.parametrize("scenario, defers", list(STORE_SCENARIOS.values()),
@@ -1758,14 +1758,15 @@ def test_every_conclusion_reads_the_keys_of_the_current_set(monkeypatch, scenari
 
     def checked_conclude(ctx):
         assert_function_keys(ctx, complete=True)
-        if ctx.sys_key is None:
+        if refinement._settled(ctx) is None:
             seen = [e["event"] for e in ctx.log.events]
             last_round = len(seen) - seen[::-1].index("iteration")
             assert "delta_debug" in seen[seen.index("stagnation", last_round):]
             deferred.append(ctx.iterations)
         else:
-            assert ctx.sys_set == sorted(ctx.contracts)
-            assert ctx.sys_key == _key(render_replace(ctx.model, ctx.contracts.values()))
+            assert ctx.round.stubbed == ctx.round.contracts
+            assert ctx.round.sys_key == _key(render_replace(ctx.model,
+                                                            ctx.round.contracts.values()))
         return conclude(ctx)
 
     monkeypatch.setattr(refinement, "_check", checked_check)
@@ -1778,19 +1779,18 @@ def test_a_system_pass_under_another_set_verifies_nothing():
     # the drop check holds the survivors' system key: inc's contract was
     # dropped from it, so its pass says nothing about the full set
     from contractor import refinement
-    from contractor.contracts import render_enforce, render_replace
+    from contractor.contracts import render_enforce
 
     model = parse_program(INC_SRC)
     ctx = refinement._Ctx(model, PipelineConfig(), ScriptedLlmClient({}), PassVerifier(),
                           RunLog())
     verdict, _, _, _ = run(INC_SRC, {"inc|initial": INC_REPLY}, PassVerifier())
-    ctx.contracts = verdict.contract_map()
-    ctx.fn_keys["inc"], _ = refinement._check(
-        ctx, refinement._start(ctx, render_enforce(model, ctx.contracts["inc"])))
-    survivors_key, _ = refinement._check(ctx, refinement._start(ctx, render_replace(model, [])))
-    refinement._hold_system(ctx, survivors_key, {})
+    c = verdict.contract_map()["inc"]
+    key, _ = refinement._check(ctx, refinement._start(ctx, render_enforce(model, c)))
+    ctx.round = refinement.Round({"inc": c}, {"inc": key})
+    refinement._check_system(ctx, {})
     assert refinement._conclude(ctx) is None
-    refinement._check_system(ctx, ctx.contracts)
+    refinement._check_system(ctx, ctx.round.contracts)
     assert refinement._conclude(ctx).outcome is VerdictOutcome.VERIFIED
 
 
@@ -1822,6 +1822,72 @@ def test_a_round_cut_by_the_deadline_reports_nothing_of_the_round_before():
     assert (partial.stage, partial.iterations_used) == ("cegar", 1)
     assert partial.contract_map()["inc"].ensures == ("__ESBMC_return_value >= x",)
     assert partial.status_map() == {"inc": "unchecked"}
+    assert partial.system_status is None
+
+
+class FakeClock:
+    """A monotonic clock that moves only when told to."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self) -> float:
+        return self.now
+
+
+class ClockVerifier(RuleVerifier):
+    """Checks by rule; a check that spends(src, mode) moves the clock 2 s."""
+
+    def __init__(self, rule, clock: FakeClock, spends):
+        super().__init__(rule)
+        self.clock, self.spends = clock, spends
+
+    def _run(self, src, mode):
+        if self.spends(src, mode):
+            self.clock.now += 2.0
+        return super()._run(src, mode)
+
+
+def test_a_substitution_cut_by_the_deadline_reports_no_system_status(monkeypatch):
+    # the system fails only while deep's abstraction is stubbed; deep's
+    # precise check spends the budget, so the partial verdict holds deep's
+    # precise contract, and the one system check made stubbed its abstraction
+    from contractor import refinement
+
+    clock = FakeClock()
+    monkeypatch.setattr(refinement, "time", clock)
+    script = {**TWO_HIGH_SCRIPT, "down|overapproximate": contract_reply(
+        assigns=("m",), ensures=("__ESBMC_return_value >= -1",))}
+    verifier = ClockVerifier(two_high_rule, clock, lambda src, mode: (
+        mode == "function:deep" and "__ESBMC_return_value == n" in src.text))
+    with pytest.raises(DeadlineExceededError) as exc:
+        run(TWO_HIGH_SRC, script, verifier, strategy=Strategy.PRE_ABSTRACTION,
+            timeout_s=1.0, workers=1)
+    partial = exc.value.partial
+    assert partial.stage == "pre_abstraction:4"
+    assert partial.contract_map()["deep"].ensures == ("__ESBMC_return_value == n",)
+    assert [m for m, _ in verifier.calls].count("system") == 1
+    assert partial.system_status is None
+
+
+def test_a_reduction_cut_by_the_deadline_reports_no_system_status(monkeypatch):
+    # step's first reduction trial spends the budget, so the system check
+    # under the reduced set never runs; the round's pass was under the
+    # unreduced set
+    from contractor import refinement
+
+    clock = FakeClock()
+    monkeypatch.setattr(refinement, "time", clock)
+    verifier = ClockVerifier(acc_rule("__ESBMC_return_value == n * 2"), clock,
+                             lambda src, mode: (mode == "function:step"
+                                                and "__ESBMC_return_value < 0" not in src.text))
+    with pytest.raises(DeadlineExceededError) as exc:
+        run(ACC_STEP_SRC, {"acc": ACC_REPLY, "step": STEP_POISONED}, verifier,
+            k_cegis=0, timeout_s=1.0, workers=1)
+    partial = exc.value.partial
+    assert {c.origin for c in partial.contract_map().values()} == {
+        ContractOrigin.DELTA_REDUCED}
+    assert partial.status_map() == {"acc": "pass", "step": "pass"}
     assert partial.system_status is None
 
 
