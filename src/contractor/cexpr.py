@@ -1,12 +1,16 @@
 """Tiny evaluator for the C expression subset that shows up in contract clauses,
 and the one definition of the names an expression mentions (`identifiers`).
 
-Integer-only, C semantics where they differ from Python: division and modulo
-truncate toward zero, relational and logical operators yield 0/1, and a shift
-amount must lie in 0..256. Arrays are plain Python sequences in the
-valuation. No casts, no calls, no assignment. A character literal of one
-plain character or a simple escape has its C value; a floating, string or
-other character literal has none, so evaluating it raises EvalError.
+Integer-only, over C's `int`, C semantics where they differ from Python:
+division and modulo truncate toward zero, relational and logical operators
+yield 0/1, and a shift amount must lie in 0..31. A value outside `int`'s
+range (a literal, a valuation's value or any intermediate result, including
+a left shift of a negative value or past the sign bit) raises EvalError:
+signed overflow is undefined (ISO C11 6.5p5), so no value would be right.
+Arrays are plain Python sequences in the valuation. No casts, no calls, no
+assignment. A character literal of one plain character or a simple escape
+has its C value; a floating, string or other character literal has none, so
+evaluating it raises EvalError.
 
 Binary operators come from one precedence table, `_LEVELS`, loosest level
 first, and `_apply` holds their C rules. `&&`, `||` and `?:` short-circuit the
@@ -23,6 +27,8 @@ import re
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 Value = Union[int, Sequence[int]]
+
+INT_MIN, INT_MAX = -2 ** 31, 2 ** 31 - 1
 
 
 class EvalError(Exception):
@@ -52,6 +58,8 @@ _TOKEN_RE = re.compile(r"\s*(" + _LITERAL + "|" + _NAME + r"""
 _LEXEME_RE = re.compile(_LITERAL + "|" + _NAME, re.VERBOSE)
 _FLOAT_RE = re.compile(_FLOAT, re.VERBOSE)
 _NAME_RE = re.compile(_NAME)
+# an unsigned or long integer literal, whose type converts the other operand
+_SUFFIXED_RE = re.compile(r"(?:0[xX][0-9a-fA-F]+|\d+)[uUlL]+")
 # the value of each one-character literal's text between the quotes
 _CHAR_VALUES = {**{chr(c): c for c in range(32, 127) if chr(c) not in "\\'"},
                 "\\0": 0, "\\t": 9, "\\n": 10, "\\r": 13,
@@ -93,16 +101,26 @@ def identifiers(text: str) -> Tuple[str, ...]:
     return tuple(dict.fromkeys(t for t in _LEXEME_RE.findall(text) if _NAME_RE.fullmatch(t)))
 
 
+def _int(v: int) -> int:
+    """v, when an `int` holds it."""
+    if not INT_MIN <= v <= INT_MAX:
+        raise EvalError(f"{v} is outside int's range")
+    return v
+
+
 def _apply(op: str, a: int, b: int) -> int:
-    """One binary operator under C's rules; EvalError where C gives no value."""
+    """One binary operator under C's rules on `int`; EvalError where C gives
+    no value."""
     if op in ("/", "%"):
         if b == 0:
             raise EvalError("division by zero")
-        q = abs(a) // abs(b) * (1 if (a >= 0) == (b >= 0) else -1)
+        q = _int(abs(a) // abs(b) * (1 if (a >= 0) == (b >= 0) else -1))
         return q if op == "/" else a - q * b
-    if op in ("<<", ">>") and not 0 <= b <= 256:
+    if op in ("<<", ">>") and not 0 <= b <= 31:
         raise EvalError(f"shift amount {b} out of range")
-    return int(_OPERATORS[op](a, b))
+    if op == "<<" and a < 0:
+        raise EvalError(f"left shift of negative value {a}")
+    return _int(int(_OPERATORS[op](a, b)))
 
 
 class _Parser:
@@ -134,6 +152,10 @@ class _Parser:
             production(*args)
         finally:
             self.dead -= 1
+
+    def _ranged(self, v: Value) -> Value:
+        """v, after checking that an `int` holds it outside an untaken branch."""
+        return _int(v) if isinstance(v, int) and not self.dead else v
 
     def _as_int(self, v: Value) -> int:
         if isinstance(v, bool):
@@ -194,7 +216,7 @@ class _Parser:
         if fn is None:
             return self.postfix()
         self.take()
-        return int(fn(self._as_int(self.unary())))
+        return self._ranged(int(fn(self._as_int(self.unary()))))
 
     def postfix(self) -> Value:
         val = self.primary()
@@ -212,7 +234,7 @@ class _Parser:
                     val = 0
                     continue
                 raise EvalError(f"index {idx} out of range")
-            val = val[idx]
+            val = self._ranged(val[idx])
         return val
 
     def primary(self) -> Value:
@@ -228,13 +250,13 @@ class _Parser:
                 return 0
             raise EvalError(f"literal {tok} has no integer value here")
         if tok[0].isdigit():
-            return int(tok.rstrip("uUlL"), 16 if tok[:2] in ("0x", "0X") else 10)
+            return self._ranged(int(tok.rstrip("uUlL"), 16 if tok[:2] in ("0x", "0X") else 10))
         if _NAME_RE.fullmatch(tok):
             if tok not in self.env:
                 if self.dead:
                     return 0
                 raise EvalError(f"unbound identifier {tok!r}")
-            return self.env[tok]
+            return self._ranged(self.env[tok])
         raise EvalError(f"unexpected token {tok!r}")
 
 
@@ -256,8 +278,14 @@ def evaluate_bool(text: str, valuation: Dict[str, Value]) -> bool:
 
 
 def try_evaluate_bool(text: str, valuation: Dict[str, Value]) -> Optional[bool]:
-    """Best effort: None when the clause is outside the evaluator's dialect."""
+    """The clause's truth in C, or None when the evaluator cannot vouch for
+    it: the clause is outside its dialect, a value leaves `int`'s range, or a
+    literal is unsigned or long, whose type converts the other operand (ISO
+    C11 6.3.1.8), so `-1 < 10u` is false in C."""
     try:
-        return evaluate_bool(text, valuation)
+        parser = _parser(text, valuation)
+        if any(_SUFFIXED_RE.fullmatch(tok) for tok in parser.toks):
+            return None
+        return parser._truthy(parser.parse())
     except EvalError:
         return None

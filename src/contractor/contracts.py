@@ -243,20 +243,22 @@ def parse_contract_text(
     raw: str,
     f: FunctionInfo,
     known_globals: Iterable[str] = (),
+    known_constants: Iterable[str] = (),
 ):
     """Extract a Contract from a model reply (fenced code or bare annotation
     lines). Returns Contract or ParseFailure; never raises on bad replies.
 
-    requires/ensures/assigns may reference parameters, globals, and the return
-    value placeholder; loop invariants may additionally use body locals, and
-    the n-th invariant goes to f's n-th loop, which must exist and be braced. The
-    literals true/false are rejected outright: the backend has no stdbool in
-    scope and a bare `true` produces a silently wrong check.
+    requires/ensures/assigns may reference parameters, globals, the file's
+    macro and enum-constant names, and the return value placeholder; loop
+    invariants may additionally use body locals, and the n-th invariant goes
+    to f's n-th loop, which must exist and be braced. The literals true/false
+    are rejected outright: the backend has no stdbool in scope and a bare
+    `true` produces a silently wrong check.
     """
     fences = _FENCE_RE.findall(raw)
     search_space = "\n".join(fences) if fences else raw
 
-    base_allowed = {p.name for p in f.params} | set(known_globals)
+    base_allowed = {p.name for p in f.params} | set(known_globals) | set(known_constants)
     inv_allowed = base_allowed | set(f.body_names)
 
     clauses: Dict[str, List[str]] = {

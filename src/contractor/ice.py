@@ -21,13 +21,15 @@ driven by an input nothing assumed over, so it teaches no state. A system
 counterexample breaks the property: the blamed function's state enters E-.
 Loop iterations give implication pairs either way.
 
-The sample set is one map. An example is its own key, its function and
-items whatever check produced it; the database indexes each labelled state
-with its polarity and the example first held for it. Every label goes
-through one gate, `_label`, which `admit` and `record_positive` call: a new
-state joins E+ or E-, one held under the other polarity is logged as a
-conflict instead, keeping E+ and E- disjoint at all times, and one held
-under the same polarity is a duplicate. Implication pairs use the same key.
+The sample set is plain values. An example is `(function, items)`, its own
+key whatever check produced it. The database keeps one insertion-ordered map
+from each labelled state to its polarity, one ordered map of implication
+pairs and the list of conflicts; `IceDatabase.samples` is the one reader of
+them, per function or whole. Every label goes through one gate, `_label`,
+which `admit` and `record_positive` call: a new state joins E+ or E-, one
+held under the other polarity is logged as a conflict instead, keeping E+
+and E- disjoint at all times, and one held under the same polarity is a
+duplicate.
 
 Every prompt reads the database through `render_examples`. It shows one
 function's own sections only, since a sample constrains only the predicate
@@ -77,16 +79,14 @@ ADMISSIBLE_CATEGORIES = (Category.UNCONSTRAINED_INIT, Category.SEMANTIC)
 
 @dataclass(frozen=True)
 class StateExample:
-    """A state of one function's predicate. Equality and hash read the
-    state only, so an example is its own key in the database."""
+    """A state of one function's predicate, and its own key in the database."""
     function: str
     items: Tuple[Tuple[str, str], ...]  # sorted (name, normalized value)
-    provenance: str = field(default="", compare=False)
 
     @staticmethod
-    def make(function: str, valuation: Mapping[str, str], provenance: str = "") -> "StateExample":
-        items = tuple(sorted((k, normalize_value(v)) for k, v in valuation.items()))
-        return StateExample(function=function, items=items, provenance=provenance)
+    def make(function: str, valuation: Mapping[str, str]) -> "StateExample":
+        return StateExample(function, tuple(sorted((k, normalize_value(v))
+                                                   for k, v in valuation.items())))
 
     @property
     def valuation(self) -> Dict[str, str]:
@@ -99,52 +99,36 @@ class StateExample:
 @dataclass(frozen=True)
 class ConflictRecord:
     polarity: str  # polarity that was REFUSED: "positive" | "negative"
-    candidate: StateExample
-    existing: StateExample
+    example: StateExample
 
 
 @dataclass
 class IceDatabase:
-    positives: List[StateExample] = field(default_factory=list)
-    negatives: List[StateExample] = field(default_factory=list)
-    implications: List[Tuple[StateExample, StateExample]] = field(default_factory=list)
-    conflicts: List[ConflictRecord] = field(default_factory=list)
-    # the held implication pairs
-    _held: Set[Tuple[StateExample, StateExample]] = field(
-        default_factory=set, init=False, repr=False, compare=False)
-    # each labelled state's polarity and the example first held for it
-    _labels: Dict[StateExample, Tuple[str, StateExample]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    # each labelled state's polarity, in the order labelled
+    labels: Dict[StateExample, str] = field(default_factory=dict, init=False)
+    # the implication pairs, in the order first held
+    pairs: Dict[Tuple[StateExample, StateExample], None] = field(default_factory=dict, init=False)
+    conflicts: List[ConflictRecord] = field(default_factory=list, init=False)
 
-    def __post_init__(self) -> None:
-        self._held.update(self.implications)
-        for polarity, pool in (("positive", self.positives), ("negative", self.negatives)):
-            for ex in pool:
-                self._labels.setdefault(ex, (polarity, ex))
+    def samples(self, function: Optional[str] = None) -> Dict[str, list]:
+        """function's E+, E-, implication pairs (a pair is its first state's)
+        and conflicts, each in the order first held; every function's when
+        function is None."""
+        own = lambda ex: function is None or ex.function == function
+        return {"positives": [ex for ex, p in self.labels.items() if p == "positive" and own(ex)],
+                "negatives": [ex for ex, p in self.labels.items() if p == "negative" and own(ex)],
+                "implications": [pair for pair in self.pairs if own(pair[0])],
+                "conflicts": [rec for rec in self.conflicts if own(rec.example)]}
 
     def sizes(self) -> Dict[str, int]:
-        return {
-            "positives": len(self.positives),
-            "negatives": len(self.negatives),
-            "implications": len(self.implications),
-            "conflicts": len(self.conflicts),
-        }
-
-    def positive_for(self, function: str) -> List[StateExample]:
-        return [e for e in self.positives if e.function == function]
-
-    def negative_for(self, function: str) -> List[StateExample]:
-        return [e for e in self.negatives if e.function == function]
+        return {name: len(entries) for name, entries in self.samples().items()}
 
     def add_implications(self, pairs: Iterable[Tuple[StateExample, StateExample]]) -> int:
-        """Append each (pre, post) pair whose two states are not yet held as a
-        pair, in order; returns how many were appended."""
-        before = len(self.implications)
-        for pair in pairs:
-            if pair not in self._held:
-                self._held.add(pair)
-                self.implications.append(pair)
-        return len(self.implications) - before
+        """Hold each (pre, post) pair not yet held, in order; returns how many
+        were new."""
+        before = len(self.pairs)
+        self.pairs.update(dict.fromkeys(pairs))
+        return len(self.pairs) - before
 
 
 def classify(result: Union[VerificationResult, ParseFailure]) -> Category:
@@ -188,13 +172,12 @@ def _label(db: IceDatabase, example: StateExample, polarity: str) -> str:
     """Label example's state with polarity ("positive" or "negative") unless
     it is labelled already: held under the other polarity, the refusal is
     logged as a conflict; under the same one, it is a duplicate."""
-    held = db._labels.get(example)
+    held = db.labels.get(example)
     if held is None:
-        db._labels[example] = (polarity, example)
-        (db.positives if polarity == "positive" else db.negatives).append(example)
+        db.labels[example] = polarity
         return _ACTIONS[polarity][0]
-    if held[0] != polarity:
-        db.conflicts.append(ConflictRecord(polarity, example, held[1]))
+    if held != polarity:
+        db.conflicts.append(ConflictRecord(polarity, example))
         return "blocked_conflict"
     return _ACTIONS[polarity][1]
 
@@ -229,7 +212,7 @@ def extract_implications(
             continue
         reassigns = any(name in running for name, _ in step.assignments)
         running.update(step.assignments)
-        state = StateExample(function, tuple(sorted(running.items())), "implication")
+        state = StateExample(function, tuple(sorted(running.items())))
         if prev is not None and reassigns:
             pairs.append((prev, state))
         prev = state
@@ -316,13 +299,14 @@ def render_examples(db: IceDatabase, function: str) -> str:
     """function's own E+, E-, implication pairs and refused admissions, the
     most recent DIAGNOSTIC_EXAMPLE_LIMIT of each: same inputs, same bytes.
     Only the entries shown are rendered."""
+    own = db.samples(function)
     sections = (
-        (POSITIVE_SECTION, db.positive_for(function), StateExample.render),
-        (NEGATIVE_SECTION, db.negative_for(function), StateExample.render),
-        (IMPLICATION_SECTION, [pair for pair in db.implications if pair[0].function == function],
+        (POSITIVE_SECTION, own["positives"], StateExample.render),
+        (NEGATIVE_SECTION, own["negatives"], StateExample.render),
+        (IMPLICATION_SECTION, own["implications"],
          lambda pair: f"{{{pair[0].render()}}} -> {{{pair[1].render()}}}"),
-        (CONFLICT_SECTION, [rec for rec in db.conflicts if rec.candidate.function == function],
-         lambda rec: f"refused {rec.polarity}: {rec.candidate.render()}"),
+        (CONFLICT_SECTION, own["conflicts"],
+         lambda rec: f"refused {rec.polarity}: {rec.example.render()}"),
     )
     lines: List[str] = []
     for title, entries, render in sections:

@@ -16,7 +16,9 @@ The file scope is read in one linear pass, since the paper's hardest inputs
 are large C files: `_scan_file_scope` jumps from one brace, `;`, `#` or call
 head to the next and reads each item once, a directive with the lines it
 continues, a function definition whole, a declaration up to its `;`. Every
-declarator, a parameter's or a global's, is read by `_declarator`.
+declarator, a parameter's or a global's, is read by `_declarator`. The same
+pass records the names a clause may use that are no globals: each `#define`
+and each file-scope enum constant.
 """
 
 from __future__ import annotations
@@ -67,6 +69,10 @@ _ASSIGNED_CALL_RE = re.compile(
     r"\b([A-Za-z_]\w*(?:(?:\.|->)[A-Za-z_]\w*)*)\s*=\s*([A-Za-z_]\w*)\s*\(")
 # a directive's own line and every line it continues with a backslash
 _DIRECTIVE_LINES_RE = re.compile(r"(?:.*\\\n)*.*\n?")
+# the name a `#define` directive defines, object-like or function-like
+_DEFINE_RE = re.compile(r"#[ \t]*define[ \t]+([A-Za-z_]\w*)")
+# the head of an enum's enumerator list, just before its brace
+_ENUM_HEAD_RE = re.compile(r"\benum(?:\s+[A-Za-z_]\w*)?\s*$")
 _ARRAY_BOUND_RE = re.compile(r"\[[^\]]*\]")
 # the name a pointer declarator such as `(*fp)(int)` declares
 _POINTER_DECLARATOR_RE = re.compile(r"\(\s*\*+\s*([A-Za-z_]\w*)\s*\)")
@@ -145,6 +151,9 @@ class ProgramModel:
     functions: Tuple[FunctionInfo, ...]
     property: SystemProperty
     global_names: Tuple[str, ...] = ()
+    # file-scope macro and enum-constant names: a clause may use them, but
+    # they are no globals, so they are neither covered nor assigned
+    constant_names: Tuple[str, ...] = ()
     # (lvalue, callee) of each `lvalue = callee(` outside comments and strings,
     # in text order
     assigned_calls: Tuple[Tuple[str, str], ...] = ()
@@ -275,13 +284,17 @@ class _RawFunction:
     is_static: bool
 
 
-def _scan_file_scope(src: str, masked: str) -> Tuple[List[_RawFunction], Tuple[str, ...]]:
-    """The function definitions and the declared global names, in one pass
-    that reads each file-scope item once: a directive with every line it
-    continues, a function definition whole, and a declaration up to its `;`
-    with its brace blocks (an initializer, a struct body) left out."""
+def _scan_file_scope(src: str, masked: str
+                     ) -> Tuple[List[_RawFunction], Tuple[str, ...], Tuple[str, ...]]:
+    """The function definitions, the declared global names and the macro and
+    enum-constant names, in one pass that reads each file-scope item once: a
+    directive with every line it continues, a function definition whole, and
+    a declaration up to its `;` with its brace blocks (an initializer, a
+    struct body, an enumerator list) left out."""
     raws: List[_RawFunction] = []
     found: List[str] = []
+    constants: List[str] = []
+    enum_open: Optional[int] = None  # the brace of a file-scope enumerator list
     decl: List[str] = []  # the declaration read so far, outside its brace blocks
     depth = 0
     i = 0
@@ -295,6 +308,8 @@ def _scan_file_scope(src: str, masked: str) -> Tuple[List[_RawFunction], Tuple[s
         if c == "{":
             if depth == 0:
                 decl.append(masked[item:i])
+                if _ENUM_HEAD_RE.search(masked, item, i):
+                    enum_open = i
             depth += 1
             i += 1
             continue
@@ -303,6 +318,10 @@ def _scan_file_scope(src: str, masked: str) -> Tuple[List[_RawFunction], Tuple[s
             if depth < 0:
                 raise UnbalancedSourceError("unmatched '}' at offset %d" % i)
             if depth == 0:
+                if enum_open is not None:
+                    enumerators = _split_top_level(masked[enum_open + 1:i])
+                    constants += [m.group() for m in map(_WORD_RE.search, enumerators) if m]
+                    enum_open = None
                 item = i + 1
             i += 1
             continue
@@ -311,8 +330,11 @@ def _scan_file_scope(src: str, masked: str) -> Tuple[List[_RawFunction], Tuple[s
             decl = []
             item = i = i + 1
             continue
-        if c == "#":  # a directive's lines declare nothing
+        if c == "#":  # a directive's lines declare no global
             decl.append(masked[item:i])
+            define = _DEFINE_RE.match(masked, i)
+            if define:
+                constants.append(define.group(1))
             item = i = _DIRECTIVE_LINES_RE.match(masked, i).end()
             continue
         if m.group(1) not in C_KEYWORDS:
@@ -338,7 +360,7 @@ def _scan_file_scope(src: str, masked: str) -> Tuple[List[_RawFunction], Tuple[s
         i = m.end()
     if depth != 0:
         raise UnbalancedSourceError("source has %d unclosed brace(s)" % depth)
-    return raws, tuple(dict.fromkeys(found))
+    return raws, tuple(dict.fromkeys(found)), tuple(dict.fromkeys(constants))
 
 
 def _header(masked_body: str, pos: int) -> Tuple[str, int]:
@@ -504,7 +526,7 @@ def parse_program(source_text: str) -> ProgramModel:
     """Build the model. Raises on missing main, zero or multiple assertions,
     and brace imbalance."""
     masked = mask_comments_and_strings(source_text)
-    raws, global_names = _scan_file_scope(source_text, masked)
+    raws, global_names, constant_names = _scan_file_scope(source_text, masked)
 
     main_raw = next((r for r in raws if r.name == "main"), None)
     if main_raw is None:
@@ -547,6 +569,7 @@ def parse_program(source_text: str) -> ProgramModel:
         functions=tuple(functions),
         property=prop,
         global_names=global_names,
+        constant_names=constant_names,
         assigned_calls=tuple(m.groups() for m in _ASSIGNED_CALL_RE.finditer(masked)),
     )
 

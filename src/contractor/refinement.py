@@ -35,14 +35,15 @@ needs the settled system check and every function's own check to pass,
 left to blame). Everything else, including budget exhaustion, is
 `inconclusive`.
 
-Every ask goes through `_ask_all`, each into its own log, and is kept on
-the pipeline thread in ask order; only phase 1b's replies come from the
-pool, so a strengthen reads the relax kept before it in its round. `_ask`
-merges each log as soon as its ask is kept: a run that ends on a client
-error keeps the log of every ask made before it and the attempts of the
-ask it ends. Stage 4 places each log before its own check. Every
-refinement round is one `_loop`; CEGAR and CEGIS differ only in their asks
-and in CEGAR's stagnation step.
+Every ask goes through `_ask`, each into its own log, and is kept on the
+pipeline thread in ask order; only phase 1b's replies come from the pool, so
+a strengthen reads the relax kept before it in its round. `_ask` merges each
+log as soon as its ask is kept, or as it raises: a run that ends on a client
+error keeps the log of every ask made before it and the attempts of the ask
+it ends. Stage 4 logs its asks, then each precise check with its
+substitution, as a round logs its asks before its checks. Every refinement
+round is one `_loop`; CEGAR and CEGIS differ only in their asks and in
+CEGAR's stagnation step.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .cexpr import identifiers
 from .contracts import (
@@ -65,7 +66,6 @@ from .contracts import (
     sanitize_assigns,
 )
 from .errors import (
-    ContractorError,
     DeadlineExceededError,
     IrreducibleFailureError,
     NoResponsibleFunctionError,
@@ -287,6 +287,7 @@ def _reply(ctx: _Ctx, contracts: Dict[str, Contract], f: FunctionInfo,
     req = SynthesisRequest(
         function=f, property_text=ctx.model.property.assertion_text, intent=intent,
         current_contract=contracts.get(f.name), known_globals=ctx.model.global_names,
+        known_constants=ctx.model.constant_names,
         diagnostics=_diagnostics_for(ctx, f.name, intent))
     if intent is SynthesisIntent.OVERAPPROXIMATE:
         return overapproximate(req, ctx.client, log)
@@ -310,32 +311,25 @@ def _reply(ctx: _Ctx, contracts: Dict[str, Contract], f: FunctionInfo,
     return accepted
 
 
-def _ask_all(ctx: _Ctx, contracts: Dict[str, Contract], asks: List[Ask],
-             cover: bool = False, pool: Optional[ThreadPoolExecutor] = None
-             ) -> Iterator[Tuple[Optional[Contract], RunLog]]:
-    """Each ask's kept contract (None when its reply could not be used) and
-    its own log, in ask order. Replies come from pool.map when a pool is
-    given, else one by one as they are read, so an ask sees every contract
-    kept before it; each is kept into contracts on this thread. An ask that
-    raises yields (None, its attempts so far) before the error is raised."""
+def _ask(ctx: _Ctx, contracts: Dict[str, Contract], asks: List[Ask],
+         cover: bool = False, pool: Optional[ThreadPoolExecutor] = None
+         ) -> List[Optional[Contract]]:
+    """Each ask's kept contract, or None when its reply could not be used, in
+    ask order. Replies come from pool.map when a pool is given, else one by
+    one as they are read, so an ask sees every contract kept before it; each
+    is kept into contracts on this thread. Each ask's own log is merged into
+    ctx.log as soon as its reply is kept, or with its attempts so far as it
+    raises."""
     logs = [RunLog() for _ in asks]
     replies = (map if pool is None else pool.map)(
         lambda ask, log: _reply(ctx, contracts, *ask, log, cover), asks, logs)
+    kept: List[Optional[Contract]] = []
     for (f, _), log in zip(asks, logs):
         try:
-            result = next(replies)
-        except ContractorError:
-            yield None, log
-            raise
-        yield _keep(contracts, f.name, result, log), log
-
-
-def _ask(ctx: _Ctx, contracts: Dict[str, Contract], asks: List[Ask],
-         cover: bool = False, pool: Optional[ThreadPoolExecutor] = None) -> None:
-    """Run asks through `_ask_all`, merging each one's log into ctx.log as
-    soon as it is kept."""
-    for _, log in _ask_all(ctx, contracts, asks, cover, pool):
-        ctx.log.events.extend(log.events)
+            kept.append(_keep(contracts, f.name, next(replies), log))
+        finally:
+            ctx.log.events.extend(log.events)
+    return kept
 
 
 def _diagnostics_for(ctx: _Ctx, fname: str, intent: SynthesisIntent) -> str:
@@ -378,7 +372,7 @@ def _blame(ctx: _Ctx, parsed: ParsedCounterexample,
 
 
 def _learn(ctx: _Ctx, parsed: ParsedCounterexample, category: Category, target: str,
-           provenance: str, names: List[str]) -> None:
+           names: List[str], system: bool = False) -> None:
     """Under SMART ICE, label target's state in the counterexample once, by
     the check it came from: a system counterexample's state is a negative
     example, a function check's semantic one a positive (the implementation
@@ -387,9 +381,8 @@ def _learn(ctx: _Ctx, parsed: ParsedCounterexample, category: Category, target: 
     if ctx.cfg.strategy is not Strategy.SMART_ICE:
         return
     valuation = final_valuation(parsed.trace, target) or parsed.key_map()
-    system = provenance == "system"
     if valuation and (system or category is Category.SEMANTIC):
-        ex = StateExample.make(target, valuation, provenance=provenance)
+        ex = StateExample.make(target, valuation)
         action = admit(ctx.db, category, ex) if system else record_positive(ctx.db, ex)
         ctx.log.event("db", action=action, function=target, **ctx.db.sizes())
     for name in names:
@@ -469,7 +462,7 @@ def _check_system(ctx: _Ctx, stubbed: Dict[str, Contract],
     if category is not None and stubbed:
         blamed, fallback = _blame(ctx, result.parsed, stubbed)
         ctx.log.event("weakest_link", chosen=blamed, fallback=fallback)
-        _learn(ctx, result.parsed, category, blamed, "system", sorted(ctx.round.contracts))
+        _learn(ctx, result.parsed, category, blamed, sorted(ctx.round.contracts), system=True)
     ctx.round = replace(ctx.round, sys_key=key, stubbed=dict(stubbed), blamed=blamed)
 
 
@@ -490,7 +483,7 @@ def _verify_round(ctx: _Ctx, contracts: Dict[str, Contract]) -> None:
         result = ctx.checked[key]
         category = _classified(ctx, name, result)
         if category is not None:
-            _learn(ctx, result.parsed, category, name, "function", [name])
+            _learn(ctx, result.parsed, category, name, [name])
 
 
 def _falsified(ctx: _Ctx) -> Verdict:
@@ -788,25 +781,22 @@ def _run_pre_abstraction(ctx: _Ctx) -> Verdict:
 
     ctx.set_stage("pre_abstraction:4")
     # an unverified abstraction stays in place for refinement; each verified
-    # one's precise contract is asked for here, its own check started once
-    # every ask is kept, and its ask's log placed just before that check
+    # one's precise contract is asked for here, and its own check started
+    # once every ask is kept
     passing = {name for name, status in _statuses(ctx) if status == Status.PASS.value}
     verified = [f for f in high if f.name in passing]
-    asked = list(_ask_all(ctx, {}, [(f, SynthesisIntent.INITIAL) for f in verified]))
-    started = {f.name: _start(ctx, render_enforce(ctx.model, precise))
-               for f, (precise, _) in zip(verified, asked) if precise is not None}
-    for f, (precise, log) in zip(verified, asked):
-        ctx.log.events.extend(log.events)
-        if precise is None:
-            continue
-        key, _ = _check(ctx, started[f.name])
+    asked = _ask(ctx, {}, [(f, SynthesisIntent.INITIAL) for f in verified])
+    started = [(f.name, precise, _start(ctx, render_enforce(ctx.model, precise)))
+               for f, precise in zip(verified, asked) if precise is not None]
+    for name, precise, begun in started:
+        key, _ = _check(ctx, begun)
         check = ctx.checked[key]
         if check.status is Status.PASS:
-            ctx.round = ctx.round.replaced(f.name, precise, key)
-            ctx.log.event("substitute", function=f.name, kept="precise")
+            ctx.round = ctx.round.replaced(name, precise, key)
+            ctx.log.event("substitute", function=name, kept="precise")
         else:
-            ctx.log.event("substitute", function=f.name, kept="abstraction")
-            _classified(ctx, f.name, check)
+            ctx.log.event("substitute", function=name, kept="abstraction")
+            _classified(ctx, name, check)
 
     ctx.set_stage("pre_abstraction:5")
     _verify_round(ctx, dict(ctx.round.contracts))

@@ -90,6 +90,7 @@ class SynthesisRequest:
     diagnostics: str = ""
     examples: str = ""
     known_globals: Tuple[str, ...] = ()
+    known_constants: Tuple[str, ...] = ()  # macro and enum-constant names
 
 
 def _contract_as_text(c: Optional[Contract]) -> str:
@@ -323,7 +324,8 @@ def synthesize(
     for attempt in range(retries + 1):
         prompt = render_prompt(req, failure_note)
         reply = client.complete(prompt, tags)
-        result = parse_contract_text(reply, req.function, req.known_globals)
+        result = parse_contract_text(reply, req.function, req.known_globals,
+                                     req.known_constants)
         if log is not None:
             log.event(
                 "synthesis",
@@ -408,7 +410,8 @@ def check_example_consistency(c: Contract, db: IceDatabase) -> List[str]:
     skipped; this is advice for the log, not a gate."""
     warnings: List[str] = []
     clauses = list(c.requires) + list(c.ensures)
-    for ex in db.positive_for(c.function):
+    own = db.samples(c.function)
+    for ex in own["positives"]:
         env = _example_env(ex)
         for clause in clauses:
             verdict = cexpr.try_evaluate_bool(clause, env)
@@ -416,7 +419,7 @@ def check_example_consistency(c: Contract, db: IceDatabase) -> List[str]:
                 warnings.append(
                     f"clause ({clause}) excludes known-good state {{{ex.render()}}}"
                 )
-    for ex in db.negative_for(c.function):
+    for ex in own["negatives"]:
         env = _example_env(ex)
         verdicts = [cexpr.try_evaluate_bool(cl, env) for cl in clauses]
         if verdicts and all(v is True for v in verdicts):

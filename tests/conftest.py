@@ -21,6 +21,28 @@ from contractor.verifier import (
 CORPUS_DIR = Path(__file__).parent / "corpus"
 
 
+# file-scope macros and enum constants, and a function-local enum
+CONSTANTS_SRC = """\
+#define LIMIT 10
+#define CLAMP(v) \\
+    ((v) > LIMIT ? LIMIT : (v))
+enum color { RED, GREEN = 4, BLUE };
+int shade;
+
+int pick(int x) {
+    enum { LOCAL = 1 };
+    shade = x;
+    return CLAMP(x);
+}
+
+int main() {
+    int r = pick(3);
+    assert(r != GREEN + 1);
+    return 0;
+}
+"""
+
+
 def corpus_paths() -> List[Path]:
     return sorted(CORPUS_DIR.glob("*.c"))
 

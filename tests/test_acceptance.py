@@ -350,9 +350,10 @@ def _admission_matches_mirror(ops):
         else:
             mirror_neg.setdefault(key, example)
 
-    assert {(e.function, e.items) for e in db.positives} == set(mirror_pos)
-    assert {(e.function, e.items) for e in db.negatives} == set(mirror_neg)
-    assert len(db.conflicts) == refused
+    held = db.samples()
+    assert {(e.function, e.items) for e in held["positives"]} == set(mirror_pos)
+    assert {(e.function, e.items) for e in held["negatives"]} == set(mirror_neg)
+    assert len(held["conflicts"]) == refused
     assert not set(mirror_pos) & set(mirror_neg)
 
 

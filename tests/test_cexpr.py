@@ -167,6 +167,28 @@ def test_try_evaluate_bool_outside_dialect():
     assert try_evaluate_bool("x > 0", {"x": -3}) is False
 
 
+@pytest.mark.parametrize("clause, valuation", [
+    ("-1 < 10u", {}),  # C converts -1 to unsigned: false
+    ("x * x >= 0", {"x": 50000}),  # signed overflow
+    ("x + 1 > x", {"x": 2147483647}),  # signed overflow
+    ("(x << 31) < 0", {"x": 1}),  # the shift passes the sign bit
+])
+def test_try_evaluate_bool_gives_none_where_c_differs(clause, valuation):
+    assert try_evaluate_bool(clause, valuation) is None
+
+
+def test_values_stay_in_int_range():
+    assert evaluate("(x - 1) * 2 + 1", {"x": 1073741824}) == 2147483647
+    assert evaluate("-2147483647 - 1", {}) == -2147483648
+    assert evaluate("x >> 1", {"x": -8}) == -4
+    assert try_evaluate_bool("x > 0", {"x": 2 ** 31}) is None  # no int holds x
+    for text in ("2147483648", "-x", "x / -1", "x % -1", "x << 1", "1 << 32"):
+        with pytest.raises(EvalError):
+            evaluate(text, {"x": -2147483648})
+    # an untaken branch still gives 0
+    assert evaluate("0 && x * x > 0", {"x": 50000}) == 0
+
+
 def test_evaluate_bool():
     assert evaluate_bool("a == b", {"a": 2, "b": 2}) is True
     assert evaluate_bool("a - b", {"a": 2, "b": 2}) is False

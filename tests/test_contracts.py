@@ -17,7 +17,7 @@ from contractor.contracts import (
 )
 from contractor.errors import LoopOrdinalError, UnknownFunctionError
 from contractor.program_model import parse_program
-from conftest import contract_reply, corpus_sources, strip_annotations
+from conftest import CONSTANTS_SRC, contract_reply, corpus_sources, strip_annotations
 
 
 def mk(function="increment", requires=(), ensures=(), assigns=(), invariants=()):
@@ -214,6 +214,22 @@ def test_parse_accepts_known_global():
                             f, known_globals=model.global_names)
     assert isinstance(r, Contract)
     assert r.assigns == ("counter",)
+
+
+def test_a_clause_may_name_a_macro_or_an_enum_constant():
+    model = parse_program(CONSTANTS_SRC)
+    # file-scope names only, and none of them a global
+    assert model.constant_names == ("LIMIT", "CLAMP", "RED", "GREEN", "BLUE")
+    assert model.global_names == ("shade",)
+    f = model.function("pick")
+    reply = ("__ESBMC_ensures(__ESBMC_return_value <= LIMIT);\n"
+             "__ESBMC_ensures(__ESBMC_return_value != GREEN);")
+    c = parse_contract_text(reply, f, model.global_names, model.constant_names)
+    assert isinstance(c, Contract)
+    assert c.ensures == ("__ESBMC_return_value <= LIMIT", "__ESBMC_return_value != GREEN")
+    r = parse_contract_text("__ESBMC_ensures(__ESBMC_return_value != LOCAL);", f,
+                            model.global_names, model.constant_names)
+    assert r.reason is ParseFailureReason.UNKNOWN_IDENTIFIER
 
 
 @pytest.mark.parametrize("clause", ["c == 'a'", "x < 1e5", "x < 1.5f"])

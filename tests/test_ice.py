@@ -98,14 +98,14 @@ def test_admit_and_dedup():
     ex = StateExample.make("f", {"x": "1"})
     assert admit(db, sem(), ex) == "admitted_negative"
     assert admit(db, sem(), StateExample.make("f", {"x": "1"})) == "rejected_or_duplicate"
-    assert len(db.negatives) == 1
+    assert len(db.samples()["negatives"]) == 1
 
 
 def test_tool_level_never_admitted():
     db = IceDatabase()
     action = admit(db, Category.TOOL_ERROR, StateExample.make("f", {"x": "1"}))
     assert action == "rejected_or_duplicate"
-    assert db.negatives == [] and db.conflicts == []
+    assert db.samples()["negatives"] == [] and db.conflicts == []
 
 
 def test_syntax_and_unparsed_not_admitted():
@@ -113,7 +113,7 @@ def test_syntax_and_unparsed_not_admitted():
     for cat in (Category.SYNTAX_ERROR, Category.UNPARSED):
         action = admit(db, cat, StateExample.make("f", {"x": "1"}))
         assert action == "rejected_or_duplicate"
-    assert db.negatives == []
+    assert db.samples()["negatives"] == []
 
 
 def test_conflicting_negative_goes_to_log():
@@ -121,10 +121,10 @@ def test_conflicting_negative_goes_to_log():
     ex = StateExample.make("f", {"x": "1"})
     assert record_positive(db, ex) == "recorded_positive"
     assert admit(db, sem(), StateExample.make("f", {"x": "1"})) == "blocked_conflict"
-    assert len(db.negatives) == 0
+    assert len(db.samples()["negatives"]) == 0
     assert len(db.conflicts) == 1
     assert db.conflicts[0].polarity == "negative"
-    assert db.positives[0] == ex
+    assert db.samples()["positives"][0] == ex
 
 
 def test_conflicting_positive_goes_to_log():
@@ -132,7 +132,7 @@ def test_conflicting_positive_goes_to_log():
     ex = StateExample.make("f", {"x": "1"})
     admit(db, sem(), ex)
     assert record_positive(db, StateExample.make("f", {"x": "1"})) == "blocked_conflict"
-    assert len(db.positives) == 0
+    assert len(db.samples()["positives"]) == 0
     assert db.conflicts[0].polarity == "positive"
 
 
@@ -140,38 +140,28 @@ def test_record_positive_and_dedup():
     db = IceDatabase()
     assert record_positive(db, StateExample.make("f", {"x": "1"})) == "recorded_positive"
     assert record_positive(db, StateExample.make("f", {"x": "1"})) == "duplicate"
-    assert len(db.positives) == 1 and db.conflicts == []
+    assert len(db.samples()["positives"]) == 1 and db.conflicts == []
 
 
 def test_same_values_different_function_no_conflict():
     db = IceDatabase()
     record_positive(db, StateExample.make("f", {"x": "1"}))
     admit(db, sem(), StateExample.make("g", {"x": "1"}))
-    assert len(db.positives) == 1 and len(db.negatives) == 1
+    assert len(db.samples()["positives"]) == 1 and len(db.samples()["negatives"]) == 1
     assert db.conflicts == []
 
 
 def test_an_example_is_keyed_by_its_state_alone():
-    # the same (function, items) with another provenance is one key
-    sys_ex = StateExample.make("f", {"x": "1"}, provenance="system")
-    fn_ex = StateExample.make("f", {"x": "1"}, provenance="function")
+    # the same (function, items), whichever check it came from, is one key
+    sys_ex = StateExample.make("f", {"x": "0x1"})
+    fn_ex = StateExample("f", (("x", "1"),))
     assert sys_ex == fn_ex and hash(sys_ex) == hash(fn_ex)
-    assert len({sys_ex, fn_ex, StateExample.make("g", {"x": "1"}, provenance="system")}) == 2
+    assert len({sys_ex, fn_ex, StateExample.make("g", {"x": "1"})}) == 2
     db = IceDatabase()
     assert admit(db, sem(), sys_ex) == "admitted_negative"
     assert record_positive(db, fn_ex) == "blocked_conflict"
-    assert db.positives == [] and db.negatives == [sys_ex]
-    assert db.conflicts == [ConflictRecord("positive", fn_ex, sys_ex)]
-    assert db.conflicts[0].existing.provenance == "system"
-
-
-def test_a_database_built_with_pools_labels_them():
-    ex = StateExample.make("f", {"x": "1"}, provenance="system")
-    db = IceDatabase(negatives=[ex])
-    assert admit(db, sem(), StateExample.make("f", {"x": "1"})) == "rejected_or_duplicate"
-    assert record_positive(db, StateExample.make("f", {"x": "1"})) == "blocked_conflict"
-    assert db.conflicts[0].existing is ex
-    assert db.negatives == [ex] and db.positives == []
+    assert db.samples()["positives"] == [] and db.samples()["negatives"] == [sys_ex]
+    assert db.conflicts == [ConflictRecord("positive", fn_ex)]
 
 
 def test_only_tool_error_is_tool_level():
@@ -192,7 +182,7 @@ def test_normalized_equality_detects_conflicts():
     db = IceDatabase()
     record_positive(db, StateExample.make("f", {"x": "16"}))
     admit(db, sem(), StateExample.make("f", {"x": "0x10"}))
-    assert db.conflicts and db.negatives == []
+    assert db.conflicts and db.samples()["negatives"] == []
 
 
 def test_final_valuation_takes_last_assignment():
@@ -236,24 +226,21 @@ def test_extract_implications_keeps_repeats_for_the_database():
         ("0", "1"), ("1", "0"), ("0", "1")]
     db = IceDatabase()
     assert db.add_implications(pairs) == 2
-    assert db.implications == pairs[:2]
+    assert db.samples()["implications"] == pairs[:2]
 
 
 def test_add_implications_appends_each_pair_once():
-    # a pair is held by its two states, whatever their provenance, across calls
+    # a pair is held by its two states, across calls
     a, b, c = (StateExample.make("f", {"i": v}) for v in ("0", "1", "2"))
     db = IceDatabase()
     assert db.add_implications([(a, b), (b, c), (a, b)]) == 2
-    again = StateExample.make("f", {"i": "0"}, provenance="implication")
+    again = StateExample("f", (("i", "0"),))
     assert db.add_implications([(again, b), (c, a)]) == 1
-    assert db.implications == [(a, b), (b, c), (c, a)]
-    # the held keys are bookkeeping: they neither show nor compare
-    assert db == IceDatabase(implications=[(a, b), (b, c), (c, a)])
-    assert repr(db) == repr(IceDatabase(implications=list(db.implications)))
-    # pairs given to the constructor are held as well
-    built = IceDatabase(implications=[(a, b)])
-    assert built.add_implications([(again, b), (b, c)]) == 1
-    assert built.implications == [(a, b), (b, c)]
+    assert db.samples()["implications"] == [(a, b), (b, c), (c, a)]
+    # one copy of each pair: the same pairs, however given, are the same database
+    built = IceDatabase()
+    built.add_implications([(a, b), (b, c), (c, a), (again, b)])
+    assert db == built and repr(db) == repr(built)
 
 
 def test_extract_implications_needs_reassignment():
@@ -564,10 +551,16 @@ def test_render_examples_shows_only_the_target_function():
 
 def test_render_examples_renders_only_the_entries_it_shows(monkeypatch):
     # every section is capped before its entries are rendered
-    states = [StateExample.make("f", {"x": str(i)}) for i in range(25)]
-    db = IceDatabase(positives=states[:], negatives=states[:12],
-                     implications=list(zip(states, states[1:]))[:15])
-    db.conflicts += [ConflictRecord("negative", ex, ex) for ex in states[:11]]
+    # built through the gate, E+ and E- disjoint: 25 E+, 12 E-, 15 pairs and 11
+    # conflicts, each a refused E- for a held E+
+    good = [StateExample.make("f", {"x": str(i)}) for i in range(25)]
+    bad = [StateExample.make("f", {"x": str(-i)}) for i in range(1, 13)]
+    db = IceDatabase()
+    for ex in good:
+        record_positive(db, ex)
+    for ex in bad + good[:11]:
+        admit(db, sem(), ex)
+    db.add_implications(list(zip(good, good[1:]))[:15])
     expected = render_examples(db, "f")
     rendered = []
     real = StateExample.render
@@ -597,5 +590,6 @@ def test_pools_stay_disjoint_under_any_sequence(ops):
             record_positive(db, ex)
         else:
             admit(db, sem(), ex)
-    for p in db.positives:
-        assert not any(p == n for n in db.negatives)
+    held = db.samples()
+    for p in held["positives"]:
+        assert not any(p == n for n in held["negatives"])

@@ -18,6 +18,7 @@ from typing import Dict
 import pytest
 
 from conftest import (
+    CONSTANTS_SRC,
     PassVerifier,
     RuleVerifier,
     contract_reply,
@@ -1135,10 +1136,11 @@ def test_stage_four_keeps_the_log_of_a_serial_run():
     assert runs[0] == runs[1]
     stages = [e.get("stage") for e in log.events]
     phase4 = log.events[stages.index("pre_abstraction:4") + 1:stages.index("pre_abstraction:5")]
-    # each function's ask, check and substitution, in model order
+    # the asks in model order, then each function's check and substitution
     assert [(e["event"], e.get("function") or e.get("mode")) for e in phase4] == [
-        ("synthesis", "deep"), ("verification", "function:deep"), ("substitute", "deep"),
-        ("synthesis", "down"), ("verification", "function:down"), ("substitute", "down")]
+        ("synthesis", "deep"), ("synthesis", "down"),
+        ("verification", "function:deep"), ("substitute", "deep"),
+        ("verification", "function:down"), ("substitute", "down")]
 
 
 @pytest.mark.skipif(cpus() < 2, reason="one CPU: checks are serial by default")
@@ -1353,10 +1355,11 @@ class OneReplyClient(ScriptedLlmClient):
         return super().complete(prompt, tags)
 
 
-def failed_run(src, client, **cfg_kw):
+def failed_run(src, client, verifier=None, **cfg_kw):
     from contractor.harness import RunOutcome, run_program
 
-    report = run_program("p", src, PipelineConfig(timeout_s=60.0, **cfg_kw), client, PassVerifier())
+    report = run_program("p", src, PipelineConfig(timeout_s=60.0, **cfg_kw), client,
+                         verifier or PassVerifier())
     assert report.outcome is RunOutcome.FAILED
     assert "ClientUnavailableError" in report.error
     return report.log
@@ -1380,6 +1383,29 @@ def test_a_phase_1b_client_error_keeps_the_log_of_every_ask_before_it():
             for workers in (1, 2)]
     assert logs[0] == logs[1]
     assert [e["function"] for e in logs[0] if e["event"] == "synthesis"] == ["deep", "gain"]
+
+
+def test_a_stage_4_client_error_keeps_the_log_of_every_ask_before_it():
+    script = {k: v for k, v in TWO_HIGH_SCRIPT.items() if k != "down|initial"}
+    logs = [failed_run(TWO_HIGH_SRC, ScriptedLlmClient(script), RuleVerifier(two_high_rule),
+                       workers=workers, strategy=Strategy.PRE_ABSTRACTION).events
+            for workers in (1, 2)]
+    assert logs[0] == logs[1]
+    stages = [e.get("stage") for e in logs[0]]
+    phase4 = logs[0][stages.index("pre_abstraction:4") + 1:]
+    # deep's precise ask was kept before down's ended the run
+    assert [(e["event"], e.get("function"), e.get("outcome")) for e in phase4] == [
+        ("synthesis", "deep", "parsed"), ("error", None, None)]
+
+
+def test_a_reply_naming_a_macro_and_an_enum_constant_is_kept():
+    reply = contract_reply(assigns=("shade",), ensures=("__ESBMC_return_value <= LIMIT",
+                                                        "__ESBMC_return_value != GREEN"))
+    verdict, log, client, _ = run(CONSTANTS_SRC, {"pick|initial": reply}, PassVerifier())
+    assert verdict.outcome is VerdictOutcome.VERIFIED
+    assert verdict.contract_map()["pick"].ensures == ("__ESBMC_return_value <= LIMIT",
+                                                      "__ESBMC_return_value != GREEN")
+    assert len(client.calls) == 1 and log.of_kind("classification") == []
 
 
 # -- each state labelled once, each prompt shown its own function's examples ---
@@ -1440,8 +1466,8 @@ def test_a_function_counterexample_is_a_positive_example(monkeypatch):
     assert verdict.outcome is VerdictOutcome.INCONCLUSIVE
     assert verdict.status_map()["keep"] == "pass"
     state = (("__ESBMC_return_value", "2"), ("a", "2"))
-    assert [(e.items, e.provenance) for e in db.positive_for("keep")] == [(state, "function")]
-    assert db.negatives == [] and db.conflicts == []
+    assert [e.items for e in db.samples("keep")["positives"]] == [state]
+    assert db.samples()["negatives"] == [] and db.samples()["conflicts"] == []
     actions = [(e["action"], e["function"]) for e in log.of_kind("db")]
     assert ("recorded_positive", "keep") in actions
     assert all(action != "blocked_conflict" for action, _ in actions)
@@ -1452,14 +1478,16 @@ def test_an_unconstrained_function_failure_teaches_no_state(monkeypatch):
     assert verdict.outcome is VerdictOutcome.INCONCLUSIVE
     assert [e["category"] for e in log.of_kind("classification")
             if e["function"] == "keep"] == ["unconstrained_init"]
-    assert db.positive_for("keep") == [] and db.negative_for("keep") == []
+    keep = db.samples("keep")
+    assert keep["positives"] == [] and keep["negatives"] == []
     assert [e["action"] for e in log.of_kind("db") if e["function"] == "keep"] == []
 
 
 def test_a_cegis_prompt_shows_only_its_function_capped(monkeypatch):
     _, log, _, _, db = examples_run(monkeypatch)
-    assert any(e.function == "keep" for e in db.positives + db.negatives)
-    assert len(db.implications) > DIAGNOSTIC_EXAMPLE_LIMIT
+    held = db.samples()
+    assert any(e.function == "keep" for e in held["positives"] + held["negatives"])
+    assert len(held["implications"]) > DIAGNOSTIC_EXAMPLE_LIMIT
     (prompt,) = prompts(log, "cegis")
     block = prompt[prompt.index(POSITIVE_SECTION):prompt.index("\n\nCurrent contract:")]
     sections: Dict[str, list] = {}
