@@ -8,16 +8,23 @@ range (a literal, a valuation's value or any intermediate result, including
 a left shift of a negative value or past the sign bit) raises EvalError:
 signed overflow is undefined (ISO C11 6.5p5), so no value would be right.
 Arrays are plain Python sequences in the valuation. No casts, no calls, no
-assignment. A character literal of one plain character or a simple escape
-has its C value; a floating, string or other character literal has none, so
-evaluating it raises EvalError.
+assignment. A decimal, octal (leading 0) or hexadecimal literal without a
+suffix has its value, and a character literal of one plain character or a
+simple escape its C value. Every other literal is no `int` here: a floating
+or string literal, another character literal, an unsigned or long literal
+(a `u` or `l` suffix, or a value no `int` holds, whose type converts the
+other operand under ISO C11 6.3.1.8, so `-1 < 10u` is false in C).
+Evaluating one raises EvalError.
 
 Binary operators come from one precedence table, `_LEVELS`, loosest level
 first, and `_apply` holds their C rules. `&&`, `||` and `?:` short-circuit the
 way C does. The untaken side is still parsed, as a dead branch where an
 evaluation error gives 0: division by zero, a shift out of range, an array
 used as an integer, an unbound name or a bad index. So `d != 0 && n / d > 1`
-is fine at d == 0, while malformed text raises everywhere.
+is fine at d == 0, while malformed text raises everywhere. A literal or value
+that is no `int` gives 0 on the untaken side of `&&` or `||`, whose result is
+an `int` whatever its operands are; it still raises in the untaken arm of a
+`?:`, whose type is that of both arms.
 """
 
 from __future__ import annotations
@@ -56,10 +63,9 @@ _TOKEN_RE = re.compile(r"\s*(" + _LITERAL + "|" + _NAME + r"""
 )""", re.VERBOSE)
 # a literal or a name, wherever it stands in text of any shape
 _LEXEME_RE = re.compile(_LITERAL + "|" + _NAME, re.VERBOSE)
-_FLOAT_RE = re.compile(_FLOAT, re.VERBOSE)
 _NAME_RE = re.compile(_NAME)
-# an unsigned or long integer literal, whose type converts the other operand
-_SUFFIXED_RE = re.compile(r"(?:0[xX][0-9a-fA-F]+|\d+)[uUlL]+")
+# an integer literal without a suffix: hexadecimal, octal (a leading 0) or decimal
+_INT_RE = re.compile(r"0[xX][0-9a-fA-F]+|0[0-7]*|[1-9]\d*")
 # the value of each one-character literal's text between the quotes
 _CHAR_VALUES = {**{chr(c): c for c in range(32, 127) if chr(c) not in "\\'"},
                 "\\0": 0, "\\t": 9, "\\n": 10, "\\r": 13,
@@ -108,6 +114,15 @@ def _int(v: int) -> int:
     return v
 
 
+def _literal_value(tok: str) -> Optional[int]:
+    """A literal's value when its type may be `int`, else None."""
+    if tok[0] == "'":
+        return _CHAR_VALUES.get(tok[1:-1])
+    if _INT_RE.fullmatch(tok):
+        return int(tok, 16 if tok[1:2] in ("x", "X") else 8 if tok[0] == "0" else 10)
+    return None
+
+
 def _apply(op: str, a: int, b: int) -> int:
     """One binary operator under C's rules on `int`; EvalError where C gives
     no value."""
@@ -125,14 +140,16 @@ def _apply(op: str, a: int, b: int) -> int:
 
 class _Parser:
     """Recursive descent over the token list; evaluates as it parses. While
-    `self.dead` is set, the parser is in an untaken branch (see the module
-    docstring)."""
+    `self.dead` is set, the parser is in an untaken branch, and while
+    `self.typed` is set a literal's or a value's type still counts (see the
+    module docstring)."""
 
     def __init__(self, tokens: List[str], valuation: Dict[str, Value]):
         self.toks = tokens
         self.i = 0
         self.env = valuation
-        self.dead = 0
+        self.dead = False
+        self.typed = True
 
     def peek(self) -> Optional[str]:
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -146,16 +163,23 @@ class _Parser:
         self.i += 1
         return tok
 
-    def _skip(self, production, *args) -> None:
-        self.dead += 1
+    def _skip(self, production, *args, arm: bool = False) -> None:
+        """Parse production as an untaken branch, a `?:` arm when arm is set."""
+        dead, typed = self.dead, self.typed
+        self.dead, self.typed = True, typed and arm
         try:
             production(*args)
         finally:
-            self.dead -= 1
+            self.dead, self.typed = dead, typed
 
-    def _ranged(self, v: Value) -> Value:
-        """v, after checking that an `int` holds it outside an untaken branch."""
-        return _int(v) if isinstance(v, int) and not self.dead else v
+    def _leaf(self, v: Optional[Value], tok: str) -> Value:
+        """tok's value v (None for a literal that is no `int`), where its type
+        counts only if an `int` holds it."""
+        if v is None or isinstance(v, int) and not INT_MIN <= v <= INT_MAX:
+            if self.typed:
+                raise EvalError(f"{tok} is no int here")
+            return 0
+        return v
 
     def _as_int(self, v: Value) -> int:
         if isinstance(v, bool):
@@ -183,9 +207,9 @@ class _Parser:
             if taken:
                 val = self.ternary()
                 self.take(":")
-                self._skip(self.ternary)
+                self._skip(self.ternary, arm=True)
             else:
-                self._skip(self.ternary)
+                self._skip(self.ternary, arm=True)
                 self.take(":")
                 val = self.ternary()
             return val
@@ -216,7 +240,8 @@ class _Parser:
         if fn is None:
             return self.postfix()
         self.take()
-        return self._ranged(int(fn(self._as_int(self.unary()))))
+        val = int(fn(self._as_int(self.unary())))
+        return val if self.dead else _int(val)
 
     def postfix(self) -> Value:
         val = self.primary()
@@ -234,7 +259,7 @@ class _Parser:
                     val = 0
                     continue
                 raise EvalError(f"index {idx} out of range")
-            val = self._ranged(val[idx])
+            val = self._leaf(val[idx], "an element")
         return val
 
     def primary(self) -> Value:
@@ -243,20 +268,14 @@ class _Parser:
             val = self.ternary()
             self.take(")")
             return val
-        if tok[0] == "'" and tok[1:-1] in _CHAR_VALUES:
-            return _CHAR_VALUES[tok[1:-1]]
-        if tok[0] in "'\"" or _FLOAT_RE.fullmatch(tok):
-            if self.dead:
-                return 0
-            raise EvalError(f"literal {tok} has no integer value here")
-        if tok[0].isdigit():
-            return self._ranged(int(tok.rstrip("uUlL"), 16 if tok[:2] in ("0x", "0X") else 10))
         if _NAME_RE.fullmatch(tok):
             if tok not in self.env:
                 if self.dead:
                     return 0
                 raise EvalError(f"unbound identifier {tok!r}")
-            return self._ranged(self.env[tok])
+            return self._leaf(self.env[tok], tok)
+        if tok[0] in "'\"." or tok[0].isdigit():
+            return self._leaf(_literal_value(tok), tok)
         raise EvalError(f"unexpected token {tok!r}")
 
 
@@ -279,13 +298,8 @@ def evaluate_bool(text: str, valuation: Dict[str, Value]) -> bool:
 
 def try_evaluate_bool(text: str, valuation: Dict[str, Value]) -> Optional[bool]:
     """The clause's truth in C, or None when the evaluator cannot vouch for
-    it: the clause is outside its dialect, a value leaves `int`'s range, or a
-    literal is unsigned or long, whose type converts the other operand (ISO
-    C11 6.3.1.8), so `-1 < 10u` is false in C."""
+    it: the clause is outside its dialect or a value is no `int`."""
     try:
-        parser = _parser(text, valuation)
-        if any(_SUFFIXED_RE.fullmatch(tok) for tok in parser.toks):
-            return None
-        return parser._truthy(parser.parse())
+        return evaluate_bool(text, valuation)
     except EvalError:
         return None

@@ -77,9 +77,6 @@ class ParseFailure:
 class Injection:
     offset: int  # insertion offset into the ORIGINAL source
     text: str
-    kind: str  # requires | ensures | assigns | loop_invariant
-    function: str
-    clause: str
 
 
 @dataclass(frozen=True)
@@ -97,16 +94,11 @@ def _indent_of_line(src: str, pos: int) -> str:
     return _INDENT_RE.match(src, src.rfind("\n", 0, pos) + 1).group(0)
 
 
-def _contract_lines(c: Contract) -> List[Tuple[str, str, str]]:
-    """(line, kind, clause) triples in emission order: requires, assigns, ensures."""
-    out: List[Tuple[str, str, str]] = []
-    for e in c.requires:
-        out.append((f"{REQUIRES_KW}({e});", "requires", e))
-    for t in c.assigns:
-        out.append((f"{ASSIGNS_KW}({t});", "assigns", t))
-    for e in c.ensures:
-        out.append((f"{ENSURES_KW}({e});", "ensures", e))
-    return out
+def _contract_lines(c: Contract) -> List[str]:
+    """The annotation lines in emission order: requires, assigns, ensures."""
+    return ([f"{REQUIRES_KW}({e});" for e in c.requires]
+            + [f"{ASSIGNS_KW}({t});" for t in c.assigns]
+            + [f"{ENSURES_KW}({e});" for e in c.ensures])
 
 
 def _apply_injections(original: str, injections: Sequence[Injection]) -> str:
@@ -127,15 +119,9 @@ def _injections_for(model: ProgramModel, c: Contract) -> List[Injection]:
     src = model.source_text
     open_brace = f.body_span[0]
     anchor_indent = _indent_of_line(src, open_brace)
-    lines = _contract_lines(c)
-    injections: List[Injection] = []
-    if lines:
-        # one Injection per annotation line, all anchored just past the brace
-        offset = open_brace + 1
-        for ln, kind, clause in lines:
-            seg = "\n" + anchor_indent + "    " + ln
-            injections.append(Injection(offset=offset, text=seg, kind=kind,
-                                        function=c.function, clause=clause))
+    # one Injection per annotation line, all anchored just past the brace
+    injections = [Injection(offset=open_brace + 1, text="\n" + anchor_indent + "    " + ln)
+                  for ln in _contract_lines(c)]
     for ordinal, expr in c.loop_invariants:
         if ordinal < 0 or ordinal >= len(f.loops):
             raise LoopOrdinalError(
@@ -146,8 +132,7 @@ def _injections_for(model: ProgramModel, c: Contract) -> List[Injection]:
             raise LoopOrdinalError("loop body is not braced; cannot lead with an invariant")
         loop_indent = _indent_of_line(src, open_brace + site.offset)
         seg = "\n" + loop_indent + "    " + f"{INVARIANT_KW}({expr});"
-        injections.append(Injection(offset=open_brace + site.body_open + 1, text=seg,
-                                    kind="loop_invariant", function=c.function, clause=expr))
+        injections.append(Injection(offset=open_brace + site.body_open + 1, text=seg))
     return injections
 
 

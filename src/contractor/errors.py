@@ -43,10 +43,6 @@ class ClientUnavailableError(ContractorError):
     """LLM client cannot answer: endpoint down, or replay store has no transcript."""
 
 
-class NoResponsibleFunctionError(ContractorError):
-    """No key variable of a counterexample maps to any contracted function."""
-
-
 class IrreducibleFailureError(ContractorError):
     """Clause reduction bottomed out: the check fails even with no ensures left."""
 

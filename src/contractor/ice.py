@@ -45,7 +45,6 @@ from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
 
 from .cexpr import identifiers
 from .contracts import Contract, ParseFailure
-from .errors import NoResponsibleFunctionError
 from .program_model import ProgramModel
 from .verifier import ParsedCounterexample, Status, VerificationResult, normalize_value
 
@@ -87,10 +86,6 @@ class StateExample:
     def make(function: str, valuation: Mapping[str, str]) -> "StateExample":
         return StateExample(function, tuple(sorted((k, normalize_value(v))
                                                    for k, v in valuation.items())))
-
-    @property
-    def valuation(self) -> Dict[str, str]:
-        return dict(self.items)
 
     def render(self) -> str:
         return ", ".join(f"{k}={v}" for k, v in self.items)
@@ -236,8 +231,9 @@ def weakest_link(
     parsed: ParsedCounterexample,
     contracts: Mapping[str, Contract],
     model: ProgramModel,
-) -> str:
-    """The contracted function most suspect for a system-level failure.
+) -> Optional[str]:
+    """The contracted function most suspect for a system-level failure, or
+    None when no key variable maps to any of them.
 
     Each key variable maps to the functions whose contracts name it, plus
     the function that produced it at a call site (`v = f(...)` or
@@ -263,9 +259,7 @@ def weakest_link(
 
     candidates = {f: vars_ for f, vars_ in mapped.items() if vars_}
     if not candidates:
-        raise NoResponsibleFunctionError(
-            "no key variable maps to any contracted function: %s" % ", ".join(keys)
-        )
+        return None
 
     def gap(fname: str) -> float:
         relevant_ensures = sum(

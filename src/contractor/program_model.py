@@ -69,8 +69,9 @@ _ASSIGNED_CALL_RE = re.compile(
     r"\b([A-Za-z_]\w*(?:(?:\.|->)[A-Za-z_]\w*)*)\s*=\s*([A-Za-z_]\w*)\s*\(")
 # a directive's own line and every line it continues with a backslash
 _DIRECTIVE_LINES_RE = re.compile(r"(?:.*\\\n)*.*\n?")
-# the name a `#define` directive defines, object-like or function-like
-_DEFINE_RE = re.compile(r"#[ \t]*define[ \t]+([A-Za-z_]\w*)")
+# the name a `#define` directive defines (object-like or function-like) or
+# an `#undef` directive drops
+_DEFINE_RE = re.compile(r"#[ \t]*(define|undef)[ \t]+([A-Za-z_]\w*)")
 # the head of an enum's enumerator list, just before its brace
 _ENUM_HEAD_RE = re.compile(r"\benum(?:\s+[A-Za-z_]\w*)?\s*$")
 _ARRAY_BOUND_RE = re.compile(r"\[[^\]]*\]")
@@ -290,16 +291,21 @@ def _scan_file_scope(src: str, masked: str
     enum-constant names, in one pass that reads each file-scope item once: a
     directive with every line it continues, a function definition whole, and
     a declaration up to its `;` with its brace blocks (an initializer, a
-    struct body, an enumerator list) left out."""
+    struct body, an enumerator list) left out. An enumerator list nested in a
+    struct or union body declares its constants at file scope too, and an
+    `#undef` drops the macro it names."""
     raws: List[_RawFunction] = []
     found: List[str] = []
-    constants: List[str] = []
-    enum_open: Optional[int] = None  # the brace of a file-scope enumerator list
+    # each constant name in order, True for an enum constant, which no
+    # `#undef` drops
+    constants: Dict[str, bool] = {}
+    enum_open: Optional[int] = None  # the brace of the enumerator list being read
     decl: List[str] = []  # the declaration read so far, outside its brace blocks
     depth = 0
     i = 0
     item = 0  # start of the current file-scope item
     while True:
+        start = i
         m = (_BRACE_RE if depth else _FILE_SCOPE_STOP_RE).search(masked, i)
         if m is None:
             break
@@ -308,8 +314,8 @@ def _scan_file_scope(src: str, masked: str
         if c == "{":
             if depth == 0:
                 decl.append(masked[item:i])
-                if _ENUM_HEAD_RE.search(masked, item, i):
-                    enum_open = i
+            if _ENUM_HEAD_RE.search(masked, start, i):
+                enum_open = i
             depth += 1
             i += 1
             continue
@@ -317,11 +323,11 @@ def _scan_file_scope(src: str, masked: str
             depth -= 1
             if depth < 0:
                 raise UnbalancedSourceError("unmatched '}' at offset %d" % i)
+            if enum_open is not None:  # an enumerator list holds no brace
+                enumerators = _split_top_level(masked[enum_open + 1:i])
+                constants.update((m.group(), True) for m in map(_WORD_RE.search, enumerators) if m)
+                enum_open = None
             if depth == 0:
-                if enum_open is not None:
-                    enumerators = _split_top_level(masked[enum_open + 1:i])
-                    constants += [m.group() for m in map(_WORD_RE.search, enumerators) if m]
-                    enum_open = None
                 item = i + 1
             i += 1
             continue
@@ -333,8 +339,10 @@ def _scan_file_scope(src: str, masked: str
         if c == "#":  # a directive's lines declare no global
             decl.append(masked[item:i])
             define = _DEFINE_RE.match(masked, i)
-            if define:
-                constants.append(define.group(1))
+            if define and define.group(1) == "define":
+                constants.setdefault(define.group(2), False)
+            elif define and constants.get(define.group(2)) is False:
+                del constants[define.group(2)]
             item = i = _DIRECTIVE_LINES_RE.match(masked, i).end()
             continue
         if m.group(1) not in C_KEYWORDS:
@@ -360,7 +368,7 @@ def _scan_file_scope(src: str, masked: str
         i = m.end()
     if depth != 0:
         raise UnbalancedSourceError("source has %d unclosed brace(s)" % depth)
-    return raws, tuple(dict.fromkeys(found)), tuple(dict.fromkeys(constants))
+    return raws, tuple(dict.fromkeys(found)), tuple(constants)
 
 
 def _header(masked_body: str, pos: int) -> Tuple[str, int]:

@@ -19,12 +19,17 @@ and one per function. A function check, a stage-4 substitution or a
 reduction replaces the round with `Round.replaced`; nothing writes into
 one. Statuses, diagnostics (the function's own check for a relax, the
 system's for a strengthen), `system_status` and `verified` all read the
-store by the round's keys. Every system check goes through
-`_check_system`, which enters its key with the contracts it stubbed (a
-round's, the drop step's survivors or a reduced set). The weakest link is
-chosen there, once per system counterexample, among those contracts, if
-any. Its E- label under SMART ICE, the CEGAR strengthen ask and CEGIS's ask
-when only the system check fails all use that choice.
+store by the round's keys. Every backend check goes through `_checks`,
+one batch at a time, as every ask goes through `_ask`: a round's system
+and function checks, stage 4's precise checks, or one reduction trial. It
+hashes each text once, answers a stored PASS or FAIL from the store, and
+yields each result in order once it is stored and logged. Every system
+check goes through `_check_system`, which enters its key with the
+contracts it stubbed (a round's, the drop step's survivors or a reduced
+set). The weakest link is chosen there, once per system counterexample,
+among those contracts, if any, the first of them when none is responsible.
+Its E- label under SMART ICE, the CEGAR strengthen ask and CEGIS's ask when
+only the system check fails all use that choice.
 
 A held system result speaks only for the contracts it stubbed: it is
 `_settled` when those equal the round's contracts, compared by value, so a
@@ -53,10 +58,11 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from .cexpr import identifiers
 from .contracts import (
+    RETURN_VALUE,
     Contract,
     ContractOrigin,
     InstrumentedSource,
@@ -65,11 +71,7 @@ from .contracts import (
     render_replace,
     sanitize_assigns,
 )
-from .errors import (
-    DeadlineExceededError,
-    IrreducibleFailureError,
-    NoResponsibleFunctionError,
-)
+from .errors import DeadlineExceededError, IrreducibleFailureError
 from .ice import (
     Category,
     IceDatabase,
@@ -296,7 +298,7 @@ def _reply(ctx: _Ctx, contracts: Dict[str, Contract], f: FunctionInfo,
     result = synthesize(req, ctx.client, log=log)
     if not cover or not isinstance(result, Contract):
         return result
-    wanted = {p.name for p in f.params} | {"__ESBMC_return_value"}
+    wanted = {p.name for p in f.params} | {RETURN_VALUE}
     wanted |= set(identifiers(ctx.model.property.assertion_text)) & set(ctx.model.global_names)
     covers = lambda c: any(not wanted.isdisjoint(identifiers(e)) for e in c.ensures)
     if covers(result):
@@ -361,16 +363,6 @@ def _classified(ctx: _Ctx, key: str, result: VerificationResult) -> Optional[Cat
     return None if result.parsed is None else category
 
 
-def _blame(ctx: _Ctx, parsed: ParsedCounterexample,
-           contracts: Dict[str, Contract]) -> Tuple[str, bool]:
-    """The contracted function a system counterexample blames, and whether
-    none was responsible so that the first one stands in."""
-    try:
-        return weakest_link(parsed, contracts, ctx.model), False
-    except NoResponsibleFunctionError:
-        return min(contracts), True
-
-
 def _learn(ctx: _Ctx, parsed: ParsedCounterexample, category: Category, target: str,
            names: List[str], system: bool = False) -> None:
     """Under SMART ICE, label target's state in the counterexample once, by
@@ -401,86 +393,81 @@ def _key(instr: InstrumentedSource) -> Key:
     return (instr.mode, source_digest(instr.text))
 
 
-# a check's key with its stored result or the backend call that gets one
-Started = Tuple[Key, Union[VerificationResult, Callable[[], Optional[VerificationResult]]]]
+# each check of a batch: its key, its stored result and whether the memo answered it
+Batch = Iterator[Tuple[Key, VerificationResult, bool]]
 
 
-def _start(ctx: _Ctx, instr: InstrumentedSource) -> Started:
-    """instr's key, from the one hash a check makes of its text, and the
-    key's stored PASS or FAIL, else the backend call that checks it given the
-    budget left when it starts (None when none is). With a pool and a
-    verifier whose concurrent_checks is set, the call is submitted and what
-    returns reads its result; otherwise it runs when called."""
-    key = _key(instr)
-    hit = ctx.checked.get(key)
-    if hit is not None and hit.status in (Status.PASS, Status.FAIL):
-        return key, hit
+def _checks(ctx: _Ctx, instrs: List[InstrumentedSource]) -> Batch:
+    """Each instrumentation's key, its stored result and whether the memo
+    answered it, in order, each yielded once the result is stored and logged.
+    Each text is hashed once; a stored PASS or FAIL answers its key, so a
+    program's PASS or FAIL for one (mode, text) reaches the backend once. The
+    misses go through the pool, all submitted before the first is read, when
+    there is one and the verifier sets concurrent_checks; otherwise each is
+    checked as its result is read. A check gets the budget left when it
+    starts; one whose turn came with none left ends the run."""
+    keys = [_key(instr) for instr in instrs]
+    hits = [r if r is not None and r.status in (Status.PASS, Status.FAIL) else None
+            for r in map(ctx.checked.get, keys)]
 
-    def call() -> Optional[VerificationResult]:
+    def call(instr: InstrumentedSource) -> Optional[VerificationResult]:
         left = ctx.remaining()
         if left <= 0:
             return None
         if instr.mode == "system":
             return ctx.verifier.system(instr, timeout_s=left)
-        return ctx.verifier.function(instr, instr.mode[len("function:"):], timeout_s=left)
+        return ctx.verifier.function(instr, instr.functions[0], timeout_s=left)
 
     # checks overlap only outside this interpreter: an in-process verifier
     # holds the GIL while it checks, and may keep state from call to call
-    if ctx.pool is not None and getattr(ctx.verifier, "concurrent_checks", False):
-        return key, ctx.pool.submit(call).result
-    return key, call
-
-
-def _check(ctx: _Ctx, started: Started, **fields) -> Tuple[Key, bool]:
-    """The key of the check `_start` returned, once its result is stored, and
-    whether the memo answered it. A program's PASS or FAIL for one (mode,
-    text) reaches the backend once. The result is logged; a check whose turn
-    came after the wall budget was spent ends the run here."""
-    key, pending = started
-    hit = isinstance(pending, VerificationResult)
-    result = pending if hit else pending()
-    if result is None:
-        raise _deadline_error(ctx)
-    ctx.checked[key] = result
-    ctx.log.event("verification", mode=key[0], status=result.status.value,
-                  **fields, iteration=ctx.iterations)
-    return key, hit
+    concurrent = ctx.pool is not None and getattr(ctx.verifier, "concurrent_checks", False)
+    results = (ctx.pool.map if concurrent else map)(
+        call, [instr for instr, hit in zip(instrs, hits) if hit is None])
+    for instr, key, hit in zip(instrs, keys, hits):
+        result = next(results) if hit is None else hit
+        if result is None:
+            raise _deadline_error(ctx)
+        ctx.checked[key] = result
+        stubs = {"contract_set": list(instr.functions)} if instr.mode == "system" else {}
+        ctx.log.event("verification", mode=key[0], status=result.status.value,
+                      **stubs, iteration=ctx.iterations)
+        yield key, result, hit is not None
 
 
 def _check_system(ctx: _Ctx, stubbed: Dict[str, Contract],
-                  started: Optional[Started] = None) -> None:
-    """Check the system with stubbed's contracts as stubs (started here unless
-    given) and enter its key in the round with those contracts. A
-    counterexample is blamed here, once, on them if any; under SMART ICE the
-    blamed function's state becomes a negative example. Implication pairs are
-    taken for every function of the round: one that ran as concrete code
-    took real loop steps."""
-    key, _ = _check(ctx, started or _start(ctx, render_replace(ctx.model, stubbed.values())),
-                    contract_set=sorted(stubbed))
-    result, blamed = ctx.checked[key], None
+                  batch: Optional[Batch] = None) -> None:
+    """Check the system with stubbed's contracts as stubs, as the next item of
+    batch or in a batch of one, and enter its key in the round with those
+    contracts. A counterexample is blamed here, once, on them if any (the
+    first stands in when none is responsible); under SMART ICE the blamed
+    function's state becomes a negative example. Implication pairs are taken
+    for every function of the round: one that ran as concrete code took real
+    loop steps."""
+    if batch is None:
+        batch = _checks(ctx, [render_replace(ctx.model, stubbed.values())])
+    key, result, _ = next(batch)
+    blamed = None
     category = _classified(ctx, "__system__", result)
     if category is not None and stubbed:
-        blamed, fallback = _blame(ctx, result.parsed, stubbed)
-        ctx.log.event("weakest_link", chosen=blamed, fallback=fallback)
+        chosen = weakest_link(result.parsed, stubbed, ctx.model)
+        blamed = min(stubbed) if chosen is None else chosen
+        ctx.log.event("weakest_link", chosen=blamed, fallback=chosen is None)
         _learn(ctx, result.parsed, category, blamed, sorted(ctx.round.contracts), system=True)
     ctx.round = replace(ctx.round, sys_key=key, stubbed=dict(stubbed), blamed=blamed)
 
 
 def _verify_round(ctx: _Ctx, contracts: Dict[str, Contract]) -> None:
-    """System check plus every function check, under one contract set, all
-    started before the first is read, so they overlap as `_start` allows.
-    The round starts a new record; results are stored, logged and their keys
-    entered on this thread in the serial order: system first, then the
-    functions by name."""
+    """System check plus every function check, under one contract set, in
+    one batch, so they overlap as `_checks` allows. The round starts a new
+    record; results are stored, logged and their keys entered on this thread
+    in the serial order: system first, then the functions by name."""
     ctx.round = Round(contracts)
     names = sorted(contracts)
-    system = _start(ctx, render_replace(ctx.model, contracts.values()))
-    started = [_start(ctx, render_enforce(ctx.model, contracts[name])) for name in names]
-    _check_system(ctx, contracts, system)
-    for name, begun in zip(names, started):
-        key, _ = _check(ctx, begun)
+    batch = _checks(ctx, [render_replace(ctx.model, contracts.values())]
+                    + [render_enforce(ctx.model, contracts[name]) for name in names])
+    _check_system(ctx, contracts, batch)
+    for name, (key, result, _) in zip(names, batch):
         ctx.round = ctx.round.replaced(name, contracts[name], key)
-        result = ctx.checked[key]
         category = _classified(ctx, name, result)
         if category is not None:
             _learn(ctx, result.parsed, category, name, [name])
@@ -604,8 +591,8 @@ def _delta_debug_stagnating(ctx: _Ctx) -> bool:
         misses: List[Key] = []
 
         def check(trial: Contract) -> bool:
-            key, hit = _check(ctx, _start(ctx, render_enforce(ctx.model, trial)))
-            ok = ctx.checked[key].status is Status.PASS
+            key, result, hit = next(_checks(ctx, [render_enforce(ctx.model, trial)]))
+            ok = result.status is Status.PASS
             if not hit:
                 misses.append(key)
             if ok:
@@ -781,18 +768,16 @@ def _run_pre_abstraction(ctx: _Ctx) -> Verdict:
 
     ctx.set_stage("pre_abstraction:4")
     # an unverified abstraction stays in place for refinement; each verified
-    # one's precise contract is asked for here, and its own check started
-    # once every ask is kept
+    # one's precise contract is asked for here, and their checks made in one
+    # batch once every ask is kept
     passing = {name for name, status in _statuses(ctx) if status == Status.PASS.value}
     verified = [f for f in high if f.name in passing]
     asked = _ask(ctx, {}, [(f, SynthesisIntent.INITIAL) for f in verified])
-    started = [(f.name, precise, _start(ctx, render_enforce(ctx.model, precise)))
-               for f, precise in zip(verified, asked) if precise is not None]
-    for name, precise, begun in started:
-        key, _ = _check(ctx, begun)
-        check = ctx.checked[key]
+    precise = [(f.name, c) for f, c in zip(verified, asked) if c is not None]
+    batch = _checks(ctx, [render_enforce(ctx.model, c) for _, c in precise])
+    for (name, c), (key, check, _) in zip(precise, batch):
         if check.status is Status.PASS:
-            ctx.round = ctx.round.replaced(name, precise, key)
+            ctx.round = ctx.round.replaced(name, c, key)
             ctx.log.event("substitute", function=name, kept="precise")
         else:
             ctx.log.event("substitute", function=name, kept="abstraction")

@@ -96,8 +96,8 @@ class SynthesisRequest:
 def _contract_as_text(c: Optional[Contract]) -> str:
     if c is None:
         return "(none yet)"
-    lines = [line for line, _, _ in _contract_lines(c)]
-    lines += [f"{INVARIANT_KW}({e});  /* loop {n} */" for n, e in c.loop_invariants]
+    lines = _contract_lines(c) + [f"{INVARIANT_KW}({e});  /* loop {n} */"
+                                  for n, e in c.loop_invariants]
     return "\n".join(lines) if lines else "(empty contract)"
 
 

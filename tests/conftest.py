@@ -21,12 +21,16 @@ from contractor.verifier import (
 CORPUS_DIR = Path(__file__).parent / "corpus"
 
 
-# file-scope macros and enum constants, and a function-local enum
+# file-scope macros and enum constants (one inside a struct body, which C
+# gives file scope), a macro dropped by `#undef`, and a function-local enum
 CONSTANTS_SRC = """\
 #define LIMIT 10
 #define CLAMP(v) \\
     ((v) > LIMIT ? LIMIT : (v))
+#define TOP 3
+#undef TOP
 enum color { RED, GREEN = 4, BLUE };
+struct box { enum { INNER = 2 } kind; int v; };
 int shade;
 
 int pick(int x) {

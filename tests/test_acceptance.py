@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import random
 import shutil
+import threading
 import time
 from dataclasses import replace
 
@@ -30,6 +31,7 @@ from conftest import (
     strip_annotations,
     success_output,
 )
+from contractor import refinement
 from contractor.cexpr import evaluate_bool
 from contractor.contracts import (
     Contract,
@@ -55,7 +57,6 @@ from contractor.ice import (
     classify,
     record_positive,
 )
-from contractor.mock_backend import write_transcript
 from contractor.program_model import Tier, parse_program, partition_functions
 from contractor.refinement import (
     PipelineConfig,
@@ -605,12 +606,40 @@ def _suite_rule(src, mode):
     return success_output()
 
 
-def test_criterion_08_outcome_taxonomy_and_histogram(tmp_path):
+class ThreadClock(threading.local):
+    """A monotonic clock per thread that moves only when told to. A suite
+    runs each program on one thread, so a program that spends its budget
+    spends no other program's."""
+    now = 0.0
+
+    def monotonic(self) -> float:
+        return self.now
+
+
+class SpendingVerifier:
+    """Checks through inner; a system check of one of texts first moves the
+    clock past the budget it was given."""
+
+    def __init__(self, inner, clock: ThreadClock, texts):
+        self.inner, self.clock, self.texts = inner, clock, texts
+
+    def system(self, src, timeout_s=None):
+        if src.text in self.texts:
+            self.clock.now += timeout_s + 1.0
+        return self.inner.system(src, timeout_s)
+
+    def function(self, src, name, timeout_s=None):
+        return self.inner.function(src, name, timeout_s)
+
+
+def test_criterion_08_outcome_taxonomy_and_histogram(tmp_path, monkeypatch):
     fixtures = tmp_path / "fixtures"
     fixtures.mkdir()
     transcripts = tmp_path / "transcripts"
     transcripts.mkdir()
-    cfg = PipelineConfig(k_cegar=1, k_cegis=1, total_budget=2, timeout_s=5.0)
+    # a budget no real check spends: only zeta's system check spends it, on
+    # a fake clock
+    cfg = PipelineConfig(k_cegar=1, k_cegis=1, total_budget=2, timeout_s=600.0)
 
     expected_recording = {
         "alpha.c": RunOutcome.CONVERGED,
@@ -629,18 +658,18 @@ def test_criterion_08_outcome_taxonomy_and_histogram(tmp_path):
         if name == "zeta.c":
             zeta_recorder = recorder
 
-    # swap zeta's recorded system transcript for one that sleeps past the
-    # wall budget, turning its replay into a timeout
-    zeta_system = [text for text, mode, _ in zeta_recorder.seen if mode == "system"]
+    # zeta's replayed system check spends the wall budget, turning its run
+    # into a timeout
+    zeta_system = {text for text, mode, _ in zeta_recorder.seen if mode == "system"}
     assert zeta_system
-    for text in zeta_system:
-        write_transcript(fixtures, text, "system", success_output(), sleep_s=8.0)
 
     (transcripts / "scripts.json").write_text(
         json.dumps(SUITE_SCRIPT, indent=2), encoding="utf-8")
 
-    replay = SubprocessVerifier(VerifierConfig(
-        backend_path="mock", timeout_s=5.0, fixtures_dir=str(fixtures)))
+    clock = ThreadClock()
+    monkeypatch.setattr(refinement, "time", clock)
+    replay = SpendingVerifier(SubprocessVerifier(VerifierConfig(
+        backend_path="mock", timeout_s=600.0, fixtures_dir=str(fixtures))), clock, zeta_system)
     suites = {}
     for workers in (1, 3):
         suites[workers] = run_suite(

@@ -7,10 +7,13 @@ import shutil
 import subprocess
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contractor.cexpr import (
+    _LEVELS,
+    INT_MAX,
+    INT_MIN,
     EvalError,
     evaluate,
     evaluate_bool,
@@ -99,11 +102,18 @@ def test_character_literals_have_their_c_value():
 
 
 @pytest.mark.parametrize("clause", ["x < 1e5", "x < 1.5f", "x < 0x1p3", "c == 'ab'",
-                                    "c == '\\x41'", "c == \"a\""])
+                                    "c == '\\x41'", "c == \"a\"", "-1 < 10u", "x < 09",
+                                    # the conditional has the type both arms
+                                    # convert to, so C compares no -1 or 3
+                                    "(0 ? 10u : -1) < 0", "(0 ? 1.5 : 3) / 2 == 1",
+                                    "(0 ? 2147483648 : -1) < 0", "(0 ? big : -1) < 0"])
 def test_literals_without_an_integer_value_raise(clause):
+    valuation = {"x": 1, "c": 97, "big": 2 ** 31}
     with pytest.raises(EvalError):
-        evaluate(clause, {"x": 1, "c": 97})
-    assert evaluate("0 && " + clause, {"x": 1, "c": 97}) == 0
+        evaluate(clause, valuation)
+    with pytest.raises(EvalError):
+        evaluate_bool(clause, valuation)
+    assert evaluate("0 && " + clause, valuation) == 0
 
 
 def test_arithmetic_precedence():
@@ -134,8 +144,10 @@ def test_short_circuit_avoids_division_by_zero():
 
 def test_hex_and_suffixed_literals():
     assert evaluate("0x7f", {}) == 127
-    assert evaluate("1u + 2L", {}) == 3
+    with pytest.raises(EvalError):  # unsigned and long are no int
+        evaluate("1u + 2L", {})
     assert evaluate("0x10 == 16", {}) == 1
+    assert evaluate("010 + 0", {}) == 8  # octal
 
 
 def test_array_indexing():
@@ -214,3 +226,57 @@ def test_bitwise_vs_python():
     assert evaluate("12 | 10", {}) == 12 | 10
     assert evaluate("12 ^ 10", {}) == 12 ^ 10
     assert evaluate("~5", {}) == ~5
+
+
+# clauses over x, y and z: every binary operator of `_LEVELS`, the unary
+# operators, `?:`, parentheses, and decimal, octal, hex, character and
+# suffixed literals, some of them past `int`'s range
+_LITERALS = st.one_of(
+    st.integers(0, 40).map(str),
+    st.integers(0, 2 ** 32).map(str),
+    st.integers(0, 64).map(lambda n: f"0{n:o}"),
+    st.integers(0, 2 ** 32).map(hex),
+    st.sampled_from(["'a'", "' '", "'\\n'", "'\\0'", "'\\\\'", "'\\''"]),
+    st.builds("{}{}".format, st.integers(0, 40), st.sampled_from(["u", "U", "l", "L", "ul"])),
+)
+_CLAUSES = st.recursive(
+    st.one_of(st.sampled_from(["x", "y", "z"]), _LITERALS),
+    lambda sub: st.one_of(
+        st.builds("({})".format, sub),
+        st.builds("{}({})".format, st.sampled_from(["-", "+", "~", "!"]), sub),
+        st.builds("{} {} {}".format, sub, st.sampled_from([op for ops in _LEVELS for op in ops]),
+                  sub),
+        st.builds("{} ? {} : {}".format, sub, sub, sub),
+    ),
+    max_leaves=8,
+)
+_VALUES = st.one_of(st.integers(-9, 9), st.sampled_from([INT_MIN, INT_MAX]),
+                    st.integers(INT_MIN, INT_MAX))
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc on PATH")
+@settings(max_examples=4, deadline=None, derandomize=True, database=None)
+@given(st.lists(_CLAUSES, min_size=30, max_size=30),
+       st.lists(st.tuples(_VALUES, _VALUES, _VALUES), min_size=6, max_size=6))
+def test_every_definite_value_is_what_gcc_computes(tmp_path_factory, clauses, valuations):
+    # one program per batch evaluates each clause at each valuation where
+    # try_evaluate_bool has a value; undefined behaviour there fails the run
+    pairs = [(clause, v) for clause in clauses for v in valuations
+             if try_evaluate_bool(clause, dict(zip("xyz", v))) is not None]
+    assert pairs
+    body = "".join(f"    x = v[{i}][0]; y = v[{i}][1]; z = v[{i}][2];\n"
+                   f"    printf(\"%d\\n\", ({clause}) != 0);\n"
+                   for i, (clause, _) in enumerate(pairs))
+    table = ", ".join("{%d, %d, %d}" % v for _, v in pairs)
+    tmp = tmp_path_factory.mktemp("clauses")
+    (tmp / "clauses.c").write_text(
+        f"#include <stdio.h>\nint v[][3] = {{{table}}};\n"
+        f"int main(void) {{\n    int x, y, z;\n{body}    return 0;\n}}\n")
+    subprocess.run(["gcc", "-w", "-fsanitize=undefined", "-fno-sanitize-recover",
+                    "-o", str(tmp / "clauses"), str(tmp / "clauses.c")],
+                   check=True, timeout=60)
+    run = subprocess.run([str(tmp / "clauses")], capture_output=True, text=True, timeout=60)
+    got = [line == "1" for line in run.stdout.split()]
+    assert run.returncode == 0, (pairs[len(got)], run.stderr)
+    for (clause, v), c_value in zip(pairs, got):
+        assert try_evaluate_bool(clause, dict(zip("xyz", v))) is c_value, (clause, v)

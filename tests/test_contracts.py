@@ -141,8 +141,8 @@ def test_provenance_records_every_injection():
            ensures=["__ESBMC_return_value >= 0"],
            invariants=[(0, "sum >= 0")])
     instr = render_enforce(model, c)
-    kinds = sorted(i.kind for i in instr.injections)
-    assert kinds == ["ensures", "loop_invariant", "requires"]
+    kinds = sorted(i.text.strip().split("(")[0] for i in instr.injections)
+    assert kinds == ["__ESBMC_ensures", "__ESBMC_loop_invariant", "__ESBMC_requires"]
     for inj in instr.injections:
         assert instr.text[inj.offset:].startswith(inj.text) or inj.text in instr.text
 
@@ -219,7 +219,7 @@ def test_parse_accepts_known_global():
 def test_a_clause_may_name_a_macro_or_an_enum_constant():
     model = parse_program(CONSTANTS_SRC)
     # file-scope names only, and none of them a global
-    assert model.constant_names == ("LIMIT", "CLAMP", "RED", "GREEN", "BLUE")
+    assert model.constant_names == ("LIMIT", "CLAMP", "RED", "GREEN", "BLUE", "INNER")
     assert model.global_names == ("shade",)
     f = model.function("pick")
     reply = ("__ESBMC_ensures(__ESBMC_return_value <= LIMIT);\n"
@@ -227,9 +227,13 @@ def test_a_clause_may_name_a_macro_or_an_enum_constant():
     c = parse_contract_text(reply, f, model.global_names, model.constant_names)
     assert isinstance(c, Contract)
     assert c.ensures == ("__ESBMC_return_value <= LIMIT", "__ESBMC_return_value != GREEN")
-    r = parse_contract_text("__ESBMC_ensures(__ESBMC_return_value != LOCAL);", f,
-                            model.global_names, model.constant_names)
-    assert r.reason is ParseFailureReason.UNKNOWN_IDENTIFIER
+    assert isinstance(parse_contract_text("__ESBMC_ensures(__ESBMC_return_value != INNER);",
+                                          f, model.global_names, model.constant_names),
+                      Contract)
+    for name in ("LOCAL", "TOP"):
+        r = parse_contract_text(f"__ESBMC_ensures(__ESBMC_return_value != {name});", f,
+                                model.global_names, model.constant_names)
+        assert r.reason is ParseFailureReason.UNKNOWN_IDENTIFIER
 
 
 @pytest.mark.parametrize("clause", ["c == 'a'", "x < 1e5", "x < 1.5f"])

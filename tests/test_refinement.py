@@ -1036,14 +1036,14 @@ def test_a_check_gets_the_budget_left_when_it_starts(workers, checked, statuses)
 
 
 class BarrierVerifier(RuleVerifier):
-    """Every check that waits (all of them by default) waits until a second
-    one is in flight."""
+    """Every check that waits (all of them by default) waits until parties
+    of them are in flight."""
 
     def __init__(self, rule=lambda src, mode: success_output(),
-                 waits=lambda src, mode: True):
+                 waits=lambda src, mode: True, parties: int = 2):
         super().__init__(rule)
         self.waits = waits
-        self.barrier = threading.Barrier(2, timeout=5)
+        self.barrier = threading.Barrier(parties, timeout=5)
 
     def _run(self, src, mode):
         if self.waits(src, mode):
@@ -1066,6 +1066,19 @@ def test_a_round_keeps_two_checks_in_flight():
                                   workers=2)
     assert verdict.outcome is VerdictOutcome.VERIFIED
     assert sorted(mode for mode, _ in verifier.calls) == ["function:inc", "system"]
+
+
+def test_every_check_of_a_round_is_submitted_before_the_first_is_read():
+    # three checks on three threads wait for each other: the round ends only
+    # if the third was submitted before the first result was read
+    script = {
+        "keep": contract_reply(assigns=("a",), ensures=("__ESBMC_return_value == a",)),
+        "step": contract_reply(assigns=("z",), ensures=("__ESBMC_return_value == z + 1",)),
+    }
+    verdict, _, _, verifier = run(KEEP_STEP_SRC, script, BarrierVerifier(parties=3), workers=3)
+    assert verdict.outcome is VerdictOutcome.VERIFIED
+    assert sorted(mode for mode, _ in verifier.calls) == [
+        "function:keep", "function:step", "system"]
 
 
 @pytest.mark.skipif(cpus() < 2, reason="one CPU: checks are serial by default")
@@ -1777,12 +1790,14 @@ def test_every_conclusion_reads_the_keys_of_the_current_set(monkeypatch, scenari
     from contractor.contracts import render_replace
     from contractor.refinement import _key
 
-    check, conclude = refinement._check, refinement._conclude
+    checks, conclude = refinement._checks, refinement._conclude
     deferred = []
 
-    def checked_check(ctx, *args, **kw):
+    def checked_checks(ctx, instrs):
         assert_function_keys(ctx, complete=False)
-        return check(ctx, *args, **kw)
+        for item in checks(ctx, instrs):
+            yield item
+            assert_function_keys(ctx, complete=False)
 
     def checked_conclude(ctx):
         assert_function_keys(ctx, complete=True)
@@ -1797,7 +1812,7 @@ def test_every_conclusion_reads_the_keys_of_the_current_set(monkeypatch, scenari
                                                             ctx.round.contracts.values()))
         return conclude(ctx)
 
-    monkeypatch.setattr(refinement, "_check", checked_check)
+    monkeypatch.setattr(refinement, "_checks", checked_checks)
     monkeypatch.setattr(refinement, "_conclude", checked_conclude)
     scenario()
     assert bool(deferred) is defers
@@ -1814,7 +1829,7 @@ def test_a_system_pass_under_another_set_verifies_nothing():
                           RunLog())
     verdict, _, _, _ = run(INC_SRC, {"inc|initial": INC_REPLY}, PassVerifier())
     c = verdict.contract_map()["inc"]
-    key, _ = refinement._check(ctx, refinement._start(ctx, render_enforce(model, c)))
+    key, _, _ = next(refinement._checks(ctx, [render_enforce(model, c)]))
     ctx.round = refinement.Round({"inc": c}, {"inc": key})
     refinement._check_system(ctx, {})
     assert refinement._conclude(ctx) is None
