@@ -5,10 +5,14 @@ bodies blanked, offsets preserved) is enough to find top-level function
 definitions, the single system assertion in main, and the complexity signals
 the tier split needs. Anything deeper belongs to the backend.
 
-The source is masked once; each function body is a slice of that mask,
-scanned once for its call heads, and every other layer reads the records
-stored here. `LoopSite` is the only place a loop is read: `_loop_sites` finds
-each loop's keyword, header condition and extent in one pass over a body.
+The source is masked once, by one pattern over comments and literals, and
+structure is read only from the mask, parameter lists included. The source
+is sliced only at offsets read from the mask, for the fields kept verbatim:
+a signature, a body and the property. Each function body is a slice of the
+mask, scanned once for its call heads, and every other layer reads the
+records stored here. `LoopSite` is the only place a loop is read:
+`_loop_sites` finds each loop's keyword, header condition and extent in one
+pass over a body.
 `FunctionInfo.writes` (`_writes`) serves the unbounded-loop test and the
 fallback contract's assigns, `FunctionInfo.body_names` the invariant check.
 
@@ -17,8 +21,8 @@ are large C files: `_scan_file_scope` jumps from one brace, `;`, `#` or call
 head to the next and reads each item once, a directive with the lines it
 continues, a function definition whole, a declaration up to its `;`. Every
 declarator, a parameter's or a global's, is read by `_declarator`. The same
-pass records the names a clause may use that are no globals: each `#define`
-and each file-scope enum constant.
+pass records the names a clause may use that are no globals: each `#define`,
+in a function body as at file scope, and each file-scope enum constant.
 """
 
 from __future__ import annotations
@@ -60,7 +64,14 @@ _ASSERT_RE = re.compile(r"\b(__ESBMC_assert|assert)\s*\(")
 _FUNC_HEAD_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\(")
 # at file scope the next brace, `;`, `#` or call head, whichever comes first
 _FILE_SCOPE_STOP_RE = re.compile(r"[{};#]|" + _FUNC_HEAD_RE.pattern)
-_BRACE_RE = re.compile(r"[{}]")
+# inside a brace block the next brace or `#`
+_BLOCK_STOP_RE = re.compile(r"[{}#]")
+# a comment, or a string or char literal as (quote, body, closing quote);
+# one left open runs to the end of the text
+_LEXEME_RE = re.compile(r"//[^\n]*|/\*.*?(?:\*/|\Z)|([\"'])((?:\\?.)*?)(\1|\Z)", re.DOTALL)
+_NOT_NEWLINE_RE = re.compile(r"[^\n]")
+_BRACKET_RES = {"{": re.compile(r"[{}]"), "(": re.compile(r"[()]")}
+_NESTING_RE = re.compile(r"[()\[\],]")
 _BODY_OPEN_RE = re.compile(r"\s*\{")
 # a struct, union or enum tag, which is no declarator
 _TAG_RE = re.compile(r"\b(struct|union|enum)\s+[A-Za-z_]\w*")
@@ -170,59 +181,22 @@ class ProgramModel:
 
 def mask_comments_and_strings(src: str) -> str:
     """Blank comments and string/char literal bodies, preserving length and newlines."""
-    out = list(src)
-    i = 0
-    n = len(src)
-    while i < n:
-        ch = src[i]
-        nxt = src[i + 1] if i + 1 < n else ""
-        if ch == "/" and nxt == "/":
-            while i < n and src[i] != "\n":
-                out[i] = " "
-                i += 1
-        elif ch == "/" and nxt == "*":
-            out[i] = out[i + 1] = " "
-            i += 2
-            while i < n and not (src[i] == "*" and i + 1 < n and src[i + 1] == "/"):
-                if src[i] != "\n":
-                    out[i] = " "
-                i += 1
-            if i + 1 < n:
-                out[i] = out[i + 1] = " "
-                i += 2
-        elif ch in "\"'":
-            quote = ch
-            i += 1
-            while i < n and src[i] != quote:
-                if src[i] == "\\" and i + 1 < n:
-                    out[i] = out[i + 1] = " "
-                    i += 2
-                    continue
-                if src[i] != "\n":
-                    out[i] = " "
-                i += 1
-            i += 1
-        else:
-            i += 1
-    return "".join(out)
+    def blank(m: re.Match) -> str:
+        if m.group(1) is None:  # a comment
+            return _NOT_NEWLINE_RE.sub(" ", m.group())
+        return m.group(1) + _NOT_NEWLINE_RE.sub(" ", m.group(2)) + m.group(3)
 
-
-_CLOSERS = {"{": "}", "(": ")"}
+    return _LEXEME_RE.sub(blank, src)
 
 
 def match_close(text: str, open_pos: int) -> int:
     """Index just past the bracket matching the '{' or '(' at text[open_pos]."""
     opener = text[open_pos]
-    closer = _CLOSERS[opener]
     depth = 0
-    for i in range(open_pos, len(text)):
-        c = text[i]
-        if c == opener:
-            depth += 1
-        elif c == closer:
-            depth -= 1
-            if depth == 0:
-                return i + 1
+    for m in _BRACKET_RES[opener].finditer(text, open_pos):
+        depth += 1 if m.group() == opener else -1
+        if depth == 0:
+            return m.end()
     raise UnbalancedSourceError("unmatched '%s' at offset %d" % (opener, open_pos))
 
 
@@ -231,14 +205,12 @@ def _split_top_level(text: str) -> List[str]:
     parts: List[str] = []
     depth = 0
     start = 0
-    for i, c in enumerate(text):
-        if c in "([":
-            depth += 1
-        elif c in ")]":
-            depth -= 1
-        elif c == "," and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
+    for m in _NESTING_RE.finditer(text):
+        c = m.group()
+        if c == "," and depth == 0:
+            parts.append(text[start:m.start()])
+            start = m.end()
+        depth += (c in "([") - (c in ")]")
     parts.append(text[start:])
     return parts
 
@@ -276,6 +248,17 @@ def _declared(decl: str) -> List[str]:
             if name and not is_function]
 
 
+def _read_defines(constants: Dict[str, bool], masked: str, start: int, end: int) -> None:
+    """Apply each `#define` and `#undef` of masked[start:end] in text order:
+    a define adds its name, an undef drops a macro but no enum constant
+    (True in constants)."""
+    for d in _DEFINE_RE.finditer(masked, start, end):
+        if d.group(1) == "define":
+            constants.setdefault(d.group(2), False)
+        elif constants.get(d.group(2)) is False:
+            del constants[d.group(2)]
+
+
 @dataclass(frozen=True)
 class _RawFunction:
     name: str
@@ -292,8 +275,9 @@ def _scan_file_scope(src: str, masked: str
     directive with every line it continues, a function definition whole, and
     a declaration up to its `;` with its brace blocks (an initializer, a
     struct body, an enumerator list) left out. An enumerator list nested in a
-    struct or union body declares its constants at file scope too, and an
-    `#undef` drops the macro it names."""
+    struct or union body declares its constants at file scope too. A
+    `#define` or `#undef` counts in text order wherever it stands, in a
+    function body or a brace block too, and an `#undef` drops only a macro."""
     raws: List[_RawFunction] = []
     found: List[str] = []
     # each constant name in order, True for an enum constant, which no
@@ -306,7 +290,7 @@ def _scan_file_scope(src: str, masked: str
     item = 0  # start of the current file-scope item
     while True:
         start = i
-        m = (_BRACE_RE if depth else _FILE_SCOPE_STOP_RE).search(masked, i)
+        m = (_BLOCK_STOP_RE if depth else _FILE_SCOPE_STOP_RE).search(masked, i)
         if m is None:
             break
         i = m.start()
@@ -337,13 +321,11 @@ def _scan_file_scope(src: str, masked: str
             item = i = i + 1
             continue
         if c == "#":  # a directive's lines declare no global
-            decl.append(masked[item:i])
-            define = _DEFINE_RE.match(masked, i)
-            if define and define.group(1) == "define":
-                constants.setdefault(define.group(2), False)
-            elif define and constants.get(define.group(2)) is False:
-                del constants[define.group(2)]
-            item = i = _DIRECTIVE_LINES_RE.match(masked, i).end()
+            if depth == 0:
+                decl.append(masked[item:i])
+            end = _DIRECTIVE_LINES_RE.match(masked, i).end()
+            _read_defines(constants, masked, i, end)
+            item = i = end
             continue
         if m.group(1) not in C_KEYWORDS:
             close = params_end = match_close(masked, m.end() - 1)
@@ -359,9 +341,10 @@ def _scan_file_scope(src: str, masked: str
                     name=m.group(1),
                     signature_text=" ".join(src[sig_start:close].split()),
                     body_span=(j, body_end),
-                    params=_parse_params(src[m.end():params_end - 1]),
+                    params=_parse_params(masked[m.end():params_end - 1]),
                     is_static="static" in head_words,
                 ))
+                _read_defines(constants, masked, j, body_end)
                 decl = []
                 item = i = body_end
                 continue
@@ -392,11 +375,10 @@ def _loop_sites(masked_body: str) -> List[LoopSite]:
         if pos in tails:
             continue
         condition, header_end = ("", m.end()) if kw == "do" else _header(masked_body, m.end())
-        brace = header_end
-        while brace < len(masked_body) and masked_body[brace].isspace():
-            brace += 1
-        if brace < len(masked_body) and masked_body[brace] == "{":
-            body_open, end = brace, match_close(masked_body, brace)
+        brace = _BODY_OPEN_RE.match(masked_body, header_end)
+        if brace:
+            body_open = brace.end() - 1
+            end = match_close(masked_body, body_open)
         else:  # one statement, or a header with no parenthesis
             body_open = None
             semi = masked_body.find(";", header_end)

@@ -1,9 +1,11 @@
 """Shared helpers: corpus loading, backend-output builders, in-memory
 verifiers, a recording wrapper that turns any run into mock-backend
-transcripts, and the instrumentation round-trip oracle."""
+transcripts, the instrumentation round-trip oracle, and the benchmark's
+workload generators."""
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -19,6 +21,9 @@ from contractor.verifier import (
 )
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
+ORACLEBENCH = Path(__file__).resolve().parents[1] / "oraclebench"
+BENCH_MODULES = ("model", "oracle", "workloads")
+WORKLOADS = ("frama-small", "refine-deep", "preabs-large")
 
 
 # file-scope macros and enum constants (one inside a struct body, which C
@@ -58,6 +63,23 @@ def corpus_sources() -> List[Tuple[str, str]]:
 @pytest.fixture
 def corpus() -> List[Tuple[str, str]]:
     return corpus_sources()
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    """The oracle and workload modules, imported from the benchmark's
+    directory without writing bytecode there, and dropped from sys.modules
+    afterwards."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(ORACLEBENCH))
+    loaded = [name for name in BENCH_MODULES if name in sys.modules]
+    import oracle
+    import workloads
+
+    yield oracle, workloads
+    for name in BENCH_MODULES:
+        if name not in loaded:
+            sys.modules.pop(name, None)
 
 
 def success_output() -> str:

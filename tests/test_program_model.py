@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import shutil
 import subprocess
+from typing import List, Tuple
 
 import pytest
 
@@ -21,7 +22,7 @@ from contractor.program_model import (
     partition_functions,
     tier_for,
 )
-from conftest import CORPUS_DIR, corpus_sources
+from conftest import CORPUS_DIR, WORKLOADS, corpus_paths, corpus_sources
 
 
 def wrap(fn_body: str, call: str, prop: str = "r >= 0") -> str:
@@ -36,6 +37,21 @@ def test_masking_preserves_length():
     masked = mask_comments_and_strings(src)
     assert len(masked) == len(src)
     assert "}" not in masked[src.index("/*"):src.index("*/")]
+
+
+@pytest.mark.parametrize("src, masked", [
+    ('x = "a\\"b"; y', 'x = "    "; y'),
+    ("c = '\\'';", "c = '  ';"),
+    ('s = "a\\\nb";', 's = "  \n ";'),
+    ("a /* b\nc */ d // e\nf", "a     \n     d     \nf"),
+    ('t = "open\n', 't = "    \n'),
+    ("u /* open\n", "u        \n"),
+], ids=["escaped_quote", "escaped_char_quote", "continued_literal", "comments",
+        "open_literal", "open_comment"])
+def test_masking_keeps_quotes_and_newlines(src, masked):
+    # a literal keeps its quotes; every other character of a comment or a
+    # literal is blanked but a newline, even one a backslash continues
+    assert mask_comments_and_strings(src) == masked
 
 
 def test_corpus_all_parse():
@@ -442,6 +458,33 @@ def test_parameter_takes_its_declarator_name(param, name):
     assert [p.name for p in parse_program(src).function("g").params] == ["n", name]
 
 
+@pytest.mark.parametrize("params", [
+    "int a /* lo, hi */, int b",
+    "int a, // first, really\n      int b",
+    "int a /* *p */, int b",
+], ids=["block_comment", "line_comment", "comment_star"])
+def test_parameter_list_is_read_outside_its_comments(params):
+    # a comment's comma cuts no parameter, and its words and `*` are no part
+    # of one; the signature keeps the comment verbatim
+    f = parse_program(wrap(f"int f({params}) {{\n    return a + b;\n}}", "f(1, 2)")).function("f")
+    assert [(p.name, p.type_text) for p in f.params] == [("a", "int a"), ("b", "int b")]
+    assert f.signature_text == " ".join(f"int f({params})".split())
+
+
+@pytest.mark.parametrize("file_scope, body, expected", [
+    ("", "#define CAP 4\n", ("CAP",)),
+    ("#define CAP 4\n#define LO 1\nenum { RED };\n", "#undef CAP\n#undef RED\n",
+     ("LO", "RED")),
+    ("enum { RED };\nstruct s {\n    int v;\n#define FIELD 1\n};\n", "#define CAP 4\n",
+     ("RED", "FIELD", "CAP")),
+], ids=["define_in_body", "undef_in_body", "define_in_struct_body"])
+def test_a_directive_counts_wherever_it_stands(file_scope, body, expected):
+    # the preprocessor keeps a macro from its `#define` to its `#undef`, in
+    # a function body or a struct body as at file scope
+    src = wrap(f"{file_scope}int f(int a) {{\n{body}    return a;\n}}", "f(1)", "r < CAP")
+    assert parse_program(src).constant_names == expected
+
+
 FUNCTION_POINTER_RETURN_SRC = wrap(
     "#include <assert.h>\n"
     "int twice(int a) {\n    return 2 * a;\n}\n"
@@ -458,20 +501,41 @@ def test_a_function_returning_a_function_pointer_is_found():
     assert model.global_names == ("g",)
 
 
-@pytest.mark.skipif(shutil.which("gcc") is None or shutil.which("nm") is None,
-                    reason="gcc or nm not on PATH")
-def test_functions_and_globals_match_the_compiled_symbols(tmp_path):
-    src, obj = tmp_path / "prog.c", tmp_path / "prog.o"
-    src.write_text(FUNCTION_POINTER_RETURN_SRC)
-    subprocess.run(["gcc", "-w", "-c", "-o", str(obj), str(src)], check=True, timeout=60)
+def compiled_symbols(path) -> List[Tuple[str, str]]:
+    """(symbol type, name) of each name `nm` lists for the object gcc
+    compiles from path; the names the compiler makes up, such as
+    `__PRETTY_FUNCTION__.0` for an `assert`, are left out."""
+    obj = path.with_suffix(".o")
+    subprocess.run(["gcc", "-w", "-c", "-o", str(obj), str(path)], check=True, timeout=60)
     nm = subprocess.run(["nm", str(obj)], capture_output=True, text=True, check=True,
                         timeout=60).stdout
-    symbols = [line.split() for line in nm.splitlines()]
-    # T marks a defined function, D a defined initialized global
-    defined = lambda kind: {s[2] for s in symbols if len(s) == 3 and s[1] == kind}
-    model = parse_program(FUNCTION_POINTER_RETURN_SRC)
-    assert {f.name for f in model.functions} | {"main"} == defined("T")
-    assert set(model.global_names) == defined("D")
+    symbols = [tuple(line.split()[1:]) for line in nm.splitlines() if len(line.split()) == 3]
+    return [(kind, name) for kind, name in symbols if "." not in name]
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None or shutil.which("nm") is None,
+                    reason="gcc or nm not on PATH")
+@pytest.mark.parametrize("case", ["function_pointer_return"]
+                         + [p.name for p in corpus_paths()] + list(WORKLOADS))
+def test_functions_and_globals_match_the_compiled_symbols(case, request, tmp_path):
+    # a corpus program, or each program of a workload at seed 1
+    if case in WORKLOADS:
+        oracle, workloads = request.getfixturevalue("bench")
+        sources = [oracle.Program(p["model"]).text for p in workloads.GENERATORS[case](1)]
+    else:
+        sources = [FUNCTION_POINTER_RETURN_SRC if case == "function_pointer_return"
+                   else corpus_text(case)]
+    for k, text in enumerate(sources):
+        path = tmp_path / f"prog{k}.c"
+        path.write_text(text)
+        symbols = compiled_symbols(path)
+        of = lambda kinds: {name for kind, name in symbols if kind in kinds}
+        model = parse_program(text)
+        # T and t mark defined functions, external and static; D, B, C and R
+        # initialized, zeroed, common and read-only globals, d, b and r static ones
+        assert {f.name for f in model.functions if not f.is_static} | {"main"} == of("T"), k
+        assert {f.name for f in model.functions if f.is_static} == of("t"), k
+        assert set(model.global_names) == of("DdBbCRr"), k
 
 
 def test_partition_by_tau():

@@ -910,6 +910,30 @@ def test_unchanged_contract_reaches_the_backend_once():
     assert logged.count("function:keep") == 5
 
 
+def test_a_set_changed_only_in_an_invariant_is_one_system_check():
+    # a stubbed body never runs under replace mode, so a relax that changes
+    # only acc's invariant renders the system text of the round before it
+    relaxed = contract_reply(requires=("n >= 0",),
+                             ensures=("__ESBMC_return_value == n * 2",
+                                      "__ESBMC_return_value >= 0"),
+                             invariants=("i >= 0 && i <= n && s == i * 2",))
+
+    def rule(src, mode):
+        if mode == "function:acc" and ACC_INVARIANT in src.text:
+            return failure_output(ACC_INVARIANT, at_function="acc")
+        return success_output()
+
+    script = {"acc|initial": ACC_REPLY, "acc|relax": relaxed,
+              "step": contract_reply(ensures=("__ESBMC_return_value == z + 1",))}
+    verdict, log, _, verifier = run(ACC_STEP_SRC, script, RuleVerifier(rule))
+    assert verdict.outcome is VerdictOutcome.VERIFIED and verdict.iterations_used == 1
+    full = [e for e in log.of_kind("verification") if e.get("contract_set") == ["acc", "step"]]
+    assert [(e["status"], e["iteration"]) for e in full] == [("pass", 0), ("pass", 1)]
+    # the full set's one text and round 0's drop check reach the backend
+    system = [text for mode, text in verifier.calls if mode == "system"]
+    assert len(system) == 2 and not any("__ESBMC_loop_invariant" in t for t in system)
+
+
 def test_memo_keeps_the_verification_events():
     _, log, _, _ = keep_step_run()
     events = [(e["mode"], e["status"], e["iteration"], e.get("contract_set"))

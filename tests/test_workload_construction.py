@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -21,28 +19,10 @@ from contractor.harness import canonical_run_bytes, run_program
 from contractor.refinement import PipelineConfig, Strategy
 from contractor.synthesis import ScriptedLlmClient
 from contractor.verifier import VerificationResult, parse_verifier_output
+from conftest import CORPUS_DIR, WORKLOADS
 
-ORACLEBENCH = Path(__file__).resolve().parents[1] / "oraclebench"
-RUN_TABLE = Path(__file__).resolve().parent / "corpus" / "run_table.json"
-BENCH_MODULES = ("model", "oracle", "workloads")
+RUN_TABLE = CORPUS_DIR / "run_table.json"
 SEEDS = (1, 2, 3, 7)
-
-
-@pytest.fixture
-def bench(monkeypatch):
-    """The oracle and workload modules, imported from the benchmark's
-    directory without writing bytecode there, and dropped from sys.modules
-    afterwards."""
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    monkeypatch.syspath_prepend(str(ORACLEBENCH))
-    loaded = [name for name in BENCH_MODULES if name in sys.modules]
-    import oracle
-    import workloads
-
-    yield oracle, workloads
-    for name in BENCH_MODULES:
-        if name not in loaded:
-            sys.modules.pop(name, None)
 
 
 def parse(out: str, mode: str) -> VerificationResult:
@@ -51,7 +31,7 @@ def parse(out: str, mode: str) -> VerificationResult:
                               wall_time_s=0.0, mode=mode)
 
 
-@pytest.mark.parametrize("workload", ["frama-small", "refine-deep", "preabs-large"])
+@pytest.mark.parametrize("workload", WORKLOADS)
 def test_every_workload_program_ends_as_constructed(bench, workload):
     oracle, workloads = bench
     table = json.loads(RUN_TABLE.read_text(encoding="utf-8"))[workload]
