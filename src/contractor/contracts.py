@@ -15,7 +15,13 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import cexpr
 from .errors import LoopOrdinalError, UnbalancedSourceError, UnknownFunctionError
-from .program_model import C_KEYWORDS, FunctionInfo, ProgramModel, match_close
+from .program_model import (
+    C_KEYWORDS,
+    FunctionInfo,
+    ProgramModel,
+    mask_comments_strings_and_directives,
+    match_close,
+)
 
 REQUIRES_KW = "__ESBMC_requires"
 ENSURES_KW = "__ESBMC_ensures"
@@ -50,10 +56,8 @@ class Contract:
     origin: ContractOrigin = ContractOrigin.LLM_PRECISE
 
     def __post_init__(self):
-        object.__setattr__(self, "requires", tuple(self.requires))
-        object.__setattr__(self, "ensures", tuple(self.ensures))
-        object.__setattr__(self, "assigns", tuple(self.assigns))
-        object.__setattr__(self, "loop_invariants", tuple(self.loop_invariants))
+        for name in ("requires", "ensures", "assigns", "loop_invariants"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
 
 
 class ParseFailureReason(str, Enum):
@@ -170,13 +174,9 @@ def sanitize_assigns(targets: Sequence[str]) -> Tuple[Tuple[str, ...], Tuple[str
     stripped: List[str] = []
     for t in targets:
         t = t.strip()
-        if not t:
-            continue
         if t.startswith("*") or "->" in t:
             stripped.append(t)
-        elif t in kept:
-            continue
-        else:
+        elif t and t not in kept:
             kept.append(t)
     return tuple(kept), tuple(stripped)
 
@@ -186,20 +186,11 @@ _ANNOT_RE = re.compile(
 )
 _FENCE_RE = re.compile(r"```[^\n]*\n(.*?)```", re.DOTALL)
 _QUANT_RE = re.compile(r"\\forall|\\exists|∀|∃")
+# a literal of masked text, whose quotes are the only ones the mask keeps
+_MASKED_LITERAL_RE = re.compile(r"\"[^\"]*\"?|'[^']*'?")
 
 
-def _balanced_argument(text: str, open_paren: int) -> Optional[str]:
-    try:
-        return text[open_paren + 1:match_close(text, open_paren) - 1]
-    except UnbalancedSourceError:
-        return None
-
-
-def _validate_clause(
-    expr: str,
-    allowed: set,
-    kind: str,
-) -> Optional[ParseFailure]:
+def _validate_clause(expr: str, allowed: set, kind: str) -> Optional[ParseFailure]:
     expr = expr.strip()
     if not expr:
         return ParseFailure(ParseFailureReason.NO_CLAUSES, f"empty {kind} clause")
@@ -207,7 +198,7 @@ def _validate_clause(
     # otherwise misreport as unbalanced
     if _QUANT_RE.search(expr):
         return ParseFailure(ParseFailureReason.QUANTIFIED, expr)
-    # parentheses need no count: `_balanced_argument` cut expr at its match
+    # parentheses need no count: expr was cut at the match of its opener
     if expr.count("[") != expr.count("]"):
         return ParseFailure(ParseFailureReason.UNBALANCED, expr)
     if ";" in expr:
@@ -236,6 +227,8 @@ def parse_contract_text(
 ):
     """Extract a Contract from a model reply (fenced code or bare annotation
     lines). Returns Contract or ParseFailure; never raises on bad replies.
+    Fenced code is read as C, outside its comments, directives and literals;
+    a bare reply, where an apostrophe opens no literal, as it stands.
 
     requires/ensures/assigns may reference parameters, globals, the file's
     macro and enum-constant names, and the return value placeholder; loop
@@ -245,18 +238,22 @@ def parse_contract_text(
     `true` produces a silently wrong check.
     """
     fences = _FENCE_RE.findall(raw)
-    search_space = "\n".join(fences) if fences else raw
+    code = "\n".join(fences) if fences else raw
+    # a clause's text is the mask with each literal put back
+    masked = mask_comments_strings_and_directives(code) if fences else code
+    clause_text = _MASKED_LITERAL_RE.sub(lambda lit: code[lit.start():lit.end()], masked)
 
     base_allowed = {p.name for p in f.params} | set(known_globals) | set(known_constants)
     inv_allowed = base_allowed | set(f.body_names)
 
     clauses: Dict[str, List[str]] = {
         kw: [] for kw in (REQUIRES_KW, ENSURES_KW, ASSIGNS_KW, INVARIANT_KW)}
-    for m in _ANNOT_RE.finditer(search_space):
-        arg = _balanced_argument(search_space, m.end() - 1)
-        if arg is None:
+    for m in _ANNOT_RE.finditer(masked):
+        try:
+            close = match_close(masked, m.end() - 1)
+        except UnbalancedSourceError:
             return ParseFailure(ParseFailureReason.UNBALANCED, m.group(1))
-        clauses[m.group(1)].append(" ".join(arg.split()))
+        clauses[m.group(1)].append(" ".join(clause_text[m.end():close - 1].split()))
     if not any(clauses.values()):
         return ParseFailure(ParseFailureReason.NO_CLAUSES, "no annotation clauses found")
 

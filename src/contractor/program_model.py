@@ -5,24 +5,25 @@ bodies blanked, offsets preserved) is enough to find top-level function
 definitions, the single system assertion in main, and the complexity signals
 the tier split needs. Anything deeper belongs to the backend.
 
-The source is masked once, by one pattern over comments and literals, and
-structure is read only from the mask, parameter lists included. The source
-is sliced only at offsets read from the mask, for the fields kept verbatim:
-a signature, a body and the property. Each function body is a slice of the
-mask, scanned once for its call heads, and every other layer reads the
-records stored here. `LoopSite` is the only place a loop is read:
+The source is masked once, by one pattern over comments, literals and
+preprocessor directives, and structure is read only from the mask,
+parameter lists included: a directive's braces, loops and words are no part
+of it. The source is sliced only at offsets read from the mask, for the
+fields kept verbatim: a signature, a body and the property. Each function
+body is a slice of the mask, scanned once for its call heads, and every
+other layer reads the records stored here. `LoopSite` is the only place a loop is read:
 `_loop_sites` finds each loop's keyword, header condition and extent in one
 pass over a body.
 `FunctionInfo.writes` (`_writes`) serves the unbounded-loop test and the
 fallback contract's assigns, `FunctionInfo.body_names` the invariant check.
 
 The file scope is read in one linear pass, since the paper's hardest inputs
-are large C files: `_scan_file_scope` jumps from one brace, `;`, `#` or call
-head to the next and reads each item once, a directive with the lines it
-continues, a function definition whole, a declaration up to its `;`. Every
-declarator, a parameter's or a global's, is read by `_declarator`. The same
-pass records the names a clause may use that are no globals: each `#define`,
-in a function body as at file scope, and each file-scope enum constant.
+are large C files: `_scan_file_scope` jumps from one brace, `;` or call head
+to the next and reads each item once, a function definition whole, a
+declaration up to its `;`. Every declarator, a parameter's or a global's, is
+read by `_declarator`. The names a clause may use that are no globals are
+each `#define`, read by the masking pass wherever it stands, and each
+file-scope enum constant, read by the scan.
 """
 
 from __future__ import annotations
@@ -62,13 +63,21 @@ ALLOC_FUNCTIONS = {"malloc", "calloc", "realloc", "aligned_alloc", "alloca"}
 _WORD_RE = re.compile(r"[A-Za-z_]\w*")
 _ASSERT_RE = re.compile(r"\b(__ESBMC_assert|assert)\s*\(")
 _FUNC_HEAD_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\(")
-# at file scope the next brace, `;`, `#` or call head, whichever comes first
-_FILE_SCOPE_STOP_RE = re.compile(r"[{};#]|" + _FUNC_HEAD_RE.pattern)
-# inside a brace block the next brace or `#`
-_BLOCK_STOP_RE = re.compile(r"[{}#]")
-# a comment, or a string or char literal as (quote, body, closing quote);
-# one left open runs to the end of the text
-_LEXEME_RE = re.compile(r"//[^\n]*|/\*.*?(?:\*/|\Z)|([\"'])((?:\\?.)*?)(\1|\Z)", re.DOTALL)
+# at file scope the next brace, `;` or call head, whichever comes first
+_FILE_SCOPE_STOP_RE = re.compile(r"[{};]|" + _FUNC_HEAD_RE.pattern)
+_GAP = r"(?:[ \t]|/\*(?:[^*]|\*(?!/))*\*/)"  # a blank, or a comment up to its first `*/`
+# a directive (C has no `#` outside one) from its `#` through the last line
+# it continues, its comments and literals included (so `"/usr/*"` opens no
+# comment), with the name a `#define` or `#undef` names; a comment; or a
+# literal as (quote, body, closing quote). A comment left open runs to the
+# end of the text, a literal to the end of its line.
+_LEXEME_RE = re.compile(
+    r"#" + _GAP + r"*(?:(?P<op>define|undef)" + _GAP + r"+(?P<name>[A-Za-z_]\w*))?"
+    r"(?:[^\n\\/\"']+|\\.|\"(?:\\.|[^\\\n\"])*\"?|'(?:\\.|[^\\\n'])*'?"
+    r"|//[^\n]*|/\*.*?(?:\*/|\Z)|/)*"
+    r"|//[^\n]*|/\*.*?(?:\*/|\Z)"
+    r"|(?P<quote>[\"'])(?P<body>(?:\\.|[^\n])*?)(?P<close>(?P=quote)|(?=\n)|\Z)",
+    re.DOTALL)
 _NOT_NEWLINE_RE = re.compile(r"[^\n]")
 _BRACKET_RES = {"{": re.compile(r"[{}]"), "(": re.compile(r"[()]")}
 _NESTING_RE = re.compile(r"[()\[\],]")
@@ -78,11 +87,6 @@ _TAG_RE = re.compile(r"\b(struct|union|enum)\s+[A-Za-z_]\w*")
 # `lvalue = callee(`, the lvalue a name or a `.`/`->` path spelled without spaces
 _ASSIGNED_CALL_RE = re.compile(
     r"\b([A-Za-z_]\w*(?:(?:\.|->)[A-Za-z_]\w*)*)\s*=\s*([A-Za-z_]\w*)\s*\(")
-# a directive's own line and every line it continues with a backslash
-_DIRECTIVE_LINES_RE = re.compile(r"(?:.*\\\n)*.*\n?")
-# the name a `#define` directive defines (object-like or function-like) or
-# an `#undef` directive drops
-_DEFINE_RE = re.compile(r"#[ \t]*(define|undef)[ \t]+([A-Za-z_]\w*)")
 # the head of an enum's enumerator list, just before its brace
 _ENUM_HEAD_RE = re.compile(r"\benum(?:\s+[A-Za-z_]\w*)?\s*$")
 _ARRAY_BOUND_RE = re.compile(r"\[[^\]]*\]")
@@ -179,14 +183,24 @@ class ProgramModel:
         return self._by_name.get(name)
 
 
-def mask_comments_and_strings(src: str) -> str:
-    """Blank comments and string/char literal bodies, preserving length and newlines."""
-    def blank(m: re.Match) -> str:
-        if m.group(1) is None:  # a comment
-            return _NOT_NEWLINE_RE.sub(" ", m.group())
-        return m.group(1) + _NOT_NEWLINE_RE.sub(" ", m.group(2)) + m.group(3)
+def _mask(src: str) -> Tuple[str, List[Tuple[int, str, str]]]:
+    """The mask, and each `#define` and `#undef` as (offset, op, name)."""
+    defines: List[Tuple[int, str, str]] = []
 
-    return _LEXEME_RE.sub(blank, src)
+    def blank(m: re.Match) -> str:
+        if m.group("quote") is None:  # a comment or a directive
+            if m.group("op"):
+                defines.append((m.start(), m.group("op"), m.group("name")))
+            return _NOT_NEWLINE_RE.sub(" ", m.group())
+        return m.group("quote") + _NOT_NEWLINE_RE.sub(" ", m.group("body")) + m.group("close")
+
+    return _LEXEME_RE.sub(blank, src), defines
+
+
+def mask_comments_strings_and_directives(src: str) -> str:
+    """Blank comments, preprocessor directives and string/char literal bodies,
+    preserving length and newlines; a literal keeps its quotes."""
+    return _mask(src)[0]
 
 
 def match_close(text: str, open_pos: int) -> int:
@@ -248,15 +262,17 @@ def _declared(decl: str) -> List[str]:
             if name and not is_function]
 
 
-def _read_defines(constants: Dict[str, bool], masked: str, start: int, end: int) -> None:
-    """Apply each `#define` and `#undef` of masked[start:end] in text order:
-    a define adds its name, an undef drops a macro but no enum constant
-    (True in constants)."""
-    for d in _DEFINE_RE.finditer(masked, start, end):
-        if d.group(1) == "define":
-            constants.setdefault(d.group(2), False)
-        elif constants.get(d.group(2)) is False:
-            del constants[d.group(2)]
+def _constant_names(events: Sequence[Tuple[int, str, str]]) -> Tuple[str, ...]:
+    """The names each (offset, "define", "undef" or "enum", name) leaves
+    defined, applied in offset order: an undef drops a macro but no enum
+    constant (True in constants)."""
+    constants: Dict[str, bool] = {}
+    for _, op, name in sorted(events, key=lambda e: e[0]):
+        if op != "undef":
+            constants[name] = constants.get(name, False) or op == "enum"
+        elif constants.get(name) is False:
+            del constants[name]
+    return tuple(constants)
 
 
 @dataclass(frozen=True)
@@ -269,20 +285,16 @@ class _RawFunction:
 
 
 def _scan_file_scope(src: str, masked: str
-                     ) -> Tuple[List[_RawFunction], Tuple[str, ...], Tuple[str, ...]]:
-    """The function definitions, the declared global names and the macro and
-    enum-constant names, in one pass that reads each file-scope item once: a
-    directive with every line it continues, a function definition whole, and
-    a declaration up to its `;` with its brace blocks (an initializer, a
-    struct body, an enumerator list) left out. An enumerator list nested in a
-    struct or union body declares its constants at file scope too. A
-    `#define` or `#undef` counts in text order wherever it stands, in a
-    function body or a brace block too, and an `#undef` drops only a macro."""
+                     ) -> Tuple[List[_RawFunction], Tuple[str, ...], List[Tuple[int, str, str]]]:
+    """The function definitions, the declared global names and each enum
+    constant as (offset of its list's `}`, "enum", name), in one pass that
+    reads each file-scope item once: a function definition whole, and a
+    declaration up to its `;` with its brace blocks (an initializer, a struct
+    body, an enumerator list) left out. An enumerator list nested in a struct
+    or union body declares its constants at file scope too."""
     raws: List[_RawFunction] = []
     found: List[str] = []
-    # each constant name in order, True for an enum constant, which no
-    # `#undef` drops
-    constants: Dict[str, bool] = {}
+    enums: List[Tuple[int, str, str]] = []
     enum_open: Optional[int] = None  # the brace of the enumerator list being read
     decl: List[str] = []  # the declaration read so far, outside its brace blocks
     depth = 0
@@ -290,7 +302,7 @@ def _scan_file_scope(src: str, masked: str
     item = 0  # start of the current file-scope item
     while True:
         start = i
-        m = (_BLOCK_STOP_RE if depth else _FILE_SCOPE_STOP_RE).search(masked, i)
+        m = (_BRACKET_RES["{"] if depth else _FILE_SCOPE_STOP_RE).search(masked, i)
         if m is None:
             break
         i = m.start()
@@ -309,7 +321,7 @@ def _scan_file_scope(src: str, masked: str
                 raise UnbalancedSourceError("unmatched '}' at offset %d" % i)
             if enum_open is not None:  # an enumerator list holds no brace
                 enumerators = _split_top_level(masked[enum_open + 1:i])
-                constants.update((m.group(), True) for m in map(_WORD_RE.search, enumerators) if m)
+                enums += [(i, "enum", m.group()) for m in map(_WORD_RE.search, enumerators) if m]
                 enum_open = None
             if depth == 0:
                 item = i + 1
@@ -319,13 +331,6 @@ def _scan_file_scope(src: str, masked: str
             found += _declared(" ".join(decl + [masked[item:i]]))
             decl = []
             item = i = i + 1
-            continue
-        if c == "#":  # a directive's lines declare no global
-            if depth == 0:
-                decl.append(masked[item:i])
-            end = _DIRECTIVE_LINES_RE.match(masked, i).end()
-            _read_defines(constants, masked, i, end)
-            item = i = end
             continue
         if m.group(1) not in C_KEYWORDS:
             close = params_end = match_close(masked, m.end() - 1)
@@ -344,14 +349,13 @@ def _scan_file_scope(src: str, masked: str
                     params=_parse_params(masked[m.end():params_end - 1]),
                     is_static="static" in head_words,
                 ))
-                _read_defines(constants, masked, j, body_end)
                 decl = []
                 item = i = body_end
                 continue
         i = m.end()
     if depth != 0:
         raise UnbalancedSourceError("source has %d unclosed brace(s)" % depth)
-    return raws, tuple(dict.fromkeys(found)), tuple(constants)
+    return raws, tuple(dict.fromkeys(found)), enums
 
 
 def _header(masked_body: str, pos: int) -> Tuple[str, int]:
@@ -448,9 +452,7 @@ def _pointer_op_count(masked_body: str) -> int:
 
 def _metrics(masked_body: str, loops: Sequence[LoopSite], heads: Sequence[str],
              has_recursion: bool) -> ComplexityMetrics:
-    branches = len(re.findall(r"\bif\b", masked_body))
-    branches += len(re.findall(r"\bcase\b", masked_body))
-    branches += masked_body.count("?")
+    branches = len(re.findall(r"\b(?:if|case)\b|\?", masked_body))
     nesting = _max_loop_nesting(loops)
     unbounded = any(_loop_is_unbounded(masked_body, s) for s in loops)
     allocs = sum(1 for h in heads if h in ALLOC_FUNCTIONS)
@@ -515,8 +517,8 @@ def _recursive_functions(calls: Dict[str, set]) -> set:
 def parse_program(source_text: str) -> ProgramModel:
     """Build the model. Raises on missing main, zero or multiple assertions,
     and brace imbalance."""
-    masked = mask_comments_and_strings(source_text)
-    raws, global_names, constant_names = _scan_file_scope(source_text, masked)
+    masked, defines = _mask(source_text)
+    raws, global_names, enums = _scan_file_scope(source_text, masked)
 
     main_raw = next((r for r in raws if r.name == "main"), None)
     if main_raw is None:
@@ -559,7 +561,7 @@ def parse_program(source_text: str) -> ProgramModel:
         functions=tuple(functions),
         property=prop,
         global_names=global_names,
-        constant_names=constant_names,
+        constant_names=_constant_names(defines + enums),
         assigned_calls=tuple(m.groups() for m in _ASSIGNED_CALL_RE.finditer(masked)),
     )
 

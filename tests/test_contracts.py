@@ -104,6 +104,17 @@ def test_parse_rejects_invariant_without_a_braced_loop(source, function):
     assert result.reason is ParseFailureReason.LOOP_ORDINAL
 
 
+def test_an_invariant_goes_to_the_loop_after_a_macro_loop():
+    # a directive's `for` is no loop, so the first invariant leads the while
+    src = ("int f(int n) {\n#define EACH(i) for (i = 0; i < n; i++)\n    int s = 0;\n"
+           "    while (s < n) {\n        s++;\n    }\n    return s;\n}\n\n"
+           "int main() {\n    int r = f(3);\n    assert(r == 3);\n    return 0;\n}\n")
+    f = parse_program(src).function("f")
+    c = parse_contract_text(contract_reply(invariants=["s <= n"]), f)
+    assert isinstance(c, Contract)
+    assert c.loop_invariants == ((0, "s <= n"),)
+
+
 def test_bad_loop_ordinal_rejected():
     model = parse_program(SUM)
     c = mk(function="sum_below", invariants=[(1, "sum >= 0")])
@@ -172,6 +183,32 @@ def test_parse_unfenced_reply_with_prose():
     c = parse_contract_text(raw, f)
     assert isinstance(c, Contract)
     assert c.requires == ("x > 0",)
+
+
+@pytest.mark.parametrize("code, ensures", [
+    ("// __ESBMC_ensures(__ESBMC_return_value > 1000);\n"
+     "__ESBMC_ensures(__ESBMC_return_value == x + 1);", "__ESBMC_return_value == x + 1"),
+    ("__ESBMC_ensures(__ESBMC_return_value == x + 1 /* see (a */);",
+     "__ESBMC_return_value == x + 1"),
+    ("__ESBMC_ensures(__ESBMC_return_value != ')');", "__ESBMC_return_value != ')'"),
+    ("#define ENSURES(e) __ESBMC_ensures(e)\n__ESBMC_ensures(__ESBMC_return_value > x);",
+     "__ESBMC_return_value > x"),
+], ids=["commented_out_clause", "comment_in_clause", "literal_paren", "directive"])
+def test_parse_reads_fenced_code_outside_comments_and_literals(code, ensures):
+    # a fenced reply is C: a comment is no clause and no part of one, and a
+    # literal's parenthesis closes nothing
+    c = parse_contract_text(f"Contract:\n```c\n{code}\n```\n",
+                            parse_program(INC).function("increment"))
+    assert isinstance(c, Contract)
+    assert c.ensures == (ensures,)
+
+
+def test_parse_reads_an_apostrophe_in_bare_prose_as_text():
+    raw = ("Here's a contract; it doesn't need a precondition.\n"
+           "__ESBMC_ensures(__ESBMC_return_value == x + 1);\n")
+    c = parse_contract_text(raw, parse_program(INC).function("increment"))
+    assert isinstance(c, Contract)
+    assert c.ensures == ("__ESBMC_return_value == x + 1",)
 
 
 def test_parse_no_clauses_is_failure():

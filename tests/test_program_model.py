@@ -4,9 +4,10 @@ scoring, and the tier split."""
 from __future__ import annotations
 
 import json
+import re
 import shutil
 import subprocess
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 import pytest
 
@@ -17,12 +18,12 @@ from contractor.errors import (
 )
 from contractor.program_model import (
     Tier,
-    mask_comments_and_strings,
+    mask_comments_strings_and_directives,
     parse_program,
     partition_functions,
     tier_for,
 )
-from conftest import CORPUS_DIR, WORKLOADS, corpus_paths, corpus_sources
+from conftest import CONSTANTS_SRC, CORPUS_DIR, WORKLOADS, corpus_paths, corpus_sources
 
 
 def wrap(fn_body: str, call: str, prop: str = "r >= 0") -> str:
@@ -34,7 +35,7 @@ def wrap(fn_body: str, call: str, prop: str = "r >= 0") -> str:
 
 def test_masking_preserves_length():
     src = 'int f() { /* brace } in comment */ char *s = "}}"; return 1; } // }\n'
-    masked = mask_comments_and_strings(src)
+    masked = mask_comments_strings_and_directives(src)
     assert len(masked) == len(src)
     assert "}" not in masked[src.index("/*"):src.index("*/")]
 
@@ -46,12 +47,21 @@ def test_masking_preserves_length():
     ("a /* b\nc */ d // e\nf", "a     \n     d     \nf"),
     ('t = "open\n', 't = "    \n'),
     ("u /* open\n", "u        \n"),
+    ('t = "open\nx;', 't = "    \nx;'),
+    ("#define B {\nx", "           \nx"),
+    ("  # if A /* (\n */ + \\\n  }\ny", "             \n       \n   \ny"),
+    ('#define G "/*"\nx; /* c */', '              \nx;        '),
+    ("#error don't\nx = 'y';", "            \nx = ' ';"),
 ], ids=["escaped_quote", "escaped_char_quote", "continued_literal", "comments",
-        "open_literal", "open_comment"])
+        "open_literal", "open_comment", "literal_open_to_its_line_end", "directive",
+        "continued_directive", "directive_literal_holding_a_comment_opener",
+        "directive_apostrophe"])
 def test_masking_keeps_quotes_and_newlines(src, masked):
-    # a literal keeps its quotes; every other character of a comment or a
-    # literal is blanked but a newline, even one a backslash continues
-    assert mask_comments_and_strings(src) == masked
+    # a literal keeps its quotes; every other character of a comment, a
+    # directive or a literal is blanked but a newline, even one a backslash
+    # continues; a directive runs through the lines it continues and its
+    # comments, and a literal left open ends with its line
+    assert mask_comments_strings_and_directives(src) == masked
 
 
 def test_corpus_all_parse():
@@ -278,7 +288,12 @@ def loops_of(body: str):
     model = parse_program(wrap("int f(int n) {\n    int i = 0;\n" + body + "    return i;\n}",
                                "f(2)"))
     f = model.function("f")
-    return f, mask_comments_and_strings(model.source_text)[f.body_span[0]:f.body_span[1]]
+    masked = mask_comments_strings_and_directives(model.source_text)
+    return f, masked[f.body_span[0]:f.body_span[1]]
+
+
+MACRO_LOOP_BODY = ("#define EACH(k) for (k = 0; k < n; k++)\n"
+                   "    while (i < n) {\n        i++;\n    }\n")
 
 
 @pytest.mark.parametrize("body, expected", [
@@ -295,8 +310,9 @@ def loops_of(body: str):
       ("do", "i < n", "do {\n            i++;\n        }")]),
     ("    if (n < 0) {\n        n = 0;\n    } while (i < n) {\n        i++;\n    }\n",
      [("while", "i < n", "while (i < n) {\n        i++;\n    }")]),
+    (MACRO_LOOP_BODY, [("while", "i < n", "while (i < n) {\n        i++;\n    }")]),
 ], ids=["for_ever", "braceless_while", "do_while", "braceless_do_while", "nested_do",
-        "while_after_if_block"])
+        "while_after_if_block", "macro_body_is_no_loop"])
 def test_loop_site_records_condition_and_extent(body, expected):
     # a do's condition is its own tail's, and the tail is no site; a while
     # after any other block opens a loop
@@ -313,6 +329,13 @@ def test_outer_do_reads_its_own_tail():
     assert f.metrics.has_unbounded_loop
     assert f.metrics.max_nesting_depth == 2
     assert f.metrics.score == pytest.approx(32.0)
+
+
+def test_a_macro_body_scores_and_writes_nothing():
+    f, _ = loops_of(MACRO_LOOP_BODY)
+    assert f.metrics.score == pytest.approx(6.0)
+    assert f.metrics.tier is Tier.LOW
+    assert f.writes == ("i", "i")
 
 
 def test_braceless_do_while_is_one_bounded_loop():
@@ -471,18 +494,40 @@ def test_parameter_list_is_read_outside_its_comments(params):
     assert f.signature_text == " ".join(f"int f({params})".split())
 
 
-@pytest.mark.parametrize("file_scope, body, expected", [
-    ("", "#define CAP 4\n", ("CAP",)),
-    ("#define CAP 4\n#define LO 1\nenum { RED };\n", "#undef CAP\n#undef RED\n",
-     ("LO", "RED")),
-    ("enum { RED };\nstruct s {\n    int v;\n#define FIELD 1\n};\n", "#define CAP 4\n",
-     ("RED", "FIELD", "CAP")),
-], ids=["define_in_body", "undef_in_body", "define_in_struct_body"])
+# id: (file scope, the body of f, the constant names the file leaves defined)
+DIRECTIVE_CASES = {
+    "define_in_body": ("", "#define CAP 4\n", ("CAP",)),
+    "undef_in_body": ("#define CAP 4\n#define LO 1\nenum { RED };\n",
+                      "#undef CAP\n#undef RED\n", ("LO", "RED")),
+    "define_in_struct_body": ("enum { RED };\nstruct s {\n    int v;\n#define FIELD 1\n};\n",
+                              "#define CAP 4\n", ("RED", "FIELD", "CAP")),
+    "define_opening_a_brace": ("", "#define BEGIN {\n", ("BEGIN",)),
+    "define_closing_a_brace": ("", "#define END }\n", ("END",)),
+    "continued_define_holding_a_brace": ("", "#define OPEN(x) \\\n    do {\n", ("OPEN",)),
+    "undef_in_body_of_a_brace": ("#define LO 1\n", "#define OPEN {\n#undef OPEN\n", ("LO",)),
+    "conditional_in_enumerator_list":
+        ("#define WIDE\nenum mode {\n    A,\n#ifdef WIDE\n    B,\n#endif\n    C\n};\n", "",
+         ("WIDE", "A", "B", "C")),
+    "literal_holding_a_comment_opener": ('#define GLOB "/usr/*"\n', "    /* glob */\n",
+                                         ("GLOB",)),
+    "comments_around_a_define": ("/* a */ #/* b */define/* c */TOP 9\n", "", ("TOP",)),
+}
+
+
+def directive_source(file_scope: str, body: str) -> str:
+    return wrap(f"#include <assert.h>\n{file_scope}int f(int a) {{\n{body}    return a;\n}}",
+                "f(1)")
+
+
+@pytest.mark.parametrize("file_scope, body, expected", list(DIRECTIVE_CASES.values()),
+                         ids=list(DIRECTIVE_CASES))
 def test_a_directive_counts_wherever_it_stands(file_scope, body, expected):
     # the preprocessor keeps a macro from its `#define` to its `#undef`, in
-    # a function body or a struct body as at file scope
-    src = wrap(f"{file_scope}int f(int a) {{\n{body}    return a;\n}}", "f(1)", "r < CAP")
-    assert parse_program(src).constant_names == expected
+    # a function body or a struct body as at file scope; a directive's
+    # braces and words are no part of the code around it
+    model = parse_program(directive_source(file_scope, body))
+    assert model.constant_names == expected
+    assert [f.name for f in model.functions] == ["f"]
 
 
 FUNCTION_POINTER_RETURN_SRC = wrap(
@@ -501,6 +546,30 @@ def test_a_function_returning_a_function_pointer_is_found():
     assert model.global_names == ("g",)
 
 
+_LINE_MARKER_RE = re.compile(r'# \d+ "(.*)"')
+_MACRO_RE = re.compile(r"#(define|undef) ([A-Za-z_]\w*)")
+
+
+def own_macros(path) -> List[str]:
+    """The macros path itself defines and leaves defined, in the order of
+    their first definition, read from `gcc -E -dD`, whose line markers name
+    the file each `#define` and `#undef` stands in."""
+    out = subprocess.run(["gcc", "-E", "-dD", str(path)], capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    macros: Dict[str, None] = {}
+    current = None
+    for line in out.splitlines():
+        marker = _LINE_MARKER_RE.match(line)
+        if marker:
+            current = marker.group(1)
+        elif current == str(path) and (d := _MACRO_RE.match(line)):
+            if d.group(1) == "define":
+                macros.setdefault(d.group(2))
+            else:
+                macros.pop(d.group(2), None)
+    return list(macros)
+
+
 def compiled_symbols(path) -> List[Tuple[str, str]]:
     """(symbol type, name) of each name `nm` lists for the object gcc
     compiles from path; the names the compiler makes up, such as
@@ -515,22 +584,34 @@ def compiled_symbols(path) -> List[Tuple[str, str]]:
 
 @pytest.mark.skipif(shutil.which("gcc") is None or shutil.which("nm") is None,
                     reason="gcc or nm not on PATH")
-@pytest.mark.parametrize("case", ["function_pointer_return"]
-                         + [p.name for p in corpus_paths()] + list(WORKLOADS))
+@pytest.mark.parametrize("case", ["function_pointer_return", "constants"]
+                         + [p.name for p in corpus_paths()] + list(WORKLOADS)
+                         + [f"directive:{case}" for case in DIRECTIVE_CASES])
 def test_functions_and_globals_match_the_compiled_symbols(case, request, tmp_path):
-    # a corpus program, or each program of a workload at seed 1
+    # a corpus program, each program of a workload at seed 1, or a fixture
     if case in WORKLOADS:
         oracle, workloads = request.getfixturevalue("bench")
         sources = [oracle.Program(p["model"]).text for p in workloads.GENERATORS[case](1)]
+    elif case.startswith("directive:"):
+        sources = [directive_source(*DIRECTIVE_CASES[case[len("directive:"):]][:2])]
     else:
-        sources = [FUNCTION_POINTER_RETURN_SRC if case == "function_pointer_return"
-                   else corpus_text(case)]
+        sources = [{"function_pointer_return": FUNCTION_POINTER_RETURN_SRC,
+                    "constants": "#include <assert.h>\n" + CONSTANTS_SRC}.get(case)
+                   or corpus_text(case)]
     for k, text in enumerate(sources):
         path = tmp_path / f"prog{k}.c"
         path.write_text(text)
+        model = parse_program(text)
+        # the file's own macros are its constant names that are no enum
+        # constant, in the same order; every other constant name compiles as
+        # an integer constant expression at the end of the file
+        macros = own_macros(path)
+        assert [n for n in model.constant_names if n in macros] == macros, k
+        others = [n for n in model.constant_names if n not in macros]
+        path.write_text(text + "".join(f"enum {{ probe_{j} = ({n}) }};\n"
+                                       for j, n in enumerate(others)))
         symbols = compiled_symbols(path)
         of = lambda kinds: {name for kind, name in symbols if kind in kinds}
-        model = parse_program(text)
         # T and t mark defined functions, external and static; D, B, C and R
         # initialized, zeroed, common and read-only globals, d, b and r static ones
         assert {f.name for f in model.functions if not f.is_static} | {"main"} == of("T"), k
